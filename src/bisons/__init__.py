@@ -16,11 +16,9 @@ from .geometry import (
     PiProjection,
     SurrogateQuad,
     build_surrogate,
-    lift_pi,
     log_loss,
     lower_surrogate_eval,
     normalize_returns,
-    project_pi,
     uniform_portfolio,
 )
 from .solver import QuadraticObjective, SolveReport, SolverFailure, minimize_simplex, minimize_spectraplex
@@ -42,13 +40,11 @@ __all__ = [
     "build_surrogate",
     "check_reset",
     "default_params",
-    "lift_pi",
     "log_loss",
     "lower_surrogate_eval",
     "minimize_simplex",
     "minimize_spectraplex",
     "normalize_returns",
-    "project_pi",
     "q_check_reset",
     "q_default_params",
     "q_update_bias",

@@ -30,7 +30,7 @@ _TINY_INNER = 1e-300
 
 
 class InvalidReturnsError(ValueError):
-    """Raised for returns vectors that are negative or identically zero."""
+    """Raised for returns vectors or loss matrices that are non-finite, negative or identically zero."""
 
 
 class InfiniteLossError(ArithmeticError):
@@ -39,18 +39,6 @@ class InfiniteLossError(ArithmeticError):
 
 def uniform_portfolio(d):
     return np.full(d, 1.0 / d)
-
-
-def as_portfolio(x, tol=_SUM_TOL):
-    """Validate and return a simplex point as a float array."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("portfolio must be a vector of dimension >= 2")
-    if x.min() < 0.0:
-        raise ValueError("portfolio entries must be nonnegative")
-    if abs(x.sum() - 1.0) > tol:
-        raise ValueError(f"portfolio entries must sum to 1 (got {x.sum()!r})")
-    return x
 
 
 def normalize_returns(raw):
@@ -62,6 +50,8 @@ def normalize_returns(raw):
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1:
         raise InvalidReturnsError("returns must be a vector")
+    if not np.isfinite(raw).all():
+        raise InvalidReturnsError("returns entries must be finite")
     if raw.min() < 0.0:
         raise InvalidReturnsError("returns entries must be nonnegative")
     s = raw.sum()
@@ -146,10 +136,6 @@ def build_surrogate(x_t, r_t, beta):
     )
 
 
-def surrogate_eval(s, x):
-    return s.eval(x)
-
-
 def lower_surrogate_eval(s, x, r):
     """Lower surrogate evaluated at the portfolio x against the returns r."""
     return s.lower_hat_h(float(np.dot(x, r)))
@@ -189,11 +175,3 @@ class PiProjection:
         """Inverse chart into the affine hull; the flag reports simplex membership."""
         x = self.basis.T @ np.asarray(v, dtype=float) + self.center
         return x, bool(x.min() >= 0.0)
-
-
-def project_pi(proj, x):
-    return proj.project(x)
-
-
-def lift_pi(proj, v):
-    return proj.lift(v)

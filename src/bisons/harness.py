@@ -10,16 +10,16 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .geometry import InvalidReturnsError, log_loss, normalize_returns, uniform_portfolio
 from .hermitian import MeasurementEvent, phi_dual, random_effect, trace_inner
 from .lbftrl import AdversaryPlan, generate_and_run, run_lbftrl
-from .quantum import QBisonsParams, q_default_params, run_qbisons
+from .quantum import q_default_params, run_qbisons
 from .solver import QuadraticObjective, minimize_simplex, minimize_simplex_history, minimize_spectraplex_history
-from .vector import BisonsParams, RoundRecord, default_params, run_bisons
+from .vector import RoundRecord, default_params, run_bisons
 
 TRACE_HEADER = "t,epoch,internal_time,loss,cum_loss,comparator_cum_loss,regret,reset_flag"
 
@@ -92,7 +92,7 @@ def best_quantum_state(loss_matrices, tol=1e-8):
     w = 1.0
     X = np.eye(d, dtype=complex) / d
     while True:
-        X = minimize_spectraplex_history(W, w, d, warm_start=X, tol=1e-12).minimizer
+        X = minimize_spectraplex_history(W, w, warm_start=X, tol=1e-12).minimizer
         if w <= tol / d:
             break
         w *= 0.5
@@ -273,15 +273,11 @@ def parse_config_file(path):
     return out
 
 
-def _apply_overrides(params, overrides, cls):
-    if not overrides:
-        return params
-    fields = dict(d=params.d, T=params.T, B=params.B, eta=params.eta, beta=params.beta)
-    for key, value in overrides.items():
+def _apply_overrides(params, overrides):
+    for key in overrides:
         if key not in ("B", "eta", "beta"):
             raise ValueError(f"unknown parameter override {key!r}")
-        fields[key] = float(value)
-    return cls(**fields).validate()
+    return replace(params, **{key: float(value) for key, value in overrides.items()}).validate()
 
 
 def _get_returns(config):
@@ -321,7 +317,7 @@ def run_experiment(config):
 
     if config.algo == "bisons":
         R = _get_returns(config)
-        params = _apply_overrides(default_params(config.d, config.T), config.overrides, BisonsParams)
+        params = _apply_overrides(default_params(config.d, config.T), config.overrides)
         result = run_bisons(R, params, monitor=True)
         u_star, comp_loss = best_crp(R[: len(result.records)])
         comp_cum = np.cumsum(-np.log(R[: len(result.records)] @ u_star))
@@ -333,7 +329,7 @@ def run_experiment(config):
             stream = load_measurements(config.data)
         else:
             stream = measurement_stream(config.d, config.T, config.seed)
-        params = _apply_overrides(q_default_params(config.d, config.T), config.overrides, QBisonsParams)
+        params = _apply_overrides(q_default_params(config.d, config.T), config.overrides)
         rng = derive_rng(config.seed, "qbisons:reduction")
         result = run_qbisons(stream, params, rng=rng, monitor=True)
         u_star, comp_loss = best_quantum_state(result.loss_matrices)

@@ -13,10 +13,12 @@ max rule of the simplex algorithm, and the code takes that path verbatim
 for exactly-diagonal inputs.  The reset rule compares the unbiased
 comparator U against the scaled inverse bias in the Loewner order,
 boundary inclusive.
+
+The epoch engine is the one of :mod:`bisons.vector`, run on the
+:class:`Spectraplex` domain.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,35 +34,14 @@ from .hermitian import (
     reduce_measurement,
     trace_inner,
 )
-from .solver import QuadraticObjective, minimize_spectraplex
-from .vector import BETA_CAP, ETA_CAP, ParameterError, RoundRecord, _REL_SLACK, update_bias
+from .solver import minimize_spectraplex
+from .vector import BisonsParams, ParameterError, StabilityMonitor, bisons_round, run_epochs, update_bias
 
 
-@dataclass(frozen=True)
-class QBisonsParams:
-    d: int
-    T: int
-    B: float
-    eta: float
-    beta: float
+class QBisonsParams(BisonsParams):
+    """The admissible region of :class:`bisons.vector.BisonsParams`, with d = 1 allowed."""
 
-    def validate(self):
-        if self.d < 1:
-            raise ParameterError("dimension must be positive")
-        if self.T < 110 * self.d * self.d:
-            raise ParameterError(f"horizon too small: T >= 110*d^2 = {110 * self.d * self.d} required")
-        if not 0.0 < self.beta <= BETA_CAP * _REL_SLACK:
-            raise ParameterError(f"beta must lie in (0, sqrt(2)-1], got {self.beta}")
-        cap = min(1.0 / (4.0 * self.B), self.beta / 4.0, ETA_CAP)
-        if not 0.0 < self.eta <= cap * _REL_SLACK:
-            raise ParameterError(f"eta must lie in (0, {cap}], got {self.eta}")
-        if self.T < max(2 * self.d, 1.0 / self.beta):
-            raise ParameterError("horizon too small: T >= max(2d, 1/beta) required")
-        return self
-
-    @property
-    def reset_factor(self):
-        return 2.0 * (1.0 + 6.0 * self.eta) * self.beta
+    min_d = 1
 
 
 def q_default_params(d, T):
@@ -97,84 +78,10 @@ def q_check_reset(U, P, params):
     return bool(min_eig(M) <= 0.0)
 
 
-@dataclass
-class QBisonsEpochState:
-    e: int
-    tau: int
-    P: np.ndarray
-    P_prev: np.ndarray
-    biased: QuadraticObjective
-    unbiased: QuadraticObjective
-    X_cur: np.ndarray
-    U_cur: np.ndarray
-    last_solution: tuple = None
-    last_iterations: tuple = None
-
-
-def q_initial_state(params, epoch=1):
-    d = params.d
-    w = 1.0 / params.eta
-    eye_d = np.eye(d, dtype=complex)
-    return QBisonsEpochState(
-        e=epoch,
-        tau=1,
-        P=float(d) * eye_d,
-        P_prev=float(d) * eye_d.copy(),
-        biased=QuadraticObjective.zeros(d * d, w),
-        unbiased=QuadraticObjective.zeros(d * d, w),
-        X_cur=eye_d / d,
-        U_cur=eye_d.copy() / d,
-    )
-
-
-def qbisons_round(state, R_t, params, t=0, tol=1e-10):
-    """One round against a trace-one PSD loss matrix; mirrors the simplex round."""
-    X = state.X_cur
-    R = np.asarray(R_t, dtype=complex)
-    ip = trace_inner(X, R)
-    if ip <= 0.0:
-        raise InvalidReturnsError("realized trace product is not positive")
-    loss = -math.log(ip)
-    G = -R / ip
-    wvec = phi_dual(G)
-    m = trace_inner(X, G)
-
-    state.unbiased.add_surrogate(wvec, loss, m, params.beta)
-    state.biased.add_surrogate(wvec, loss, m, params.beta)
-    dP = state.P - state.P_prev
-    if np.abs(dP).max() > 0.0:
-        state.biased.add_linear(-params.B * phi_dual(dP))
-
-    rep_x = minimize_spectraplex(state.biased, warm_start=X, tol=tol)
-    rep_u = minimize_spectraplex(state.unbiased, warm_start=state.U_cur, tol=tol)
-    X_next, U_next = rep_x.minimizer, rep_u.minimizer
-    P_next = q_update_bias(state.P, X_next)
-    reset = q_check_reset(U_next, P_next, params)
-    state.last_solution = (X_next, U_next, P_next)
-    state.last_iterations = (rep_x.iterations, rep_u.iterations)
-
-    record = RoundRecord(t=t, e=state.e, tau=state.tau, loss=loss, reset_triggered=reset, x_played=X)
-    if reset:
-        fresh = q_initial_state(params, epoch=state.e + 1)
-        fresh.last_iterations = state.last_iterations
-        return fresh, record
-    state.tau += 1
-    state.X_cur = X_next
-    state.U_cur = U_next
-    state.P_prev = state.P
-    state.P = P_next
-    return state, record
-
-
-@dataclass
-class QStabilityMonitor:
+class QStabilityMonitor(StabilityMonitor):
     """Loewner-order analogues of the simplex stability checks."""
 
-    params: QBisonsParams
-    tol: float = 1e-8
-    violations: list = field(default_factory=list)
-
-    def observe(self, t, X_old, U_old, P_old, Xinv_old, X_next, U_next, P_next):
+    def observe(self, t, X_old, U_old, P_old, X_next, U_next, P_next):
         ratio = 1.0 + 6.0 * self.params.eta
         tol = self.tol
         if min_eig(ratio * X_next - X_old) < -tol or min_eig(ratio * X_old - X_next) < -tol:
@@ -191,33 +98,19 @@ class QStabilityMonitor:
         if min_eig(self.params.T**2 * np.eye(P_next.shape[0]) - P_next) < -tol:
             self.violations.append(f"t={t}: bias above T^2")
         lhs = a_norm(P_next - P_old, X_next)
-        rhs = a_norm(X_next - X_old, Xinv_old)
+        rhs = a_norm(X_next - X_old, np.linalg.inv(X_old))
         if lhs > rhs + tol:
             self.violations.append(f"t={t}: bias increment norm above play increment norm")
-        return Xinv_next
-
-
-@dataclass
-class QRunResult:
-    records: list
-    states: list
-    loss_matrices: list
-    violations: list
-
-    @property
-    def losses(self):
-        return np.array([rec.loss for rec in self.records])
-
-    @property
-    def reset_times(self):
-        return [rec.t for rec in self.records if rec.reset_triggered]
 
 
 def ingest_loss_matrix(item, rng=None):
     """Reduce measurement events and trace-normalize raw loss matrices."""
     if isinstance(item, MeasurementEvent):
         item = reduce_measurement(item, rng=rng)
-    R = hermitize(np.asarray(item, dtype=complex))
+    R = np.asarray(item, dtype=complex)
+    if not np.isfinite(R).all():
+        raise InvalidReturnsError("loss matrix entries must be finite")
+    R = hermitize(R)
     if min_eig(R) < -1e-10:
         raise InvalidReturnsError("loss matrix must be PSD")
     tr = float(np.trace(R).real)
@@ -226,37 +119,57 @@ def ingest_loss_matrix(item, rng=None):
     return R / tr
 
 
+class Spectraplex:
+    """Density matrices with the log-det barrier in phi coordinates, the domain of Schrodinger's BISONS."""
+
+    keeps_inputs = True  # reduced measurements are random, so the comparator needs them
+
+    def centre(self, d):
+        eye_d = np.eye(d, dtype=complex)
+        return eye_d / d, float(d) * eye_d
+
+    def ingest(self, item, rng):
+        return ingest_loss_matrix(item, rng=rng)
+
+    def loss(self, X, R):
+        R = np.asarray(R, dtype=complex)
+        ip = trace_inner(X, R)
+        if ip <= 0.0:
+            raise InvalidReturnsError("realized trace product is not positive")
+        G = -R / ip
+        return -math.log(ip), phi_dual(G), trace_inner(X, G)
+
+    def bias_coords(self, dP):
+        return phi_dual(dP)
+
+    def solve(self, obj, warm_start, tol):
+        return minimize_spectraplex(obj, warm_start=warm_start, tol=tol)
+
+    def update_bias(self, P, X_next):
+        return q_update_bias(P, X_next)
+
+    def check_reset(self, U_next, P_next, params):
+        return q_check_reset(U_next, P_next, params)
+
+    def monitor(self, params):
+        return QStabilityMonitor(params)
+
+    def round(self, state, R, params, t, tol):
+        return qbisons_round(state, R, params, t=t, tol=tol)
+
+
+SPECTRAPLEX = Spectraplex()
+
+
+def qbisons_round(state, R_t, params, t=0, tol=1e-10):
+    """One round against a trace-one PSD loss matrix: the simplex round on the spectraplex."""
+    return bisons_round(state, R_t, params, t=t, tol=tol, domain=SPECTRAPLEX)
+
+
 def run_qbisons(stream, params, rng=None, tol=None, monitor=False, keep_states=False):
     """Run over a stream of loss matrices or measurement events.
 
     Fractional-outcome events are reduced with ``rng``; a single stream
     serves the whole run, advanced once per event.
     """
-    params.validate()
-    if tol is None:
-        tol = min(1e-10, params.T**-2)
-    mon = QStabilityMonitor(params) if monitor else None
-    state = q_initial_state(params)
-    Xinv_old = np.linalg.inv(state.X_cur)
-    records = []
-    states = []
-    mats = []
-    for i, item in enumerate(stream):
-        if i >= params.T:
-            raise ValueError(f"stream longer than the horizon T={params.T}")
-        R = ingest_loss_matrix(item, rng=rng)
-        mats.append(R)
-        X_old, U_old, P_old = state.X_cur, state.U_cur, state.P
-        before = state
-        state, rec = qbisons_round(state, R, params, t=i + 1, tol=tol)
-        records.append(rec)
-        if mon is not None:
-            Xinv_old = mon.observe(i + 1, X_old, U_old, P_old, Xinv_old, *before.last_solution)
-            if rec.reset_triggered:
-                Xinv_old = np.linalg.inv(state.X_cur)
-        elif rec.reset_triggered:
-            Xinv_old = np.linalg.inv(state.X_cur)
-        if keep_states:
-            states.append(before.last_solution)
-    return QRunResult(records=records, states=states, loss_matrices=mats,
-                      violations=mon.violations if mon else [])
+    return run_epochs(SPECTRAPLEX, stream, params, rng=rng, tol=tol, monitor=monitor, keep_states=keep_states)

@@ -5,9 +5,11 @@ Two domains are supported: the probability simplex with the log barrier
 the log-det barrier, handled in the real coordinates of
 :func:`bisons.hermitian.vectorize_phi`.  Objectives are either accumulated
 quadratics (:class:`QuadraticObjective`) or sums of true log losses over a
-stored history.  All of these are self-concordant, so the Newton decrement
-lambda certifies the optimality gap: iteration stops once lambda^2 <= tol
-and the report carries that value as ``certified_gap``.
+stored history (:class:`LogLossHistory`); each supplies its smooth value,
+gradient and Hessian, and one frontend per domain adds the barrier.  All
+of these are self-concordant, so the Newton decrement lambda certifies the
+optimality gap: iteration stops once lambda^2 <= tol and the report
+carries that value as ``certified_gap``.
 
 The simplex equality constraint is eliminated by dropping the last
 coordinate; the spectraplex trace constraint is kept in the KKT system
@@ -55,9 +57,6 @@ class QuadraticObjective:
             raise ValueError("barrier weight must be positive")
         return cls(dim, np.zeros((dim, dim)), np.zeros(dim), 0.0, float(barrier_weight))
 
-    def copy(self):
-        return QuadraticObjective(self.dim, self.quad.copy(), self.lin.copy(), self.const, self.barrier_weight)
-
     def add_surrogate(self, w, anchor_value, anchor_inner, beta):
         """Accumulate a + <x - x_t, g> + (beta/2) <x - x_t, g>^2.
 
@@ -75,8 +74,32 @@ class QuadraticObjective:
     def smooth_value(self, x):
         return 0.5 * float(x @ self.quad @ x) + float(self.lin @ x) + self.const
 
-    def smooth_grad(self, x):
-        return self.quad @ x + self.lin
+    def smooth_grad_hess(self, x):
+        return self.quad @ x + self.lin, self.quad
+
+
+class LogLossHistory:
+    """Sum of true log losses sum_t -log<x, r_t> plus ``barrier_weight`` times the barrier.
+
+    ``rows`` holds the r_t: returns on the simplex, phi_dual(R_t) on the
+    spectraplex, so that <x, r_t> = rows @ x in both coordinate systems.
+    """
+
+    def __init__(self, rows, barrier_weight):
+        R = np.asarray(rows, dtype=float)
+        self.rows = R.reshape(1, -1) if R.ndim == 1 else R
+        self.dim = self.rows.shape[1]
+        self.barrier_weight = float(barrier_weight)
+
+    def smooth_value(self, x):
+        ips = self.rows @ x
+        if ips.size and ips.min() <= 0.0:
+            return math.inf
+        return -float(np.log(ips).sum())
+
+    def smooth_grad_hess(self, x):
+        inv = 1.0 / (self.rows @ x)
+        return -(self.rows.T @ inv), (self.rows.T * inv**2) @ self.rows
 
 
 @dataclass
@@ -96,7 +119,7 @@ class SolverFailure(RuntimeError):
         self.report = report
 
 
-# -- shared damped-Newton drivers --------------------------------------------
+# -- shared damped-Newton driver ----------------------------------------------
 
 def _armijo(fval, x, f, step_dir, slope, s0):
     s = s0
@@ -109,28 +132,20 @@ def _armijo(fval, x, f, step_dir, slope, s0):
     return None, None
 
 
-def _newton_simplex(fval, fgh, x0, tol, max_iter, track_values):
+def _damped_newton(fval, fgh, newton_step, line_step, x0, tol, max_iter, track_values):
+    """Damped Newton; ``line_step`` turns a ``newton_step`` into a direction and a boundary cap."""
     x = np.asarray(x0, dtype=float).copy()
     f, g, H = fgh(x)
     values = [f] if track_values else []
     lam2 = math.inf
     for it in range(max_iter):
-        gz = g[:-1] - g[-1]
-        Hz = H[:-1, :-1] - H[:-1, -1:] - H[-1:, :-1] + H[-1, -1]
         try:
-            dz = np.linalg.solve(Hz, -gz)
+            step, lam2 = newton_step(x, g, H)
         except np.linalg.LinAlgError as exc:
             raise SolverFailure(f"singular Newton system: {exc}", SolveReport(x, f, lam2, it, values)) from exc
-        lam2 = float(-gz @ dz)
         if lam2 <= tol:
             return SolveReport(x, f, max(lam2, 0.0), it, values)
-        dx = np.empty_like(x)
-        dx[:-1] = dz
-        dx[-1] = -dz.sum()
-        neg = dx < 0.0
-        s0 = 1.0
-        if neg.any():
-            s0 = min(1.0, _BOUNDARY_FRACTION * float(np.min(-x[neg] / dx[neg])))
+        dx, s0 = line_step(x, step)
         xn, fn = _armijo(fval, x, f, dx, float(g @ dx), s0)
         if xn is None:
             raise SolverFailure("line search stalled", SolveReport(x, f, lam2, it, values))
@@ -142,96 +157,49 @@ def _newton_simplex(fval, fgh, x0, tol, max_iter, track_values):
                         SolveReport(x, f, lam2, max_iter, values))
 
 
-def _newton_spectraplex(fval, fgh, v0, d, tol, max_iter, track_values):
-    n = d * d
-    a = trace_slots(d)
-    v = np.asarray(v0, dtype=float).copy()
-    f, g, H = fgh(v)
-    values = [f] if track_values else []
-    K = np.zeros((n + 1, n + 1))
-    rhs = np.zeros(n + 1)
-    lam2 = math.inf
-    for it in range(max_iter):
-        K[:n, :n] = H
-        K[:n, n] = a
-        K[n, :n] = a
-        rhs[:n] = -g
-        rhs[n] = 1.0 - float(a @ v)
-        try:
-            sol = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(f"singular KKT system: {exc}", SolveReport(v, f, lam2, it, values)) from exc
-        dv = sol[:n]
-        lam2 = float(dv @ H @ dv)
-        if lam2 <= tol:
-            return SolveReport(v, f, max(lam2, 0.0), it, values)
-        X = unvectorize_phi(v, d)
-        dX = unvectorize_phi(dv, d)
-        L = np.linalg.cholesky(X)
-        Li = np.linalg.inv(L)
-        wmin = float(np.linalg.eigvalsh(Li @ dX @ Li.conj().T).min())
-        s0 = 1.0 if wmin >= 0.0 else min(1.0, _BOUNDARY_FRACTION / (-wmin))
-        vn, fn = _armijo(fval, v, f, dv, float(g @ dv), s0)
-        if vn is None:
-            raise SolverFailure("line search stalled", SolveReport(v, f, lam2, it, values))
-        v, f = vn, fn
-        if track_values:
-            values.append(f)
-        g, H = fgh(v)[1:]
-    raise SolverFailure(f"no convergence in {max_iter} iterations (decrement^2 {lam2:.3e})",
-                        SolveReport(v, f, lam2, max_iter, values))
+# -- frontends: one per domain, for QuadraticObjective and LogLossHistory -------
+
+def _reduced_newton_step(x, g, H):
+    """Newton step in the coordinates left after eliminating the last one by sum(x) = 1."""
+    gz = g[:-1] - g[-1]
+    Hz = H[:-1, :-1] - H[:-1, -1:] - H[-1:, :-1] + H[-1, -1]
+    dz = np.linalg.solve(Hz, -gz)
+    return dz, float(-gz @ dz)
 
 
-# -- simplex frontends --------------------------------------------------------
+def _simplex_line_step(x, dz):
+    dx = np.empty_like(x)
+    dx[:-1] = dz
+    dx[-1] = -dz.sum()
+    neg = dx < 0.0
+    if not neg.any():
+        return dx, 1.0
+    return dx, min(1.0, _BOUNDARY_FRACTION * float(np.min(-x[neg] / dx[neg])))
+
 
 def minimize_simplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER, track_values=False):
-    """Minimize a quadratic-plus-log-barrier objective over the simplex."""
+    """Minimize ``obj`` plus its weighted log barrier -sum(log x_i) over the simplex."""
     d = obj.dim
-    Q, lin, c, w = obj.quad, obj.lin, obj.const, obj.barrier_weight
+    w = obj.barrier_weight
     x0 = np.full(d, 1.0 / d) if warm_start is None else np.asarray(warm_start, dtype=float)
 
     def fval(x):
         if x.min() <= 0.0:
             return math.inf
-        return 0.5 * float(x @ Q @ x) + float(lin @ x) + c - w * float(np.log(x).sum())
+        return obj.smooth_value(x) - w * float(np.log(x).sum())
 
     def fgh(x):
-        g = Q @ x + lin - w / x
-        H = Q + np.diag(w / (x * x))
-        return fval(x), g, H
+        g, H = obj.smooth_grad_hess(x)
+        return fval(x), g - w / x, H + np.diag(w / (x * x))
 
-    return _newton_simplex(fval, fgh, x0, tol, max_iter, track_values)
+    return _damped_newton(fval, fgh, _reduced_newton_step, _simplex_line_step, x0, tol, max_iter, track_values)
 
 
 def minimize_simplex_history(returns, barrier_weight, warm_start=None, tol=1e-10,
                              max_iter=DEFAULT_MAX_ITER, track_values=False):
     """Minimize sum_t -log<x, r_t> + barrier_weight * (-sum_i log x_i) over the simplex."""
-    R = np.asarray(returns, dtype=float)
-    if R.ndim == 1:
-        R = R.reshape(1, -1)
-    d = R.shape[1]
-    w = float(barrier_weight)
-    x0 = np.full(d, 1.0 / d) if warm_start is None else np.asarray(warm_start, dtype=float)
+    return minimize_simplex(LogLossHistory(returns, barrier_weight), warm_start, tol, max_iter, track_values)
 
-    def fval(x):
-        if x.min() <= 0.0:
-            return math.inf
-        ips = R @ x
-        if ips.size and ips.min() <= 0.0:
-            return math.inf
-        return -float(np.log(ips).sum()) - w * float(np.log(x).sum())
-
-    def fgh(x):
-        ips = R @ x
-        inv = 1.0 / ips
-        g = -(R.T @ inv) - w / x
-        H = (R.T * inv**2) @ R + np.diag(w / (x * x))
-        return fval(x), g, H
-
-    return _newton_simplex(fval, fgh, x0, tol, max_iter, track_values)
-
-
-# -- spectraplex frontends -----------------------------------------------------
 
 def _logdet_pd(X):
     """log det X via Cholesky, or None if X is not positive definite."""
@@ -248,7 +216,7 @@ def _logdet_hessian(Xinv, basis):
 
 
 def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER, track_values=False):
-    """Minimize a quadratic-plus-log-det-barrier objective over trace-one PSD matrices.
+    """Minimize ``obj`` plus its weighted log-det barrier over trace-one PSD matrices.
 
     ``obj`` lives in the phi coordinates (dim = d^2); the warm start is a
     density matrix.
@@ -258,64 +226,50 @@ def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_I
     if d * d != n:
         raise ValueError(f"objective dimension {n} is not a square")
     basis = hermitian_basis(d)
-    Q, lin, c, w = obj.quad, obj.lin, obj.const, obj.barrier_weight
+    w = obj.barrier_weight
     X0 = np.eye(d, dtype=complex) / d if warm_start is None else np.asarray(warm_start, dtype=complex)
     X0 = X0 / np.trace(X0).real
     v0 = vectorize_phi(X0)
+    a = trace_slots(d)
+    K = np.zeros((n + 1, n + 1))
+    K[:n, n] = a
+    K[n, :n] = a
+    rhs = np.zeros(n + 1)
 
     def fval(v):
         ld = _logdet_pd(unvectorize_phi(v, d))
         if ld is None:
             return math.inf
-        return 0.5 * float(v @ Q @ v) + float(lin @ v) + c - w * ld
+        return obj.smooth_value(v) - w * ld
 
     def fgh(v):
         X = unvectorize_phi(v, d)
         Xinv = np.linalg.inv(X)
         Xinv = 0.5 * (Xinv + Xinv.conj().T)
-        g = Q @ v + lin - w * phi_dual(Xinv)
-        H = Q + w * _logdet_hessian(Xinv, basis)
-        return fval(v), g, H
+        g, H = obj.smooth_grad_hess(v)
+        return fval(v), g - w * phi_dual(Xinv), H + w * _logdet_hessian(Xinv, basis)
 
-    rep = _newton_spectraplex(fval, fgh, v0, d, tol, max_iter, track_values)
+    def kkt_step(v, g, H):
+        K[:n, :n] = H
+        rhs[:n] = -g
+        rhs[n] = 1.0 - float(a @ v)
+        dv = np.linalg.solve(K, rhs)[:n]
+        return dv, float(dv @ H @ dv)
+
+    def line_step(v, dv):
+        Li = np.linalg.inv(np.linalg.cholesky(unvectorize_phi(v, d)))
+        wmin = float(np.linalg.eigvalsh(Li @ unvectorize_phi(dv, d) @ Li.conj().T).min())
+        return dv, 1.0 if wmin >= 0.0 else min(1.0, _BOUNDARY_FRACTION / (-wmin))
+
+    rep = _damped_newton(fval, fgh, kkt_step, line_step, v0, tol, max_iter, track_values)
     rep.minimizer = unvectorize_phi(rep.minimizer, d)
     return rep
 
 
-def minimize_spectraplex_history(loss_duals, barrier_weight, d, warm_start=None, tol=1e-10,
+def minimize_spectraplex_history(loss_duals, barrier_weight, warm_start=None, tol=1e-10,
                                  max_iter=DEFAULT_MAX_ITER, track_values=False):
     """Minimize sum_t -log<X, R_t> + barrier_weight * (-log det X) over density matrices.
 
     ``loss_duals`` holds phi_dual(R_t) as rows, so <X, R_t> = loss_duals @ phi(X).
     """
-    W = np.asarray(loss_duals, dtype=float)
-    if W.ndim == 1:
-        W = W.reshape(1, -1)
-    basis = hermitian_basis(d)
-    w = float(barrier_weight)
-    X0 = np.eye(d, dtype=complex) / d if warm_start is None else np.asarray(warm_start, dtype=complex)
-    X0 = X0 / np.trace(X0).real
-    v0 = vectorize_phi(X0)
-
-    def fval(v):
-        ld = _logdet_pd(unvectorize_phi(v, d))
-        if ld is None:
-            return math.inf
-        ips = W @ v
-        if ips.size and ips.min() <= 0.0:
-            return math.inf
-        return -float(np.log(ips).sum()) - w * ld
-
-    def fgh(v):
-        X = unvectorize_phi(v, d)
-        Xinv = np.linalg.inv(X)
-        Xinv = 0.5 * (Xinv + Xinv.conj().T)
-        ips = W @ v
-        inv = 1.0 / ips
-        g = -(W.T @ inv) - w * phi_dual(Xinv)
-        H = (W.T * inv**2) @ W + w * _logdet_hessian(Xinv, basis)
-        return fval(v), g, H
-
-    rep = _newton_spectraplex(fval, fgh, v0, d, tol, max_iter, track_values)
-    rep.minimizer = unvectorize_phi(rep.minimizer, d)
-    return rep
+    return minimize_spectraplex(LogLossHistory(loss_duals, barrier_weight), warm_start, tol, max_iter, track_values)

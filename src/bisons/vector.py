@@ -15,6 +15,10 @@ O(d^2) regardless of the horizon.
 
 The first iterate of every epoch is uniform, so the implicit p_1 equals
 p_0 = d*1 and the first round carries no bias increment.
+
+The epoch engine here (params, state, round, run loop, result) also runs
+Schrodinger's BISONS: it takes a domain, :class:`Simplex` here or
+:class:`bisons.quantum.Spectraplex`, that supplies only what differs.
 """
 
 import math
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import log_loss, normalize_returns, uniform_portfolio
-from .solver import QuadraticObjective, minimize_simplex
+from .solver import QuadraticObjective, default_tol, minimize_simplex
 
 ETA_CAP = 1.0 / 63.0
 BETA_CAP = math.sqrt(2.0) - 1.0
@@ -42,20 +46,22 @@ class BisonsParams:
     eta: float
     beta: float
 
+    min_d = 2
+
     def validate(self):
-        if self.d < 2:
-            raise ParameterError("need at least 2 assets")
+        if self.d < self.min_d:
+            raise ParameterError(f"dimension must be at least {self.min_d}, got {self.d}")
         if self.T < 110 * self.d * self.d:
             raise ParameterError(f"horizon too small: T >= 110*d^2 = {110 * self.d * self.d} required")
         if not 0.0 < self.beta <= BETA_CAP * _REL_SLACK:
             raise ParameterError(f"beta must lie in (0, sqrt(2)-1], got {self.beta}")
+        if not self.B > 0.0:
+            raise ParameterError(f"bias scale B must be positive, got {self.B}")
         cap = min(1.0 / (4.0 * self.B), self.beta / 4.0, ETA_CAP)
         if not 0.0 < self.eta <= cap * _REL_SLACK:
             raise ParameterError(f"eta must lie in (0, min(1/4B, beta/4, 1/63)] = (0, {cap}], got {self.eta}")
         if self.T < max(2 * self.d, 1.0 / self.beta):
             raise ParameterError(f"horizon too small: T >= max(2d, 1/beta) = {max(2 * self.d, 1.0 / self.beta)}")
-        if self.B <= 0.0:
-            raise ParameterError("bias scale B must be positive")
         return self
 
     @property
@@ -71,8 +77,52 @@ def default_params(d, T):
     return BisonsParams(d=d, T=T, B=B, eta=1.0 / (4.0 * B), beta=11.0 / (7.0 * B)).validate()
 
 
+class Simplex:
+    """The probability simplex with the log barrier, the domain of BISONS.
+
+    A domain supplies what the epoch engine does not share.  Its methods
+    look their functions up in this module when called, so a module
+    attribute replaced at run time takes effect.
+    """
+
+    keeps_inputs = False  # the caller already holds its returns rows
+
+    def centre(self, d):
+        return uniform_portfolio(d), np.full(d, float(d))
+
+    def ingest(self, raw, rng):
+        return normalize_returns(raw)
+
+    def loss(self, x, r):
+        r = np.asarray(r, dtype=float)
+        loss = log_loss(x, r)
+        g = -r / float(np.dot(x, r))
+        return loss, g, float(np.dot(x, g))
+
+    def bias_coords(self, dp):
+        return dp
+
+    def solve(self, obj, warm_start, tol):
+        return minimize_simplex(obj, warm_start=warm_start, tol=tol)
+
+    def update_bias(self, p, x_next):
+        return update_bias(p, x_next)
+
+    def check_reset(self, u_next, p_next, params):
+        return check_reset(u_next, p_next, params)
+
+    def monitor(self, params):
+        return StabilityMonitor(params)
+
+    def round(self, state, r, params, t, tol):
+        return bisons_round(state, r, params, t=t, tol=tol)
+
+
+SIMPLEX = Simplex()
+
+
 @dataclass
-class BisonsEpochState:
+class EpochState:
     """Mutable per-epoch accumulators; reset wholesale on epoch boundaries."""
 
     e: int
@@ -87,18 +137,19 @@ class BisonsEpochState:
     last_iterations: tuple = None
 
 
-def initial_state(params, epoch=1):
-    d = params.d
+def initial_state(params, epoch=1, domain=SIMPLEX):
+    """Fresh epoch at the domain's centre; the objectives live in x.size real coordinates."""
     w = 1.0 / params.eta
-    return BisonsEpochState(
+    x, p = domain.centre(params.d)
+    return EpochState(
         e=epoch,
         tau=1,
-        p=np.full(d, float(d)),
-        p_prev=np.full(d, float(d)),
-        biased=QuadraticObjective.zeros(d, w),
-        unbiased=QuadraticObjective.zeros(d, w),
-        x_cur=uniform_portfolio(d),
-        u_cur=uniform_portfolio(d),
+        p=p,
+        p_prev=p.copy(),
+        biased=QuadraticObjective.zeros(x.size, w),
+        unbiased=QuadraticObjective.zeros(x.size, w),
+        x_cur=x,
+        u_cur=x.copy(),
     )
 
 
@@ -125,37 +176,35 @@ def check_reset(u_next, p_next, params):
     return bool((params.reset_factor * np.asarray(u_next) * np.asarray(p_next) >= 1.0).any())
 
 
-def bisons_round(state, r_t, params, t=0, tol=1e-10):
+def bisons_round(state, r_t, params, t=0, tol=1e-10, domain=SIMPLEX):
     """Advance one round: suffer the loss, refresh both FTRL solutions, update the bias.
 
-    ``r_t`` must already be normalized onto the simplex.  Returns the state
-    to use next round (a fresh epoch state when the reset fired) and the
-    round record.  The solved (x_next, u_next, p_next) triple is stashed on
-    ``state.last_solution`` for monitoring.
+    ``r_t`` must already be ingested by ``domain`` (by default normalized
+    onto the simplex).  Returns the state to use next round (a fresh epoch
+    state when the reset fired) and the round record.  The solved
+    (x_next, u_next, p_next) triple is stashed on ``state.last_solution``
+    for monitoring.
     """
     x = state.x_cur
-    r = np.asarray(r_t, dtype=float)
-    loss = log_loss(x, r)
-    g = -r / float(np.dot(x, r))
-    m = float(np.dot(x, g))
+    loss, g, m = domain.loss(x, r_t)
 
     state.unbiased.add_surrogate(g, loss, m, params.beta)
     state.biased.add_surrogate(g, loss, m, params.beta)
     dp = state.p - state.p_prev
     if dp.any():
-        state.biased.add_linear(-params.B * dp)
+        state.biased.add_linear(-params.B * domain.bias_coords(dp))
 
-    rep_x = minimize_simplex(state.biased, warm_start=x, tol=tol)
-    rep_u = minimize_simplex(state.unbiased, warm_start=state.u_cur, tol=tol)
+    rep_x = domain.solve(state.biased, x, tol)
+    rep_u = domain.solve(state.unbiased, state.u_cur, tol)
     x_next, u_next = rep_x.minimizer, rep_u.minimizer
-    p_next = update_bias(state.p, x_next)
-    reset = check_reset(u_next, p_next, params)
+    p_next = domain.update_bias(state.p, x_next)
+    reset = domain.check_reset(u_next, p_next, params)
     state.last_solution = (x_next, u_next, p_next)
     state.last_iterations = (rep_x.iterations, rep_u.iterations)
 
     record = RoundRecord(t=t, e=state.e, tau=state.tau, loss=loss, reset_triggered=reset, x_played=x)
     if reset:
-        fresh = initial_state(params, epoch=state.e + 1)
+        fresh = initial_state(params, epoch=state.e + 1, domain=domain)
         fresh.last_iterations = state.last_iterations
         return fresh, record
     state.tau += 1
@@ -197,9 +246,12 @@ class StabilityMonitor:
 
 @dataclass
 class RunResult:
-    records: list
-    states: list
-    violations: list
+    """Round records, kept (x_next, u_next, p_next) triples, monitor violations, kept inputs."""
+
+    records: list = field(default_factory=list)
+    states: list = field(default_factory=list)
+    violations: list = field(default_factory=list)
+    loss_matrices: list = field(default_factory=list)
 
     @property
     def losses(self):
@@ -210,25 +262,33 @@ class RunResult:
         return [rec.t for rec in self.records if rec.reset_triggered]
 
 
-def run_bisons(returns, params, tol=None, monitor=False, keep_states=False):
-    """Run the algorithm over a returns sequence (normalized on ingestion)."""
+def run_epochs(domain, stream, params, rng=None, tol=None, monitor=False, keep_states=False):
+    """Run the epoch scheme on ``domain`` over raw inputs, each ingested (with ``rng``) on arrival."""
     params.validate()
     if tol is None:
-        tol = min(1e-10, params.T**-2)
-    mon = StabilityMonitor(params) if monitor else None
-    state = initial_state(params)
-    records = []
-    states = []
-    for i, raw in enumerate(returns):
+        tol = default_tol(params.T)
+    mon = domain.monitor(params) if monitor else None
+    state = initial_state(params, domain=domain)
+    result = RunResult()
+    for i, item in enumerate(stream):
         if i >= params.T:
-            raise ValueError(f"returns sequence longer than the horizon T={params.T}")
-        r = normalize_returns(raw)
+            raise ValueError(f"stream longer than the horizon T={params.T}")
+        r = domain.ingest(item, rng)
+        if domain.keeps_inputs:
+            result.loss_matrices.append(r)
         x_old, u_old, p_old = state.x_cur, state.u_cur, state.p
         before = state
-        state, rec = bisons_round(state, r, params, t=i + 1, tol=tol)
-        records.append(rec)
+        state, rec = domain.round(state, r, params, t=i + 1, tol=tol)
+        result.records.append(rec)
         if mon is not None:
             mon.observe(i + 1, x_old, u_old, p_old, *before.last_solution)
         if keep_states:
-            states.append(before.last_solution)
-    return RunResult(records=records, states=states, violations=mon.violations if mon else [])
+            result.states.append(before.last_solution)
+    if mon is not None:
+        result.violations = mon.violations
+    return result
+
+
+def run_bisons(returns, params, tol=None, monitor=False, keep_states=False):
+    """Run the algorithm over a returns sequence (normalized on ingestion)."""
+    return run_epochs(SIMPLEX, returns, params, tol=tol, monitor=monitor, keep_states=keep_states)

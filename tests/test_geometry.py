@@ -9,11 +9,9 @@ from bisons.geometry import (
     InvalidReturnsError,
     PiProjection,
     build_surrogate,
-    lift_pi,
     log_loss,
     lower_surrogate_eval,
     normalize_returns,
-    project_pi,
     uniform_portfolio,
 )
 
@@ -42,6 +40,11 @@ class TestNormalizeReturns:
     def test_negative_rejected(self):
         with pytest.raises(InvalidReturnsError):
             normalize_returns([1.0, -0.5])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidReturnsError, match="finite"):
+            normalize_returns([bad, 1.0, 1.0])
 
 
 class TestLogLoss:
@@ -164,11 +167,11 @@ class TestPiProjection:
     def test_center_maps_to_zero(self):
         for d in (2, 3, 5, 8):
             proj = PiProjection(d)
-            assert np.abs(project_pi(proj, uniform_portfolio(d))).max() <= 1e-12
+            assert np.abs(proj.project(uniform_portfolio(d))).max() <= 1e-12
 
     def test_zero_lifts_to_center(self):
         proj = PiProjection(4)
-        x, inside = lift_pi(proj, np.zeros(3))
+        x, inside = proj.lift(np.zeros(3))
         assert inside
         assert np.allclose(x, uniform_portfolio(4), atol=1e-14)
 
@@ -186,7 +189,7 @@ class TestPiProjection:
             worst = 0.0
             for _ in range(100):
                 x = random_simplex(rng, d)
-                y, _ = lift_pi(proj, project_pi(proj, x))
+                y, _ = proj.lift(proj.project(x))
                 worst = max(worst, float(np.abs(y - x).max()))
             assert worst <= 1e-10
 

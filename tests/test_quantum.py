@@ -3,24 +3,30 @@ import math
 import numpy as np
 import pytest
 
+import bisons.quantum as quantum
+from bisons.checks import CRASH_OVERRIDE
+from bisons.geometry import InvalidReturnsError
+from bisons.harness import adversary_returns
 from bisons.hermitian import (
     MeasurementEvent,
     loewner_leq,
     min_eig,
     random_density,
     random_pd,
+    random_unitary,
     trace_inner,
 )
 from bisons.quantum import (
+    SPECTRAPLEX,
     QBisonsParams,
+    ingest_loss_matrix,
     q_check_reset,
     q_default_params,
-    q_initial_state,
     q_update_bias,
     qbisons_round,
     run_qbisons,
 )
-from bisons.vector import check_reset, default_params, run_bisons, update_bias
+from bisons.vector import BisonsParams, check_reset, default_params, initial_state, run_bisons, update_bias
 
 
 class TestQDefaultParams:
@@ -106,7 +112,7 @@ class TestQCheckReset:
 class TestQBisonsRound:
     def test_first_round_plays_maximally_mixed(self):
         params = q_default_params(2, 440)
-        state = q_initial_state(params)
+        state = initial_state(params, domain=SPECTRAPLEX)
         R = np.diag([0.7, 0.3]).astype(complex)
         state, rec = qbisons_round(state, R, params, t=1)
         assert np.abs(rec.x_played - np.eye(2) / 2).max() <= 1e-12
@@ -182,8 +188,57 @@ class TestRunQBisons:
             for s in range(tau + 1):
                 assert loewner_leq(comps[tau], plays[s] / params.beta, tol=1e-8)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_loss_matrix_rejected(self, bad):
+        R = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(InvalidReturnsError, match="finite"):
+            ingest_loss_matrix(R)
+        params = q_default_params(2, 440)
+        with pytest.raises(InvalidReturnsError, match="finite"):
+            run_qbisons([np.eye(2, dtype=complex), R], params)
+
     def test_fractional_outcomes_need_rng(self):
         params = q_default_params(2, 440)
         ev = MeasurementEvent(effect=np.eye(2) * 0.5, outcome=0.4)
         with pytest.raises(Exception):
             run_qbisons([ev], params)
+
+
+@pytest.fixture(scope="module")
+def crash_diagonal_runs():
+    """BISONS and Q-BISONS on the diagonal embedding of a crash sequence that resets."""
+    d, T = 2, 1000
+    R = adversary_returns("single-asset-crash", d, T, 0)
+    res_v = run_bisons(R, BisonsParams(d=d, T=T, **CRASH_OVERRIDE).validate(), monitor=True)
+    params_q = QBisonsParams(d=d, T=T, **CRASH_OVERRIDE).validate()
+    res_q = run_qbisons([np.diag(r).astype(complex) for r in R], params_q, monitor=True)
+    return R, params_q, res_v, res_q
+
+
+class TestQBisonsResets:
+    def test_diagonal_equivalence_through_reset(self, crash_diagonal_runs):
+        _, _, res_v, res_q = crash_diagonal_runs
+        assert res_v.reset_times == [729]
+        assert res_q.reset_times == [729]
+        assert res_v.violations == [] and res_q.violations == []
+        for rec_v, rec_q in zip(res_v.records, res_q.records):
+            assert np.abs(np.diagonal(rec_q.x_played).real - rec_v.x_played).max() <= 1e-12
+            assert not np.count_nonzero(rec_q.x_played - np.diag(np.diagonal(rec_q.x_played)))
+
+    def test_unitary_covariance_through_reset(self, crash_diagonal_runs, monkeypatch):
+        R, params_q, _, res_diag = crash_diagonal_runs
+        V = random_unitary(np.random.default_rng(0), 2)
+        diagonal_plays = []
+        update = quantum.q_update_bias
+
+        def spy(P, X):
+            diagonal_plays.append(not np.count_nonzero(X - np.diag(np.diagonal(X))))
+            return update(P, X)
+
+        monkeypatch.setattr(quantum, "q_update_bias", spy)
+        res = run_qbisons([V @ np.diag(r).astype(complex) @ V.conj().T for r in R], params_q, monitor=True)
+        assert len(diagonal_plays) == len(R) and not any(diagonal_plays)
+        assert res.reset_times == [729]
+        assert res.violations == []
+        for rec, rec_diag in zip(res.records, res_diag.records):
+            assert np.abs(V.conj().T @ rec.x_played @ V - rec_diag.x_played).max() <= 1e-10

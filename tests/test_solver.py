@@ -165,15 +165,14 @@ class TestMinimizeSpectraplexHistory:
         d = 3
         R = rng.dirichlet(np.ones(d), size=12)
         duals = np.array([phi_dual(np.diag(r).astype(complex)) for r in R])
-        rep_q = minimize_spectraplex_history(duals, 2.5, d, tol=1e-13)
+        rep_q = minimize_spectraplex_history(duals, 2.5, tol=1e-13)
         rep_v = minimize_simplex_history(R, 2.5, tol=1e-13)
         assert np.abs(np.diagonal(rep_q.minimizer).real - rep_v.minimizer).max() <= 1e-7
 
     def test_rank_one_history_concentrates(self):
-        d = 2
         E = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         duals = np.tile(phi_dual(E), (60, 1))
-        rep = minimize_spectraplex_history(duals, 0.01, d)
+        rep = minimize_spectraplex_history(duals, 0.01)
         assert trace_inner(rep.minimizer, E) > 0.9
 
 

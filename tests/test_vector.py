@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from bisons.geometry import InvalidReturnsError
 from bisons.harness import adversary_returns
+from bisons.quantum import QBisonsParams
 from bisons.vector import (
     BisonsParams,
     ParameterError,
@@ -109,6 +111,11 @@ class TestDefaultParams:
             BisonsParams(d=2, T=1000, B=10.0, eta=0.001, beta=0.6).validate()  # beta too big
         with pytest.raises(ParameterError):
             BisonsParams(d=2, T=100, B=10.0, eta=0.001, beta=0.1).validate()  # T < 110 d^2
+
+    @pytest.mark.parametrize("cls", [BisonsParams, QBisonsParams])
+    def test_zero_bias_scale_rejected(self, cls):
+        with pytest.raises(ParameterError):
+            cls(d=2, T=1000, B=0.0, eta=0.01, beta=0.1).validate()
 
 
 class TestUpdateBias:
@@ -232,6 +239,12 @@ class TestRunBisons:
         res_scaled = run_bisons([np.array([8.0, 2.0])], params)
         res_plain = run_bisons([np.array([0.8, 0.2])], params)
         assert res_scaled.records[0].loss == pytest.approx(res_plain.records[0].loss, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_row_rejected(self, bad):
+        params = default_params(2, 440)
+        with pytest.raises(InvalidReturnsError, match="finite"):
+            run_bisons([np.array([0.5, 0.5]), np.array([bad, 1.0])], params)
 
     def test_longer_than_horizon_rejected(self):
         params = default_params(2, 440)
