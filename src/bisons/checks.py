@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BETA_MAX, PiProjection, build_surrogate, log_loss, lower_surrogate_eval
+from .geometry import BETA_MAX, build_surrogate, log_loss, lower_surrogate_eval
 from .harness import adversary_returns, best_crp, best_quantum_state, derive_rng, measurement_stream
 from .hermitian import (
-    loewner_leq,
     min_eig,
     phi_dual,
     random_density,

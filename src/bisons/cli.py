@@ -60,13 +60,13 @@ def _run(args):
 def _gen_lbftrl(args):
     import os
 
-    from .lbftrl import AdversaryPlan, generate_and_run
+    from .lbftrl import AdversaryPlan, generate_returns
     from .harness import save_returns
 
     os.makedirs(args.out, exist_ok=True)
     plan = AdversaryPlan.build(args.d, args.T, args.alpha)
     plan.export(os.path.join(args.out, "plan.txt"))
-    result = generate_and_run(plan, args.eta)
+    result = generate_returns(plan, args.eta)
     save_returns(os.path.join(args.out, "returns.csv"), result.returns)
     print(f"generated {result.returns.shape[0]} rounds "
           f"({int(result.movement_flags.sum())} movement), truncated={result.truncated}")

@@ -10,7 +10,6 @@ doubles the off-diagonal slots; that diagonal rescaling is the only place
 the coordinate convention leaks out.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -20,14 +20,14 @@ diagnostics here measure.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from .geometry import PiProjection, log_loss, uniform_portfolio
-from .solver import minimize_simplex_history
+from .solver import LogLossHistory, minimize_simplex, minimize_simplex_history
 
 TARGET_GRAD_TOL = 1e-12
 
@@ -125,7 +125,15 @@ def pull_to_center(x, s, plan):
 # -- the player ---------------------------------------------------------------
 
 def lbftrl_play(history, eta, warm_start=None, tol=1e-10, d=None):
-    """Barrier-FTRL argmin of the accumulated true log losses."""
+    """Barrier-FTRL argmin of the accumulated true log losses.
+
+    ``history`` is an array of returns, or a :class:`LogLossHistory` with
+    barrier weight 1/eta, which is solved in place (keeping its cache).
+    """
+    if isinstance(history, LogLossHistory):
+        if history.n == 0:
+            return uniform_portfolio(history.dim)
+        return minimize_simplex(history, warm_start=warm_start, tol=tol).minimizer
     hist = np.asarray(history, dtype=float)
     if hist.size == 0:
         if d is None:
@@ -205,6 +213,17 @@ def move_to_x(target, grad_pi, T, proj):
 
 
 @dataclass
+class GeneratedReturns:
+    """The adversary's sequence: one row, movement flag and visit per round."""
+
+    returns: np.ndarray
+    movement_flags: np.ndarray
+    visits: list  # (target index, repetition, layer) or None for movement rounds
+    truncated: bool
+    completed_visits: int
+
+
+@dataclass
 class AdversaryRunResult:
     records: list
     stability: list
@@ -233,80 +252,106 @@ class LbftrlRoundRecord:
 
 
 class _PlayerLoop:
-    """Shared per-round bookkeeping: play, suffer, record stability."""
+    """Shared per-round bookkeeping: play, suffer, record stability.
+
+    One :class:`LogLossHistory` holds the whole run.  Each solve starts at
+    the previous play, where the history's cache sits, and appending the
+    round's return moves the cached Hessian to the stability Hessian's
+    loss part in O(d^2).
+    """
 
     def __init__(self, d, eta, T, tol):
         self.proj = PiProjection(d)
         self.eta = eta
-        self.T = T
         self.tol = tol
-        self.history = np.empty((T, d))
+        self.history = LogLossHistory(np.empty((0, d)), 1.0 / eta, capacity=T)
         self.plays = np.empty((T, d))
-        self.n = 0
         self.x = uniform_portfolio(d)
         self.records = []
         self.stability = []
         self.movement_flags = []
 
     def round(self, r, is_movement, visit):
-        t = self.n + 1
-        x = lbftrl_play(self.history[: self.n], self.eta, warm_start=self.x, tol=self.tol,
-                        d=self.proj.d)
+        t = self.history.n + 1
+        x = lbftrl_play(self.history, self.eta, warm_start=self.x, tol=self.tol)
         self.x = x
-        self.plays[self.n] = x
+        self.plays[t - 1] = x
         loss = log_loss(x, r)
-        self.history[self.n] = r
-        self.n += 1
+        self.history.append(r)
         grad = self.proj.project(-r / float(np.dot(x, r)))
-        hess = assemble_pi_hessian(x, self.history[: self.n], self.eta, self.proj)
+        U = self.proj.basis
+        hess = (1.0 / self.eta) * (U / x**2) @ U.T + U @ self.history.smooth_grad_hess(x)[1] @ U.T
         self.stability.append(StabilityRecord(t=t, grad_pi=grad, hessian_pi=hess,
                                               term=stability_term(grad, hess)))
         self.records.append(LbftrlRoundRecord(t=t, loss=loss, is_movement=is_movement, visit=visit))
         self.movement_flags.append(is_movement)
 
+    def result(self, returns, truncated, completed_visits):
+        return AdversaryRunResult(
+            records=self.records,
+            stability=self.stability,
+            returns=returns,
+            plays=self.plays[: self.history.n].copy(),
+            movement_flags=np.array(self.movement_flags, dtype=bool),
+            truncated=truncated,
+            completed_visits=completed_visits,
+            eta=self.eta,
+        )
 
-def generate_and_run(plan, eta, T=None, tol=1e-10):
-    """Interleave movement returns and target outcomes against a live player.
 
-    Visits iterate targets in plan order, repetitions inside targets and
-    layers innermost.  Generation stops at the horizon with ``truncated``
-    set; nothing wraps around.
+def generate_returns(plan, eta, T=None):
+    """The adversary alone: interleave movement returns and target outcomes.
+
+    Movement is steered by the gradient of the accumulated objective at the
+    target, so the sequence depends on the history, not on the player's
+    plays.  Visits iterate targets in plan order, repetitions inside targets
+    and layers innermost.  Generation stops at the horizon with
+    ``truncated`` set; nothing wraps around.
     """
     T = plan.T if T is None else T
-    loop = _PlayerLoop(plan.d, eta, T, tol)
+    proj = PiProjection(plan.d)
+    rows = np.empty((T, plan.d))
+    visits = []
     truncated = False
     completed = 0
+
+    def emit(r, visit):
+        rows[len(visits)] = r
+        visits.append(visit)
+
     for i, (tgt, out) in enumerate(plan.targets):
         for k in range(plan.repetitions):
             for s in range(plan.layer_count + 1):
                 tgt_s = pull_to_center(tgt, s, plan)
                 while True:
-                    if loop.n >= T:
+                    if len(visits) >= T:
                         truncated = True
                         break
-                    g = grad_pi_objective(tgt_s, loop.history[: loop.n], eta, loop.proj)
+                    g = grad_pi_objective(tgt_s, rows[: len(visits)], eta, proj)
                     if float(np.linalg.norm(g)) <= TARGET_GRAD_TOL:
                         break
-                    loop.round(move_to_x(tgt_s, g, T, loop.proj), True, None)
-                if truncated or loop.n >= T:
-                    truncated = truncated or loop.n >= T
+                    emit(move_to_x(tgt_s, g, T, proj), None)
+                if truncated or len(visits) >= T:
+                    truncated = truncated or len(visits) >= T
                     break
-                loop.round(pull_to_center(out, s, plan), False, (i, k, s))
+                emit(pull_to_center(out, s, plan), (i, k, s))
                 completed += 1
             if truncated:
                 break
         if truncated:
             break
-    return AdversaryRunResult(
-        records=loop.records,
-        stability=loop.stability,
-        returns=loop.history[: loop.n].copy(),
-        plays=loop.plays[: loop.n].copy(),
-        movement_flags=np.array(loop.movement_flags, dtype=bool),
-        truncated=truncated,
-        completed_visits=completed,
-        eta=eta,
-    )
+    flags = np.array([v is None for v in visits], dtype=bool)
+    return GeneratedReturns(returns=rows[: len(visits)].copy(), movement_flags=flags, visits=visits,
+                            truncated=truncated, completed_visits=completed)
+
+
+def generate_and_run(plan, eta, T=None, tol=1e-10):
+    """The adversary's sequence (:func:`generate_returns`) played by the player."""
+    gen = generate_returns(plan, eta, T)
+    loop = _PlayerLoop(plan.d, eta, len(gen.visits), tol)
+    for r, visit in zip(gen.returns, gen.visits):
+        loop.round(r, visit is None, visit)
+    return loop.result(gen.returns, gen.truncated, gen.completed_visits)
 
 
 def run_lbftrl(returns, eta, tol=1e-10):
@@ -315,16 +360,7 @@ def run_lbftrl(returns, eta, tol=1e-10):
     loop = _PlayerLoop(R.shape[1], eta, R.shape[0], tol)
     for r in R:
         loop.round(r, False, None)
-    return AdversaryRunResult(
-        records=loop.records,
-        stability=loop.stability,
-        returns=R.copy(),
-        plays=loop.plays[: loop.n].copy(),
-        movement_flags=np.array(loop.movement_flags, dtype=bool),
-        truncated=False,
-        completed_visits=0,
-        eta=eta,
-    )
+    return loop.result(R.copy(), False, 0)
 
 
 def regret_vs_next_iterate(result, tol=1e-10):

@@ -78,28 +78,81 @@ class QuadraticObjective:
         return self.quad @ x + self.lin, self.quad
 
 
+@dataclass
+class _Evaluation:
+    """A point x (``key`` is its bytes) with its value; ``ips`` = rows @ x until
+    the gradient and Hessian are derived from it."""
+
+    x: np.ndarray
+    key: bytes
+    value: float
+    ips: np.ndarray = None
+    grad: np.ndarray = None
+    hess: np.ndarray = None
+
+
 class LogLossHistory:
     """Sum of true log losses sum_t -log<x, r_t> plus ``barrier_weight`` times the barrier.
 
     ``rows`` holds the r_t: returns on the simplex, phi_dual(R_t) on the
     spectraplex, so that <x, r_t> = rows @ x in both coordinate systems.
+    Each point costs one ``rows @ x``; the value, gradient and Hessian at
+    the last point evaluated are cached (keyed on exact equality of x).
+    With a ``capacity`` the rows live in a preallocated buffer that
+    :meth:`append` fills, updating a cached gradient and Hessian in O(dim^2).
     """
 
-    def __init__(self, rows, barrier_weight):
+    def __init__(self, rows, barrier_weight, capacity=None):
         R = np.asarray(rows, dtype=float)
-        self.rows = R.reshape(1, -1) if R.ndim == 1 else R
-        self.dim = self.rows.shape[1]
+        R = R.reshape(1, -1) if R.ndim == 1 else R
+        self.n = R.shape[0]
+        if capacity is not None:
+            buf = np.empty((max(capacity, self.n), R.shape[1]))
+            buf[: self.n] = R
+            R = buf
+        self._buf = R
+        self.dim = R.shape[1]
         self.barrier_weight = float(barrier_weight)
+        self._last = None
+
+    @property
+    def rows(self):
+        return self._buf[: self.n]
+
+    def _at(self, x):
+        key = x.tobytes()
+        if self._last is None or self._last.key != key:
+            ips = self.rows @ x
+            value = math.inf if ips.size and ips.min() <= 0.0 else -float(np.log(ips).sum())
+            self._last = _Evaluation(x.copy(), key, value, ips)
+        return self._last
 
     def smooth_value(self, x):
-        ips = self.rows @ x
-        if ips.size and ips.min() <= 0.0:
-            return math.inf
-        return -float(np.log(ips).sum())
+        return self._at(x).value
 
     def smooth_grad_hess(self, x):
-        inv = 1.0 / (self.rows @ x)
-        return -(self.rows.T @ inv), (self.rows.T * inv**2) @ self.rows
+        ev = self._at(x)
+        if ev.grad is None:
+            inv = 1.0 / ev.ips
+            ev.grad, ev.hess, ev.ips = -(self.rows.T @ inv), (self.rows.T * inv**2) @ self.rows, None
+        return ev.grad, ev.hess
+
+    def append(self, r):
+        """Add the row r; a cached gradient and Hessian move to the new sum at their point."""
+        if self.n == self._buf.shape[0]:
+            raise ValueError(f"history is full ({self.n} rows)")
+        r = np.asarray(r, dtype=float)
+        self._buf[self.n] = r
+        self.n += 1
+        ev, self._last = self._last, None
+        if ev is None or ev.grad is None:
+            return
+        ip = float(r @ ev.x)
+        if ip > 0.0:
+            ev.value -= math.log(ip)
+            ev.grad = ev.grad - r / ip
+            ev.hess = ev.hess + np.outer(r, r) / ip**2
+            self._last = ev
 
 
 @dataclass
@@ -132,10 +185,15 @@ def _armijo(fval, x, f, step_dir, slope, s0):
     return None, None
 
 
-def _damped_newton(fval, fgh, newton_step, line_step, x0, tol, max_iter, track_values):
-    """Damped Newton; ``line_step`` turns a ``newton_step`` into a direction and a boundary cap."""
+def _damped_newton(fval, grad_hess, newton_step, line_step, x0, tol, max_iter, track_values):
+    """Damped Newton; ``line_step`` turns a ``newton_step`` into a direction and a boundary cap.
+
+    ``fval`` runs once at ``x0`` and once per Armijo trial; an accepted
+    trial's value is the next iterate's, so ``grad_hess`` gives only (g, H).
+    """
     x = np.asarray(x0, dtype=float).copy()
-    f, g, H = fgh(x)
+    f = fval(x)
+    g, H = grad_hess(x)
     values = [f] if track_values else []
     lam2 = math.inf
     for it in range(max_iter):
@@ -152,7 +210,7 @@ def _damped_newton(fval, fgh, newton_step, line_step, x0, tol, max_iter, track_v
         x, f = xn, fn
         if track_values:
             values.append(f)
-        g, H = fgh(x)[1:]
+        g, H = grad_hess(x)
     raise SolverFailure(f"no convergence in {max_iter} iterations (decrement^2 {lam2:.3e})",
                         SolveReport(x, f, lam2, max_iter, values))
 
@@ -188,11 +246,11 @@ def minimize_simplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER,
             return math.inf
         return obj.smooth_value(x) - w * float(np.log(x).sum())
 
-    def fgh(x):
+    def grad_hess(x):
         g, H = obj.smooth_grad_hess(x)
-        return fval(x), g - w / x, H + np.diag(w / (x * x))
+        return g - w / x, H + np.diag(w / (x * x))
 
-    return _damped_newton(fval, fgh, _reduced_newton_step, _simplex_line_step, x0, tol, max_iter, track_values)
+    return _damped_newton(fval, grad_hess, _reduced_newton_step, _simplex_line_step, x0, tol, max_iter, track_values)
 
 
 def minimize_simplex_history(returns, barrier_weight, warm_start=None, tol=1e-10,
@@ -242,12 +300,12 @@ def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_I
             return math.inf
         return obj.smooth_value(v) - w * ld
 
-    def fgh(v):
+    def grad_hess(v):
         X = unvectorize_phi(v, d)
         Xinv = np.linalg.inv(X)
         Xinv = 0.5 * (Xinv + Xinv.conj().T)
         g, H = obj.smooth_grad_hess(v)
-        return fval(v), g - w * phi_dual(Xinv), H + w * _logdet_hessian(Xinv, basis)
+        return g - w * phi_dual(Xinv), H + w * _logdet_hessian(Xinv, basis)
 
     def kkt_step(v, g, H):
         K[:n, :n] = H
@@ -261,7 +319,7 @@ def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_I
         wmin = float(np.linalg.eigvalsh(Li @ unvectorize_phi(dv, d) @ Li.conj().T).min())
         return dv, 1.0 if wmin >= 0.0 else min(1.0, _BOUNDARY_FRACTION / (-wmin))
 
-    rep = _damped_newton(fval, fgh, kkt_step, line_step, v0, tol, max_iter, track_values)
+    rep = _damped_newton(fval, grad_hess, kkt_step, line_step, v0, tol, max_iter, track_values)
     rep.minimizer = unvectorize_phi(rep.minimizer, d)
     return rep
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import log_loss, normalize_returns, uniform_portfolio
+from .geometry import InvalidReturnsError, log_loss, normalize_returns, uniform_portfolio
 from .solver import QuadraticObjective, default_tol, minimize_simplex
 
 ETA_CAP = 1.0 / 63.0
@@ -273,7 +273,10 @@ def run_epochs(domain, stream, params, rng=None, tol=None, monitor=False, keep_s
     for i, item in enumerate(stream):
         if i >= params.T:
             raise ValueError(f"stream longer than the horizon T={params.T}")
-        r = domain.ingest(item, rng)
+        try:
+            r = domain.ingest(item, rng)
+        except InvalidReturnsError as exc:
+            raise InvalidReturnsError(f"t={i + 1}: {exc}") from exc
         if domain.keeps_inputs:
             result.loss_matrices.append(r)
         x_old, u_old, p_old = state.x_cur, state.u_cur, state.p

@@ -12,6 +12,7 @@ from bisons.lbftrl import (
     build_target_sequence,
     build_target_sequence_exact,
     generate_and_run,
+    generate_returns,
     grad_pi_objective,
     lbftrl_play,
     move_to_x,
@@ -300,6 +301,50 @@ class TestGenerateAndRun:
         res = generate_and_run(plan, eta=1.0, T=300)
         assert res.truncated
         assert len(res.records) == 300
+
+
+class TestGenerateReturns:
+    @pytest.mark.parametrize("d, T_plan, alpha, T", [(3, 2000, 0.15, None), (2, 5000, 0.5, 300)])
+    def test_adversary_alone_matches_generate_and_run(self, d, T_plan, alpha, T):
+        plan = AdversaryPlan.build(d, T_plan, alpha)
+        gen = generate_returns(plan, eta=1.0, T=T)
+        res = generate_and_run(plan, eta=1.0, T=T)
+        assert gen.returns.shape == res.returns.shape
+        assert gen.returns.tobytes() == res.returns.tobytes()
+        assert np.array_equal(gen.movement_flags, res.movement_flags)
+        assert gen.visits == [rec.visit for rec in res.records]
+        assert gen.truncated == res.truncated
+        assert gen.completed_visits == res.completed_visits
+        assert gen.truncated == (T is not None)
+
+
+def _assert_matches_one_shot(res, eta):
+    """Every play equals the one-shot solve over the rounds before it (from the
+    previous play), and every stability Hessian the full-history assembly."""
+    R = res.returns
+    d = R.shape[1]
+    proj = PiProjection(d)
+    prev = None
+    for t in range(1, len(R) + 1):
+        x = res.plays[t - 1]
+        ref = lbftrl_play(R[: t - 1], eta, warm_start=prev, d=d)
+        assert np.abs(x - ref).max() <= 1e-9
+        H_ref = assemble_pi_hessian(x, R[:t], eta, proj)
+        H = res.stability[t - 1].hessian_pi
+        assert np.abs(H - H_ref).max() <= 1e-10 * np.abs(H_ref).max()
+        prev = x
+
+
+class TestIncrementalPlayer:
+    def test_dirichlet_run_matches_one_shot_references(self):
+        R = np.random.default_rng(11).dirichlet(np.ones(3), size=200)
+        _assert_matches_one_shot(run_lbftrl(R, 0.8), 0.8)
+
+    def test_generated_run_matches_one_shot_references(self):
+        plan = AdversaryPlan.build(3, 2000, 0.15)
+        res = generate_and_run(plan, eta=1.0)
+        assert not res.truncated
+        _assert_matches_one_shot(res, 1.0)
 
 
 class TestPlanExport:

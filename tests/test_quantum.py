@@ -197,6 +197,12 @@ class TestRunQBisons:
         with pytest.raises(InvalidReturnsError, match="finite"):
             run_qbisons([np.eye(2, dtype=complex), R], params)
 
+    def test_rejected_matrix_names_its_round(self):
+        R = np.array([[math.inf, 0.0], [0.0, 1.0]], dtype=complex)
+        params = q_default_params(2, 440)
+        with pytest.raises(InvalidReturnsError, match=r"t=2: loss matrix entries must be finite"):
+            run_qbisons([np.eye(2, dtype=complex), R], params)
+
     def test_fractional_outcomes_need_rng(self):
         params = q_default_params(2, 440)
         ev = MeasurementEvent(effect=np.eye(2) * 0.5, outcome=0.4)

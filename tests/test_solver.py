@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from bisons import solver
 from bisons.hermitian import phi_dual, random_density, trace_inner, vectorize_phi
 from bisons.solver import (
+    LogLossHistory,
     QuadraticObjective,
     SolverFailure,
     default_tol,
@@ -194,3 +196,83 @@ class TestWarmStartRegression:
                 worst = max(worst, max(state.last_iterations))
         assert saw_reset
         assert worst <= 20
+
+
+class TestLogLossHistory:
+    def test_append_matches_fresh_history(self):
+        rng = np.random.default_rng(4)
+        R = rng.dirichlet(np.ones(4), size=50)
+        x = rng.dirichlet(np.ones(4))
+        hist = LogLossHistory(R[:1], 1.0, capacity=len(R))
+        for n in range(2, len(R) + 1):
+            hist.smooth_grad_hess(x)  # the cache sits at x before every append
+            hist.append(R[n - 1])
+            fresh = LogLossHistory(R[:n], 1.0)
+            want_g, want_H = fresh.smooth_grad_hess(x)
+            got_g, got_H = hist.smooth_grad_hess(x)
+            assert hist.smooth_value(x) == pytest.approx(fresh.smooth_value(x), rel=1e-12)
+            assert np.abs(got_g - want_g).max() <= 1e-12 * np.abs(want_g).max()
+            assert np.abs(got_H - want_H).max() <= 1e-12 * np.abs(want_H).max()
+
+    def test_append_beyond_capacity_rejected(self):
+        hist = LogLossHistory(np.empty((0, 2)), 1.0, capacity=1)
+        hist.append([0.5, 0.5])
+        with pytest.raises(ValueError):
+            hist.append([0.5, 0.5])
+
+
+def _counting(cls):
+    class Counting(cls):
+        value_calls = 0
+
+        def smooth_value(self, x):
+            self.value_calls += 1
+            return super().smooth_value(x)
+
+    return Counting
+
+
+class TestOneValuePerIterate:
+    """The objective's value is evaluated once at the start and once per
+    Armijo trial; an accepted trial's value is reused, not recomputed."""
+
+    @pytest.fixture
+    def trials(self, monkeypatch):
+        count = [0]
+        armijo = solver._armijo
+
+        def counted(fval, *args):
+            def fval_counted(x):
+                count[0] += 1
+                return fval(x)
+
+            return armijo(fval_counted, *args)
+
+        monkeypatch.setattr(solver, "_armijo", counted)
+        return count
+
+    def _quadratic(self, rng, dim):
+        obj = _counting(QuadraticObjective).zeros(dim, 0.3)
+        for _ in range(5):
+            w = rng.standard_normal(dim)
+            obj.add_surrogate(w, 0.1, 0.2, 0.5)
+        return obj
+
+    def test_simplex(self, trials):
+        rng = np.random.default_rng(8)
+        for obj in (self._quadratic(rng, 4),
+                    _counting(LogLossHistory)(rng.dirichlet(np.ones(4), size=30), 0.3)):
+            trials[0] = 0
+            rep = minimize_simplex(obj, tol=1e-13)
+            assert rep.iterations >= 1
+            assert obj.value_calls == 1 + trials[0]
+
+    def test_spectraplex(self, trials):
+        rng = np.random.default_rng(9)
+        d = 2
+        duals = np.array([phi_dual(random_density(rng, d)) for _ in range(20)])
+        for obj in (self._quadratic(rng, d * d), _counting(LogLossHistory)(duals, 0.3)):
+            trials[0] = 0
+            rep = minimize_spectraplex(obj, tol=1e-13)
+            assert rep.iterations >= 1
+            assert obj.value_calls == 1 + trials[0]

@@ -246,6 +246,11 @@ class TestRunBisons:
         with pytest.raises(InvalidReturnsError, match="finite"):
             run_bisons([np.array([0.5, 0.5]), np.array([bad, 1.0])], params)
 
+    def test_rejected_row_names_its_round(self):
+        params = default_params(2, 440)
+        with pytest.raises(InvalidReturnsError, match=r"t=2: returns entries must be finite"):
+            run_bisons([np.array([0.5, 0.5]), np.array([math.inf, 1.0])], params)
+
     def test_longer_than_horizon_rejected(self):
         params = default_params(2, 440)
         with pytest.raises(ValueError):
