@@ -1,8 +1,9 @@
 """Acceptance checks runnable from the CLI (``bisons check``) or pytest.
 
-Each criterion is a function returning (passed, detail).  Criteria 2, 3, 5
-and 6 also feed the per-round stability monitors whose aggregate feeds
-criterion 7.  Everything is seeded and deterministic.
+Each criterion is a function returning (passed, detail); ``run_checks``
+times each call and fails a criterion that overruns its ``BUDGET_S`` entry.
+Criteria 2, 3, 5 and 6 also feed the per-round stability monitors whose
+aggregate feeds criterion 7.  Everything is seeded and deterministic.
 """
 
 import math
@@ -33,6 +34,8 @@ from .vector import BisonsParams, default_params, run_bisons, update_bias
 # cannot reach the reset threshold at desk horizons; these satisfy the same
 # admissibility constraints with a learning rate at its cap
 CRASH_OVERRIDE = dict(B=15.75, eta=1.0 / 63.0, beta=0.1)
+# wall-time budgets in seconds, by criterion; run_checks times each whole call
+BUDGET_S = {1: 10.0, 2: 600.0, 8: 5.0}
 EPOCH_GRID_POINTS = 200
 
 
@@ -58,7 +61,6 @@ def _random_simplex(rng, d, floor=0.0):
 
 def check_lower_surrogate(ctx):
     rng = derive_rng(101, "accept:lower-surrogate")
-    start = time.time()
     worst_gap = 0.0
     worst_eq = 0.0
     for _ in range(10_000):
@@ -70,16 +72,14 @@ def check_lower_surrogate(ctx):
         gap = lower_surrogate_eval(s, x, r) - log_loss(x, r)
         worst_gap = max(worst_gap, gap)
         worst_eq = max(worst_eq, abs(s.lower_hat_h(s.anchor_reward) + math.log(s.anchor_reward)))
-    elapsed = time.time() - start
-    passed = worst_gap <= 1e-12 and worst_eq <= 1e-12 and elapsed < 10.0
+    passed = worst_gap <= 1e-12 and worst_eq <= 1e-12
     return passed, (f"10^4 triples: max excess over true loss {worst_gap:.2e}, "
-                    f"max anchor equality gap {worst_eq:.2e}, {elapsed:.1f}s")
+                    f"max anchor equality gap {worst_eq:.2e}")
 
 
 # -- criteria 2 and 3 ------------------------------------------------------------
 
 def check_bisons_regret(ctx):
-    start = time.time()
     worst_margin = -math.inf
     violations = 0
     runs = 0
@@ -96,11 +96,10 @@ def check_bisons_regret(ctx):
                 regret = float(res.losses.sum()) - best
                 worst_margin = max(worst_margin, regret / bound)
                 runs += 1
-    elapsed = time.time() - start
     ctx.setdefault("monitor_violations", {})["bisons-regret"] = violations
-    passed = worst_margin <= 1.0 and elapsed < 600.0
+    passed = worst_margin <= 1.0
     return passed, (f"{runs} runs, worst regret/bound ratio {worst_margin:.3e}, "
-                    f"monitor violations {violations}, {elapsed:.0f}s")
+                    f"monitor violations {violations}")
 
 
 def _completed_epochs(records):
@@ -128,7 +127,6 @@ def epoch_grid_regret(R, records, T, npts=EPOCH_GRID_POINTS):
 
 
 def check_epoch_nonpositivity(ctx):
-    start = time.time()
     d, T = 2, 1000
     params = BisonsParams(d=d, T=T, **CRASH_OVERRIDE).validate()
     total_epochs = 0
@@ -144,17 +142,15 @@ def check_epoch_nonpositivity(ctx):
         total_epochs += len(epoch_regrets)
         worst = max(worst, max(epoch_regrets))
     ctx.setdefault("monitor_violations", {})["epoch-nonpositivity"] = violations
-    elapsed = time.time() - start
     passed = worst <= 1e-6
     return passed, (f"{total_epochs} completed epochs over 5 crash runs, worst grid regret "
-                    f"{worst:.3e} (<= 1e-6 required), monitor violations {violations}, {elapsed:.0f}s")
+                    f"{worst:.3e} (<= 1e-6 required), monitor violations {violations}")
 
 
 # -- criterion 4 -----------------------------------------------------------------
 
 def check_p_update(ctx):
     rng = derive_rng(104, "accept:p-update")
-    start = time.time()
     worst_mono = math.inf
     worst_dom = math.inf
     worst_cost = 0.0
@@ -174,16 +170,14 @@ def check_p_update(ctx):
         out = q_update_bias(np.diag(p).astype(complex), np.diag(x).astype(complex))
         if not np.array_equal(np.diagonal(out).real, update_bias(p, x)):
             diag_exact = False
-    elapsed = time.time() - start
     passed = worst_mono >= -1e-8 and worst_dom >= -1e-8 and worst_cost <= 1e-8 and diag_exact
     return passed, (f"10^3 PD pairs: min-eig(P'-P) {worst_mono:.2e}, min-eig(P'-X^-1) {worst_dom:.2e}, "
-                    f"cost identity gap {worst_cost:.2e}, diagonal max-rule exact: {diag_exact}, {elapsed:.0f}s")
+                    f"cost identity gap {worst_cost:.2e}, diagonal max-rule exact: {diag_exact}")
 
 
 # -- criterion 5 -----------------------------------------------------------------
 
 def check_diagonal_equivalence(ctx):
-    start = time.time()
     d, T = 3, 990
     params_v = default_params(d, T)
     params_q = QBisonsParams(d=d, T=T, B=params_v.B, eta=params_v.eta, beta=params_v.beta).validate()
@@ -198,16 +192,14 @@ def check_diagonal_equivalence(ctx):
     same_resets = res_v.reset_times == res_q.reset_times
     violations = len(res_v.violations) + len(res_q.violations)
     ctx.setdefault("monitor_violations", {})["diagonal-equivalence"] = violations
-    elapsed = time.time() - start
     passed = worst <= 1e-6 and same_resets
     return passed, (f"d=3 T=990: max per-round iterate gap {worst:.2e}, reset times equal: {same_resets} "
-                    f"({res_v.reset_times} vs {res_q.reset_times}), monitor violations {violations}, {elapsed:.0f}s")
+                    f"({res_v.reset_times} vs {res_q.reset_times}), monitor violations {violations}")
 
 
 # -- criterion 6 -----------------------------------------------------------------
 
 def check_qbisons_regret(ctx):
-    start = time.time()
     d, T = 2, 440
     bound = 740.0 * d**3 * math.log(T) ** 2
     worst_margin = -math.inf
@@ -221,10 +213,9 @@ def check_qbisons_regret(ctx):
         regret = float(res.losses.sum()) - best
         worst_margin = max(worst_margin, regret / bound)
     ctx.setdefault("monitor_violations", {})["qbisons-regret"] = violations
-    elapsed = time.time() - start
     passed = worst_margin <= 1.0
     return passed, (f"20 measurement streams, worst regret/bound ratio {worst_margin:.3e}, "
-                    f"monitor violations {violations}, {elapsed:.0f}s")
+                    f"monitor violations {violations}")
 
 
 # -- criterion 7 -----------------------------------------------------------------
@@ -241,7 +232,6 @@ def check_run_monitors(ctx):
 # -- criterion 8 -----------------------------------------------------------------
 
 def check_sequence_validity(ctx):
-    start = time.time()
     for d in range(3, 9):
         pairs = build_target_sequence_exact(d)
         if len(pairs) != 2**d - 2:
@@ -249,14 +239,12 @@ def check_sequence_validity(ctx):
         ok, msg = validate_target_sequence_exact(pairs, d)
         if not ok:
             return False, f"d={d}: {msg}"
-    elapsed = time.time() - start
-    return elapsed < 5.0, f"d=3..8 exact-rational validity and lengths 2^d-2, {elapsed:.2f}s"
+    return True, "d=3..8 exact-rational validity and lengths 2^d-2"
 
 
 # -- criterion 9 -----------------------------------------------------------------
 
 def check_regret_stability(ctx):
-    start = time.time()
     results = []
     plan = AdversaryPlan.build(3, 10_000, 0.5)
     eta = 1.0
@@ -275,18 +263,16 @@ def check_regret_stability(ctx):
         slack = regret - (lower - 1e-6 * len(res.records))
         worst_slack = min(worst_slack, slack)
         details.append(f"{name}: regret {regret:.3f} >= {lower:.3f} - tol (slack {slack:.3f})")
-    elapsed = time.time() - start
     passed = worst_slack >= 0.0
     truncated = "truncated" if gen.truncated else "completed"
     return passed, (f"{'; '.join(details)}; generated run {truncated} with "
-                    f"{int(gen.movement_flags.sum())} movement rounds, {elapsed:.0f}s")
+                    f"{int(gen.movement_flags.sum())} movement rounds")
 
 
 # -- criterion 10 ----------------------------------------------------------------
 
 def check_calculus(ctx):
     rng = derive_rng(110, "accept:calculus")
-    start = time.time()
 
     def unit_trace_zero(d):
         D = random_hermitian(rng, d)
@@ -338,17 +324,15 @@ def check_calculus(ctx):
         quad = trace_inner(D @ Xi @ D, Xi)
         worst_lb = max(worst_lb, float(np.linalg.norm(D)) ** 2 - quad)
 
-    elapsed = time.time() - start
     passed = worst_grad <= 1e-5 and worst_logdet <= 1e-5 and worst_hess <= 1e-4 and worst_lb <= 1e-8
     return passed, (f"grad rel err {worst_grad:.2e} (<=1e-5), logdet grad {worst_logdet:.2e} (<=1e-5), "
                     f"hessian rel err {worst_hess:.2e} (<=1e-4), hessian lower-bound defect "
-                    f"{worst_lb:.2e} over 10^3 samples, {elapsed:.0f}s")
+                    f"{worst_lb:.2e} over 10^3 samples")
 
 
 # -- criterion 11 ----------------------------------------------------------------
 
 def check_solver_oracles(ctx):
-    start = time.time()
     # simplex quadratic vs dense grid
     obj = QuadraticObjective(3, 0.01 * np.eye(3), np.array([-1.0, 0.0, 0.0]), 0.0, 1.0)
     rep = minimize_simplex(obj, tol=1e-12)
@@ -390,11 +374,10 @@ def check_solver_oracles(ctx):
     crp_vals = -np.log(grid @ R.T).sum(axis=1)
     crp_gap = loss - float(crp_vals.min())
 
-    elapsed = time.time() - start
     passed = (arg_gap <= 5e-3 and obj_gap <= 1e-6 and q_arg_gap <= 5e-3 and q_obj_gap <= 1e-6
               and crp_gap <= 5e-3)
     return passed, (f"simplex arg gap {arg_gap:.1e} obj gap {obj_gap:.1e}; spectraplex arg gap "
-                    f"{q_arg_gap:.1e} obj gap {q_obj_gap:.1e}; best-CRP loss gap {crp_gap:.1e}, {elapsed:.0f}s")
+                    f"{q_arg_gap:.1e} obj gap {q_obj_gap:.1e}; best-CRP loss gap {crp_gap:.1e}")
 
 
 CHECKS = [
@@ -424,5 +407,8 @@ def run_checks(suite="all"):
             passed, detail = fn(ctx)
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(number, name, passed, detail, time.time() - start))
+        seconds = time.time() - start
+        if seconds >= BUDGET_S.get(number, math.inf):
+            passed, detail = False, f"{detail}; over its {BUDGET_S[number]:g}s budget"
+        results.append(CheckResult(number, name, passed, detail, seconds))
     return results

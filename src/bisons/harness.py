@@ -18,7 +18,7 @@ from .geometry import InvalidReturnsError, log_loss, normalize_returns, uniform_
 from .hermitian import MeasurementEvent, phi_dual, random_effect, trace_inner
 from .lbftrl import AdversaryPlan, generate_and_run, run_lbftrl
 from .quantum import q_default_params, run_qbisons
-from .solver import QuadraticObjective, minimize_simplex, minimize_simplex_history, minimize_spectraplex_history
+from .solver import minimize_simplex, minimize_simplex_history, minimize_spectraplex_history
 from .vector import RoundRecord, default_params, run_bisons
 
 TRACE_HEADER = "t,epoch,internal_time,loss,cum_loss,comparator_cum_loss,regret,reset_flag"
@@ -61,24 +61,31 @@ def measurement_stream(d, T, seed):
 
 # -- hindsight comparators ----------------------------------------------------
 
+def _continuation(solve, x, w, w_min):
+    """Barrier continuation: ``x = solve(x, w)`` at w, w/2, w/4, ... until w <= w_min.
+
+    Each stage warm-starts the next, so boundary optima are approached from
+    the interior.  Returns the last minimizer.
+    """
+    while True:
+        x = solve(x, w)
+        if w <= w_min:
+            return x
+        w *= 0.5
+
+
 def best_crp(returns, tol=1e-9):
     """Best constant-rebalanced portfolio by barrier continuation.
 
-    The barrier weight is halved from 1 until it drops below tol/d, each
-    stage warm-starting the next, so boundary optima are approached from
-    the interior.  Returns the comparator and its cumulative loss.
+    The barrier weight is halved from 1 until it drops below tol/d.
+    Returns the comparator and its cumulative loss.
     """
     R = np.asarray(returns, dtype=float)
     if R.ndim != 2 or R.shape[0] == 0:
         raise ValueError("need a nonempty returns matrix")
     d = R.shape[1]
-    w = 1.0
-    x = uniform_portfolio(d)
-    while True:
-        x = minimize_simplex_history(R, w, warm_start=x, tol=1e-12).minimizer
-        if w <= tol / d:
-            break
-        w *= 0.5
+    x = _continuation(lambda x, w: minimize_simplex_history(R, w, warm_start=x, tol=1e-12).minimizer,
+                      uniform_portfolio(d), 1.0, tol / d)
     return x, float(-np.log(R @ x).sum())
 
 
@@ -89,29 +96,33 @@ def best_quantum_state(loss_matrices, tol=1e-8):
         raise ValueError("need a nonempty loss matrix sequence")
     d = mats[0].shape[0]
     W = np.array([phi_dual(R) for R in mats])
-    w = 1.0
-    X = np.eye(d, dtype=complex) / d
-    while True:
-        X = minimize_spectraplex_history(W, w, warm_start=X, tol=1e-12).minimizer
-        if w <= tol / d:
-            break
-        w *= 0.5
+    X = _continuation(lambda X, w: minimize_spectraplex_history(W, w, warm_start=X, tol=1e-12).minimizer,
+                      np.eye(d, dtype=complex) / d, 1.0, tol / d)
     loss = float(sum(-math.log(trace_inner(X, R)) for R in mats))
     return X, loss
 
 
 # -- online Newton step baseline ----------------------------------------------
 
+class _Projection:
+    """(x - q)' A (x - q) plus ``barrier_weight`` times the barrier, evaluated
+    centred on q: the expanded form cancels to noise once tr A is large."""
+
+    def __init__(self, q, A, barrier_weight):
+        self.q, self.A, self.barrier_weight, self.dim = q, A, barrier_weight, q.size
+
+    def smooth_value(self, x):
+        y = x - self.q
+        return float(y @ self.A @ y)
+
+    def smooth_grad_hess(self, x):
+        return 2.0 * (self.A @ (x - self.q)), 2.0 * self.A
+
+
 def _generalized_projection(q, A, tol=1e-9):
     """argmin over the simplex of (x - q)' A (x - q), by barrier continuation."""
-    d = q.size
-    obj = QuadraticObjective(d, 2.0 * A, -2.0 * (A @ q), float(q @ A @ q), 1e-2)
-    x = uniform_portfolio(d)
-    while True:
-        x = minimize_simplex(obj, warm_start=x, tol=1e-12).minimizer
-        if obj.barrier_weight <= tol:
-            return x
-        obj.barrier_weight *= 0.5
+    return _continuation(lambda x, w: minimize_simplex(_Projection(q, A, w), warm_start=x, tol=1e-12).minimizer,
+                         uniform_portfolio(q.size), 1e-2, tol)
 
 
 def ons_baseline(returns, eta_ons=0.1, epsilon=1.0):

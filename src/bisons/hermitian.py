@@ -10,6 +10,7 @@ doubles the off-diagonal slots; that diagonal rescaling is the only place
 the coordinate convention leaks out.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,41 +92,47 @@ def min_eig(M):
 
 # -- real coordinates -------------------------------------------------------
 
-def _lower_indices(d):
-    return [(i, j) for j in range(d) for i in range(j + 1, d)]
+@functools.cache
+def _phi_index(d):
+    """The phi layout: slots k and n + k hold Re M[i_k, j_k] and Im M[j_k, i_k]
+    for (i, j) over the strict lower triangle column by column; d slots follow."""
+    j, i = np.triu_indices(d, 1)
+    return i, j
 
 
 def vectorize_phi(M):
     M = np.asarray(M, dtype=complex)
-    d = M.shape[0]
-    idx = _lower_indices(d)
-    n = len(idx)
-    out = np.empty(d * d)
-    for k, (i, j) in enumerate(idx):
-        out[k] = M[i, j].real
-        out[n + k] = M[j, i].imag
-    out[2 * n:] = np.diagonal(M).real
-    return out
+    i, j = _phi_index(M.shape[0])
+    return np.concatenate([M[i, j].real, M[j, i].imag, np.diagonal(M).real])
 
 
 def unvectorize_phi(v, d):
     v = np.asarray(v, dtype=float)
     if v.size != d * d:
         raise ValueError(f"expected {d * d} coordinates, got {v.size}")
-    idx = _lower_indices(d)
-    n = len(idx)
+    i, j = _phi_index(d)
+    n = i.size
     M = np.zeros((d, d), dtype=complex)
-    for k, (i, j) in enumerate(idx):
-        M[j, i] = v[k] + 1j * v[n + k]
-        M[i, j] = v[k] - 1j * v[n + k]
+    M[j, i] = v[:n] + 1j * v[n:2 * n]
+    M[i, j] = v[:n] - 1j * v[n:2 * n]
     M[np.diag_indices(d)] = v[2 * n:]
     return M
 
 
+def trace_slots(d):
+    """Coordinate indicator of the trace functional: Tr(X) = trace_slots . phi(X)."""
+    return vectorize_phi(np.eye(d))
+
+
+@functools.cache
 def phi_scale(d):
-    """Diagonal of the quadratic form giving <X, W> = phi(X) . (phi_scale * phi(W))."""
-    n = d * (d - 1) // 2
-    return np.concatenate([np.full(2 * n, 2.0), np.ones(d)])
+    """Diagonal of the quadratic form giving <X, W> = phi(X) . (phi_scale * phi(W)).
+
+    Cached and read-only: every caller shares the one array per d.
+    """
+    scale = 2.0 - trace_slots(d)
+    scale.flags.writeable = False
+    return scale
 
 
 def phi_dual(M):
@@ -133,22 +140,11 @@ def phi_dual(M):
     return phi_scale(d) * vectorize_phi(M)
 
 
-_BASIS_CACHE = {}
-
-
+@functools.cache
 def hermitian_basis(d):
     """Stacked (d^2, d, d) array with slice k the Hermitian matrix of coordinate k."""
-    if d not in _BASIS_CACHE:
-        eye = np.eye(d * d)
-        _BASIS_CACHE[d] = np.stack([unvectorize_phi(eye[k], d) for k in range(d * d)])
-    return _BASIS_CACHE[d]
-
-
-def trace_slots(d):
-    """Coordinate indicator of the trace functional: Tr(X) = trace_slots . phi(X)."""
-    a = np.zeros(d * d)
-    a[d * (d - 1):] = 1.0
-    return a
+    eye = np.eye(d * d)
+    return np.stack([unvectorize_phi(eye[k], d) for k in range(d * d)])
 
 
 # -- quantum measurement reductions -----------------------------------------

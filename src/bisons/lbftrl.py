@@ -22,7 +22,7 @@ diagnostics here measure.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -62,15 +62,21 @@ def build_target_sequence(d):
 
 
 def validate_target_sequence_exact(pairs, d):
-    """Exact-rational validity: <t_i, o_i> = 0 and <t_i, o_j> >= 1/d^2 for j < i."""
-    bound = Fraction(1, d * d)
-    for i, (t_i, o_i) in enumerate(pairs):
-        if sum(a * b for a, b in zip(t_i, o_i)) != 0:
+    """Exact-rational validity: <t_i, o_i> = 0 and <t_i, o_j> >= 1/d^2 for j < i.
+
+    Entries are scaled by L, the lcm of their denominators, to Python
+    integers, so G[i, j] = <L t_i, L o_j> = L^2 <t_i, o_j> exactly and the
+    bound reads G[i, j] d^2 >= L^2.
+    """
+    L = math.lcm(*(Fraction(v).denominator for pair in pairs for vec in pair for v in vec))
+    Ts, Os = (np.array([[int(Fraction(v) * L) for v in pair[k]] for pair in pairs], dtype=object) for k in (0, 1))
+    G = Ts @ Os.T
+    for i in range(len(pairs)):
+        if G[i, i] != 0:
             return False, f"<t_{i}, o_{i}> != 0"
-        for j in range(i):
-            ip = sum(a * b for a, b in zip(t_i, pairs[j][1]))
-            if ip < bound:
-                return False, f"<t_{i}, o_{j}> = {ip} < 1/d^2"
+        low = np.flatnonzero(G[i, :i] * (d * d) < L * L)
+        if low.size:
+            return False, f"<t_{i}, o_{low[0]}> = {Fraction(G[i, low[0]], L * L)} < 1/d^2"
     return True, ""
 
 
@@ -124,50 +130,31 @@ def pull_to_center(x, s, plan):
 
 # -- the player ---------------------------------------------------------------
 
-def lbftrl_play(history, eta, warm_start=None, tol=1e-10, d=None):
+def lbftrl_play(history, warm_start=None, tol=1e-10):
     """Barrier-FTRL argmin of the accumulated true log losses.
 
-    ``history`` is an array of returns, or a :class:`LogLossHistory` with
-    barrier weight 1/eta, which is solved in place (keeping its cache).
+    ``history`` is a :class:`LogLossHistory` with barrier weight 1/eta; it
+    is solved in place, keeping its cache.
     """
-    if isinstance(history, LogLossHistory):
-        if history.n == 0:
-            return uniform_portfolio(history.dim)
-        return minimize_simplex(history, warm_start=warm_start, tol=tol).minimizer
-    hist = np.asarray(history, dtype=float)
-    if hist.size == 0:
-        if d is None:
-            raise ValueError("dimension needed for an empty history")
-        return uniform_portfolio(d)
-    if hist.ndim == 1:
-        hist = hist.reshape(1, -1)
-    return minimize_simplex_history(hist, 1.0 / eta, warm_start=warm_start, tol=tol).minimizer
+    if history.n == 0:
+        return uniform_portfolio(history.dim)
+    return minimize_simplex(history, warm_start=warm_start, tol=tol).minimizer
 
 
 def grad_pi_objective(x, history, eta, proj):
     """Projected gradient of the accumulated objective (losses + barrier) at x."""
-    g = -1.0 / (eta * np.asarray(x, dtype=float))
-    hist = np.asarray(history, dtype=float)
-    if hist.size:
-        if hist.ndim == 1:
-            hist = hist.reshape(1, -1)
-        g = g - hist.T @ (1.0 / (hist @ x))
-    return proj.project(g)
+    x = np.asarray(x, dtype=float)
+    hist = np.asarray(history, dtype=float).reshape(-1, x.size)
+    return proj.project(-1.0 / (eta * x) - hist.T @ (1.0 / (hist @ x)))
 
 
 def assemble_pi_hessian(x, history, eta, proj):
     """Projected Hessian sum_s (Pi r_s)(Pi r_s)^T / <x, r_s>^2 + eta^{-1} barrier part."""
     x = np.asarray(x, dtype=float)
     U = proj.basis
-    H = (1.0 / eta) * (U / x**2) @ U.T
-    hist = np.asarray(history, dtype=float)
-    if hist.size:
-        if hist.ndim == 1:
-            hist = hist.reshape(1, -1)
-        PR = hist @ U.T
-        ips = hist @ x
-        H = H + (PR / ips[:, None] ** 2).T @ PR
-    return H
+    hist = np.asarray(history, dtype=float).reshape(-1, x.size)
+    PR = hist @ U.T
+    return (1.0 / eta) * (U / x**2) @ U.T + (PR / (hist @ x)[:, None] ** 2).T @ PR
 
 
 def stability_term(grad_pi, hessian_pi):
@@ -273,7 +260,7 @@ class _PlayerLoop:
 
     def round(self, r, is_movement, visit):
         t = self.history.n + 1
-        x = lbftrl_play(self.history, self.eta, warm_start=self.x, tol=self.tol)
+        x = lbftrl_play(self.history, warm_start=self.x, tol=self.tol)
         self.x = x
         self.plays[t - 1] = x
         loss = log_loss(x, r)
@@ -313,36 +300,26 @@ def generate_returns(plan, eta, T=None):
     rows = np.empty((T, plan.d))
     visits = []
     truncated = False
-    completed = 0
 
     def emit(r, visit):
         rows[len(visits)] = r
         visits.append(visit)
 
-    for i, (tgt, out) in enumerate(plan.targets):
-        for k in range(plan.repetitions):
-            for s in range(plan.layer_count + 1):
-                tgt_s = pull_to_center(tgt, s, plan)
-                while True:
-                    if len(visits) >= T:
-                        truncated = True
-                        break
-                    g = grad_pi_objective(tgt_s, rows[: len(visits)], eta, proj)
-                    if float(np.linalg.norm(g)) <= TARGET_GRAD_TOL:
-                        break
-                    emit(move_to_x(tgt_s, g, T, proj), None)
-                if truncated or len(visits) >= T:
-                    truncated = truncated or len(visits) >= T
-                    break
-                emit(pull_to_center(out, s, plan), (i, k, s))
-                completed += 1
-            if truncated:
+    for i, k, s in product(range(len(plan.targets)), range(plan.repetitions), range(plan.layer_count + 1)):
+        tgt, out = plan.targets[i]
+        tgt_s = pull_to_center(tgt, s, plan)
+        while len(visits) < T:
+            g = grad_pi_objective(tgt_s, rows[: len(visits)], eta, proj)
+            if float(np.linalg.norm(g)) <= TARGET_GRAD_TOL:
                 break
-        if truncated:
+            emit(move_to_x(tgt_s, g, T, proj), None)
+        if len(visits) >= T:
+            truncated = True
             break
+        emit(pull_to_center(out, s, plan), (i, k, s))
     flags = np.array([v is None for v in visits], dtype=bool)
     return GeneratedReturns(returns=rows[: len(visits)].copy(), movement_flags=flags, visits=visits,
-                            truncated=truncated, completed_visits=completed)
+                            truncated=truncated, completed_visits=int((~flags).sum()))
 
 
 def generate_and_run(plan, eta, T=None, tol=1e-10):
@@ -366,6 +343,6 @@ def run_lbftrl(returns, eta, tol=1e-10):
 def regret_vs_next_iterate(result, tol=1e-10):
     """Cumulative loss minus the loss of x_{T+1}, the post-horizon FTRL iterate."""
     hist = result.returns
-    x_next = lbftrl_play(hist, result.eta, warm_start=result.plays[-1], tol=tol, d=hist.shape[1])
+    x_next = minimize_simplex_history(hist, 1.0 / result.eta, warm_start=result.plays[-1], tol=tol).minimizer
     comparator = float(-np.log(hist @ x_next).sum())
     return float(result.losses.sum()) - comparator, x_next

@@ -19,7 +19,7 @@ boundary is never exceeded.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,7 +161,6 @@ class SolveReport:
     objective_value: float
     certified_gap: float
     iterations: int
-    values: list = field(default_factory=list, repr=False)
 
 
 class SolverFailure(RuntimeError):
@@ -185,7 +184,7 @@ def _armijo(fval, x, f, step_dir, slope, s0):
     return None, None
 
 
-def _damped_newton(fval, grad_hess, newton_step, line_step, x0, tol, max_iter, track_values):
+def _damped_newton(fval, grad_hess, newton_step, line_step, x0, tol, max_iter):
     """Damped Newton; ``line_step`` turns a ``newton_step`` into a direction and a boundary cap.
 
     ``fval`` runs once at ``x0`` and once per Armijo trial; an accepted
@@ -194,25 +193,22 @@ def _damped_newton(fval, grad_hess, newton_step, line_step, x0, tol, max_iter, t
     x = np.asarray(x0, dtype=float).copy()
     f = fval(x)
     g, H = grad_hess(x)
-    values = [f] if track_values else []
     lam2 = math.inf
     for it in range(max_iter):
         try:
             step, lam2 = newton_step(x, g, H)
         except np.linalg.LinAlgError as exc:
-            raise SolverFailure(f"singular Newton system: {exc}", SolveReport(x, f, lam2, it, values)) from exc
+            raise SolverFailure(f"singular Newton system: {exc}", SolveReport(x, f, lam2, it)) from exc
         if lam2 <= tol:
-            return SolveReport(x, f, max(lam2, 0.0), it, values)
+            return SolveReport(x, f, max(lam2, 0.0), it)
         dx, s0 = line_step(x, step)
         xn, fn = _armijo(fval, x, f, dx, float(g @ dx), s0)
         if xn is None:
-            raise SolverFailure("line search stalled", SolveReport(x, f, lam2, it, values))
+            raise SolverFailure("line search stalled", SolveReport(x, f, lam2, it))
         x, f = xn, fn
-        if track_values:
-            values.append(f)
         g, H = grad_hess(x)
     raise SolverFailure(f"no convergence in {max_iter} iterations (decrement^2 {lam2:.3e})",
-                        SolveReport(x, f, lam2, max_iter, values))
+                        SolveReport(x, f, lam2, max_iter))
 
 
 # -- frontends: one per domain, for QuadraticObjective and LogLossHistory -------
@@ -235,7 +231,7 @@ def _simplex_line_step(x, dz):
     return dx, min(1.0, _BOUNDARY_FRACTION * float(np.min(-x[neg] / dx[neg])))
 
 
-def minimize_simplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER, track_values=False):
+def minimize_simplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER):
     """Minimize ``obj`` plus its weighted log barrier -sum(log x_i) over the simplex."""
     d = obj.dim
     w = obj.barrier_weight
@@ -250,13 +246,12 @@ def minimize_simplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER,
         g, H = obj.smooth_grad_hess(x)
         return g - w / x, H + np.diag(w / (x * x))
 
-    return _damped_newton(fval, grad_hess, _reduced_newton_step, _simplex_line_step, x0, tol, max_iter, track_values)
+    return _damped_newton(fval, grad_hess, _reduced_newton_step, _simplex_line_step, x0, tol, max_iter)
 
 
-def minimize_simplex_history(returns, barrier_weight, warm_start=None, tol=1e-10,
-                             max_iter=DEFAULT_MAX_ITER, track_values=False):
+def minimize_simplex_history(returns, barrier_weight, warm_start=None, tol=1e-10):
     """Minimize sum_t -log<x, r_t> + barrier_weight * (-sum_i log x_i) over the simplex."""
-    return minimize_simplex(LogLossHistory(returns, barrier_weight), warm_start, tol, max_iter, track_values)
+    return minimize_simplex(LogLossHistory(returns, barrier_weight), warm_start, tol)
 
 
 def _logdet_pd(X):
@@ -273,7 +268,7 @@ def _logdet_hessian(Xinv, basis):
     return np.einsum("kab,lba->kl", C, C).real
 
 
-def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER, track_values=False):
+def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER):
     """Minimize ``obj`` plus its weighted log-det barrier over trace-one PSD matrices.
 
     ``obj`` lives in the phi coordinates (dim = d^2); the warm start is a
@@ -319,15 +314,14 @@ def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_I
         wmin = float(np.linalg.eigvalsh(Li @ unvectorize_phi(dv, d) @ Li.conj().T).min())
         return dv, 1.0 if wmin >= 0.0 else min(1.0, _BOUNDARY_FRACTION / (-wmin))
 
-    rep = _damped_newton(fval, grad_hess, kkt_step, line_step, v0, tol, max_iter, track_values)
+    rep = _damped_newton(fval, grad_hess, kkt_step, line_step, v0, tol, max_iter)
     rep.minimizer = unvectorize_phi(rep.minimizer, d)
     return rep
 
 
-def minimize_spectraplex_history(loss_duals, barrier_weight, warm_start=None, tol=1e-10,
-                                 max_iter=DEFAULT_MAX_ITER, track_values=False):
+def minimize_spectraplex_history(loss_duals, barrier_weight, warm_start=None, tol=1e-10):
     """Minimize sum_t -log<X, R_t> + barrier_weight * (-log det X) over density matrices.
 
     ``loss_duals`` holds phi_dual(R_t) as rows, so <X, R_t> = loss_duals @ phi(X).
     """
-    return minimize_spectraplex(LogLossHistory(loss_duals, barrier_weight), warm_start, tol, max_iter, track_values)
+    return minimize_spectraplex(LogLossHistory(loss_duals, barrier_weight), warm_start, tol)

@@ -5,8 +5,11 @@ subcommand exercises exactly the same code.  One pass/fail line prints per
 criterion.
 """
 
+import time
+
 import pytest
 
+from bisons import checks
 from bisons.checks import run_checks
 
 _RESULTS = None
@@ -36,3 +39,15 @@ def test_suite_membership_covers_all_criteria():
         assert tags <= {"lemmas", "bisons", "qbisons", "lbftrl"}
         tagged |= tags
     assert tagged == {"lemmas", "bisons", "qbisons", "lbftrl"}
+
+
+def test_criterion_over_its_budget_fails(monkeypatch):
+    def slow(ctx):
+        time.sleep(0.05)
+        return True, "slow but correct"
+
+    monkeypatch.setattr(checks, "CHECKS", [(1, "slow", slow, {"lemmas"})])
+    monkeypatch.setattr(checks, "BUDGET_S", {1: 0.01})
+    (res,) = run_checks("all")
+    assert not res.passed
+    assert res.detail == "slow but correct; over its 0.01s budget"

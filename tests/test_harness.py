@@ -95,6 +95,14 @@ class TestOnsBaseline:
         for rec in recs:
             assert np.abs(rec.x_played - 0.5).max() <= 1e-6
 
+    def test_three_assets_long_run_converges(self):
+        # tr A reaches ~1e4 here; the projection's Newton solves must still
+        # certify their 1e-12 tolerance
+        R = np.random.default_rng(0).dirichlet(np.ones(3), size=1500)
+        recs = ons_baseline(R)
+        assert len(recs) == 1500
+        assert all(rec.x_played.min() > 0.0 and abs(rec.x_played.sum() - 1.0) <= 1e-12 for rec in recs)
+
     def test_crash_comparison_report_only(self):
         R = adversary_returns("single-asset-crash", 2, 60, 0)
         recs = ons_baseline(R)

@@ -22,6 +22,7 @@ from bisons.hermitian import (
     random_unitary,
     reduce_measurement,
     trace_inner,
+    trace_slots,
     unvectorize_phi,
     vectorize_phi,
 )
@@ -152,6 +153,57 @@ class TestPhi:
     def test_d2_ordering(self):
         M = np.array([[1.0, 2.0 + 3.0j], [2.0 - 3.0j, 4.0]])
         assert np.allclose(vectorize_phi(M), [2.0, 3.0, 1.0, 4.0])
+
+    def test_d4_ordering(self):
+        # strict lower triangle column by column: (2,1) precedes (3,2) here,
+        # where row-major order would swap slots 2 and 3
+        lower = [(1, 0), (2, 0), (3, 0), (2, 1), (3, 1), (3, 2)]
+        M = np.diag([21.0, 22.0, 23.0, 24.0]).astype(complex)
+        for k, (i, j) in enumerate(lower):
+            M[i, j] = (k + 1) - 1j * (k + 11)
+            M[j, i] = (k + 1) + 1j * (k + 11)
+        v = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 21.0, 22.0, 23.0, 24.0]
+        assert vectorize_phi(M).tolist() == v
+        assert np.array_equal(unvectorize_phi(v, 4), M)
+
+    def test_maps_bit_identical_to_loop_oracle(self):
+        def lower(d):
+            return [(i, j) for j in range(d) for i in range(j + 1, d)]
+
+        def phi_loop(M):
+            d = M.shape[0]
+            n = d * (d - 1) // 2
+            out = np.empty(d * d)
+            for k, (i, j) in enumerate(lower(d)):
+                out[k] = M[i, j].real
+                out[n + k] = M[j, i].imag
+            out[2 * n:] = np.diagonal(M).real
+            return out
+
+        def unphi_loop(v, d):
+            n = d * (d - 1) // 2
+            M = np.zeros((d, d), dtype=complex)
+            for k, (i, j) in enumerate(lower(d)):
+                M[j, i] = v[k] + 1j * v[n + k]
+                M[i, j] = v[k] - 1j * v[n + k]
+            M[np.diag_indices(d)] = v[2 * n:]
+            return M
+
+        rng = np.random.default_rng(14)
+        for d in range(1, 7):
+            for _ in range(50):
+                M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                v = rng.normal(size=d * d)
+                M[rng.random((d, d)) < 0.2] = -0.0
+                v[rng.random(d * d) < 0.2] = -0.0
+                assert vectorize_phi(M).tobytes() == phi_loop(M).tobytes()
+                assert unvectorize_phi(v, d).tobytes() == unphi_loop(v, d).tobytes()
+
+    def test_trace_slots_and_scale(self):
+        for d in range(1, 7):
+            n = d * (d - 1) // 2
+            assert trace_slots(d).tobytes() == np.concatenate([np.zeros(2 * n), np.ones(d)]).tobytes()
+            assert phi_scale(d).tobytes() == np.concatenate([np.full(2 * n, 2.0), np.ones(d)]).tobytes()
 
     def test_round_trip(self):
         rng = np.random.default_rng(10)

@@ -22,11 +22,12 @@ from bisons.lbftrl import (
     stability_term,
     validate_target_sequence_exact,
 )
+from bisons.solver import LogLossHistory, minimize_simplex_history
 
 
 class TestLbftrlPlay:
     def test_empty_history_is_uniform(self):
-        assert np.allclose(lbftrl_play([], eta=1.0, d=4), 0.25)
+        assert np.allclose(lbftrl_play(LogLossHistory(np.empty((0, 4)), 1.0)), 0.25)
 
     def test_single_asset_drift_matches_bisection_oracle(self):
         # history of k copies of e_1, d = 2: root of (k + w)/a = w/(1-a)
@@ -35,7 +36,7 @@ class TestLbftrlPlay:
         prev = 0.5
         for k in (1, 3, 10, 50):
             R = np.tile(np.array([1.0, 0.0]), (k, 1))
-            x = lbftrl_play(R, eta, tol=1e-13)
+            x = lbftrl_play(LogLossHistory(R, 1.0 / eta), tol=1e-13)
             lo, hi = 1e-12, 1.0 - 1e-12
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
@@ -49,7 +50,7 @@ class TestLbftrlPlay:
 
     def test_symmetric_history_is_uniform(self):
         R = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(lbftrl_play(R, eta=2.0), 0.5, atol=1e-9)
+        assert np.allclose(lbftrl_play(LogLossHistory(R, 0.5)), 0.5, atol=1e-9)
 
 
 class TestTargetSequence:
@@ -77,6 +78,19 @@ class TestTargetSequence:
         o_later = pairs[3][1]
         assert pairs[3][0] == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
         assert sum(a * b for a, b in zip(t_first, o_later)) == 0
+
+    def test_corrupted_sequences_rejected_with_their_first_violation(self):
+        pairs = build_target_sequence_exact(3)
+        small = (pairs[0][0], (Fraction(0), Fraction(1, 10), Fraction(9, 10)))
+        shifted = (pairs[-1][0], tuple(v + Fraction(1, 7) for v in pairs[-1][1]))
+        cases = [
+            (pairs[::-1], "<t_3, o_0> = 0 < 1/d^2"),
+            (pairs[:2] + [(pairs[2][0], pairs[1][1])] + pairs[3:], "<t_2, o_2> != 0"),
+            ([small] + pairs[1:], "<t_1, o_0> = 1/10 < 1/d^2"),
+            (pairs[:-1] + [shifted], "<t_5, o_5> != 0"),
+        ]
+        for corrupted, message in cases:
+            assert validate_target_sequence_exact(corrupted, 3) == (False, message)
 
     def test_outcomes_complement_supports(self):
         for d in (3, 5):
@@ -327,7 +341,7 @@ def _assert_matches_one_shot(res, eta):
     prev = None
     for t in range(1, len(R) + 1):
         x = res.plays[t - 1]
-        ref = lbftrl_play(R[: t - 1], eta, warm_start=prev, d=d)
+        ref = minimize_simplex_history(R[: t - 1], 1.0 / eta, warm_start=prev).minimizer
         assert np.abs(x - ref).max() <= 1e-9
         H_ref = assemble_pi_hessian(x, R[:t], eta, proj)
         H = res.stability[t - 1].hessian_pi

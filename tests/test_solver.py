@@ -55,9 +55,15 @@ class TestMinimizeSimplex:
         rng = np.random.default_rng(0)
         A = rng.normal(size=(3, 3))
         obj = QuadraticObjective(3, A @ A.T, rng.normal(size=3), 0.0, 2.0)
-        rep = minimize_simplex(obj, warm_start=np.array([0.90, 0.05, 0.05]), track_values=True)
-        diffs = np.diff(rep.values)
-        assert (diffs <= 1e-12).all()
+        x0 = np.array([0.90, 0.05, 0.05])
+        iters = minimize_simplex(obj, warm_start=x0).iterations
+        values = []
+        for k in range(iters + 1):  # the value of iterate k, from a run stopped after k steps
+            with pytest.raises(SolverFailure) as exc_info:
+                minimize_simplex(obj, warm_start=x0, max_iter=k)
+            values.append(exc_info.value.report.objective_value)
+        assert iters >= 2
+        assert (np.diff(values) <= 1e-12).all()
 
     def test_interior_minimizer_and_stationarity(self):
         rng = np.random.default_rng(1)
