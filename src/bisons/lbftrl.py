@@ -148,13 +148,18 @@ def grad_pi_objective(x, history, eta, proj):
     return proj.project(-1.0 / (eta * x) - hist.T @ (1.0 / (hist @ x)))
 
 
+def barrier_pi_hessian(x, eta, proj):
+    """The barrier part eta^{-1} Pi diag(1/x^2) Pi^T of the projected Hessian."""
+    U = proj.basis
+    return (1.0 / eta) * (U / x**2) @ U.T
+
+
 def assemble_pi_hessian(x, history, eta, proj):
     """Projected Hessian sum_s (Pi r_s)(Pi r_s)^T / <x, r_s>^2 + eta^{-1} barrier part."""
     x = np.asarray(x, dtype=float)
-    U = proj.basis
     hist = np.asarray(history, dtype=float).reshape(-1, x.size)
-    PR = hist @ U.T
-    return (1.0 / eta) * (U / x**2) @ U.T + (PR / (hist @ x)[:, None] ** 2).T @ PR
+    PR = hist @ proj.basis.T
+    return barrier_pi_hessian(x, eta, proj) + (PR / (hist @ x)[:, None] ** 2).T @ PR
 
 
 def stability_term(grad_pi, hessian_pi):
@@ -264,10 +269,14 @@ class _PlayerLoop:
         self.x = x
         self.plays[t - 1] = x
         loss = log_loss(x, r)
+        # A certified solve may stop without the Hessian at x; form it so that
+        # append moves it.  An empty history keeps summing its first row afresh.
+        if self.history.n:
+            self.history.smooth_grad_hess(x)
         self.history.append(r)
         grad = self.proj.project(-r / float(np.dot(x, r)))
         U = self.proj.basis
-        hess = (1.0 / self.eta) * (U / x**2) @ U.T + U @ self.history.smooth_grad_hess(x)[1] @ U.T
+        hess = barrier_pi_hessian(x, self.eta, self.proj) + U @ self.history.smooth_grad_hess(x)[1] @ U.T
         self.stability.append(StabilityRecord(t=t, grad_pi=grad, hessian_pi=hess,
                                               term=stability_term(grad, hess)))
         self.records.append(LbftrlRoundRecord(t=t, loss=loss, is_movement=is_movement, visit=visit))

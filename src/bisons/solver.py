@@ -8,8 +8,19 @@ quadratics (:class:`QuadraticObjective`) or sums of true log losses over a
 stored history (:class:`LogLossHistory`); each supplies its smooth value,
 gradient and Hessian, and one frontend per domain adds the barrier.  All
 of these are self-concordant, so the Newton decrement lambda certifies the
-optimality gap: iteration stops once lambda^2 <= tol and the report
-carries that value as ``certified_gap``.
+optimality gap.  Iteration stops on either of two tests, and the report
+carries the value that passed as ``certified_gap``:
+
+- the decrement computed at the iterate: lambda^2 <= tol;
+- after a full, uncapped Newton step from a point with decrement lambda,
+  the self-concordance bound on the new decrement^2,
+  (kappa lambda / (1 - kappa lambda))^4 / kappa^2 <= tol, where
+  kappa = max(1, 1/sqrt(w)) for barrier weight w (the objective is
+  2 kappa-self-concordant).  This needs no gradient, Hessian or Newton
+  system at the new point, which is all a warm-started solve that takes
+  one step would otherwise build there.
+
+Either way ``certified_gap`` bounds lambda^2 at the minimizer returned.
 
 The simplex equality constraint is eliminated by dropping the last
 coordinate; the spectraplex trace constraint is kept in the KKT system
@@ -174,27 +185,46 @@ class SolverFailure(RuntimeError):
 # -- shared damped-Newton driver ----------------------------------------------
 
 def _armijo(fval, x, f, step_dir, slope, s0):
+    """Backtrack from step size ``s0``; the accepted point, its value and its step size."""
     s = s0
     for _ in range(80):
         xn = x + s * step_dir
         fn = fval(xn)
         if fn <= f + _ARMIJO_SLOPE * s * slope:
-            return xn, fn
+            return xn, fn, s
         s *= _ARMIJO_SHRINK
-    return None, None
+    return None, None, None
 
 
-def _damped_newton(fval, grad_hess, newton_step, line_step, x0, tol, max_iter):
+def _full_step_bound(lam2, kappa):
+    """Bound on the decrement^2 after a full Newton step from a point with decrement^2 ``lam2``.
+
+    For an objective that is 2*kappa-self-concordant, kappa*lambda(x+) <=
+    (kappa*lambda / (1 - kappa*lambda))^2 (Nesterov, Introductory Lectures
+    on Convex Optimization, sec. 4.1); no bound when kappa*lambda >= 1.
+    """
+    r = kappa * math.sqrt(max(lam2, 0.0))
+    if r >= 1.0:
+        return math.inf
+    return (r / (1.0 - r)) ** 4 / kappa**2
+
+
+def _damped_newton(fval, grad_hess, newton_step, line_step, x0, tol, max_iter, kappa):
     """Damped Newton; ``line_step`` turns a ``newton_step`` into a direction and a boundary cap.
 
     ``fval`` runs once at ``x0`` and once per Armijo trial; an accepted
     trial's value is the next iterate's, so ``grad_hess`` gives only (g, H).
+    ``kappa`` is half the objective's self-concordance constant.  Only an
+    uncapped, unshrunk step (step size 1) lands on the exact Newton iterate,
+    so only then may :func:`_full_step_bound` certify the new point.
     """
     x = np.asarray(x0, dtype=float).copy()
     f = fval(x)
-    g, H = grad_hess(x)
-    lam2 = math.inf
+    lam2 = bound = math.inf
     for it in range(max_iter):
+        if bound <= tol:
+            return SolveReport(x, f, bound, it)
+        g, H = grad_hess(x)
         try:
             step, lam2 = newton_step(x, g, H)
         except np.linalg.LinAlgError as exc:
@@ -202,13 +232,18 @@ def _damped_newton(fval, grad_hess, newton_step, line_step, x0, tol, max_iter):
         if lam2 <= tol:
             return SolveReport(x, f, max(lam2, 0.0), it)
         dx, s0 = line_step(x, step)
-        xn, fn = _armijo(fval, x, f, dx, float(g @ dx), s0)
+        xn, fn, s = _armijo(fval, x, f, dx, float(g @ dx), s0)
         if xn is None:
             raise SolverFailure("line search stalled", SolveReport(x, f, lam2, it))
         x, f = xn, fn
-        g, H = grad_hess(x)
+        bound = _full_step_bound(lam2, kappa) if s == 1.0 else math.inf  # s = 1 needs s0 = 1: no cap
     raise SolverFailure(f"no convergence in {max_iter} iterations (decrement^2 {lam2:.3e})",
                         SolveReport(x, f, lam2, max_iter))
+
+
+def _kappa(barrier_weight):
+    """Half the self-concordance constant of a quadratic or log-loss objective plus w times a barrier."""
+    return max(1.0, 1.0 / math.sqrt(barrier_weight))
 
 
 # -- frontends: one per domain, for QuadraticObjective and LogLossHistory -------
@@ -246,7 +281,8 @@ def minimize_simplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER)
         g, H = obj.smooth_grad_hess(x)
         return g - w / x, H + np.diag(w / (x * x))
 
-    return _damped_newton(fval, grad_hess, _reduced_newton_step, _simplex_line_step, x0, tol, max_iter)
+    return _damped_newton(fval, grad_hess, _reduced_newton_step, _simplex_line_step, x0, tol, max_iter,
+                          _kappa(w))
 
 
 def minimize_simplex_history(returns, barrier_weight, warm_start=None, tol=1e-10):
@@ -254,13 +290,12 @@ def minimize_simplex_history(returns, barrier_weight, warm_start=None, tol=1e-10
     return minimize_simplex(LogLossHistory(returns, barrier_weight), warm_start, tol)
 
 
-def _logdet_pd(X):
-    """log det X via Cholesky, or None if X is not positive definite."""
+def _cholesky_pd(X):
+    """The Cholesky factor of X, or None if X is not positive definite."""
     try:
-        L = np.linalg.cholesky(X)
+        return np.linalg.cholesky(X)
     except np.linalg.LinAlgError:
         return None
-    return 2.0 * float(np.log(np.diagonal(L).real).sum())
 
 
 def _logdet_hessian(Xinv, basis):
@@ -289,14 +324,25 @@ def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_I
     K[n, :n] = a
     rhs = np.zeros(n + 1)
 
+    last = None  # (bytes of v, X, Cholesky factor of X or None) at the last point evaluated
+
+    def at(v):
+        nonlocal last
+        key = v.tobytes()
+        if last is None or last[0] != key:
+            X = unvectorize_phi(v, d)
+            last = (key, X, _cholesky_pd(X))
+        return last[1], last[2]
+
     def fval(v):
-        ld = _logdet_pd(unvectorize_phi(v, d))
-        if ld is None:
+        _, L = at(v)
+        if L is None:
             return math.inf
+        ld = 2.0 * float(np.log(np.diagonal(L).real).sum())
         return obj.smooth_value(v) - w * ld
 
     def grad_hess(v):
-        X = unvectorize_phi(v, d)
+        X, _ = at(v)
         Xinv = np.linalg.inv(X)
         Xinv = 0.5 * (Xinv + Xinv.conj().T)
         g, H = obj.smooth_grad_hess(v)
@@ -310,12 +356,12 @@ def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_I
         return dv, float(dv @ H @ dv)
 
     def line_step(v, dv):
-        Li = np.linalg.inv(np.linalg.cholesky(unvectorize_phi(v, d)))
+        Li = np.linalg.inv(at(v)[1])
         wmin = float(np.linalg.eigvalsh(Li @ unvectorize_phi(dv, d) @ Li.conj().T).min())
         return dv, 1.0 if wmin >= 0.0 else min(1.0, _BOUNDARY_FRACTION / (-wmin))
 
-    rep = _damped_newton(fval, grad_hess, kkt_step, line_step, v0, tol, max_iter)
-    rep.minimizer = unvectorize_phi(rep.minimizer, d)
+    rep = _damped_newton(fval, grad_hess, kkt_step, line_step, v0, tol, max_iter, _kappa(w))
+    rep.minimizer = at(rep.minimizer)[0]  # the last point evaluated
     return rep
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import InvalidReturnsError, log_loss, normalize_returns, uniform_portfolio
-from .solver import QuadraticObjective, default_tol, minimize_simplex
+from .solver import QuadraticObjective, SolverFailure, default_tol, minimize_simplex
 
 ETA_CAP = 1.0 / 63.0
 BETA_CAP = math.sqrt(2.0) - 1.0
@@ -281,7 +281,10 @@ def run_epochs(domain, stream, params, rng=None, tol=None, monitor=False, keep_s
             result.loss_matrices.append(r)
         x_old, u_old, p_old = state.x_cur, state.u_cur, state.p
         before = state
-        state, rec = domain.round(state, r, params, t=i + 1, tol=tol)
+        try:
+            state, rec = domain.round(state, r, params, t=i + 1, tol=tol)
+        except SolverFailure as exc:
+            raise SolverFailure(f"t={i + 1} (epoch {state.e}, tau {state.tau}): {exc}", exc.report) from exc
         result.records.append(rec)
         if mon is not None:
             mon.observe(i + 1, x_old, u_old, p_old, *before.last_solution)

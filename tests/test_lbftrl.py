@@ -175,6 +175,17 @@ class TestMoveToX:
         contrib = -proj.project(r) / float(tgt @ r)
         assert np.abs(contrib + scaled).max() <= 1e-12
 
+    def test_return_leaving_the_simplex_raises(self):
+        # T = 1 lets the norm cap allow a unit projected step, longer than the
+        # sqrt(2/3) from the centre to a vertex; <g, Pi target> >= 1 leaves
+        # the finishing cap inactive
+        proj = PiProjection(3)
+        tgt = np.array([1.0, 0.0, 0.0])
+        u = proj.project(tgt)
+        g = 2.0 * u / np.linalg.norm(u)
+        with pytest.raises(InfeasibleMovementError, match="left the simplex"):
+            move_to_x(tgt, g, 1, proj)
+
     def test_termination_bound_on_instrumented_pin(self):
         # steer a fresh objective (barrier only) onto a pulled-in target and
         # count movement steps against 2 sqrt(T) ||grad|| / d + 1

@@ -26,6 +26,7 @@ from bisons.quantum import (
     qbisons_round,
     run_qbisons,
 )
+from bisons.solver import SolverFailure
 from bisons.vector import BisonsParams, check_reset, default_params, initial_state, run_bisons, update_bias
 
 
@@ -202,6 +203,15 @@ class TestRunQBisons:
         params = q_default_params(2, 440)
         with pytest.raises(InvalidReturnsError, match=r"t=2: loss matrix entries must be finite"):
             run_qbisons([np.eye(2, dtype=complex), R], params)
+
+    def test_solver_failure_names_its_round(self, crash_diagonal_runs, fail_solve):
+        # the unbiased solve of t=731, the second round of the epoch that the t=729 reset opens
+        R, params_q, _, _ = crash_diagonal_runs
+        failing = fail_solve(quantum, "minimize_spectraplex", 2 * 731)
+        with pytest.raises(SolverFailure, match=r"^t=731 \(epoch 2, tau 2\): no convergence in 0 iterations") as exc_info:
+            run_qbisons([np.diag(r).astype(complex) for r in R], params_q)
+        assert exc_info.value.__cause__ is failing[0]
+        assert exc_info.value.report is failing[0].report
 
     def test_fractional_outcomes_need_rng(self):
         params = q_default_params(2, 440)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bisons import solver
-from bisons.hermitian import phi_dual, random_density, trace_inner, vectorize_phi
+from bisons.hermitian import phi_dual, random_density, trace_inner, trace_slots, unvectorize_phi, vectorize_phi
 from bisons.solver import (
     LogLossHistory,
     QuadraticObjective,
@@ -230,10 +230,15 @@ class TestLogLossHistory:
 def _counting(cls):
     class Counting(cls):
         value_calls = 0
+        grad_hess_calls = 0
 
         def smooth_value(self, x):
             self.value_calls += 1
             return super().smooth_value(x)
+
+        def smooth_grad_hess(self, x):
+            self.grad_hess_calls += 1
+            return super().smooth_grad_hess(x)
 
     return Counting
 
@@ -282,3 +287,138 @@ class TestOneValuePerIterate:
             rep = minimize_spectraplex(obj, tol=1e-13)
             assert rep.iterations >= 1
             assert obj.value_calls == 1 + trials[0]
+
+    def test_spectraplex_unpacks_each_point_once(self, trials, monkeypatch):
+        # one matrix per point evaluated, plus one per Newton direction for its boundary step
+        unpack, unpacked = solver.unvectorize_phi, [0]
+
+        def counted(v, d):
+            unpacked[0] += 1
+            return unpack(v, d)
+
+        monkeypatch.setattr(solver, "unvectorize_phi", counted)
+        rng = np.random.default_rng(9)
+        duals = np.array([phi_dual(random_density(rng, 3)) for _ in range(20)])
+        for obj in (self._quadratic(rng, 9), LogLossHistory(duals, 0.3)):
+            trials[0] = unpacked[0] = 0
+            rep = minimize_spectraplex(obj, tol=1e-13)
+            assert rep.iterations >= 2
+            assert unpacked[0] == 1 + trials[0] + rep.iterations
+
+
+def _tangent_decrement2(g, H, a):
+    """g' N (N' H N)^{-1} N' g over an orthonormal basis N of the hyperplane a . dx = 0."""
+    N = np.linalg.svd(a[None, :])[2][1:].T
+    gN = N.T @ g
+    return float(gN @ np.linalg.solve(N.T @ H @ N, gN))
+
+
+def simplex_decrement2(obj, x):
+    """Newton decrement^2 of ``obj`` plus its weighted log barrier at x, along sum(x) = 1."""
+    g, H = obj.smooth_grad_hess(x)
+    w = obj.barrier_weight
+    return _tangent_decrement2(g - w / x, H + np.diag(w / x**2), np.ones(x.size))
+
+
+def spectraplex_decrement2(obj, X):
+    """Newton decrement^2 of ``obj`` plus its weighted log-det barrier at X, along Tr X = 1.
+
+    The barrier's derivatives come entry by entry from dX/dv_k: the gradient
+    is -Tr(X^-1 B_k) and the Hessian Tr(X^-1 B_k X^-1 B_l).
+    """
+    d = X.shape[0]
+    g, H = obj.smooth_grad_hess(vectorize_phi(X))
+    Xinv = np.linalg.inv(X)
+    B = [unvectorize_phi(e, d) for e in np.eye(d * d)]
+    gb = np.array([-np.trace(Xinv @ Bk).real for Bk in B])
+    Hb = np.array([[np.trace(Xinv @ Bk @ Xinv @ Bl).real for Bl in B] for Bk in B])
+    w = obj.barrier_weight
+    return _tangent_decrement2(g + w * gb, H + w * Hb, trace_slots(d))
+
+
+def _warm_started_solves(spectraplex, history, w, seed, rounds=30):
+    """Grow a random objective by one round at a time and re-solve it from the last minimizer.
+
+    Rounds are BISONS surrogates at the current play (``history`` False) or
+    true log losses appended to a ``LogLossHistory``.  Returns, per solve,
+    the report, the number of ``smooth_grad_hess`` calls it made and the
+    decrement^2 recomputed at its minimizer.
+    """
+    rng = np.random.default_rng(seed)
+    d = 2 if spectraplex else 4
+
+    def row():
+        return phi_dual(random_density(rng, d)) if spectraplex else rng.dirichlet(np.ones(d))
+
+    solve, coords, decrement2 = ((minimize_spectraplex, vectorize_phi, spectraplex_decrement2) if spectraplex
+                                 else (minimize_simplex, np.asarray, simplex_decrement2))
+    if history:
+        obj = _counting(LogLossHistory)([row() for _ in range(20)], w, capacity=20 + rounds)
+    else:
+        obj = _counting(QuadraticObjective).zeros(d * d if spectraplex else d, w)
+    play = solve(obj, tol=1e-13).minimizer
+    solves = []
+    for _ in range(rounds):
+        c = row()
+        if history:
+            obj.append(c)
+        else:
+            ip = float(coords(play) @ c)
+            obj.add_surrogate(-c / ip, -math.log(ip), -1.0, 0.1)
+        before = obj.grad_hess_calls
+        rep = solve(obj, warm_start=play, tol=1e-10)
+        solves.append((rep, obj.grad_hess_calls - before, decrement2(obj, rep.minimizer)))
+        play = rep.minimizer
+    return solves
+
+
+class TestFullStepCertificate:
+    """A solve may stop after a full Newton step on the self-concordance bound
+    alone; the decrement it never formed must lie below the gap it reports."""
+
+    @pytest.mark.parametrize("w", [0.2, 50.0])
+    @pytest.mark.parametrize("history", [False, True], ids=["quadratic", "history"])
+    @pytest.mark.parametrize("spectraplex", [False, True], ids=["simplex", "spectraplex"])
+    def test_certificate_dominates_decrement(self, spectraplex, history, w):
+        solves = _warm_started_solves(spectraplex, history, w, seed=10)
+        certified = [(rep, lam2) for rep, calls, lam2 in solves if calls == rep.iterations]
+        assert certified  # exits on the bound: no gradient or Hessian at the minimizer
+        for rep, lam2 in certified:
+            assert rep.iterations >= 1
+            assert lam2 <= rep.certified_gap <= 1e-10
+        for rep, calls, lam2 in solves:
+            assert calls in (rep.iterations, rep.iterations + 1)
+
+    def test_full_step_bound(self):
+        # kappa * lambda = 1/3: (1/2)^4; kappa * lambda = 1/2 at kappa 2: 1 / kappa^2
+        assert solver._full_step_bound(1.0 / 9.0, 1.0) == pytest.approx(1.0 / 16.0)
+        assert solver._full_step_bound(1.0 / 16.0, 2.0) == pytest.approx(1.0 / 4.0)
+        assert solver._full_step_bound(0.25, 2.0) == math.inf  # kappa * lambda = 1
+        assert solver._full_step_bound(0.0, 3.0) == 0.0
+
+
+class TestOneSystemPerWarmSolve:
+    def test_bisons_solves_form_one_gradient_and_hessian_per_step(self, monkeypatch):
+        from bisons import vector
+        from bisons.harness import adversary_returns
+
+        solves = []
+        calls = [0]
+        grad_hess = QuadraticObjective.smooth_grad_hess
+        solve = vector.minimize_simplex
+
+        def counted_grad_hess(self, x):
+            calls[0] += 1
+            return grad_hess(self, x)
+
+        def counted_solve(obj, warm_start=None, tol=1e-10):
+            before = calls[0]
+            rep = solve(obj, warm_start=warm_start, tol=tol)
+            solves.append((rep.iterations, calls[0] - before))
+            return rep
+
+        monkeypatch.setattr(QuadraticObjective, "smooth_grad_hess", counted_grad_hess)
+        monkeypatch.setattr(vector, "minimize_simplex", counted_solve)
+        R = adversary_returns("iid-dirichlet", 10, 11000, 2)[:100]
+        vector.run_bisons(R, vector.default_params(10, 11000))
+        assert solves == [(1, 1)] * 200

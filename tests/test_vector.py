@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import bisons.vector as vector
 from bisons.geometry import InvalidReturnsError
 from bisons.harness import adversary_returns
 from bisons.quantum import QBisonsParams
+from bisons.solver import SolverFailure
 from bisons.vector import (
     BisonsParams,
     ParameterError,
@@ -250,6 +252,15 @@ class TestRunBisons:
         params = default_params(2, 440)
         with pytest.raises(InvalidReturnsError, match=r"t=2: returns entries must be finite"):
             run_bisons([np.array([0.5, 0.5]), np.array([math.inf, 1.0])], params)
+
+    def test_solver_failure_names_its_round(self, fail_solve):
+        # the biased solve of t=735, the sixth round of the epoch that the t=729 reset opens
+        failing = fail_solve(vector, "minimize_simplex", 2 * 734 + 1)
+        R = adversary_returns("single-asset-crash", 2, 1000, 0)
+        with pytest.raises(SolverFailure, match=r"^t=735 \(epoch 2, tau 6\): no convergence in 0 iterations") as exc_info:
+            run_bisons(R, crash_params())
+        assert exc_info.value.__cause__ is failing[0]
+        assert exc_info.value.report is failing[0].report
 
     def test_longer_than_horizon_rejected(self):
         params = default_params(2, 440)
