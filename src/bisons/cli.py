@@ -9,25 +9,25 @@
 import argparse
 import sys
 
-from .harness import ExperimentConfig, best_crp, load_returns, parse_config_file, run_experiment
+from .harness import ALGORITHMS, ExperimentConfig, best_crp, load_returns, parse_config_file, run_experiment
 
 
 def _add_run_parser(sub):
     p = sub.add_parser("run", help="run one experiment")
-    p.add_argument("--algo", required=True, choices=["bisons", "qbisons", "lbftrl", "ons"])
+    p.add_argument("--algo", required=True, choices=list(ALGORITHMS))
     p.add_argument("--d", type=int)
     p.add_argument("--T", type=int)
     p.add_argument("--data", help="returns or measurements file")
     p.add_argument("--adversary", help="iid-dirichlet | single-asset-crash | alternating-basis | lbftrl-bad")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.5, help="lbftrl-bad pull-in exponent")
-    p.add_argument("--eta", type=float, default=1.0, help="lbftrl learning rate")
+    p.add_argument("--seed", type=int, help="root seed (default 0)")
+    p.add_argument("--alpha", type=float, help="lbftrl-bad pull-in exponent (default 0.5)")
+    p.add_argument("--eta", type=float, help="lbftrl learning rate (default 1.0)")
     p.add_argument("--pad-uniform", action="store_true",
                    help="pad a short returns sequence with uniform rows up to T")
-    p.add_argument("--config", help="flat key = value config file; flags override it")
+    p.add_argument("--config", help="flat key = value config file; flags given override it")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="parameter override, e.g. --set B=20 --set eta=0.015")
-    p.add_argument("--out", default=".")
+    p.add_argument("--out", help="output directory (default .)")
     return p
 
 

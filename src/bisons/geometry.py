@@ -92,14 +92,6 @@ class SurrogateQuad:
         """Reward coordinate where the lower surrogate switches to its tangent."""
         return self.anchor_reward / self.curvature
 
-    def eval(self, x):
-        s = float(np.dot(x - self.anchor_point, self.anchor_grad))
-        return self.anchor_value + s + 0.5 * self.curvature * s * s
-
-    def grad(self, x):
-        s = float(np.dot(x - self.anchor_point, self.anchor_grad))
-        return (1.0 + self.curvature * s) * self.anchor_grad
-
     def hat_h(self, w):
         """The surrogate as a function of the scalar reward w = <x, r>."""
         y = self.anchor_reward

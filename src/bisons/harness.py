@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -189,18 +189,6 @@ def _is_float(s):
         return False
 
 
-def save_measurements(path, events):
-    with open(path, "w") as fh:
-        for ev in events:
-            flat = np.asarray(ev.effect, dtype=complex).reshape(-1)
-            cells = []
-            for z in flat:
-                cells.append(_fmt(z.real))
-                cells.append(_fmt(z.imag))
-            cells.append(_fmt(ev.outcome))
-            fh.write(",".join(cells) + "\n")
-
-
 def load_measurements(path):
     """Measurement rows: d^2 complex entries of the effect (re/im interleaved,
     row-major) followed by the outcome."""
@@ -248,25 +236,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, m):
-        known = {"algo", "d", "T", "seed", "adversary", "data", "out", "alpha", "eta", "pad_uniform"}
+        """Each field parsed by its declared type; any other key is a parameter override."""
+        types = {f.name: f.type for f in fields(cls) if f.name != "overrides"}
         if m.get("algo") in ("bisons", "qbisons"):
-            known.discard("eta")  # eta is an algorithm-parameter override there
-        kwargs = {}
-        overrides = {}
+            del types["eta"]  # eta is an algorithm-parameter override there
+        kwargs, overrides = {}, {}
         for key, value in m.items():
-            if key in known:
-                kwargs[key] = value
+            if key not in types:
+                overrides[key] = float(value)
+            elif types[key] is bool:
+                kwargs[key] = str(value).lower() in ("1", "true", "yes")
             else:
-                overrides[key] = value
-        for key in ("d", "T", "seed"):
-            if key in kwargs:
-                kwargs[key] = int(kwargs[key])
-        for key in ("alpha", "eta"):
-            if key in kwargs:
-                kwargs[key] = float(kwargs[key])
-        if "pad_uniform" in kwargs:
-            kwargs["pad_uniform"] = str(kwargs["pad_uniform"]).lower() in ("1", "true", "yes")
-        return cls(overrides={k: float(v) for k, v in overrides.items()}, **kwargs)
+                kwargs[key] = types[key](value)
+        return cls(overrides=overrides, **kwargs)
 
 
 def parse_config_file(path):
@@ -316,68 +298,75 @@ def write_trace(path, records, comparator_cum):
             ]) + "\n")
 
 
+def _crp_cum_loss(R):
+    """Round-by-round cumulative loss of the best CRP in hindsight on the returns R."""
+    u_star, _ = best_crp(R)
+    return np.cumsum(-np.log(R @ u_star))
+
+
+def _epoch_summary(result, params):
+    return {"resets": len(result.reset_times), "monitor_violations": len(result.violations),
+            "params": {"B": params.B, "eta": params.eta, "beta": params.beta}}
+
+
+def _run_bisons(config):
+    R = _get_returns(config)
+    params = _apply_overrides(default_params(config.d, config.T), config.overrides)
+    result = run_bisons(R, params, monitor=True)
+    return result.records, _crp_cum_loss(R), _epoch_summary(result, params)
+
+
+def _run_qbisons(config):
+    stream = load_measurements(config.data) if config.data else measurement_stream(config.d, config.T, config.seed)
+    params = _apply_overrides(q_default_params(config.d, config.T), config.overrides)
+    result = run_qbisons(stream, params, rng=derive_rng(config.seed, "qbisons:reduction"), monitor=True)
+    u_star, _ = best_quantum_state(result.loss_matrices)
+    comp_cum = np.cumsum([-math.log(trace_inner(u_star, Rm)) for Rm in result.loss_matrices])
+    return result.records, comp_cum, _epoch_summary(result, params)
+
+
+def _run_lbftrl(config):
+    """LB-FTRL on lbftrl-bad (generated against the player) or on given returns; also writes stability.csv."""
+    if config.adversary == "lbftrl-bad":
+        result = generate_and_run(AdversaryPlan.build(config.d, config.T, config.alpha), config.eta)
+        extras = {"truncated": result.truncated, "completed_visits": result.completed_visits, "alpha": config.alpha}
+    else:
+        result = run_lbftrl(_get_returns(config), config.eta)
+        extras = {}
+    with open(os.path.join(config.out, "stability.csv"), "w") as fh:
+        fh.write("t,term,is_movement\n")
+        for rec, srec in zip(result.records, result.stability):
+            fh.write(f"{srec.t},{_fmt(srec.term)},{int(rec.is_movement)}\n")
+    records = [RoundRecord(t=r.t, e=1, tau=r.t, loss=r.loss, reset_triggered=False, x_played=None)
+               for r in result.records]
+    extras.update(eta=config.eta, stability_sum=float(result.terms.sum()))
+    return records, _crp_cum_loss(result.returns), extras
+
+
+def _run_ons(config):
+    R = _get_returns(config)
+    return ons_baseline(R), _crp_cum_loss(R), {}
+
+
+#: Runner per algorithm name: config -> (round records, comparator cumulative loss, summary entries).
+ALGORITHMS = {"bisons": _run_bisons, "qbisons": _run_qbisons, "lbftrl": _run_lbftrl, "ons": _run_ons}
+
+
 def run_experiment(config):
-    """Execute one experiment; writes trace/summary (and stability) files.
+    """Execute one experiment; writes trace/summary (and the runner's own) files.
 
     Deterministic given (config, seed).  Returns the summary dict.
     """
-    os.makedirs(config.out, exist_ok=True)
-    trace_path = os.path.join(config.out, "trace.csv")
-    summary = {"algo": config.algo, "d": config.d, "T": config.T, "seed": config.seed,
-               "adversary": config.adversary, "data": config.data}
-
-    if config.algo == "bisons":
-        R = _get_returns(config)
-        params = _apply_overrides(default_params(config.d, config.T), config.overrides)
-        result = run_bisons(R, params, monitor=True)
-        u_star, comp_loss = best_crp(R[: len(result.records)])
-        comp_cum = np.cumsum(-np.log(R[: len(result.records)] @ u_star))
-        records = result.records
-        summary.update(resets=len(result.reset_times), monitor_violations=len(result.violations),
-                       params={"B": params.B, "eta": params.eta, "beta": params.beta})
-    elif config.algo == "qbisons":
-        if config.data:
-            stream = load_measurements(config.data)
-        else:
-            stream = measurement_stream(config.d, config.T, config.seed)
-        params = _apply_overrides(q_default_params(config.d, config.T), config.overrides)
-        rng = derive_rng(config.seed, "qbisons:reduction")
-        result = run_qbisons(stream, params, rng=rng, monitor=True)
-        u_star, comp_loss = best_quantum_state(result.loss_matrices)
-        comp_cum = np.cumsum([-math.log(trace_inner(u_star, Rm)) for Rm in result.loss_matrices])
-        records = result.records
-        summary.update(resets=len(result.reset_times), monitor_violations=len(result.violations),
-                       params={"B": params.B, "eta": params.eta, "beta": params.beta})
-    elif config.algo == "lbftrl":
-        if config.adversary == "lbftrl-bad":
-            plan = AdversaryPlan.build(config.d, config.T, config.alpha)
-            result = generate_and_run(plan, config.eta)
-            summary.update(truncated=result.truncated, completed_visits=result.completed_visits,
-                           alpha=config.alpha)
-        else:
-            result = run_lbftrl(_get_returns(config), config.eta)
-        u_star, comp_loss = best_crp(result.returns)
-        comp_cum = np.cumsum(-np.log(result.returns @ u_star))
-        records = [RoundRecord(t=r.t, e=1, tau=r.t, loss=r.loss, reset_triggered=False, x_played=None)
-                   for r in result.records]
-        stab_path = os.path.join(config.out, "stability.csv")
-        with open(stab_path, "w") as fh:
-            fh.write("t,term,is_movement\n")
-            for rec, srec in zip(result.records, result.stability):
-                fh.write(f"{srec.t},{_fmt(srec.term)},{int(rec.is_movement)}\n")
-        summary.update(eta=config.eta, stability_sum=float(result.terms.sum()))
-    elif config.algo == "ons":
-        R = _get_returns(config)
-        records = ons_baseline(R)
-        u_star, comp_loss = best_crp(R)
-        comp_cum = np.cumsum(-np.log(R @ u_star))
-    else:
+    if config.algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {config.algo!r}")
-
-    write_trace(trace_path, records, comp_cum)
+    os.makedirs(config.out, exist_ok=True)
+    records, comp_cum, extras = ALGORITHMS[config.algo](config)
+    write_trace(os.path.join(config.out, "trace.csv"), records, comp_cum)
     cum_loss = float(sum(r.loss for r in records))
-    summary.update(rounds=len(records), cum_loss=cum_loss, comparator_loss=float(comp_cum[-1]),
-                   final_regret=cum_loss - float(comp_cum[-1]))
+    summary = {"algo": config.algo, "d": config.d, "T": config.T, "seed": config.seed,
+               "adversary": config.adversary, "data": config.data, **extras,
+               "rounds": len(records), "cum_loss": cum_loss, "comparator_loss": float(comp_cum[-1]),
+               "final_regret": cum_loss - float(comp_cum[-1])}
     with open(os.path.join(config.out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -62,28 +62,11 @@ def sqrt_psd(M):
     return hermitize((V * w) @ V.conj().T)
 
 
-def inv_sqrt(X):
-    """X^{-1/2} for Hermitian positive definite X."""
-    w, V = np.linalg.eigh(hermitize(np.asarray(X, dtype=complex)))
-    if w.min() <= 1e-12:
-        raise ConditioningError(f"matrix nearly singular, min eigenvalue {w.min()}")
-    return hermitize((V / np.sqrt(w)) @ V.conj().T)
-
-
 def a_norm(W, A):
     """The seminorm sqrt(Tr(WAWA)) = ||A^{1/2} W A^{1/2}||_F for PSD A."""
     S = sqrt_psd(A)
     H = S @ W @ S
     return float(np.linalg.norm(H))
-
-
-def loewner_leq(A, B, tol=1e-9):
-    """True iff A <= B in the Loewner order, up to -tol on the smallest eigenvalue."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape != B.shape:
-        raise ValueError("dimension mismatch")
-    return bool(np.linalg.eigvalsh(hermitize(B - A)).min() >= -tol)
 
 
 def min_eig(M):

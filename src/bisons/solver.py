@@ -228,7 +228,7 @@ def _damped_newton(fval, grad_hess, newton_step, line_step, x0, tol, max_iter, k
         try:
             step, lam2 = newton_step(x, g, H)
         except np.linalg.LinAlgError as exc:
-            raise SolverFailure(f"singular Newton system: {exc}", SolveReport(x, f, lam2, it)) from exc
+            raise SolverFailure(f"singular Newton system: {exc}", SolveReport(x, f, math.inf, it)) from exc
         if lam2 <= tol:
             return SolveReport(x, f, max(lam2, 0.0), it)
         dx, s0 = line_step(x, step)
@@ -237,6 +237,10 @@ def _damped_newton(fval, grad_hess, newton_step, line_step, x0, tol, max_iter, k
             raise SolverFailure("line search stalled", SolveReport(x, f, lam2, it))
         x, f = xn, fn
         bound = _full_step_bound(lam2, kappa) if s == 1.0 else math.inf  # s = 1 needs s0 = 1: no cap
+    try:  # the report describes the iterate it returns; lam2 is from before the last step
+        lam2 = newton_step(x, *grad_hess(x))[1]
+    except np.linalg.LinAlgError:
+        lam2 = math.inf
     raise SolverFailure(f"no convergence in {max_iter} iterations (decrement^2 {lam2:.3e})",
                         SolveReport(x, f, lam2, max_iter))
 

@@ -14,6 +14,8 @@ from bisons.geometry import (
     normalize_returns,
     uniform_portfolio,
 )
+from bisons.solver import QuadraticObjective
+from bisons.vector import SIMPLEX
 
 
 def random_simplex(rng, d, floor=0.0):
@@ -63,29 +65,40 @@ class TestLogLoss:
             log_loss(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
+def accumulated_surrogate(x_t, r, beta):
+    """The round's surrogate as BISONS accumulates it: SIMPLEX.loss into QuadraticObjective.add_surrogate."""
+    loss, g, m = SIMPLEX.loss(x_t, r)
+    obj = QuadraticObjective.zeros(x_t.size, 1.0)
+    obj.add_surrogate(g, loss, m, beta)
+    return obj
+
+
 class TestSurrogate:
     def test_anchor_identity(self):
+        # f(x_t) at the anchor, f(x_t) + s + (beta/2) s^2 with s = <x - x_t, g> elsewhere
         rng = np.random.default_rng(7)
         for _ in range(20):
             d = rng.integers(2, 6)
             x = random_simplex(rng, d, floor=1e-3)
             r = random_simplex(rng, d)
-            s = build_surrogate(x, r, 0.2)
-            assert s.eval(x) == pytest.approx(log_loss(x, r), abs=1e-12)
+            obj = accumulated_surrogate(x, r, 0.2)
+            assert obj.smooth_value(x) == pytest.approx(log_loss(x, r), abs=1e-12)
+            y = random_simplex(rng, d)
+            s = float((y - x) @ (-r / np.dot(x, r)))
+            assert obj.smooth_value(y) == pytest.approx(log_loss(x, r) + s + 0.1 * s * s, abs=1e-12)
 
     def test_anchor_gradient(self):
         rng = np.random.default_rng(8)
         x = random_simplex(rng, 3, floor=1e-2)
         r = random_simplex(rng, 3)
-        s = build_surrogate(x, r, 0.3)
-        assert np.allclose(s.grad(x), -r / np.dot(x, r), atol=1e-12)
-        assert np.allclose(s.anchor_grad, -r / np.dot(x, r), atol=1e-12)
+        assert np.allclose(accumulated_surrogate(x, r, 0.3).smooth_grad_hess(x)[0], -r / np.dot(x, r), atol=1e-12)
+        assert np.allclose(build_surrogate(x, r, 0.3).anchor_grad, -r / np.dot(x, r), atol=1e-12)
 
     def test_hand_evaluation(self):
         # g = (-2, 0), <x - x_t, g> = 0.5, value = log 2 + 0.5 + 0.0125
-        s = build_surrogate(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 0.1)
+        obj = accumulated_surrogate(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 0.1)
         expected = math.log(2.0) + 0.5 + 0.1 / 2.0 * 0.25
-        assert s.eval(np.array([0.25, 0.75])) == pytest.approx(expected, abs=1e-14)
+        assert obj.smooth_value(np.array([0.25, 0.75])) == pytest.approx(expected, abs=1e-14)
 
     def test_beta_range_enforced(self):
         x = np.array([0.5, 0.5])
@@ -100,27 +113,31 @@ class TestSurrogate:
             d = rng.integers(2, 6)
             x_t = random_simplex(rng, d, floor=1e-3)
             r = random_simplex(rng, d)
-            s = build_surrogate(x_t, r, rng.uniform(0.01, BETA_MAX))
+            obj = accumulated_surrogate(x_t, r, rng.uniform(0.01, BETA_MAX))
             a = random_simplex(rng, d)
             b = random_simplex(rng, d)
-            f0 = s.eval(0.25 * a + 0.75 * b)
-            f1 = s.eval(0.5 * a + 0.5 * b)
-            f2 = s.eval(0.75 * a + 0.25 * b)
+            f0 = obj.smooth_value(0.25 * a + 0.75 * b)
+            f1 = obj.smooth_value(0.5 * a + 0.5 * b)
+            f2 = obj.smooth_value(0.75 * a + 0.25 * b)
             assert f0 - 2.0 * f1 + f2 >= -1e-10
 
     def test_gradient_matches_finite_differences(self):
+        # at the anchor the surrogate's gradient is the true loss's; elsewhere it is its own value's
         rng = np.random.default_rng(10)
         x = random_simplex(rng, 4, floor=0.05)
         r = random_simplex(rng, 4)
-        g = -r / np.dot(x, r)
+        obj = accumulated_surrogate(x, r, 0.2)
+        y = random_simplex(rng, 4, floor=0.05)
         h = 1e-7
-        # directional derivative of the true loss along simplex directions
+        # directional derivatives along simplex directions
         for _ in range(10):
             v = rng.normal(size=4)
             v -= v.mean()
             v /= np.linalg.norm(v)
             fd = (log_loss(x + h * v, r) - log_loss(x - h * v, r)) / (2 * h)
-            assert fd == pytest.approx(float(g @ v), rel=1e-6)
+            assert fd == pytest.approx(float(obj.smooth_grad_hess(x)[0] @ v), rel=1e-6)
+            fd = (obj.smooth_value(y + h * v) - obj.smooth_value(y - h * v)) / (2 * h)
+            assert fd == pytest.approx(float(obj.smooth_grad_hess(y)[0] @ v), rel=1e-6)
 
 
 class TestLowerSurrogate:

@@ -7,6 +7,8 @@ import pytest
 
 from bisons.geometry import InvalidReturnsError
 from bisons.harness import (
+    ALGORITHMS,
+    TRACE_HEADER,
     ExperimentConfig,
     adversary_returns,
     best_crp,
@@ -18,7 +20,6 @@ from bisons.harness import (
     ons_baseline,
     parse_config_file,
     run_experiment,
-    save_measurements,
     save_returns,
 )
 from bisons.hermitian import trace_inner
@@ -150,7 +151,11 @@ class TestFiles:
     def test_measurements_round_trip(self, tmp_path):
         events = measurement_stream(2, 10, seed=5)
         p1 = tmp_path / "m.csv"
-        save_measurements(str(p1), events)
+        lines = []
+        for ev in events:
+            cells = [v for z in ev.effect.reshape(-1) for v in (z.real, z.imag)] + [ev.outcome]
+            lines.append(",".join(format(float(v), ".17g") for v in cells))
+        p1.write_text("\n".join(lines) + "\n")
         loaded = load_measurements(str(p1))
         assert len(loaded) == 10
         for a, b in zip(events, loaded):
@@ -255,6 +260,33 @@ class TestRunExperiment:
             run_experiment(cfg)
 
 
+COMMON_SUMMARY_KEYS = {"algo", "d", "T", "seed", "adversary", "data", "rounds", "cum_loss", "comparator_loss",
+                       "final_regret"}
+EPOCH_KEYS = {"resets", "monitor_violations", "params"}
+# algorithm -> (config fields, the summary keys of its own)
+ALGORITHM_CASES = {
+    "bisons": ({"d": 2, "T": 440, "adversary": "iid-dirichlet"}, EPOCH_KEYS),
+    "qbisons": ({"d": 2, "T": 440}, EPOCH_KEYS),
+    "lbftrl": ({"d": 2, "T": 400, "adversary": "lbftrl-bad", "alpha": 0.15},
+               {"eta", "stability_sum", "truncated", "completed_visits", "alpha"}),
+    "ons": ({"d": 2, "T": 50, "adversary": "alternating-basis"}, set()),
+}
+
+
+@pytest.mark.parametrize("algo", list(ALGORITHMS))
+def test_every_algorithm_writes_trace_and_summary(tmp_path, algo):
+    fields, own_keys = ALGORITHM_CASES[algo]
+    summary = run_experiment(ExperimentConfig(algo=algo, out=str(tmp_path), **fields))
+    trace = (tmp_path / "trace.csv").read_text().splitlines()
+    assert trace[0] == TRACE_HEADER
+    assert len(trace) == 1 + summary["rounds"]
+    assert json.loads((tmp_path / "summary.json").read_text()) == summary
+    assert set(summary) == COMMON_SUMMARY_KEYS | own_keys
+    if algo == "lbftrl":
+        assert summary["alpha"] == 0.15 and summary["completed_visits"] >= 1 and summary["truncated"] is False
+        assert len((tmp_path / "stability.csv").read_text().splitlines()) == 1 + summary["rounds"]
+
+
 class TestConfigFile:
     def test_parse_and_overrides(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -303,6 +335,30 @@ class TestCli:
         assert data["resets"] >= 1
         assert data["params"]["beta"] == 0.1
 
+
+    def test_config_values_kept_unless_a_flag_is_given(self, tmp_path):
+        from bisons.cli import main
+
+        cfg = tmp_path / "lb.cfg"
+        cfg.write_text("d = 2\nT = 400\nadversary = lbftrl-bad\nalpha = 0.15\neta = 0.5\n")
+        assert main(["run", "--config", str(cfg), "--algo", "lbftrl", "--out", str(tmp_path / "file")]) == 0
+        data = json.loads((tmp_path / "file" / "summary.json").read_text())
+        assert (data["alpha"], data["eta"]) == (0.15, 0.5)
+        assert main(["run", "--config", str(cfg), "--algo", "lbftrl", "--eta", "0.25",
+                     "--out", str(tmp_path / "flag")]) == 0
+        data = json.loads((tmp_path / "flag" / "summary.json").read_text())
+        assert (data["alpha"], data["eta"]) == (0.15, 0.25)
+
+    def test_config_seed_and_out_kept(self, tmp_path, monkeypatch):
+        from bisons.cli import main
+
+        cfg = tmp_path / "ons.cfg"
+        out = tmp_path / "from-config"
+        cfg.write_text(f"d = 2\nT = 50\nadversary = iid-dirichlet\nseed = 9\nout = {out}\n")
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert main(["run", "--config", str(cfg), "--algo", "ons"]) == 0
+        assert json.loads((out / "summary.json").read_text())["seed"] == 9
 
     def test_gen_lbftrl(self, tmp_path):
         from bisons.cli import main

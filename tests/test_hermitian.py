@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from bisons.hermitian import (
-    ConditioningError,
     MeasurementEvent,
     MissingRandomnessError,
     a_norm,
     hermitian_basis,
     hermitize,
-    inv_sqrt,
-    loewner_leq,
+    min_eig,
     phi_dual,
     phi_scale,
     positive_part,
@@ -21,6 +19,7 @@ from bisons.hermitian import (
     random_pd,
     random_unitary,
     reduce_measurement,
+    sqrt_psd,
     trace_inner,
     trace_slots,
     unvectorize_phi,
@@ -75,7 +74,7 @@ class TestPositivePart:
             oracle = (V * np.maximum(w, 0.0)) @ V.conj().T
             assert np.abs(out - oracle).max() <= 1e-9
             # M_+ >= M, and the defect has rank = number of negative eigenvalues
-            assert loewner_leq(M, out, tol=1e-10)
+            assert min_eig(out - M) >= -1e-10
             defect = out - M
             rank = int((np.linalg.eigvalsh(defect) > 1e-9).sum())
             assert rank == int((w < -1e-9).sum())
@@ -104,46 +103,6 @@ class TestANorm:
             V = random_hermitian(rng, d)
             W = random_hermitian(rng, d)
             assert a_norm(V + W, A) <= a_norm(V, A) + a_norm(W, A) + 1e-10
-
-
-class TestInvSqrt:
-    def test_identity(self):
-        assert np.allclose(inv_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
-
-    def test_diagonal(self):
-        out = inv_sqrt(np.diag([4.0, 9.0]).astype(complex))
-        assert np.allclose(out, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
-
-    def test_defining_identity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            d = rng.integers(2, 6)
-            X = random_pd(rng, d)
-            S = inv_sqrt(X)
-            assert np.abs(S @ S @ X - np.eye(d)).max() <= 1e-8
-
-    def test_near_singular_raises(self):
-        with pytest.raises(ConditioningError):
-            inv_sqrt(np.diag([1.0, 1e-14]).astype(complex))
-
-
-class TestLoewner:
-    def test_reflexive(self):
-        rng = np.random.default_rng(8)
-        A = random_pd(rng, 3)
-        assert loewner_leq(A, A)
-
-    def test_counterexample(self):
-        assert not loewner_leq(np.diag([1.0, 1.0]), np.diag([2.0, 0.5]))
-
-    def test_against_eigen_oracle(self):
-        rng = np.random.default_rng(9)
-        for _ in range(30):
-            d = rng.integers(2, 5)
-            A = random_pd(rng, d)
-            B = random_pd(rng, d)
-            oracle = bool(np.linalg.eigvalsh(B - A).min() >= -1e-9)
-            assert loewner_leq(A, B) == oracle
 
 
 class TestPhi:
@@ -363,7 +322,7 @@ class TestMatrixCalculus:
             if np.linalg.eigvalsh(A).min() <= 0:
                 continue
             lam = a_norm(A - B, np.linalg.inv(B))
-            S = inv_sqrt(B)
+            S = sqrt_psd(np.linalg.inv(B))
             evs = np.linalg.eigvalsh(S @ A @ S)
             assert evs.min() >= 1.0 - lam - 1e-9
             assert evs.max() <= 1.0 + lam + 1e-9

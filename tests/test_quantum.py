@@ -8,8 +8,8 @@ from bisons.checks import CRASH_OVERRIDE
 from bisons.geometry import InvalidReturnsError
 from bisons.harness import adversary_returns
 from bisons.hermitian import (
+    ConditioningError,
     MeasurementEvent,
-    loewner_leq,
     min_eig,
     random_density,
     random_pd,
@@ -77,11 +77,18 @@ class TestQUpdateBias:
             X = random_density(rng, d)
             X = 0.7 * X + 0.3 * np.eye(d) / d
             P2 = q_update_bias(P, X)
-            assert loewner_leq(P, P2, tol=1e-9)
+            assert min_eig(P2 - P) >= -1e-9
             assert min_eig(P2 - np.linalg.inv(X)) >= -1e-8
             lhs = trace_inner(X, P2 - P)
             rhs = trace_inner(np.linalg.inv(P2), P2 - P)
             assert abs(lhs - rhs) <= 1e-8
+
+    def test_near_singular_play_raises(self):
+        rng = np.random.default_rng(3)
+        V = random_unitary(rng, 2)
+        X = (V * np.array([1.0, 1e-14])) @ V.conj().T  # not diagonal, so the matrix rule runs
+        with pytest.raises(ConditioningError):
+            q_update_bias(random_pd(rng, 2, 1.0, 5.0), X)
 
 
 class TestQCheckReset:
@@ -187,7 +194,7 @@ class TestRunQBisons:
         comps = [np.eye(2, dtype=complex) / 2] + [s[1] for s in res.states]
         for tau in range(len(comps)):
             for s in range(tau + 1):
-                assert loewner_leq(comps[tau], plays[s] / params.beta, tol=1e-8)
+                assert min_eig(plays[s] / params.beta - comps[tau]) >= -1e-8
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_loss_matrix_rejected(self, bad):

@@ -86,6 +86,34 @@ class TestMinimizeSimplex:
             minimize_simplex(obj, tol=1e-30, max_iter=2)
         assert exc_info.value.report.minimizer.min() > 0.0
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_nonconvergence_reports_decrement_at_its_iterate(self, max_iter):
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(3, 3))
+        obj = QuadraticObjective(3, A @ A.T, rng.normal(size=3), 0.0, 0.1)
+        with pytest.raises(SolverFailure) as exc_info:
+            minimize_simplex(obj, warm_start=np.array([0.90, 0.05, 0.05]), max_iter=max_iter)
+        report = exc_info.value.report
+        lam2 = simplex_decrement2(obj, report.minimizer)
+        assert report.certified_gap == pytest.approx(lam2, rel=1e-9)
+        assert f"(decrement^2 {lam2:.3e})" in str(exc_info.value)
+
+    def test_singular_newton_system_reports_no_gap(self):
+        # the second Newton system is singular: its Hessian cancels the barrier's
+        class SingularOnSecondCall(QuadraticObjective):
+            calls = 0
+
+            def smooth_grad_hess(self, x):
+                self.calls += 1
+                g, H = super().smooth_grad_hess(x)
+                return g, (-np.diag(self.barrier_weight / x**2) if self.calls == 2 else H)
+
+        obj = SingularOnSecondCall(3, np.eye(3), np.array([-1.0, 0.0, 0.0]), 0.0, 1.0)
+        with pytest.raises(SolverFailure, match="singular Newton system") as exc_info:
+            minimize_simplex(obj, tol=1e-30)
+        assert exc_info.value.report.iterations == 1
+        assert exc_info.value.report.certified_gap == math.inf
+
     def test_default_tol(self):
         assert default_tol(1000) == 1e-10
         assert default_tol(10) == pytest.approx(1e-10)
