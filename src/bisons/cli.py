@@ -51,7 +51,11 @@ def _run(args):
         mapping[key.strip()] = value.strip()
     if "d" not in mapping or "T" not in mapping:
         raise SystemExit("--d and --T are required (flag or config file)")
-    summary = run_experiment(ExperimentConfig.from_mapping(mapping))
+    try:
+        config = ExperimentConfig.from_mapping(mapping)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
+    summary = run_experiment(config)
     print(f"wrote {summary['rounds']} rounds to {mapping.get('out', '.')}; "
           f"final regret {summary['final_regret']:.6g}")
     return 0

@@ -242,12 +242,17 @@ class ExperimentConfig:
             del types["eta"]  # eta is an algorithm-parameter override there
         kwargs, overrides = {}, {}
         for key, value in m.items():
-            if key not in types:
-                overrides[key] = float(value)
-            elif types[key] is bool:
-                kwargs[key] = str(value).lower() in ("1", "true", "yes")
-            else:
-                kwargs[key] = types[key](value)
+            try:
+                if key not in types:
+                    overrides[key] = float(value)
+                elif types[key] is bool:
+                    kwargs[key] = str(value).lower() in ("1", "true", "yes")
+                else:
+                    kwargs[key] = types[key](value)
+            except ValueError:
+                expected = (types[key].__name__ if key in types
+                            else "float (unknown key or non-numeric parameter override)")
+                raise ValueError(f"config key {key!r}: cannot parse {value!r} as {expected}") from None
         return cls(overrides=overrides, **kwargs)
 
 

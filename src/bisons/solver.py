@@ -22,11 +22,25 @@ carries the value that passed as ``certified_gap``:
 
 Either way ``certified_gap`` bounds lambda^2 at the minimizer returned.
 
+A Newton step with kappa lambda <= 1/3 is taken in full, with no value,
+boundary cap or line search.  Self-concordance makes that step both
+interior and sufficient (Nesterov, Introductory Lectures on Convex
+Optimization, Thm 4.1.8 and sec. 4.1.5):
+
+- the barrier's part of the local norm bounds every |dx_i| / x_i (every
+  eigenvalue of X^-1/2 dX X^-1/2 on the spectraplex) by kappa lambda, so
+  the new point is interior and no 99% boundary cap could bind;
+- f(x+) <= f(x) - lambda^2 + omega*(kappa lambda) / kappa^2 with
+  omega*(t) = -t - log(1 - t) <= t^2 / (2 (1 - t)) <= 0.75 t^2 for
+  t <= 1/3, so f(x+) <= f(x) - 0.25 lambda^2, the Armijo condition.
+
+A longer step is damped: clipped to 99% of the distance to the boundary,
+then Armijo backtracking (slope 0.25, halving).  The objective's value is
+evaluated only by these line searches.
+
 The simplex equality constraint is eliminated by dropping the last
 coordinate; the spectraplex trace constraint is kept in the KKT system
-with a scalar multiplier.  Steps are damped by Armijo backtracking
-(slope 0.25, halving) and clipped so that 99% of the distance to the
-boundary is never exceeded.
+with a scalar multiplier.
 """
 
 import math
@@ -40,6 +54,7 @@ DEFAULT_MAX_ITER = 200
 _ARMIJO_SLOPE = 0.25
 _ARMIJO_SHRINK = 0.5
 _BOUNDARY_FRACTION = 0.99
+_FULL_STEP = 1.0 / 3.0  # kappa * lambda at or below which a Newton step is taken in full
 
 
 def default_tol(T):
@@ -91,13 +106,13 @@ class QuadraticObjective:
 
 @dataclass
 class _Evaluation:
-    """A point x (``key`` is its bytes) with its value; ``ips`` = rows @ x until
-    the gradient and Hessian are derived from it."""
+    """A point x (``key`` is its bytes) with ips = rows @ x; the value,
+    gradient and Hessian there once asked for."""
 
     x: np.ndarray
     key: bytes
-    value: float
-    ips: np.ndarray = None
+    ips: np.ndarray
+    value: float = None
     grad: np.ndarray = None
     hess: np.ndarray = None
 
@@ -108,9 +123,10 @@ class LogLossHistory:
     ``rows`` holds the r_t: returns on the simplex, phi_dual(R_t) on the
     spectraplex, so that <x, r_t> = rows @ x in both coordinate systems.
     Each point costs one ``rows @ x``; the value, gradient and Hessian at
-    the last point evaluated are cached (keyed on exact equality of x).
-    With a ``capacity`` the rows live in a preallocated buffer that
-    :meth:`append` fills, updating a cached gradient and Hessian in O(dim^2).
+    the last point evaluated are derived from it when first asked for and
+    cached (keyed on exact equality of x).  With a ``capacity`` the rows
+    live in a preallocated buffer that :meth:`append` fills, updating in
+    O(dim^2) whichever of the value, gradient and Hessian are cached.
     """
 
     def __init__(self, rows, barrier_weight, capacity=None):
@@ -133,23 +149,25 @@ class LogLossHistory:
     def _at(self, x):
         key = x.tobytes()
         if self._last is None or self._last.key != key:
-            ips = self.rows @ x
-            value = math.inf if ips.size and ips.min() <= 0.0 else -float(np.log(ips).sum())
-            self._last = _Evaluation(x.copy(), key, value, ips)
+            self._last = _Evaluation(x.copy(), key, self.rows @ x)
         return self._last
 
     def smooth_value(self, x):
-        return self._at(x).value
+        ev = self._at(x)
+        if ev.value is None:
+            ips = self.rows @ ev.x if ev.ips is None else ev.ips
+            ev.value = math.inf if ips.size and ips.min() <= 0.0 else -float(np.log(ips).sum())
+        return ev.value
 
     def smooth_grad_hess(self, x):
         ev = self._at(x)
         if ev.grad is None:
             inv = 1.0 / ev.ips
-            ev.grad, ev.hess, ev.ips = -(self.rows.T @ inv), (self.rows.T * inv**2) @ self.rows, None
+            ev.grad, ev.hess = -(self.rows.T @ inv), (self.rows.T * inv**2) @ self.rows
         return ev.grad, ev.hess
 
     def append(self, r):
-        """Add the row r; a cached gradient and Hessian move to the new sum at their point."""
+        """Add the row r; a cached gradient and Hessian (and value) move to the new sum at their point."""
         if self.n == self._buf.shape[0]:
             raise ValueError(f"history is full ({self.n} rows)")
         r = np.asarray(r, dtype=float)
@@ -160,7 +178,9 @@ class LogLossHistory:
             return
         ip = float(r @ ev.x)
         if ip > 0.0:
-            ev.value -= math.log(ip)
+            if ev.value is not None:
+                ev.value -= math.log(ip)
+            ev.ips = None  # one row short now
             ev.grad = ev.grad - r / ip
             ev.hess = ev.hess + np.outer(r, r) / ip**2
             self._last = ev
@@ -169,7 +189,6 @@ class LogLossHistory:
 @dataclass
 class SolveReport:
     minimizer: np.ndarray
-    objective_value: float
     certified_gap: float
     iterations: int
 
@@ -209,40 +228,47 @@ def _full_step_bound(lam2, kappa):
     return (r / (1.0 - r)) ** 4 / kappa**2
 
 
-def _damped_newton(fval, grad_hess, newton_step, line_step, x0, tol, max_iter, kappa):
-    """Damped Newton; ``line_step`` turns a ``newton_step`` into a direction and a boundary cap.
+def _damped_newton(fval, grad_hess, newton_step, boundary_cap, x0, tol, max_iter, kappa):
+    """Damped Newton; ``newton_step`` gives a direction and its decrement^2,
+    ``boundary_cap`` the largest step size up to 1 that keeps 1% off the boundary.
 
-    ``fval`` runs once at ``x0`` and once per Armijo trial; an accepted
-    trial's value is the next iterate's, so ``grad_hess`` gives only (g, H).
-    ``kappa`` is half the objective's self-concordance constant.  Only an
-    uncapped, unshrunk step (step size 1) lands on the exact Newton iterate,
-    so only then may :func:`_full_step_bound` certify the new point.
+    ``kappa`` is half the objective's self-concordance constant.  A step
+    with kappa*lambda <= 1/3 is taken in full, with no value, cap or Armijo
+    trial: self-concordance makes it interior and Armijo-sufficient (see the
+    module docstring).  A longer step starts a line search, which evaluates
+    ``fval`` at its start point unless the last line search left that value
+    there, and once per Armijo trial.  Only a step of size 1 lands on the
+    exact Newton iterate, so only then may :func:`_full_step_bound`
+    certify the new point.
     """
     x = np.asarray(x0, dtype=float).copy()
-    f = fval(x)
-    lam2 = bound = math.inf
+    f = None  # the value at x, once a line search has needed it
+    bound = math.inf
     for it in range(max_iter):
         if bound <= tol:
-            return SolveReport(x, f, bound, it)
+            return SolveReport(x, bound, it)
         g, H = grad_hess(x)
         try:
-            step, lam2 = newton_step(x, g, H)
+            dx, lam2 = newton_step(x, g, H)
         except np.linalg.LinAlgError as exc:
-            raise SolverFailure(f"singular Newton system: {exc}", SolveReport(x, f, math.inf, it)) from exc
+            raise SolverFailure(f"singular Newton system: {exc}", SolveReport(x, math.inf, it)) from exc
         if lam2 <= tol:
-            return SolveReport(x, f, max(lam2, 0.0), it)
-        dx, s0 = line_step(x, step)
-        xn, fn, s = _armijo(fval, x, f, dx, float(g @ dx), s0)
-        if xn is None:
-            raise SolverFailure("line search stalled", SolveReport(x, f, lam2, it))
-        x, f = xn, fn
-        bound = _full_step_bound(lam2, kappa) if s == 1.0 else math.inf  # s = 1 needs s0 = 1: no cap
+            return SolveReport(x, max(lam2, 0.0), it)
+        if kappa * math.sqrt(lam2) <= _FULL_STEP:
+            x, f, s = x + dx, None, 1.0
+        else:
+            f = fval(x) if f is None else f
+            xn, f, s = _armijo(fval, x, f, dx, float(g @ dx), boundary_cap(x, dx))
+            if xn is None:
+                raise SolverFailure("line search stalled", SolveReport(x, lam2, it))
+            x = xn
+        bound = _full_step_bound(lam2, kappa) if s == 1.0 else math.inf  # s = 1 needs an uncapped step
     try:  # the report describes the iterate it returns; lam2 is from before the last step
         lam2 = newton_step(x, *grad_hess(x))[1]
     except np.linalg.LinAlgError:
         lam2 = math.inf
     raise SolverFailure(f"no convergence in {max_iter} iterations (decrement^2 {lam2:.3e})",
-                        SolveReport(x, f, lam2, max_iter))
+                        SolveReport(x, lam2, max_iter))
 
 
 def _kappa(barrier_weight):
@@ -253,21 +279,22 @@ def _kappa(barrier_weight):
 # -- frontends: one per domain, for QuadraticObjective and LogLossHistory -------
 
 def _reduced_newton_step(x, g, H):
-    """Newton step in the coordinates left after eliminating the last one by sum(x) = 1."""
+    """Newton step in the coordinates left after eliminating the last one by sum(x) = 1,
+    lifted back to all d coordinates."""
     gz = g[:-1] - g[-1]
     Hz = H[:-1, :-1] - H[:-1, -1:] - H[-1:, :-1] + H[-1, -1]
     dz = np.linalg.solve(Hz, -gz)
-    return dz, float(-gz @ dz)
-
-
-def _simplex_line_step(x, dz):
     dx = np.empty_like(x)
     dx[:-1] = dz
     dx[-1] = -dz.sum()
+    return dx, float(-gz @ dz)
+
+
+def _simplex_boundary_cap(x, dx):
     neg = dx < 0.0
     if not neg.any():
-        return dx, 1.0
-    return dx, min(1.0, _BOUNDARY_FRACTION * float(np.min(-x[neg] / dx[neg])))
+        return 1.0
+    return min(1.0, _BOUNDARY_FRACTION * float(np.min(-x[neg] / dx[neg])))
 
 
 def minimize_simplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER):
@@ -283,9 +310,11 @@ def minimize_simplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER)
 
     def grad_hess(x):
         g, H = obj.smooth_grad_hess(x)
-        return g - w / x, H + np.diag(w / (x * x))
+        H = H.copy()
+        H.flat[:: d + 1] += w / (x * x)
+        return g - w / x, H
 
-    return _damped_newton(fval, grad_hess, _reduced_newton_step, _simplex_line_step, x0, tol, max_iter,
+    return _damped_newton(fval, grad_hess, _reduced_newton_step, _simplex_boundary_cap, x0, tol, max_iter,
                           _kappa(w))
 
 
@@ -328,26 +357,31 @@ def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_I
     K[n, :n] = a
     rhs = np.zeros(n + 1)
 
-    last = None  # (bytes of v, X, Cholesky factor of X or None) at the last point evaluated
+    last = {}  # the last point evaluated: its bytes, X and, once asked for, the Cholesky factor of X
 
-    def at(v):
-        nonlocal last
+    def matrix(v):
         key = v.tobytes()
-        if last is None or last[0] != key:
-            X = unvectorize_phi(v, d)
-            last = (key, X, _cholesky_pd(X))
-        return last[1], last[2]
+        if last.get("key") != key:
+            last.clear()
+            last.update(key=key, X=unvectorize_phi(v, d))
+        return last["X"]
+
+    def cholesky(v):
+        """The Cholesky factor of X at v, or None if X is not positive definite."""
+        X = matrix(v)
+        if "L" not in last:
+            last["L"] = _cholesky_pd(X)
+        return last["L"]
 
     def fval(v):
-        _, L = at(v)
+        L = cholesky(v)
         if L is None:
             return math.inf
         ld = 2.0 * float(np.log(np.diagonal(L).real).sum())
         return obj.smooth_value(v) - w * ld
 
     def grad_hess(v):
-        X, _ = at(v)
-        Xinv = np.linalg.inv(X)
+        Xinv = np.linalg.inv(matrix(v))
         Xinv = 0.5 * (Xinv + Xinv.conj().T)
         g, H = obj.smooth_grad_hess(v)
         return g - w * phi_dual(Xinv), H + w * _logdet_hessian(Xinv, basis)
@@ -359,13 +393,17 @@ def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_I
         dv = np.linalg.solve(K, rhs)[:n]
         return dv, float(dv @ H @ dv)
 
-    def line_step(v, dv):
-        Li = np.linalg.inv(at(v)[1])
+    def boundary_cap(v, dv):
+        Li = np.linalg.inv(cholesky(v))
         wmin = float(np.linalg.eigvalsh(Li @ unvectorize_phi(dv, d) @ Li.conj().T).min())
-        return dv, 1.0 if wmin >= 0.0 else min(1.0, _BOUNDARY_FRACTION / (-wmin))
+        return 1.0 if wmin >= 0.0 else min(1.0, _BOUNDARY_FRACTION / (-wmin))
 
-    rep = _damped_newton(fval, grad_hess, kkt_step, line_step, v0, tol, max_iter, _kappa(w))
-    rep.minimizer = at(rep.minimizer)[0]  # the last point evaluated
+    try:
+        rep = _damped_newton(fval, grad_hess, kkt_step, boundary_cap, v0, tol, max_iter, _kappa(w))
+    except SolverFailure as exc:  # a failure report carries a density matrix too
+        exc.report.minimizer = matrix(exc.report.minimizer)
+        raise
+    rep.minimizer = matrix(rep.minimizer)
     return rep
 
 

@@ -302,6 +302,17 @@ class TestConfigFile:
         cfg = ExperimentConfig.from_mapping({"algo": "bisons", "d": "2", "T": "440", "B": "20"})
         assert cfg.overrides == {"B": 20.0}
 
+    @pytest.mark.parametrize("key, value, expected", [
+        ("B", "abc", "float (unknown key or non-numeric parameter override)"),
+        ("adversry", "iid-dirichlet", "float (unknown key or non-numeric parameter override)"),
+        ("T", "4.5e2", "int"),
+    ])
+    def test_unparsable_value_names_key_value_and_type(self, key, value, expected):
+        mapping = {"algo": "bisons", "d": "2", "T": "440", "adversary": "iid-dirichlet", key: value}
+        with pytest.raises(ValueError) as exc_info:
+            ExperimentConfig.from_mapping(mapping)
+        assert str(exc_info.value) == f"config key {key!r}: cannot parse {value!r} as {expected}"
+
 
 class TestCli:
     def test_run_and_best_crp(self, tmp_path):
@@ -335,6 +346,18 @@ class TestCli:
         assert data["resets"] >= 1
         assert data["params"]["beta"] == 0.1
 
+
+    def test_run_exits_with_the_config_error(self, tmp_path):
+        from bisons.cli import main
+
+        args = ["run", "--algo", "bisons", "--d", "2", "--T", "440", "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit, match=r"config key 'B': cannot parse 'abc' as float"):
+            main(args + ["--adversary", "iid-dirichlet", "--set", "B=abc"])
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("adversry = iid-dirichlet\n")
+        with pytest.raises(SystemExit, match=r"config key 'adversry': cannot parse 'iid-dirichlet'"):
+            main(args + ["--config", str(cfg)])
+        assert not (tmp_path / "out").exists()
 
     def test_config_values_kept_unless_a_flag_is_given(self, tmp_path):
         from bisons.cli import main

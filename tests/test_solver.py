@@ -56,12 +56,16 @@ class TestMinimizeSimplex:
         A = rng.normal(size=(3, 3))
         obj = QuadraticObjective(3, A @ A.T, rng.normal(size=3), 0.0, 2.0)
         x0 = np.array([0.90, 0.05, 0.05])
+
+        def value(x):
+            return 0.5 * x @ obj.quad @ x + obj.lin @ x - obj.barrier_weight * np.log(x).sum()
+
         iters = minimize_simplex(obj, warm_start=x0).iterations
         values = []
         for k in range(iters + 1):  # the value of iterate k, from a run stopped after k steps
             with pytest.raises(SolverFailure) as exc_info:
                 minimize_simplex(obj, warm_start=x0, max_iter=k)
-            values.append(exc_info.value.report.objective_value)
+            values.append(value(exc_info.value.report.minimizer))
         assert iters >= 2
         assert (np.diff(values) <= 1e-12).all()
 
@@ -182,6 +186,17 @@ class TestMinimizeSpectraplex:
         assert np.abs(rep.minimizer - best_X).max() <= 1e-4
         assert value(rep.minimizer) <= best_val + 1e-6
 
+    @pytest.mark.parametrize("max_iter", [0, 1])
+    def test_failure_report_carries_a_density_matrix(self, max_iter):
+        warm = np.diag([0.7, 0.3]).astype(complex)
+        with pytest.raises(SolverFailure) as exc_info:
+            minimize_spectraplex(QuadraticObjective.zeros(4, 1.0), warm_start=warm, tol=1e-30, max_iter=max_iter)
+        X = exc_info.value.report.minimizer
+        assert X.shape == (2, 2)
+        assert np.trace(X).real == pytest.approx(1.0, abs=1e-12)
+        if max_iter == 0:
+            assert np.abs(X - warm).max() <= 1e-15
+
     def test_trace_preserved_and_interior(self):
         rng = np.random.default_rng(3)
         d = 3
@@ -272,8 +287,9 @@ def _counting(cls):
 
 
 class TestOneValuePerIterate:
-    """The objective's value is evaluated once at the start and once per
-    Armijo trial; an accepted trial's value is reused, not recomputed."""
+    """A cold solve evaluates the objective's value where its first line
+    search starts and once per Armijo trial; an accepted trial's value is
+    reused, not recomputed, and full Newton steps need none."""
 
     @pytest.fixture
     def trials(self, monkeypatch):
@@ -315,6 +331,25 @@ class TestOneValuePerIterate:
             rep = minimize_spectraplex(obj, tol=1e-13)
             assert rep.iterations >= 1
             assert obj.value_calls == 1 + trials[0]
+
+    @pytest.mark.parametrize("spectraplex", [False, True], ids=["simplex", "spectraplex"])
+    def test_cold_solve_backtracks(self, trials, monkeypatch, spectraplex):
+        # from the centre, a strong linear pull needs damped steps before any full one
+        searches = [0]
+        armijo = solver._armijo
+
+        def counted(*args):
+            searches[0] += 1
+            return armijo(*args)
+
+        monkeypatch.setattr(solver, "_armijo", counted)
+        dim = 4 if spectraplex else 3
+        obj = _counting(QuadraticObjective).zeros(dim, 0.05)
+        obj.add_linear(np.array([-40.0, 0.0, 0.0, 0.0][:dim]))
+        rep = (minimize_spectraplex if spectraplex else minimize_simplex)(obj, tol=1e-13)
+        assert rep.iterations > searches[0] >= 2
+        assert trials[0] > searches[0]  # some Armijo trial was rejected
+        assert obj.value_calls == 1 + trials[0]  # one value where the first line search starts
 
     def test_spectraplex_unpacks_each_point_once(self, trials, monkeypatch):
         # one matrix per point evaluated, plus one per Newton direction for its boundary step
@@ -364,13 +399,14 @@ def spectraplex_decrement2(obj, X):
     return _tangent_decrement2(g + w * gb, H + w * Hb, trace_slots(d))
 
 
-def _warm_started_solves(spectraplex, history, w, seed, rounds=30):
+def _warm_started_solves(spectraplex, history, w, seed, rounds=30, before_solve=None):
     """Grow a random objective by one round at a time and re-solve it from the last minimizer.
 
     Rounds are BISONS surrogates at the current play (``history`` False) or
     true log losses appended to a ``LogLossHistory``.  Returns, per solve,
     the report, the number of ``smooth_grad_hess`` calls it made and the
-    decrement^2 recomputed at its minimizer.
+    decrement^2 recomputed at its minimizer.  ``before_solve``, if given,
+    sees the objective right before each warm-started solve.
     """
     rng = np.random.default_rng(seed)
     d = 2 if spectraplex else 4
@@ -393,6 +429,8 @@ def _warm_started_solves(spectraplex, history, w, seed, rounds=30):
         else:
             ip = float(coords(play) @ c)
             obj.add_surrogate(-c / ip, -math.log(ip), -1.0, 0.1)
+        if before_solve is not None:
+            before_solve(obj)
         before = obj.grad_hess_calls
         rep = solve(obj, warm_start=play, tol=1e-10)
         solves.append((rep, obj.grad_hess_calls - before, decrement2(obj, rep.minimizer)))
@@ -425,19 +463,87 @@ class TestFullStepCertificate:
         assert solver._full_step_bound(0.0, 3.0) == 0.0
 
 
+def _snapshot(obj):
+    """A plain copy of a (counting) objective as it stands."""
+    if isinstance(obj, LogLossHistory):
+        return LogLossHistory(obj.rows.copy(), obj.barrier_weight)
+    return QuadraticObjective(obj.dim, obj.quad.copy(), obj.lin.copy(), obj.const, obj.barrier_weight)
+
+
+def _barrier_objective(obj, x, spectraplex):
+    """``obj`` plus its weighted barrier at x (phi coordinates on the spectraplex), from its data."""
+    if isinstance(obj, LogLossHistory):
+        smooth = -float(np.log(obj.rows @ x).sum())
+    else:
+        smooth = 0.5 * float(x @ obj.quad @ x) + float(obj.lin @ x) + obj.const
+    if spectraplex:
+        sign, logdet = np.linalg.slogdet(unvectorize_phi(x, math.isqrt(x.size)))
+        return smooth - obj.barrier_weight * (logdet if sign.real > 0.0 else -math.inf)
+    return smooth - obj.barrier_weight * float(np.log(x).sum())
+
+
+class TestFullStepWithoutLineSearch:
+    """A Newton step with kappa*lambda <= 1/3 is taken without a value, a
+    boundary cap or an Armijo trial; recomputed here, it is interior and
+    decreases the objective by the Armijo amount 0.25 lambda^2."""
+
+    @pytest.mark.parametrize("w", [0.2, 50.0])
+    @pytest.mark.parametrize("history", [False, True], ids=["quadratic", "history"])
+    @pytest.mark.parametrize("spectraplex", [False, True], ids=["simplex", "spectraplex"])
+    def test_skipped_line_searches_were_sound(self, monkeypatch, spectraplex, history, w):
+        driver = solver._damped_newton
+        objectives, steps, searched = [], [], set()
+
+        def recording(fval, grad_hess, newton_step, boundary_cap, x0, tol, max_iter, kappa):
+            def step(x, g, H):
+                dx, lam2 = newton_step(x, g, H)
+                if lam2 > tol and objectives:  # a step of a warm-started solve
+                    steps.append((objectives[-1], x.copy(), x + dx))
+                return dx, lam2
+
+            def cap(x, dx):  # asked for exactly when a line search starts
+                searched.add(x.tobytes())
+                return boundary_cap(x, dx)
+
+            return driver(fval, grad_hess, step, cap, x0, tol, max_iter, kappa)
+
+        monkeypatch.setattr(solver, "_damped_newton", recording)
+        _warm_started_solves(spectraplex, history, w, seed=11,
+                             before_solve=lambda obj: objectives.append(_snapshot(obj)))
+        full = [step for step in steps if step[1].tobytes() not in searched]
+        assert full
+        kappa = max(1.0, 1.0 / math.sqrt(w))
+        for obj, x, xn in full:
+            if spectraplex:
+                d = math.isqrt(x.size)
+                lam2 = spectraplex_decrement2(obj, unvectorize_phi(x, d))
+                assert np.linalg.eigvalsh(unvectorize_phi(xn, d)).min() > 0.0
+            else:
+                lam2 = simplex_decrement2(obj, x)
+                assert xn.min() > 0.0
+            assert kappa * math.sqrt(lam2) <= 1.0 / 3.0 + 1e-9
+            f, fn = _barrier_objective(obj, x, spectraplex), _barrier_objective(obj, xn, spectraplex)
+            assert fn <= f - 0.25 * lam2
+
+
 class TestOneSystemPerWarmSolve:
     def test_bisons_solves_form_one_gradient_and_hessian_per_step(self, monkeypatch):
         from bisons import vector
         from bisons.harness import adversary_returns
 
         solves = []
-        calls = [0]
+        calls, value_calls = [0], [0]
         grad_hess = QuadraticObjective.smooth_grad_hess
+        smooth_value = QuadraticObjective.smooth_value
         solve = vector.minimize_simplex
 
         def counted_grad_hess(self, x):
             calls[0] += 1
             return grad_hess(self, x)
+
+        def counted_value(self, x):
+            value_calls[0] += 1
+            return smooth_value(self, x)
 
         def counted_solve(obj, warm_start=None, tol=1e-10):
             before = calls[0]
@@ -446,7 +552,9 @@ class TestOneSystemPerWarmSolve:
             return rep
 
         monkeypatch.setattr(QuadraticObjective, "smooth_grad_hess", counted_grad_hess)
+        monkeypatch.setattr(QuadraticObjective, "smooth_value", counted_value)
         monkeypatch.setattr(vector, "minimize_simplex", counted_solve)
         R = adversary_returns("iid-dirichlet", 10, 11000, 2)[:100]
         vector.run_bisons(R, vector.default_params(10, 11000))
         assert solves == [(1, 1)] * 200
+        assert value_calls[0] == 0  # every step was a full one: no line search, so no value
