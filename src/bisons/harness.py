@@ -220,6 +220,10 @@ def load_measurements(path):
 
 # -- experiment driver ----------------------------------------------------------
 
+#: The algorithms whose parameters (B, eta, beta) a config may override.
+TUNABLE = ("bisons", "qbisons")
+
+
 @dataclass
 class ExperimentConfig:
     algo: str
@@ -236,9 +240,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, m):
-        """Each field parsed by its declared type; any other key is a parameter override."""
+        """Each field parsed by its declared type; any other key is a parameter override,
+        which only the ``TUNABLE`` algorithms accept."""
         types = {f.name: f.type for f in fields(cls) if f.name != "overrides"}
-        if m.get("algo") in ("bisons", "qbisons"):
+        if m.get("algo") in TUNABLE:
             del types["eta"]  # eta is an algorithm-parameter override there
         kwargs, overrides = {}, {}
         for key, value in m.items():
@@ -253,6 +258,9 @@ class ExperimentConfig:
                 expected = (types[key].__name__ if key in types
                             else "float (unknown key or non-numeric parameter override)")
                 raise ValueError(f"config key {key!r}: cannot parse {value!r} as {expected}") from None
+        if overrides and m.get("algo") not in TUNABLE:
+            raise ValueError(f"algorithm {m.get('algo')!r} takes no parameter overrides, "
+                             f"got {', '.join(map(repr, overrides))}")
         return cls(overrides=overrides, **kwargs)
 
 

@@ -25,7 +25,8 @@ class MissingRandomnessError(ValueError):
 
 
 def hermitize(M):
-    return 0.5 * (M + M.conj().T)
+    """The Hermitian part of M, or of each slice of a (..., d, d) stack."""
+    return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
 def is_hermitian(M, tol=1e-12):
@@ -57,20 +58,29 @@ def positive_part(M):
 
 
 def sqrt_psd(M):
+    """The PSD square root of M, or of each slice of a (..., d, d) stack."""
     w, V = np.linalg.eigh(hermitize(np.asarray(M, dtype=complex)))
     w = np.sqrt(np.clip(w, 0.0, None))
-    return hermitize((V * w) @ V.conj().T)
+    return hermitize((V * w[..., None, :]) @ V.conj().swapaxes(-1, -2))
 
 
 def a_norm(W, A):
-    """The seminorm sqrt(Tr(WAWA)) = ||A^{1/2} W A^{1/2}||_F for PSD A."""
+    """The seminorm sqrt(Tr(WAWA)) = ||A^{1/2} W A^{1/2}||_F for PSD A.
+
+    On (..., d, d) stacks, the array of the slices' seminorms; each slice's
+    norm is taken alone, so it equals the single-matrix value bit for bit.
+    """
     S = sqrt_psd(A)
     H = S @ W @ S
-    return float(np.linalg.norm(H))
+    if H.ndim == 2:
+        return float(np.linalg.norm(H))
+    return np.array([np.linalg.norm(h) for h in H.reshape((-1,) + H.shape[-2:])]).reshape(H.shape[:-2])
 
 
 def min_eig(M):
-    return float(np.linalg.eigvalsh(hermitize(np.asarray(M, dtype=complex))).min())
+    """The smallest eigenvalue of Hermitian M, or the array of them over a (..., d, d) stack."""
+    w = np.linalg.eigvalsh(hermitize(np.asarray(M, dtype=complex))).min(axis=-1)
+    return float(w) if w.ndim == 0 else w
 
 
 # -- real coordinates -------------------------------------------------------

@@ -215,33 +215,70 @@ def bisons_round(state, r_t, params, t=0, tol=1e-10, domain=SIMPLEX):
     return state, record
 
 
+#: Rounds a stability monitor buffers before it checks them all with stacked array calls.
+MONITOR_CHUNK = 128
+
+
 @dataclass
 class StabilityMonitor:
-    """Per-round checks of the stability guarantees; collects violations.
+    """Checks of the stability guarantees, a chunk of rounds at a time; collects violations.
 
     Within an epoch and at tolerance ``tol``: successive plays stay within
     a (1+6 eta) ratio of each other, the bias grows by at most the same
     ratio, the comparator at most doubles, the bias dominates the inverse
     play, and the bias never exceeds T^2.
+
+    ``observe`` copies a round's arrays into a buffer and checks the
+    buffered rounds once it holds ``MONITOR_CHUNK`` of them; ``flush``
+    checks the rest, and :func:`run_epochs` calls it before it returns, so
+    ``violations`` is complete then.  Messages are ordered by round and,
+    within a round, by check, as if each round were checked on arrival.
     """
 
     params: BisonsParams
     tol: float = 1e-8
     violations: list = field(default_factory=list)
+    _t: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _buf: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+
+    dtype = float
+    checks = (
+        "play ratio outside 1+6eta",
+        "bias grew faster than 1+6eta",
+        "comparator more than doubled",
+        "bias below inverse play",
+        "bias above T^2",
+    )
 
     def observe(self, t, x_old, u_old, p_old, x_next, u_next, p_next):
+        """Buffer round t's arrays; check the buffered rounds once there are MONITOR_CHUNK."""
+        arrays = (x_old, u_old, p_old, x_next, u_next, p_next)
+        if self._buf is None:
+            self._buf = np.empty((len(arrays), MONITOR_CHUNK) + np.shape(x_old), dtype=self.dtype)
+        k = len(self._t)
+        self._buf[:, k] = arrays
+        self._t.append(t)
+        if k + 1 == MONITOR_CHUNK:
+            self.flush()
+
+    def flush(self):
+        """Check the buffered rounds and empty the buffer."""
+        if self._t:
+            failed = self._failed(*self._buf[:, :len(self._t)])
+            self.violations.extend(f"t={self._t[i]}: {self.checks[j]}" for i, j in zip(*np.nonzero(failed)))
+            self._t.clear()
+
+    def _failed(self, x_old, u_old, p_old, x_next, u_next, p_next):
+        """(rounds, checks) mask of the failed checks, over (rounds, d) stacks."""
         ratio = 1.0 + 6.0 * self.params.eta
         tol = self.tol
-        if (x_old - ratio * x_next > tol).any() or (x_next - ratio * x_old > tol).any():
-            self.violations.append(f"t={t}: play ratio outside 1+6eta")
-        if (p_next - ratio * p_old > tol).any():
-            self.violations.append(f"t={t}: bias grew faster than 1+6eta")
-        if (u_next - 2.0 * u_old > tol).any():
-            self.violations.append(f"t={t}: comparator more than doubled")
-        if (1.0 / x_next - p_next > 1e-9).any():
-            self.violations.append(f"t={t}: bias below inverse play")
-        if (p_next > self.params.T**2 + tol).any():
-            self.violations.append(f"t={t}: bias above T^2")
+        return np.stack([
+            ((x_old - ratio * x_next > tol) | (x_next - ratio * x_old > tol)).any(axis=-1),
+            (p_next - ratio * p_old > tol).any(axis=-1),
+            (u_next - 2.0 * u_old > tol).any(axis=-1),
+            (1.0 / x_next - p_next > 1e-9).any(axis=-1),
+            (p_next > self.params.T**2 + tol).any(axis=-1),
+        ], axis=-1)
 
 
 @dataclass
@@ -291,6 +328,7 @@ def run_epochs(domain, stream, params, rng=None, tol=None, monitor=False, keep_s
         if keep_states:
             result.states.append(before.last_solution)
     if mon is not None:
+        mon.flush()
         result.violations = mon.violations
     return result
 

@@ -359,6 +359,16 @@ class TestCli:
             main(args + ["--config", str(cfg)])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("algo, adversary", [("ons", "iid-dirichlet"), ("lbftrl", "lbftrl-bad")])
+    def test_run_rejects_overrides_the_algorithm_has_no_use_for(self, tmp_path, algo, adversary):
+        from bisons.cli import main
+
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=rf"^algorithm '{algo}' takes no parameter overrides, got 'B', 'seeed'$"):
+            main(["run", "--algo", algo, "--d", "2", "--T", "400", "--adversary", adversary,
+                  "--set", "B=20", "--set", "seeed=3", "--out", str(out)])
+        assert not out.exists()
+
     def test_config_values_kept_unless_a_flag_is_given(self, tmp_path):
         from bisons.cli import main
 

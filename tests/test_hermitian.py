@@ -105,6 +105,45 @@ class TestANorm:
             assert a_norm(V + W, A) <= a_norm(V, A) + a_norm(W, A) + 1e-10
 
 
+class TestStackedHelpers:
+    """The helpers on (..., d, d) stacks equal their per-matrix calls bit for bit."""
+
+    @staticmethod
+    def stacks(d):
+        rng = np.random.default_rng(d)
+        M = rng.normal(size=(3, 4, d, d)) + 1j * rng.normal(size=(3, 4, d, d))
+        A = M @ M.conj().swapaxes(-1, -2) + 0.1 * np.eye(d)  # PD
+        return M, A
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_stack_equals_per_matrix_calls(self, d):
+        M, A = self.stacks(d)
+        H = hermitize(M)
+        eigs, roots, invs, norms = min_eig(H), sqrt_psd(A), np.linalg.inv(A), a_norm(H, A)
+        assert eigs.shape == norms.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(H[idx], hermitize(M[idx]))
+            assert eigs[idx] == min_eig(H[idx])
+            assert np.array_equal(roots[idx], sqrt_psd(A[idx]))
+            assert np.array_equal(invs[idx], np.linalg.inv(A[idx]))
+            assert norms[idx] == a_norm(H[idx], A[idx])
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matrix_results_match_transpose_forms(self, d):
+        # the single-matrix forms the stacked helpers replaced, written with .T
+        M, A = self.stacks(d)
+        M, A = M[1, 2], A[1, 2]
+        H = 0.5 * (M + M.conj().T)
+        w, V = np.linalg.eigh(0.5 * (A + A.conj().T))
+        S = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+        S = 0.5 * (S + S.conj().T)
+        assert np.array_equal(hermitize(M), H)
+        assert min_eig(H) == float(np.linalg.eigvalsh(0.5 * (H + H.conj().T)).min())
+        assert type(min_eig(H)) is float and type(a_norm(H, A)) is float
+        assert np.array_equal(sqrt_psd(A), S)
+        assert a_norm(H, A) == float(np.linalg.norm(S @ H @ S))
+
+
 class TestPhi:
     def test_zero(self):
         assert np.all(vectorize_phi(np.zeros((3, 3))) == 0.0)

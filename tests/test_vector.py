@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import bisons.quantum as quantum
 import bisons.vector as vector
 from bisons.geometry import InvalidReturnsError
 from bisons.harness import adversary_returns
-from bisons.quantum import QBisonsParams
+from bisons.quantum import SPECTRAPLEX, QBisonsParams, run_qbisons
 from bisons.solver import SolverFailure
 from bisons.vector import (
+    MONITOR_CHUNK,
+    SIMPLEX,
     BisonsParams,
     ParameterError,
+    StabilityMonitor,
     bisons_round,
     check_reset,
     default_params,
@@ -312,3 +316,116 @@ class TestRunBisons:
         _, best = best_crp(R)
         bound = 740.0 * 4 * math.log(1000) ** 2
         assert res.losses.sum() - best <= bound
+
+
+OBSERVED = ("x_old", "u_old", "p_old", "x_next", "u_next", "p_next")
+
+
+class TestStabilityMonitor:
+    @pytest.mark.parametrize("changes, message", [
+        ({"x_next": [0.5, 0.25, 0.25], "p_old": [4.0] * 3, "p_next": [4.0] * 3}, "play ratio outside 1+6eta"),
+        ({"p_next": [3.0, 3.0, 4.0]}, "bias grew faster than 1+6eta"),
+        ({"u_next": [0.7, 0.15, 0.15]}, "comparator more than doubled"),
+        ({"p_next": [3.0, 3.0, 2.9]}, "bias below inverse play"),
+        ({"p_old": [2e6, 3.0, 3.0], "p_next": [2e6, 3.0, 3.0]}, "bias above T^2"),
+    ])
+    def test_each_check_fires_alone(self, changes, message):
+        # a uniform round passes every check; each case breaks exactly one
+        params = BisonsParams(d=3, T=1000, **CRASH_PARAMS).validate()
+        arrays = {"x_old": [1 / 3] * 3, "u_old": [1 / 3] * 3, "p_old": [3.0] * 3,
+                  "x_next": [1 / 3] * 3, "u_next": [1 / 3] * 3, "p_next": [3.0] * 3, **changes}
+        mon = StabilityMonitor(params)
+        mon.observe(7, *(np.array(arrays[k]) for k in OBSERVED))
+        mon.flush()
+        assert mon.violations == [f"t=7: {message}"]
+
+
+def observed_rounds(domain, res, d):
+    """The (t, x_old, u_old, p_old, x_next, u_next, p_next) that ``run_epochs`` hands its monitor,
+    rebuilt from a ``keep_states`` run: an epoch starts from the domain's centre."""
+    x0, p0 = domain.centre(d)
+    rounds, old = [], (x0, x0, p0)
+    for rec, new in zip(res.records, res.states):
+        rounds.append([rec.t, *old, *new])
+        old = (x0, x0, p0) if rec.reset_triggered else new
+    return rounds
+
+
+# round -> (index into OBSERVED, how that array is spoiled)
+FAULTS = {
+    128: (5, lambda a: 1.2 * a),   # the last round of the first chunk
+    129: (3, np.flip),             # the first round of the second
+    730: (4, lambda a: 3.0 * a),   # the first round after the t=729 reset
+    999: (5, lambda a: 0.5 * a),
+    1000: (5, lambda a: 1e7 * a),  # the final, partial chunk
+}
+
+# messages of the monitor that checked each round on arrival, on the same inputs
+FAULT_MESSAGES = {
+    "simplex": [
+        "t=128: bias grew faster than 1+6eta",
+        "t=129: play ratio outside 1+6eta",
+        "t=129: bias below inverse play",
+        "t=730: comparator more than doubled",
+        "t=999: bias below inverse play",
+        "t=1000: bias grew faster than 1+6eta",
+        "t=1000: bias above T^2",
+    ],
+    "spectraplex": [
+        "t=128: bias grew faster than 1+6eta",
+        "t=128: bias increment norm above play increment norm",
+        "t=129: play ratio outside 1+6eta",
+        "t=129: bias below inverse play",
+        "t=730: comparator more than doubled",
+        "t=999: bias decreased",
+        "t=999: bias below inverse play",
+        "t=999: bias increment norm above play increment norm",
+        "t=1000: bias grew faster than 1+6eta",
+        "t=1000: bias above T^2",
+        "t=1000: bias increment norm above play increment norm",
+    ],
+}
+
+
+def crash_run(domain_name, T, **kwargs):
+    """BISONS, or Q-BISONS on the diagonal embedding, over the first T rows of the d=2 crash
+    sequence; returns the domain, a fresh monitor for the run's parameters and the run."""
+    R = adversary_returns("single-asset-crash", 2, 1000, 0)[:T]
+    if domain_name == "simplex":
+        domain, params, run, stream = SIMPLEX, crash_params(), run_bisons, R
+    else:
+        domain, params, run = SPECTRAPLEX, QBisonsParams(d=2, T=1000, **CRASH_PARAMS).validate(), run_qbisons
+        stream = [np.diag(r).astype(complex) for r in R]
+    return domain, domain.monitor(params), run(stream, params, **kwargs)
+
+
+class TestMonitorChunks:
+    @pytest.mark.parametrize("domain_name", ["simplex", "spectraplex"])
+    def test_messages_across_chunks_and_a_reset(self, domain_name):
+        assert 128 % MONITOR_CHUNK == 0 and 1000 % MONITOR_CHUNK != 0  # faults straddle a boundary
+        domain, mon, res = crash_run(domain_name, 1000, keep_states=True)
+        assert res.reset_times == [729]
+        rounds = observed_rounds(domain, res, 2)
+        for t, (k, spoil) in FAULTS.items():
+            rounds[t - 1][1 + k] = spoil(rounds[t - 1][1 + k])
+        for args in rounds:
+            mon.observe(*args)
+        mon.flush()
+        assert mon.violations == FAULT_MESSAGES[domain_name]
+
+    @pytest.mark.parametrize("domain_name, module, name, expected", [
+        ("simplex", vector, "update_bias", ["t=300: bias grew faster than 1+6eta", "t=300: bias above T^2"]),
+        ("spectraplex", quantum, "q_update_bias", ["t=300: bias grew faster than 1+6eta", "t=300: bias above T^2",
+                                                   "t=300: bias increment norm above play increment norm"]),
+    ])
+    def test_run_reports_its_final_partial_chunk(self, monkeypatch, domain_name, module, name, expected):
+        assert 300 % MONITOR_CHUNK != 0
+        update, calls = getattr(module, name), [0]
+
+        def spoil_last(P, X):
+            calls[0] += 1
+            return 1e7 * update(P, X) if calls[0] == 300 else update(P, X)
+
+        monkeypatch.setattr(module, name, spoil_last)
+        _, _, res = crash_run(domain_name, 300, monitor=True)
+        assert res.violations == expected
