@@ -260,7 +260,7 @@ def check_regret_stability(ctx):
     for name, res in results:
         regret, _ = regret_vs_next_iterate(res)
         lower = res.terms.sum() / (2.0 * (1.0 + res.eta) ** 2)
-        slack = regret - (lower - 1e-6 * len(res.records))
+        slack = regret - (lower - 1e-6 * len(res.losses))
         worst_slack = min(worst_slack, slack)
         details.append(f"{name}: regret {regret:.3f} >= {lower:.3f} - tol (slack {slack:.3f})")
     passed = worst_slack >= 0.0

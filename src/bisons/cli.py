@@ -20,8 +20,9 @@ def _add_run_parser(sub):
     p.add_argument("--data", help="returns or measurements file")
     p.add_argument("--adversary", help="iid-dirichlet | single-asset-crash | alternating-basis | lbftrl-bad")
     p.add_argument("--seed", type=int, help="root seed (default 0)")
-    p.add_argument("--alpha", type=float, help="lbftrl-bad pull-in exponent (default 0.5)")
-    p.add_argument("--eta", type=float, help="lbftrl learning rate (default 1.0)")
+    p.add_argument("--alpha", type=float, help="lbftrl-bad pull-in exponent (lbftrl only; default 0.5)")
+    p.add_argument("--eta", type=float,
+                   help="learning rate: lbftrl's (default 1.0), or the bisons/qbisons parameter override")
     p.add_argument("--pad-uniform", action="store_true",
                    help="pad a short returns sequence with uniform rows up to T")
     p.add_argument("--config", help="flat key = value config file; flags given override it")
@@ -35,10 +36,7 @@ def _run(args):
     mapping = {}
     if args.config:
         mapping.update(parse_config_file(args.config))
-    flag_keys = ["algo", "d", "T", "data", "adversary", "seed", "out"]
-    if args.algo == "lbftrl":
-        flag_keys += ["alpha", "eta"]
-    for key in flag_keys:
+    for key in ("algo", "d", "T", "data", "adversary", "seed", "out", "alpha", "eta"):
         value = getattr(args, key)
         if value is not None:
             mapping[key] = value
@@ -52,10 +50,9 @@ def _run(args):
     if "d" not in mapping or "T" not in mapping:
         raise SystemExit("--d and --T are required (flag or config file)")
     try:
-        config = ExperimentConfig.from_mapping(mapping)
+        summary = run_experiment(ExperimentConfig.from_mapping(mapping))
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
-    summary = run_experiment(config)
     print(f"wrote {summary['rounds']} rounds to {mapping.get('out', '.')}; "
           f"final regret {summary['final_regret']:.6g}")
     return 0
@@ -67,10 +64,13 @@ def _gen_lbftrl(args):
     from .lbftrl import AdversaryPlan, generate_returns
     from .harness import save_returns
 
+    try:
+        plan = AdversaryPlan.build(args.d, args.T, args.alpha)
+        result = generate_returns(plan, args.eta)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
-    plan = AdversaryPlan.build(args.d, args.T, args.alpha)
     plan.export(os.path.join(args.out, "plan.txt"))
-    result = generate_returns(plan, args.eta)
     save_returns(os.path.join(args.out, "returns.csv"), result.returns)
     print(f"generated {result.returns.shape[0]} rounds "
           f"({int(result.movement_flags.sum())} movement), truncated={result.truncated}")

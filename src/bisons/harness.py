@@ -220,10 +220,6 @@ def load_measurements(path):
 
 # -- experiment driver ----------------------------------------------------------
 
-#: The algorithms whose parameters (B, eta, beta) a config may override.
-TUNABLE = ("bisons", "qbisons")
-
-
 @dataclass
 class ExperimentConfig:
     algo: str
@@ -240,10 +236,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, m):
-        """Each field parsed by its declared type; any other key is a parameter override,
-        which only the ``TUNABLE`` algorithms accept."""
+        """Each field parsed by its declared type; any other key is a parameter override.
+        A key the algorithm does not read (see ``READS``) is rejected."""
+        algo = m.get("algo")
+        if algo not in READS:
+            raise ValueError(f"unknown algorithm {algo!r}")
         types = {f.name: f.type for f in fields(cls) if f.name != "overrides"}
-        if m.get("algo") in TUNABLE:
+        if "overrides" in READS[algo]:
             del types["eta"]  # eta is an algorithm-parameter override there
         kwargs, overrides = {}, {}
         for key, value in m.items():
@@ -258,8 +257,11 @@ class ExperimentConfig:
                 expected = (types[key].__name__ if key in types
                             else "float (unknown key or non-numeric parameter override)")
                 raise ValueError(f"config key {key!r}: cannot parse {value!r} as {expected}") from None
-        if overrides and m.get("algo") not in TUNABLE:
-            raise ValueError(f"algorithm {m.get('algo')!r} takes no parameter overrides, "
+        unread = [key for key in kwargs if key not in ("algo", "d", "T", "out") and key not in READS[algo]]
+        if unread:
+            raise ValueError(f"algorithm {algo!r} does not read {', '.join(map(repr, unread))}")
+        if overrides and "overrides" not in READS[algo]:
+            raise ValueError(f"algorithm {algo!r} takes no parameter overrides, "
                              f"got {', '.join(map(repr, overrides))}")
         return cls(overrides=overrides, **kwargs)
 
@@ -348,10 +350,10 @@ def _run_lbftrl(config):
         extras = {}
     with open(os.path.join(config.out, "stability.csv"), "w") as fh:
         fh.write("t,term,is_movement\n")
-        for rec, srec in zip(result.records, result.stability):
-            fh.write(f"{srec.t},{_fmt(srec.term)},{int(rec.is_movement)}\n")
-    records = [RoundRecord(t=r.t, e=1, tau=r.t, loss=r.loss, reset_triggered=False, x_played=None)
-               for r in result.records]
+        for t, (term, flag) in enumerate(zip(result.terms, result.movement_flags), start=1):
+            fh.write(f"{t},{_fmt(term)},{int(flag)}\n")
+    records = [RoundRecord(t=t, e=1, tau=t, loss=loss, reset_triggered=False, x_played=None)
+               for t, loss in enumerate(result.losses.tolist(), start=1)]
     extras.update(eta=config.eta, stability_sum=float(result.terms.sum()))
     return records, _crp_cum_loss(result.returns), extras
 
@@ -363,6 +365,14 @@ def _run_ons(config):
 
 #: Runner per algorithm name: config -> (round records, comparator cumulative loss, summary entries).
 ALGORITHMS = {"bisons": _run_bisons, "qbisons": _run_qbisons, "lbftrl": _run_lbftrl, "ons": _run_ons}
+
+#: Config fields each runner reads besides algo, d, T and out; "overrides" are its parameters B, eta and beta.
+READS = {
+    "bisons": {"seed", "adversary", "data", "pad_uniform", "overrides"},
+    "qbisons": {"seed", "data", "overrides"},
+    "lbftrl": {"seed", "adversary", "data", "pad_uniform", "alpha", "eta"},
+    "ons": {"seed", "adversary", "data", "pad_uniform"},
+}
 
 
 def run_experiment(config):

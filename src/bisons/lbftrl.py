@@ -168,14 +168,6 @@ def stability_term(grad_pi, hessian_pi):
     return float(grad_pi @ sol)
 
 
-@dataclass(frozen=True)
-class StabilityRecord:
-    t: int
-    grad_pi: np.ndarray
-    hessian_pi: np.ndarray
-    term: float
-
-
 # -- adversarial sequence generation ------------------------------------------
 
 def move_to_x(target, grad_pi, T, proj):
@@ -216,95 +208,32 @@ class GeneratedReturns:
 
 
 @dataclass
-class AdversaryRunResult:
-    records: list
-    stability: list
-    returns: np.ndarray
+class LbftrlRun(GeneratedReturns):
+    """The player's run over a sequence: its play, loss and stability term per round."""
+
     plays: np.ndarray
-    movement_flags: np.ndarray
-    truncated: bool
-    completed_visits: int
+    losses: np.ndarray
+    terms: np.ndarray
     eta: float
 
-    @property
-    def losses(self):
-        return np.array([rec.loss for rec in self.records])
 
-    @property
-    def terms(self):
-        return np.array([rec.term for rec in self.stability])
+def _check_eta(eta):
+    """The learning rate must be finite and positive; the barrier weight is 1/eta."""
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise ValueError(f"eta must be finite and positive, got {eta!r}")
 
 
-@dataclass(frozen=True)
-class LbftrlRoundRecord:
-    t: int
-    loss: float
-    is_movement: bool
-    visit: tuple  # (target index, repetition, layer) or None for movement rounds
-
-
-class _PlayerLoop:
-    """Shared per-round bookkeeping: play, suffer, record stability.
-
-    One :class:`LogLossHistory` holds the whole run.  Each solve starts at
-    the previous play, where the history's cache sits, and appending the
-    round's return moves the cached Hessian to the stability Hessian's
-    loss part in O(d^2).
-    """
-
-    def __init__(self, d, eta, T, tol):
-        self.proj = PiProjection(d)
-        self.eta = eta
-        self.tol = tol
-        self.history = LogLossHistory(np.empty((0, d)), 1.0 / eta, capacity=T)
-        self.plays = np.empty((T, d))
-        self.x = uniform_portfolio(d)
-        self.records = []
-        self.stability = []
-        self.movement_flags = []
-
-    def round(self, r, is_movement, visit):
-        t = self.history.n + 1
-        x = lbftrl_play(self.history, warm_start=self.x, tol=self.tol)
-        self.x = x
-        self.plays[t - 1] = x
-        loss = log_loss(x, r)
-        # A certified solve may stop without the Hessian at x; form it so that
-        # append moves it.  An empty history keeps summing its first row afresh.
-        if self.history.n:
-            self.history.smooth_grad_hess(x)
-        self.history.append(r)
-        grad = self.proj.project(-r / float(np.dot(x, r)))
-        U = self.proj.basis
-        hess = barrier_pi_hessian(x, self.eta, self.proj) + U @ self.history.smooth_grad_hess(x)[1] @ U.T
-        self.stability.append(StabilityRecord(t=t, grad_pi=grad, hessian_pi=hess,
-                                              term=stability_term(grad, hess)))
-        self.records.append(LbftrlRoundRecord(t=t, loss=loss, is_movement=is_movement, visit=visit))
-        self.movement_flags.append(is_movement)
-
-    def result(self, returns, truncated, completed_visits):
-        return AdversaryRunResult(
-            records=self.records,
-            stability=self.stability,
-            returns=returns,
-            plays=self.plays[: self.history.n].copy(),
-            movement_flags=np.array(self.movement_flags, dtype=bool),
-            truncated=truncated,
-            completed_visits=completed_visits,
-            eta=self.eta,
-        )
-
-
-def generate_returns(plan, eta, T=None):
+def generate_returns(plan, eta):
     """The adversary alone: interleave movement returns and target outcomes.
 
     Movement is steered by the gradient of the accumulated objective at the
     target, so the sequence depends on the history, not on the player's
     plays.  Visits iterate targets in plan order, repetitions inside targets
-    and layers innermost.  Generation stops at the horizon with
+    and layers innermost.  Generation stops at the horizon ``plan.T`` with
     ``truncated`` set; nothing wraps around.
     """
-    T = plan.T if T is None else T
+    _check_eta(eta)
+    T = plan.T
     proj = PiProjection(plan.d)
     rows = np.empty((T, plan.d))
     visits = []
@@ -331,27 +260,51 @@ def generate_returns(plan, eta, T=None):
                             truncated=truncated, completed_visits=int((~flags).sum()))
 
 
-def generate_and_run(plan, eta, T=None, tol=1e-10):
+def _play(seq, eta):
+    """The player over the rows of ``seq``: play, suffer, record stability.
+
+    One :class:`LogLossHistory` holds the whole run.  Each solve starts at
+    the previous play, where the history's cache sits, and appending the
+    round's return moves the cached Hessian to the stability Hessian's
+    loss part in O(d^2).
+    """
+    _check_eta(eta)
+    T, d = seq.returns.shape
+    proj = PiProjection(d)
+    U = proj.basis
+    history = LogLossHistory(np.empty((0, d)), 1.0 / eta, capacity=T)
+    plays, losses, terms = np.empty((T, d)), np.empty(T), np.empty(T)
+    x = uniform_portfolio(d)
+    for t, r in enumerate(seq.returns):
+        x = lbftrl_play(history, warm_start=x)
+        plays[t] = x
+        losses[t] = log_loss(x, r)
+        # A certified solve may stop without the Hessian at x; form it so that
+        # append moves it.  An empty history keeps summing its first row afresh.
+        if history.n:
+            history.smooth_grad_hess(x)
+        history.append(r)
+        grad = proj.project(-r / float(np.dot(x, r)))
+        hess = barrier_pi_hessian(x, eta, proj) + U @ history.smooth_grad_hess(x)[1] @ U.T
+        terms[t] = stability_term(grad, hess)
+    return LbftrlRun(**vars(seq), plays=plays, losses=losses, terms=terms, eta=eta)
+
+
+def generate_and_run(plan, eta):
     """The adversary's sequence (:func:`generate_returns`) played by the player."""
-    gen = generate_returns(plan, eta, T)
-    loop = _PlayerLoop(plan.d, eta, len(gen.visits), tol)
-    for r, visit in zip(gen.returns, gen.visits):
-        loop.round(r, visit is None, visit)
-    return loop.result(gen.returns, gen.truncated, gen.completed_visits)
+    return _play(generate_returns(plan, eta), eta)
 
 
-def run_lbftrl(returns, eta, tol=1e-10):
+def run_lbftrl(returns, eta):
     """Run the plain player over a fixed returns sequence, recording stability."""
-    R = np.asarray(returns, dtype=float)
-    loop = _PlayerLoop(R.shape[1], eta, R.shape[0], tol)
-    for r in R:
-        loop.round(r, False, None)
-    return loop.result(R.copy(), False, 0)
+    R = np.array(returns, dtype=float)
+    return _play(GeneratedReturns(returns=R, movement_flags=np.zeros(len(R), dtype=bool), visits=[None] * len(R),
+                                  truncated=False, completed_visits=0), eta)
 
 
-def regret_vs_next_iterate(result, tol=1e-10):
+def regret_vs_next_iterate(result):
     """Cumulative loss minus the loss of x_{T+1}, the post-horizon FTRL iterate."""
     hist = result.returns
-    x_next = minimize_simplex_history(hist, 1.0 / result.eta, warm_start=result.plays[-1], tol=tol).minimizer
+    x_next = minimize_simplex_history(hist, 1.0 / result.eta, warm_start=result.plays[-1]).minimizer
     comparator = float(-np.log(hist @ x_next).sum())
     return float(result.losses.sum()) - comparator, x_next

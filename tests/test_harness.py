@@ -369,6 +369,48 @@ class TestCli:
                   "--set", "B=20", "--set", "seeed=3", "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("algo, argv, message", [
+        ("ons", ["--adversary", "iid-dirichlet", "--set", "eta=5", "--set", "alpha=0.9"], "'eta', 'alpha'"),
+        ("bisons", ["--adversary", "iid-dirichlet", "--set", "alpha=0.9"], "'alpha'"),
+        ("qbisons", ["--adversary", "iid-dirichlet"], "'adversary'"),
+        ("ons", ["--adversary", "iid-dirichlet", "--alpha", "0.9", "--eta", "5"], "'alpha', 'eta'"),
+    ], ids=["ons-set", "bisons-set-alpha", "qbisons-adversary", "ons-flags"])
+    def test_run_rejects_keys_the_algorithm_does_not_read(self, tmp_path, algo, argv, message):
+        from bisons.cli import main
+
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=rf"^algorithm '{algo}' does not read {message}$"):
+            main(["run", "--algo", algo, "--d", "2", "--T", "50", *argv, "--out", str(out)])
+        assert not (out / "trace.csv").exists()
+
+    def test_eta_flag_means_the_eta_config_key(self, tmp_path):
+        from bisons.cli import main
+
+        args = ["run", "--algo", "bisons", "--d", "2", "--T", "440", "--adversary", "iid-dirichlet"]
+        assert main(args + ["--eta", "0.0003", "--out", str(tmp_path / "flag")]) == 0
+        assert main(args + ["--set", "eta=0.0003", "--out", str(tmp_path / "set")]) == 0
+        assert json.loads((tmp_path / "flag" / "summary.json").read_text())["params"]["eta"] == 0.0003
+        for name in ("trace.csv", "summary.json"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "set" / name).read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--algo", "lbftrl", "--adversary", "iid-dirichlet", "--eta", "0"],
+         "eta must be finite and positive, got 0.0"),
+        (["run", "--algo", "lbftrl", "--adversary", "iid-dirichlet", "--eta", "-1"],
+         "eta must be finite and positive, got -1.0"),
+        (["run", "--algo", "lbftrl", "--adversary", "iid-dirichlet", "--eta", "nan"],
+         "eta must be finite and positive, got nan"),
+        (["adversary", "gen-lbftrl", "--eta", "0"], "eta must be finite and positive, got 0.0"),
+        (["run", "--algo", "lbftrl", "--adversary", "lbftrl-bad", "--alpha", "0"], r"alpha must lie in \(0, 1\)"),
+    ], ids=["eta-0", "eta-negative", "eta-nan", "gen-eta-0", "alpha-0"])
+    def test_lbftrl_input_errors_exit_with_a_message(self, tmp_path, argv, message):
+        from bisons.cli import main
+
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=f"^{message}$"):
+            main([*argv, "--d", "2", "--T", "50", "--out", str(out)])
+        assert not (out / "trace.csv").exists() and not (out / "returns.csv").exists()
+
     def test_config_values_kept_unless_a_flag_is_given(self, tmp_path):
         from bisons.cli import main
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bisons import lbftrl
 from bisons.geometry import PiProjection, uniform_portfolio
 from bisons.lbftrl import (
     AdversaryPlan,
@@ -262,23 +263,22 @@ def d2_bad_run():
 class TestGenerateAndRun:
     def test_d2_smoke_terminates_with_flags(self, d2_bad_run):
         plan, res = d2_bad_run
-        assert len(res.records) <= 10_000
+        assert len(res.returns) <= 10_000
         # every round is a movement return or a pulled outcome, nothing else
         T = 10_000
         proj = PiProjection(2)
-        outcome_layers = {}
-        for rec, r, flag in zip(res.records, res.returns, res.movement_flags):
-            assert rec.is_movement == flag
+        for visit, r, flag in zip(res.visits, res.returns, res.movement_flags):
+            assert (visit is None) == flag
             if flag:
                 assert np.linalg.norm(proj.project(r)) <= T**-0.5 + 1e-15
             else:
-                i, k, s = rec.visit
+                i, k, s = visit
                 expected = pull_to_center(plan.targets[i][1], s, plan)
                 assert np.abs(r - expected).max() <= 1e-12
         assert res.completed_visits >= 1
         # at this pull-in exponent the movement budget dominates the horizon
         assert res.truncated
-        assert res.movement_flags.sum() + res.completed_visits == len(res.records)
+        assert res.movement_flags.sum() + res.completed_visits == len(res.returns)
 
     def test_movement_hessian_contribution_bound(self, d2_bad_run):
         # movement rounds contribute at most d^2/T/(1 - d T^{-1/2})^2 each to
@@ -322,31 +322,53 @@ class TestGenerateAndRun:
         assert reg <= upper + 1e-6 * T
 
     def test_truncation_never_wraps(self):
-        plan = AdversaryPlan.build(2, 5000, 0.5)
-        res = generate_and_run(plan, eta=1.0, T=300)
+        plan = AdversaryPlan.build(2, 300, 0.5)
+        res = generate_and_run(plan, eta=1.0)
         assert res.truncated
-        assert len(res.records) == 300
+        assert len(res.returns) == len(res.losses) == len(res.terms) == 300
 
 
 class TestGenerateReturns:
-    @pytest.mark.parametrize("d, T_plan, alpha, T", [(3, 2000, 0.15, None), (2, 5000, 0.5, 300)])
-    def test_adversary_alone_matches_generate_and_run(self, d, T_plan, alpha, T):
-        plan = AdversaryPlan.build(d, T_plan, alpha)
-        gen = generate_returns(plan, eta=1.0, T=T)
-        res = generate_and_run(plan, eta=1.0, T=T)
+    @pytest.mark.parametrize("d, T, alpha, truncated", [(3, 2000, 0.15, False), (2, 300, 0.5, True)])
+    def test_adversary_alone_matches_generate_and_run(self, d, T, alpha, truncated):
+        plan = AdversaryPlan.build(d, T, alpha)
+        gen = generate_returns(plan, eta=1.0)
+        res = generate_and_run(plan, eta=1.0)
         assert gen.returns.shape == res.returns.shape
         assert gen.returns.tobytes() == res.returns.tobytes()
         assert np.array_equal(gen.movement_flags, res.movement_flags)
-        assert gen.visits == [rec.visit for rec in res.records]
-        assert gen.truncated == res.truncated
+        assert gen.visits == res.visits
+        assert gen.truncated == res.truncated == truncated
         assert gen.completed_visits == res.completed_visits
-        assert gen.truncated == (T is not None)
+        # the player's columns are those of the plain player on the same rows
+        plain = run_lbftrl(gen.returns, 1.0)
+        for column in ("plays", "losses", "terms"):
+            assert getattr(res, column).tobytes() == getattr(plain, column).tobytes()
 
 
-def _assert_matches_one_shot(res, eta):
-    """Every play equals the one-shot solve over the rounds before it (from the
-    previous play), and every stability Hessian the full-history assembly."""
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
+def test_generator_and_player_reject_a_bad_eta(eta):
+    message = f"^eta must be finite and positive, got {eta!r}$"
+    with pytest.raises(ValueError, match=message):
+        generate_returns(AdversaryPlan.build(2, 300, 0.5), eta)
+    with pytest.raises(ValueError, match=message):
+        run_lbftrl(np.full((3, 2), 0.5), eta)
+
+
+def _assert_matches_one_shot(monkeypatch, play, eta):
+    """Every play of ``play()`` equals the one-shot solve over the rounds before
+    it (from the previous play), and every stability Hessian, caught on its
+    way into ``stability_term``, the full-history assembly."""
+    hessians = []
+
+    def recording_stability_term(grad_pi, hessian_pi):
+        hessians.append(hessian_pi.copy())
+        return stability_term(grad_pi, hessian_pi)
+
+    monkeypatch.setattr(lbftrl, "stability_term", recording_stability_term)
+    res = play()
     R = res.returns
+    assert len(hessians) == len(R)
     d = R.shape[1]
     proj = PiProjection(d)
     prev = None
@@ -355,21 +377,21 @@ def _assert_matches_one_shot(res, eta):
         ref = minimize_simplex_history(R[: t - 1], 1.0 / eta, warm_start=prev).minimizer
         assert np.abs(x - ref).max() <= 1e-9
         H_ref = assemble_pi_hessian(x, R[:t], eta, proj)
-        H = res.stability[t - 1].hessian_pi
+        H = hessians[t - 1]
         assert np.abs(H - H_ref).max() <= 1e-10 * np.abs(H_ref).max()
         prev = x
+    return res
 
 
 class TestIncrementalPlayer:
-    def test_dirichlet_run_matches_one_shot_references(self):
+    def test_dirichlet_run_matches_one_shot_references(self, monkeypatch):
         R = np.random.default_rng(11).dirichlet(np.ones(3), size=200)
-        _assert_matches_one_shot(run_lbftrl(R, 0.8), 0.8)
+        _assert_matches_one_shot(monkeypatch, lambda: run_lbftrl(R, 0.8), 0.8)
 
-    def test_generated_run_matches_one_shot_references(self):
+    def test_generated_run_matches_one_shot_references(self, monkeypatch):
         plan = AdversaryPlan.build(3, 2000, 0.15)
-        res = generate_and_run(plan, eta=1.0)
+        res = _assert_matches_one_shot(monkeypatch, lambda: generate_and_run(plan, eta=1.0), 1.0)
         assert not res.truncated
-        _assert_matches_one_shot(res, 1.0)
 
 
 class TestPlanExport:
