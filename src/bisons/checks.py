@@ -8,7 +8,7 @@ aggregate feeds criterion 7.  Everything is seeded and deterministic.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .vector import BisonsParams, default_params, run_bisons, update_bias
 # admissibility constraints with a learning rate at its cap
 CRASH_OVERRIDE = dict(B=15.75, eta=1.0 / 63.0, beta=0.1)
 # wall-time budgets in seconds, by criterion; run_checks times each whole call
-BUDGET_S = {1: 10.0, 2: 600.0, 8: 5.0}
+BUDGET_S = {1: 10.0, 2: 600.0, 8: 5.0, 12: 10.0}
 EPOCH_GRID_POINTS = 200
 
 
@@ -102,25 +102,14 @@ def check_bisons_regret(ctx):
                     f"monitor violations {violations}")
 
 
-def _completed_epochs(records):
-    epochs = []
-    current = []
-    for rec in records:
-        current.append(rec)
-        if rec.reset_triggered:
-            epochs.append(current)
-            current = []
-    return epochs
-
-
-def epoch_grid_regret(R, records, T, npts=EPOCH_GRID_POINTS):
-    """Worst regret per completed epoch against the (min entry >= 1/T) grid."""
+def epoch_grid_regret(R, losses, resets, T, npts=EPOCH_GRID_POINTS):
+    """Worst regret per completed epoch (the rounds up to each reset) against the (min entry >= 1/T) grid."""
     grid_a = np.linspace(1.0 / T, 1.0 - 1.0 / T, npts)
     grid = np.stack([grid_a, 1.0 - grid_a], axis=1)
+    ends = np.flatnonzero(resets) + 1
     out = []
-    for epoch in _completed_epochs(records):
-        rows = R[[rec.t - 1 for rec in epoch]]
-        alg = float(sum(rec.loss for rec in epoch))
+    for rows, epoch_losses in zip(np.split(R, ends)[:-1], np.split(losses, ends)[:-1]):
+        alg = float(np.cumsum(epoch_losses)[-1])
         comp = -np.log(grid @ rows.T).sum(axis=1)
         out.append(alg - float(comp.min()))
     return out
@@ -138,7 +127,7 @@ def check_epoch_nonpositivity(ctx):
         violations += len(res.violations)
         if not res.reset_times:
             return False, f"seed {seed}: crash run triggered no reset"
-        epoch_regrets = epoch_grid_regret(R, res.records, T)
+        epoch_regrets = epoch_grid_regret(R, res.losses, res.resets, T)
         total_epochs += len(epoch_regrets)
         worst = max(worst, max(epoch_regrets))
     ctx.setdefault("monitor_violations", {})["epoch-nonpositivity"] = violations
@@ -175,26 +164,38 @@ def check_p_update(ctx):
                     f"cost identity gap {worst_cost:.2e}, diagonal max-rule exact: {diag_exact}")
 
 
-# -- criterion 5 -----------------------------------------------------------------
+# -- criteria 5 and 12 -----------------------------------------------------------
+
+def _diagonal_runs(R, params, monitor):
+    """BISONS on R and Q-BISONS on its diagonal embedding, with the same parameters, and over all
+    rounds the largest gap between the diagonals of their plays and the largest off-diagonal modulus."""
+    res_v = run_bisons(R, params, monitor=monitor)
+    res_q = run_qbisons([np.diag(r).astype(complex) for r in R], QBisonsParams(**asdict(params)).validate(),
+                        monitor=monitor)
+    diagonals = np.diagonal(res_q.plays, axis1=1, axis2=2)
+    off_diagonal = res_q.plays - diagonals[:, :, None] * np.eye(params.d)
+    return res_v, res_q, float(np.abs(diagonals.real - res_v.plays).max()), float(np.abs(off_diagonal).max())
+
 
 def check_diagonal_equivalence(ctx):
     d, T = 3, 990
-    params_v = default_params(d, T)
-    params_q = QBisonsParams(d=d, T=T, B=params_v.B, eta=params_v.eta, beta=params_v.beta).validate()
-    rng = derive_rng(105, "accept:diag-equivalence")
-    R = rng.dirichlet(np.ones(d), size=T)
-    res_v = run_bisons(R, params_v, monitor=True)
-    res_q = run_qbisons([np.diag(r).astype(complex) for r in R], params_q, monitor=True)
-    worst = 0.0
-    for rec_v, rec_q in zip(res_v.records, res_q.records):
-        worst = max(worst, float(np.abs(np.diagonal(rec_q.x_played).real - rec_v.x_played).max()))
-        worst = max(worst, float(np.abs(rec_q.x_played - np.diag(np.diagonal(rec_q.x_played))).max()))
+    R = derive_rng(105, "accept:diag-equivalence").dirichlet(np.ones(d), size=T)
+    res_v, res_q, gap, off = _diagonal_runs(R, default_params(d, T), monitor=True)
+    worst = max(gap, off)
     same_resets = res_v.reset_times == res_q.reset_times
     violations = len(res_v.violations) + len(res_q.violations)
     ctx.setdefault("monitor_violations", {})["diagonal-equivalence"] = violations
     passed = worst <= 1e-6 and same_resets
     return passed, (f"d=3 T=990: max per-round iterate gap {worst:.2e}, reset times equal: {same_resets} "
                     f"({res_v.reset_times} vs {res_q.reset_times}), monitor violations {violations}")
+
+
+def check_diagonal_equivalence_resets(ctx):
+    R = adversary_returns("single-asset-crash", 2, 1000, 0)
+    res_v, res_q, gap, off = _diagonal_runs(R, BisonsParams(d=2, T=1000, **CRASH_OVERRIDE).validate(), monitor=False)
+    passed = res_v.reset_times == res_q.reset_times and len(res_v.reset_times) > 0 and gap <= 1e-12 and off == 0.0
+    return passed, (f"d=2 T=1000 crash run: reset times {res_v.reset_times} vs {res_q.reset_times} (equal, nonempty "
+                    f"required), max diagonal gap {gap:.2e} (<= 1e-12), max off-diagonal modulus {off:.2e} (0 required)")
 
 
 # -- criterion 6 -----------------------------------------------------------------
@@ -392,6 +393,7 @@ CHECKS = [
     (9, "regret-stability", check_regret_stability, {"lbftrl"}),
     (10, "calculus", check_calculus, {"lemmas"}),
     (11, "solver-oracles", check_solver_oracles, {"lemmas"}),
+    (12, "diagonal-equivalence-resets", check_diagonal_equivalence_resets, {"qbisons"}),
 ]
 
 

@@ -20,7 +20,7 @@ def _add_run_parser(sub):
     p.add_argument("--data", help="returns or measurements file")
     p.add_argument("--adversary", help="iid-dirichlet | single-asset-crash | alternating-basis | lbftrl-bad")
     p.add_argument("--seed", type=int, help="root seed (default 0)")
-    p.add_argument("--alpha", type=float, help="lbftrl-bad pull-in exponent (lbftrl only; default 0.5)")
+    p.add_argument("--alpha", type=float, help="lbftrl-bad pull-in exponent (lbftrl on lbftrl-bad only; default 0.5)")
     p.add_argument("--eta", type=float,
                    help="learning rate: lbftrl's (default 1.0), or the bisons/qbisons parameter override")
     p.add_argument("--pad-uniform", action="store_true",

@@ -19,7 +19,7 @@ from .hermitian import MeasurementEvent, phi_dual, random_effect, trace_inner
 from .lbftrl import AdversaryPlan, generate_and_run, run_lbftrl
 from .quantum import q_default_params, run_qbisons
 from .solver import minimize_simplex, minimize_simplex_history, minimize_spectraplex_history
-from .vector import RoundRecord, default_params, run_bisons
+from .vector import default_params, run_bisons
 
 TRACE_HEADER = "t,epoch,internal_time,loss,cum_loss,comparator_cum_loss,regret,reset_flag"
 
@@ -126,20 +126,19 @@ def _generalized_projection(q, A, tol=1e-9):
 
 
 def ons_baseline(returns, eta_ons=0.1, epsilon=1.0):
-    """Standard online Newton step with generalized projection; comparison only."""
+    """Standard online Newton step with generalized projection; comparison only; per-round (losses, plays)."""
     R = np.asarray(returns, dtype=float)
-    d = R.shape[1]
+    n, d = R.shape
     A = epsilon * np.eye(d)
     x = uniform_portfolio(d)
-    records = []
-    for t, r in enumerate(R, start=1):
-        loss = log_loss(x, r)
-        records.append(RoundRecord(t=t, e=1, tau=t, loss=loss, reset_triggered=False, x_played=x))
+    losses, plays = np.empty(n), np.empty((n, d))
+    for t, r in enumerate(R):
+        losses[t], plays[t] = log_loss(x, r), x
         grad = -r / float(np.dot(x, r))
         A = A + np.outer(grad, grad)
         q = x - eta_ons * np.linalg.solve(A, grad)
         x = _generalized_projection(q, A)
-    return records
+    return losses, plays
 
 
 # -- file formats ---------------------------------------------------------------
@@ -239,10 +238,11 @@ class ExperimentConfig:
         """Each field parsed by its declared type; any other key is a parameter override.
         A key the algorithm does not read (see ``READS``) is rejected."""
         algo = m.get("algo")
-        if algo not in READS:
+        if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
+        reader = "lbftrl on lbftrl-bad" if algo == "lbftrl" and m.get("adversary") == "lbftrl-bad" else algo
         types = {f.name: f.type for f in fields(cls) if f.name != "overrides"}
-        if "overrides" in READS[algo]:
+        if "overrides" in READS[reader]:
             del types["eta"]  # eta is an algorithm-parameter override there
         kwargs, overrides = {}, {}
         for key, value in m.items():
@@ -257,10 +257,10 @@ class ExperimentConfig:
                 expected = (types[key].__name__ if key in types
                             else "float (unknown key or non-numeric parameter override)")
                 raise ValueError(f"config key {key!r}: cannot parse {value!r} as {expected}") from None
-        unread = [key for key in kwargs if key not in ("algo", "d", "T", "out") and key not in READS[algo]]
+        unread = [key for key in kwargs if key not in ("algo", "d", "T", "out") and key not in READS[reader]]
         if unread:
-            raise ValueError(f"algorithm {algo!r} does not read {', '.join(map(repr, unread))}")
-        if overrides and "overrides" not in READS[algo]:
+            raise ValueError(f"algorithm {reader!r} does not read {', '.join(map(repr, unread))}")
+        if overrides and "overrides" not in READS[reader]:
             raise ValueError(f"algorithm {algo!r} takes no parameter overrides, "
                              f"got {', '.join(map(repr, overrides))}")
         return cls(overrides=overrides, **kwargs)
@@ -301,16 +301,16 @@ def _get_returns(config):
     return R
 
 
-def write_trace(path, records, comparator_cum):
-    cum = 0.0
+def write_trace(path, losses, resets, comparator_cum):
+    """One row per round; a round's epoch and internal time count the resets and rounds before it."""
+    epoch, tau = 1, 0
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for rec, comp in zip(records, comparator_cum):
-            cum += rec.loss
-            fh.write(",".join([
-                str(rec.t), str(rec.e), str(rec.tau), _fmt(rec.loss), _fmt(cum),
-                _fmt(comp), _fmt(cum - comp), str(int(rec.reset_triggered)),
-            ]) + "\n")
+        for t, (loss, cum, comp, reset) in enumerate(zip(losses, np.cumsum(losses), comparator_cum, resets), start=1):
+            tau += 1
+            fh.write(f"{t},{epoch},{tau},{_fmt(loss)},{_fmt(cum)},{_fmt(comp)},{_fmt(cum - comp)},{int(reset)}\n")
+            if reset:
+                epoch, tau = epoch + 1, 0
 
 
 def _crp_cum_loss(R):
@@ -328,7 +328,7 @@ def _run_bisons(config):
     R = _get_returns(config)
     params = _apply_overrides(default_params(config.d, config.T), config.overrides)
     result = run_bisons(R, params, monitor=True)
-    return result.records, _crp_cum_loss(R), _epoch_summary(result, params)
+    return result.losses, result.resets, _crp_cum_loss(R), _epoch_summary(result, params)
 
 
 def _run_qbisons(config):
@@ -337,7 +337,7 @@ def _run_qbisons(config):
     result = run_qbisons(stream, params, rng=derive_rng(config.seed, "qbisons:reduction"), monitor=True)
     u_star, _ = best_quantum_state(result.loss_matrices)
     comp_cum = np.cumsum([-math.log(trace_inner(u_star, Rm)) for Rm in result.loss_matrices])
-    return result.records, comp_cum, _epoch_summary(result, params)
+    return result.losses, result.resets, comp_cum, _epoch_summary(result, params)
 
 
 def _run_lbftrl(config):
@@ -352,25 +352,25 @@ def _run_lbftrl(config):
         fh.write("t,term,is_movement\n")
         for t, (term, flag) in enumerate(zip(result.terms, result.movement_flags), start=1):
             fh.write(f"{t},{_fmt(term)},{int(flag)}\n")
-    records = [RoundRecord(t=t, e=1, tau=t, loss=loss, reset_triggered=False, x_played=None)
-               for t, loss in enumerate(result.losses.tolist(), start=1)]
     extras.update(eta=config.eta, stability_sum=float(result.terms.sum()))
-    return records, _crp_cum_loss(result.returns), extras
+    return result.losses, np.zeros(len(result.losses), dtype=bool), _crp_cum_loss(result.returns), extras
 
 
 def _run_ons(config):
     R = _get_returns(config)
-    return ons_baseline(R), _crp_cum_loss(R), {}
+    return ons_baseline(R)[0], np.zeros(len(R), dtype=bool), _crp_cum_loss(R), {}
 
 
-#: Runner per algorithm name: config -> (round records, comparator cumulative loss, summary entries).
+#: Runner per algorithm name: config -> (per-round losses and reset flags, comparator cumulative loss, summary entries).
 ALGORITHMS = {"bisons": _run_bisons, "qbisons": _run_qbisons, "lbftrl": _run_lbftrl, "ons": _run_ons}
 
 #: Config fields each runner reads besides algo, d, T and out; "overrides" are its parameters B, eta and beta.
+#: LB-FTRL generates lbftrl-bad against its own player from alpha alone, and plays any other input without it.
 READS = {
     "bisons": {"seed", "adversary", "data", "pad_uniform", "overrides"},
     "qbisons": {"seed", "data", "overrides"},
-    "lbftrl": {"seed", "adversary", "data", "pad_uniform", "alpha", "eta"},
+    "lbftrl": {"seed", "adversary", "data", "pad_uniform", "eta"},
+    "lbftrl on lbftrl-bad": {"adversary", "alpha", "eta"},
     "ons": {"seed", "adversary", "data", "pad_uniform"},
 }
 
@@ -383,12 +383,12 @@ def run_experiment(config):
     if config.algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {config.algo!r}")
     os.makedirs(config.out, exist_ok=True)
-    records, comp_cum, extras = ALGORITHMS[config.algo](config)
-    write_trace(os.path.join(config.out, "trace.csv"), records, comp_cum)
-    cum_loss = float(sum(r.loss for r in records))
+    losses, resets, comp_cum, extras = ALGORITHMS[config.algo](config)
+    write_trace(os.path.join(config.out, "trace.csv"), losses, resets, comp_cum)
+    cum_loss = float(np.cumsum(losses)[-1])
     summary = {"algo": config.algo, "d": config.d, "T": config.T, "seed": config.seed,
                "adversary": config.adversary, "data": config.data, **extras,
-               "rounds": len(records), "cum_loss": cum_loss, "comparator_loss": float(comp_cum[-1]),
+               "rounds": len(losses), "cum_loss": cum_loss, "comparator_loss": float(comp_cum[-1]),
                "final_regret": cum_loss - float(comp_cum[-1])}
     with open(os.path.join(config.out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

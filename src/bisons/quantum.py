@@ -169,16 +169,16 @@ class Spectraplex:
     def monitor(self, params):
         return QStabilityMonitor(params)
 
-    def round(self, state, R, params, t, tol):
-        return qbisons_round(state, R, params, t=t, tol=tol)
+    def round(self, state, R, params, tol):
+        return qbisons_round(state, R, params, tol=tol)
 
 
 SPECTRAPLEX = Spectraplex()
 
 
-def qbisons_round(state, R_t, params, t=0, tol=1e-10):
+def qbisons_round(state, R_t, params, tol=1e-10):
     """One round against a trace-one PSD loss matrix: the simplex round on the spectraplex."""
-    return bisons_round(state, R_t, params, t=t, tol=tol, domain=SPECTRAPLEX)
+    return bisons_round(state, R_t, params, tol=tol, domain=SPECTRAPLEX)
 
 
 def run_qbisons(stream, params, rng=None, tol=None, monitor=False, keep_states=False):

@@ -114,8 +114,8 @@ class Simplex:
     def monitor(self, params):
         return StabilityMonitor(params)
 
-    def round(self, state, r, params, t, tol):
-        return bisons_round(state, r, params, t=t, tol=tol)
+    def round(self, state, r, params, tol):
+        return bisons_round(state, r, params, tol=tol)
 
 
 SIMPLEX = Simplex()
@@ -125,8 +125,6 @@ SIMPLEX = Simplex()
 class EpochState:
     """Mutable per-epoch accumulators; reset wholesale on epoch boundaries."""
 
-    e: int
-    tau: int
     p: np.ndarray
     p_prev: np.ndarray
     biased: QuadraticObjective
@@ -134,16 +132,13 @@ class EpochState:
     x_cur: np.ndarray
     u_cur: np.ndarray
     last_solution: tuple = None
-    last_iterations: tuple = None
 
 
-def initial_state(params, epoch=1, domain=SIMPLEX):
+def initial_state(params, domain=SIMPLEX):
     """Fresh epoch at the domain's centre; the objectives live in x.size real coordinates."""
     w = 1.0 / params.eta
     x, p = domain.centre(params.d)
     return EpochState(
-        e=epoch,
-        tau=1,
         p=p,
         p_prev=p.copy(),
         biased=QuadraticObjective.zeros(x.size, w),
@@ -155,12 +150,10 @@ def initial_state(params, epoch=1, domain=SIMPLEX):
 
 @dataclass(frozen=True)
 class RoundRecord:
-    t: int
-    e: int
-    tau: int
+    """What a round reports: its loss, and whether it ended the epoch."""
+
     loss: float
     reset_triggered: bool
-    x_played: np.ndarray
 
 
 def update_bias(p, x_next):
@@ -176,12 +169,12 @@ def check_reset(u_next, p_next, params):
     return bool((params.reset_factor * np.asarray(u_next) * np.asarray(p_next) >= 1.0).any())
 
 
-def bisons_round(state, r_t, params, t=0, tol=1e-10, domain=SIMPLEX):
-    """Advance one round: suffer the loss, refresh both FTRL solutions, update the bias.
+def bisons_round(state, r_t, params, tol=1e-10, domain=SIMPLEX):
+    """Advance one round: play ``state.x_cur``, suffer the loss, refresh both FTRL solutions, update the bias.
 
     ``r_t`` must already be ingested by ``domain`` (by default normalized
     onto the simplex).  Returns the state to use next round (a fresh epoch
-    state when the reset fired) and the round record.  The solved
+    state when the reset fired) and the round's :class:`RoundRecord`.  The solved
     (x_next, u_next, p_next) triple is stashed on ``state.last_solution``
     for monitoring.
     """
@@ -200,14 +193,10 @@ def bisons_round(state, r_t, params, t=0, tol=1e-10, domain=SIMPLEX):
     p_next = domain.update_bias(state.p, x_next)
     reset = domain.check_reset(u_next, p_next, params)
     state.last_solution = (x_next, u_next, p_next)
-    state.last_iterations = (rep_x.iterations, rep_u.iterations)
 
-    record = RoundRecord(t=t, e=state.e, tau=state.tau, loss=loss, reset_triggered=reset, x_played=x)
+    record = RoundRecord(loss, reset)
     if reset:
-        fresh = initial_state(params, epoch=state.e + 1, domain=domain)
-        fresh.last_iterations = state.last_iterations
-        return fresh, record
-    state.tau += 1
+        return initial_state(params, domain=domain), record
     state.x_cur = x_next
     state.u_cur = u_next
     state.p_prev = state.p
@@ -283,20 +272,18 @@ class StabilityMonitor:
 
 @dataclass
 class RunResult:
-    """Round records, kept (x_next, u_next, p_next) triples, monitor violations, kept inputs."""
+    """Per-round ``losses``, ``resets`` and ``plays`` (row t-1 is round t); kept states, violations, inputs."""
 
-    records: list = field(default_factory=list)
+    losses: np.ndarray
+    resets: np.ndarray
+    plays: np.ndarray
     states: list = field(default_factory=list)
     violations: list = field(default_factory=list)
     loss_matrices: list = field(default_factory=list)
 
     @property
-    def losses(self):
-        return np.array([rec.loss for rec in self.records])
-
-    @property
     def reset_times(self):
-        return [rec.t for rec in self.records if rec.reset_triggered]
+        return (np.flatnonzero(self.resets) + 1).tolist()
 
 
 def run_epochs(domain, stream, params, rng=None, tol=None, monitor=False, keep_states=False):
@@ -306,27 +293,33 @@ def run_epochs(domain, stream, params, rng=None, tol=None, monitor=False, keep_s
         tol = default_tol(params.T)
     mon = domain.monitor(params) if monitor else None
     state = initial_state(params, domain=domain)
-    result = RunResult()
-    for i, item in enumerate(stream):
-        if i >= params.T:
+    x = state.x_cur
+    result = RunResult(np.empty(params.T), np.empty(params.T, dtype=bool), np.empty((params.T,) + x.shape, x.dtype))
+    t = 0
+    for t, item in enumerate(stream, start=1):
+        if t > params.T:
             raise ValueError(f"stream longer than the horizon T={params.T}")
         try:
             r = domain.ingest(item, rng)
         except InvalidReturnsError as exc:
-            raise InvalidReturnsError(f"t={i + 1}: {exc}") from exc
+            raise InvalidReturnsError(f"t={t}: {exc}") from exc
         if domain.keeps_inputs:
             result.loss_matrices.append(r)
         x_old, u_old, p_old = state.x_cur, state.u_cur, state.p
+        result.plays[t - 1] = x_old
         before = state
         try:
-            state, rec = domain.round(state, r, params, t=i + 1, tol=tol)
+            state, out = domain.round(state, r, params, tol=tol)
         except SolverFailure as exc:
-            raise SolverFailure(f"t={i + 1} (epoch {state.e}, tau {state.tau}): {exc}", exc.report) from exc
-        result.records.append(rec)
+            ends = np.flatnonzero(result.resets[:t - 1]) + 1  # the rounds that ended an epoch so far
+            tau = t - ends[-1] if ends.size else t
+            raise SolverFailure(f"t={t} (epoch {ends.size + 1}, tau {tau}): {exc}", exc.report) from exc
+        result.losses[t - 1], result.resets[t - 1] = out.loss, out.reset_triggered
         if mon is not None:
-            mon.observe(i + 1, x_old, u_old, p_old, *before.last_solution)
+            mon.observe(t, x_old, u_old, p_old, *before.last_solution)
         if keep_states:
             result.states.append(before.last_solution)
+    result.losses, result.resets, result.plays = result.losses[:t], result.resets[:t], result.plays[:t]
     if mon is not None:
         mon.flush()
         result.violations = mon.violations

@@ -87,28 +87,29 @@ class TestBestQuantumState:
 class TestOnsBaseline:
     def test_first_iterate_uniform(self):
         R = np.array([[0.9, 0.1]])
-        recs = ons_baseline(R)
-        assert np.allclose(recs[0].x_played, 0.5)
+        losses, plays = ons_baseline(R)
+        assert np.allclose(plays[0], 0.5)
+        assert losses[0] == pytest.approx(-math.log(0.5))
 
     def test_uniform_stream_stays_uniform(self):
         R = np.tile(np.array([0.5, 0.5]), (20, 1))
-        recs = ons_baseline(R)
-        for rec in recs:
-            assert np.abs(rec.x_played - 0.5).max() <= 1e-6
+        _, plays = ons_baseline(R)
+        assert plays.shape == (20, 2)
+        assert np.abs(plays - 0.5).max() <= 1e-6
 
     def test_three_assets_long_run_converges(self):
         # tr A reaches ~1e4 here; the projection's Newton solves must still
         # certify their 1e-12 tolerance
         R = np.random.default_rng(0).dirichlet(np.ones(3), size=1500)
-        recs = ons_baseline(R)
-        assert len(recs) == 1500
-        assert all(rec.x_played.min() > 0.0 and abs(rec.x_played.sum() - 1.0) <= 1e-12 for rec in recs)
+        losses, plays = ons_baseline(R)
+        assert losses.shape == (1500,) and plays.shape == (1500, 3)
+        assert plays.min() > 0.0 and np.abs(plays.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_crash_comparison_report_only(self):
         R = adversary_returns("single-asset-crash", 2, 60, 0)
-        recs = ons_baseline(R)
-        assert len(recs) == 60
-        assert all(np.isfinite(rec.loss) for rec in recs)
+        losses, _ = ons_baseline(R)
+        assert losses.shape == (60,)
+        assert np.isfinite(losses).all()
 
 
 class TestFiles:
@@ -381,6 +382,19 @@ class TestCli:
         out = tmp_path / "out"
         with pytest.raises(SystemExit, match=rf"^algorithm '{algo}' does not read {message}$"):
             main(["run", "--algo", algo, "--d", "2", "--T", "50", *argv, "--out", str(out)])
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--adversary", "lbftrl-bad", "--seed", "5"], "algorithm 'lbftrl on lbftrl-bad' does not read 'seed'"),
+        (["--adversary", "iid-dirichlet", "--alpha", "0.9"], "algorithm 'lbftrl' does not read 'alpha'"),
+    ], ids=["lbftrl-bad-seed", "iid-dirichlet-alpha"])
+    def test_lbftrl_rejects_keys_its_adversary_does_not_read(self, tmp_path, argv, message):
+        # lbftrl-bad is generated from alpha alone; any other input is played without alpha
+        from bisons.cli import main
+
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=f"^{message}$"):
+            main(["run", "--algo", "lbftrl", "--d", "2", "--T", "400", *argv, "--out", str(out)])
         assert not (out / "trace.csv").exists()
 
     def test_eta_flag_means_the_eta_config_key(self, tmp_path):

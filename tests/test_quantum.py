@@ -123,9 +123,9 @@ class TestQBisonsRound:
         params = q_default_params(2, 440)
         state = initial_state(params, domain=SPECTRAPLEX)
         R = np.diag([0.7, 0.3]).astype(complex)
-        state, rec = qbisons_round(state, R, params, t=1)
-        assert np.abs(rec.x_played - np.eye(2) / 2).max() <= 1e-12
-        assert rec.loss == pytest.approx(-math.log(0.5))
+        assert np.abs(state.x_cur - np.eye(2) / 2).max() <= 1e-12
+        state, rec = qbisons_round(state, R, params)
+        assert rec.loss == pytest.approx(-math.log(0.5)) and not rec.reset_triggered
 
     def test_maximally_mixed_stream_is_stationary(self):
         params = q_default_params(2, 440)
@@ -134,8 +134,8 @@ class TestQBisonsRound:
         assert np.allclose(res.losses, math.log(2.0), atol=1e-12)
         assert res.reset_times == []
         assert res.violations == []
-        for rec in res.records:
-            assert np.abs(rec.x_played - np.eye(2) / 2).max() <= 1e-7
+        assert res.plays.shape == (100, 2, 2)
+        assert np.abs(res.plays - np.eye(2) / 2).max() <= 1e-7
 
     def test_diagonal_stream_matches_vector_algorithm(self):
         d, T, n = 2, 440, 40
@@ -150,20 +150,21 @@ class TestQBisonsRound:
             Xq = res_q.states[t][0]
             assert np.abs(np.diagonal(Xq).real - xv).max() <= 1e-6
             assert np.abs(Xq - np.diag(np.diagonal(Xq))).max() <= 1e-10
-            assert res_v.records[t].reset_triggered == res_q.records[t].reset_triggered
+        assert np.array_equal(res_v.resets, res_q.resets)
 
 
 class TestRunQBisons:
     def test_empty_stream(self):
         params = q_default_params(2, 440)
-        assert run_qbisons([], params).records == []
+        res = run_qbisons([], params)
+        assert res.losses.shape == res.resets.shape == (0,) and res.plays.shape == (0, 2, 2)
 
     def test_single_projector_measurement(self):
         # trace-one effect: recorded loss is -log <I/d, E>
         params = q_default_params(2, 440)
         E = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         res = run_qbisons([MeasurementEvent(effect=E, outcome=1.0)], params)
-        assert res.records[0].loss == pytest.approx(-math.log(trace_inner(np.eye(2) / 2, E)))
+        assert res.losses[0] == pytest.approx(-math.log(trace_inner(np.eye(2) / 2, E)))
 
     def test_scaling_invariance_of_iterates(self):
         params = q_default_params(2, 440)
@@ -181,7 +182,7 @@ class TestRunQBisons:
         stream = measurement_stream(2, 120, seed=5)
         res = run_qbisons(stream, params, rng=derive_rng(5, "reduction"), monitor=True)
         assert res.violations == []
-        assert len(res.records) == 120
+        assert len(res.losses) == len(res.plays) == 120
 
     def test_comparator_dominated_by_scaled_plays(self):
         # while no reset occurred: U_tau <= beta^{-1} X_s for all s <= tau in the epoch
@@ -271,9 +272,9 @@ class TestQBisonsResets:
         assert res_v.reset_times == [729]
         assert res_q.reset_times == [729]
         assert res_v.violations == [] and res_q.violations == []
-        for rec_v, rec_q in zip(res_v.records, res_q.records):
-            assert np.abs(np.diagonal(rec_q.x_played).real - rec_v.x_played).max() <= 1e-12
-            assert not np.count_nonzero(rec_q.x_played - np.diag(np.diagonal(rec_q.x_played)))
+        diagonals = np.diagonal(res_q.plays, axis1=1, axis2=2)
+        assert np.abs(diagonals.real - res_v.plays).max() <= 1e-12
+        assert not np.count_nonzero(res_q.plays - diagonals[:, :, None] * np.eye(2))
 
     def test_unitary_covariance_through_reset(self, crash_diagonal_runs, monkeypatch):
         R, params_q, _, res_diag = crash_diagonal_runs
@@ -290,5 +291,4 @@ class TestQBisonsResets:
         assert len(diagonal_plays) == len(R) and not any(diagonal_plays)
         assert res.reset_times == [729]
         assert res.violations == []
-        for rec, rec_diag in zip(res.records, res_diag.records):
-            assert np.abs(V.conj().T @ rec.x_played @ V - rec_diag.x_played).max() <= 1e-10
+        assert np.abs(V.conj().T @ res.plays @ V - res_diag.plays).max() <= 1e-10

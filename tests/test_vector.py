@@ -166,8 +166,8 @@ class TestBisonsRound:
         state = initial_state(params)
         assert np.allclose(state.x_cur, 1.0 / 3.0)
         assert np.allclose(state.u_cur, 1.0 / 3.0)
-        state, rec = bisons_round(state, np.array([0.2, 0.3, 0.5]), params, t=1)
-        assert np.allclose(rec.x_played, 1.0 / 3.0)
+        state, rec = bisons_round(state, np.array([0.2, 0.3, 0.5]), params)
+        assert rec.loss == pytest.approx(math.log(3.0)) and not rec.reset_triggered  # played the uniform x_cur
 
     def test_uniform_returns_are_stationary(self):
         params = default_params(2, 440)
@@ -176,8 +176,8 @@ class TestBisonsRound:
         assert np.allclose(res.losses, math.log(2.0), atol=1e-12)
         assert res.reset_times == []
         assert res.violations == []
-        for rec in res.records:
-            assert np.abs(rec.x_played - 0.5).max() <= 1e-7
+        assert res.plays.shape == (100, 2)
+        assert np.abs(res.plays - 0.5).max() <= 1e-7
 
     def test_matches_independent_reference_loop(self):
         params = default_params(2, 440)
@@ -187,9 +187,8 @@ class TestBisonsRound:
         res = run_bisons(R, params, tol=1e-12, keep_states=True)
         for t, row in enumerate(R):
             loss_ref, reset_ref = ref.round(row)
-            rec = res.records[t]
-            assert rec.loss == pytest.approx(loss_ref, abs=1e-10)
-            assert rec.reset_triggered == reset_ref
+            assert res.losses[t] == pytest.approx(loss_ref, abs=1e-10)
+            assert res.resets[t] == reset_ref
             x_next = res.states[t][0]
             if not reset_ref:
                 assert np.abs(x_next - ref.x).max() <= 1e-7
@@ -221,30 +220,29 @@ class TestBisonsRound:
         R = adversary_returns("single-asset-crash", 2, 1000, 0)
         res = run_bisons(R, params, keep_states=True)
         t_reset = res.reset_times[0]
-        first_after = res.records[t_reset]  # record index t_reset is round t_reset+1
-        assert first_after.e == 2
-        assert first_after.tau == 1
-        assert np.allclose(first_after.x_played, 0.5)
+        assert res.resets[t_reset - 1]  # row t-1 is round t
+        assert np.allclose(res.plays[t_reset], 0.5)  # round t_reset+1 starts the new epoch
 
 
 class TestRunBisons:
     def test_empty_sequence(self):
         params = default_params(2, 440)
         res = run_bisons([], params)
-        assert res.records == []
+        assert res.losses.shape == res.resets.shape == (0,) and res.plays.shape == (0, 2)
+        assert res.reset_times == []
 
     def test_single_round_uniform_loss(self):
         params = default_params(2, 440)
         r = np.array([0.8, 0.2])
         res = run_bisons([r], params)
-        assert len(res.records) == 1
-        assert res.records[0].loss == pytest.approx(-math.log(0.5 * 0.8 + 0.5 * 0.2))
+        assert len(res.losses) == 1
+        assert res.losses[0] == pytest.approx(-math.log(0.5 * 0.8 + 0.5 * 0.2))
 
     def test_returns_normalized_on_ingestion(self):
         params = default_params(2, 440)
         res_scaled = run_bisons([np.array([8.0, 2.0])], params)
         res_plain = run_bisons([np.array([0.8, 0.2])], params)
-        assert res_scaled.records[0].loss == pytest.approx(res_plain.records[0].loss, abs=1e-15)
+        assert res_scaled.losses[0] == pytest.approx(res_plain.losses[0], abs=1e-15)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_row_rejected(self, bad):
@@ -283,14 +281,14 @@ class TestRunBisons:
         res = run_bisons(R, params, keep_states=True)
         prev_p = np.array([2.0, 2.0])
         prev_reset = False
-        for rec, (x_next, u_next, p_next) in zip(res.records, res.states):
+        for reset, (x_next, u_next, p_next) in zip(res.resets, res.states):
             if prev_reset:
                 prev_p = np.array([2.0, 2.0])
             assert (p_next >= prev_p - 1e-12).all()
             assert (p_next <= params.T**2 + 1e-8).all()
             assert (p_next >= 1.0 / x_next - 1e-9).all()
             prev_p = p_next
-            prev_reset = rec.reset_triggered
+            prev_reset = reset
 
     def test_cost_of_bias_telescoping(self):
         # per completed epoch: sum_tau <x_tau, p_tau - p_{tau-1}> <= sum_i log(p_L,i / d)
@@ -345,9 +343,9 @@ def observed_rounds(domain, res, d):
     rebuilt from a ``keep_states`` run: an epoch starts from the domain's centre."""
     x0, p0 = domain.centre(d)
     rounds, old = [], (x0, x0, p0)
-    for rec, new in zip(res.records, res.states):
-        rounds.append([rec.t, *old, *new])
-        old = (x0, x0, p0) if rec.reset_triggered else new
+    for t, (reset, new) in enumerate(zip(res.resets, res.states), start=1):
+        rounds.append([t, *old, *new])
+        old = (x0, x0, p0) if reset else new
     return rounds
 
 
