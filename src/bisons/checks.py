@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import BETA_MAX, build_surrogate, log_loss, lower_surrogate_eval
+from .geometry import BETA_MAX, build_surrogate, log_loss
 from .harness import adversary_returns, best_crp, best_quantum_state, derive_rng, measurement_stream
 from .hermitian import (
     min_eig,
@@ -69,7 +69,7 @@ def check_lower_surrogate(ctx):
         r = _random_simplex(rng, d)
         s = build_surrogate(x_t, r, float(rng.uniform(0.01, BETA_MAX)))
         x = _random_simplex(rng, d, floor=1e-9)
-        gap = lower_surrogate_eval(s, x, r) - log_loss(x, r)
+        gap = s.lower_hat_h(float(np.dot(x, r))) - log_loss(x, r)
         worst_gap = max(worst_gap, gap)
         worst_eq = max(worst_eq, abs(s.lower_hat_h(s.anchor_reward) + math.log(s.anchor_reward)))
     passed = worst_gap <= 1e-12 and worst_eq <= 1e-12
@@ -102,9 +102,9 @@ def check_bisons_regret(ctx):
                     f"monitor violations {violations}")
 
 
-def epoch_grid_regret(R, losses, resets, T, npts=EPOCH_GRID_POINTS):
+def epoch_grid_regret(R, losses, resets, T):
     """Worst regret per completed epoch (the rounds up to each reset) against the (min entry >= 1/T) grid."""
-    grid_a = np.linspace(1.0 / T, 1.0 - 1.0 / T, npts)
+    grid_a = np.linspace(1.0 / T, 1.0 - 1.0 / T, EPOCH_GRID_POINTS)
     grid = np.stack([grid_a, 1.0 - grid_a], axis=1)
     ends = np.flatnonzero(resets) + 1
     out = []

@@ -128,11 +128,6 @@ def build_surrogate(x_t, r_t, beta):
     )
 
 
-def lower_surrogate_eval(s, x, r):
-    """Lower surrogate evaluated at the portfolio x against the returns r."""
-    return s.lower_hat_h(float(np.dot(x, r)))
-
-
 class PiProjection:
     """Orthonormal chart of the simplex affine hull.
 
@@ -142,22 +137,20 @@ class PiProjection:
     Gram-Schmidt over e_i - e_d, which is deterministic and seed free.
     """
 
-    def __init__(self, d, basis=None):
+    def __init__(self, d):
         if d < 2:
             raise ValueError("need dimension >= 2")
         self.d = d
-        if basis is None:
-            rows = []
-            for i in range(d - 1):
-                v = np.zeros(d)
-                v[i] = 1.0
-                v[d - 1] = -1.0
-                for q in rows:
-                    v = v - np.dot(q, v) * q
-                v /= np.linalg.norm(v)
-                rows.append(v)
-            basis = np.array(rows)
-        self.basis = basis
+        rows = []
+        for i in range(d - 1):
+            v = np.zeros(d)
+            v[i] = 1.0
+            v[d - 1] = -1.0
+            for q in rows:
+                v = v - np.dot(q, v) * q
+            v /= np.linalg.norm(v)
+            rows.append(v)
+        self.basis = np.array(rows)
         self.center = np.full(d, 1.0 / d)
 
     def project(self, x):

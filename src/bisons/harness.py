@@ -74,10 +74,10 @@ def _continuation(solve, x, w, w_min):
         w *= 0.5
 
 
-def best_crp(returns, tol=1e-9):
+def best_crp(returns):
     """Best constant-rebalanced portfolio by barrier continuation.
 
-    The barrier weight is halved from 1 until it drops below tol/d.
+    The barrier weight is halved from 1 until it drops below 1e-9/d.
     Returns the comparator and its cumulative loss.
     """
     R = np.asarray(returns, dtype=float)
@@ -85,19 +85,19 @@ def best_crp(returns, tol=1e-9):
         raise ValueError("need a nonempty returns matrix")
     d = R.shape[1]
     x = _continuation(lambda x, w: minimize_simplex_history(R, w, warm_start=x, tol=1e-12).minimizer,
-                      uniform_portfolio(d), 1.0, tol / d)
+                      uniform_portfolio(d), 1.0, 1e-9 / d)
     return x, float(-np.log(R @ x).sum())
 
 
-def best_quantum_state(loss_matrices, tol=1e-8):
-    """Spectraplex analogue of :func:`best_crp`."""
+def best_quantum_state(loss_matrices):
+    """Spectraplex analogue of :func:`best_crp`, halving the barrier weight until it drops below 1e-8/d."""
     mats = list(loss_matrices)
     if not mats:
         raise ValueError("need a nonempty loss matrix sequence")
     d = mats[0].shape[0]
     W = np.array([phi_dual(R) for R in mats])
     X = _continuation(lambda X, w: minimize_spectraplex_history(W, w, warm_start=X, tol=1e-12).minimizer,
-                      np.eye(d, dtype=complex) / d, 1.0, tol / d)
+                      np.eye(d, dtype=complex) / d, 1.0, 1e-8 / d)
     loss = float(sum(-math.log(trace_inner(X, R)) for R in mats))
     return X, loss
 
@@ -119,24 +119,24 @@ class _Projection:
         return 2.0 * (self.A @ (x - self.q)), 2.0 * self.A
 
 
-def _generalized_projection(q, A, tol=1e-9):
-    """argmin over the simplex of (x - q)' A (x - q), by barrier continuation."""
+def _generalized_projection(q, A):
+    """argmin over the simplex of (x - q)' A (x - q), by barrier continuation down to weight 1e-9."""
     return _continuation(lambda x, w: minimize_simplex(_Projection(q, A, w), warm_start=x, tol=1e-12).minimizer,
-                         uniform_portfolio(q.size), 1e-2, tol)
+                         uniform_portfolio(q.size), 1e-2, 1e-9)
 
 
-def ons_baseline(returns, eta_ons=0.1, epsilon=1.0):
-    """Standard online Newton step with generalized projection; comparison only; per-round (losses, plays)."""
+def ons_baseline(returns):
+    """Online Newton step (step 0.1, A_0 = I) with generalized projection; comparison only; (losses, plays)."""
     R = np.asarray(returns, dtype=float)
     n, d = R.shape
-    A = epsilon * np.eye(d)
+    A = np.eye(d)
     x = uniform_portfolio(d)
     losses, plays = np.empty(n), np.empty((n, d))
     for t, r in enumerate(R):
         losses[t], plays[t] = log_loss(x, r), x
         grad = -r / float(np.dot(x, r))
         A = A + np.outer(grad, grad)
-        q = x - eta_ons * np.linalg.solve(A, grad)
+        q = x - 0.1 * np.linalg.solve(A, grad)
         x = _generalized_projection(q, A)
     return losses, plays
 
@@ -147,12 +147,9 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
-def save_returns(path, returns, header=False):
-    R = np.asarray(returns, dtype=float)
+def save_returns(path, returns):
     with open(path, "w") as fh:
-        if header:
-            fh.write(",".join(f"a{i + 1}" for i in range(R.shape[1])) + "\n")
-        for row in R:
+        for row in np.asarray(returns, dtype=float):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
@@ -236,11 +233,15 @@ class ExperimentConfig:
     @classmethod
     def from_mapping(cls, m):
         """Each field parsed by its declared type; any other key is a parameter override.
-        A key the algorithm does not read (see ``READS``) is rejected."""
+        A key the algorithm does not read (see ``READS``), and an override that is not a parameter, are rejected."""
         algo = m.get("algo")
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
-        reader = "lbftrl on lbftrl-bad" if algo == "lbftrl" and m.get("adversary") == "lbftrl-bad" else algo
+        reader = algo
+        if algo == "lbftrl" and m.get("adversary") == "lbftrl-bad":
+            reader = "lbftrl on lbftrl-bad"
+        elif "data" in m and f"{algo} on data" in READS:
+            reader = f"{algo} on data"
         types = {f.name: f.type for f in fields(cls) if f.name != "overrides"}
         if "overrides" in READS[reader]:
             del types["eta"]  # eta is an algorithm-parameter override there
@@ -263,6 +264,9 @@ class ExperimentConfig:
         if overrides and "overrides" not in READS[reader]:
             raise ValueError(f"algorithm {algo!r} takes no parameter overrides, "
                              f"got {', '.join(map(repr, overrides))}")
+        for key in overrides:
+            if key not in ("B", "eta", "beta"):
+                raise ValueError(f"unknown parameter override {key!r}")
         return cls(overrides=overrides, **kwargs)
 
 
@@ -282,15 +286,23 @@ def parse_config_file(path):
 
 
 def _apply_overrides(params, overrides):
-    for key in overrides:
-        if key not in ("B", "eta", "beta"):
-            raise ValueError(f"unknown parameter override {key!r}")
     return replace(params, **{key: float(value) for key, value in overrides.items()}).validate()
+
+
+def _read_data(config, load, dim):
+    """The data file's rows, rejected unless each has dimension ``dim(row) == d`` and there are at most T."""
+    rows = load(config.data)
+    for k, row in enumerate(rows, start=1):
+        if dim(row) != config.d:
+            raise ValueError(f"{config.data}: row {k} has dimension {dim(row)}, not d={config.d}")
+    if len(rows) > config.T:
+        raise ValueError(f"{config.data}: {len(rows)} rows, more than T={config.T}")
+    return rows
 
 
 def _get_returns(config):
     if config.data:
-        R = load_returns(config.data)
+        R = _read_data(config, load_returns, len)
     elif config.adversary:
         R = adversary_returns(config.adversary, config.d, config.T, config.seed)
     else:
@@ -332,7 +344,10 @@ def _run_bisons(config):
 
 
 def _run_qbisons(config):
-    stream = load_measurements(config.data) if config.data else measurement_stream(config.d, config.T, config.seed)
+    if config.data:
+        stream = _read_data(config, load_measurements, lambda ev: ev.effect.shape[0])
+    else:
+        stream = measurement_stream(config.d, config.T, config.seed)
     params = _apply_overrides(q_default_params(config.d, config.T), config.overrides)
     result = run_qbisons(stream, params, rng=derive_rng(config.seed, "qbisons:reduction"), monitor=True)
     u_star, _ = best_quantum_state(result.loss_matrices)
@@ -366,12 +381,16 @@ ALGORITHMS = {"bisons": _run_bisons, "qbisons": _run_qbisons, "lbftrl": _run_lbf
 
 #: Config fields each runner reads besides algo, d, T and out; "overrides" are its parameters B, eta and beta.
 #: LB-FTRL generates lbftrl-bad against its own player from alpha alone, and plays any other input without it.
+#: A data file replaces the adversary and its seed; Q-BISONS still seeds its measurement reduction.
 READS = {
-    "bisons": {"seed", "adversary", "data", "pad_uniform", "overrides"},
+    "bisons": {"seed", "adversary", "pad_uniform", "overrides"},
+    "bisons on data": {"data", "pad_uniform", "overrides"},
     "qbisons": {"seed", "data", "overrides"},
-    "lbftrl": {"seed", "adversary", "data", "pad_uniform", "eta"},
+    "lbftrl": {"seed", "adversary", "pad_uniform", "eta"},
+    "lbftrl on data": {"data", "pad_uniform", "eta"},
     "lbftrl on lbftrl-bad": {"adversary", "alpha", "eta"},
-    "ons": {"seed", "adversary", "data", "pad_uniform"},
+    "ons": {"seed", "adversary", "pad_uniform"},
+    "ons on data": {"data", "pad_uniform"},
 }
 
 

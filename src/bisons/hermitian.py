@@ -29,9 +29,9 @@ def hermitize(M):
     return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
-def is_hermitian(M, tol=1e-12):
+def is_hermitian(M):
     M = np.asarray(M)
-    return M.shape[0] == M.shape[1] and np.abs(M - M.conj().T).max() <= tol
+    return M.shape[0] == M.shape[1] and np.abs(M - M.conj().T).max() <= 1e-12
 
 
 def trace_inner(X, Y):
@@ -185,9 +185,9 @@ def reduce_measurement(ev, rng=None):
 
 # -- random generation helpers ----------------------------------------------
 
-def random_hermitian(rng, d, scale=1.0):
+def random_hermitian(rng, d):
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return hermitize(scale * A)
+    return hermitize(A)
 
 
 def random_unitary(rng, d):

@@ -181,10 +181,10 @@ def qbisons_round(state, R_t, params, tol=1e-10):
     return bisons_round(state, R_t, params, tol=tol, domain=SPECTRAPLEX)
 
 
-def run_qbisons(stream, params, rng=None, tol=None, monitor=False, keep_states=False):
+def run_qbisons(stream, params, rng=None, monitor=False, keep_states=False):
     """Run over a stream of loss matrices or measurement events.
 
     Fractional-outcome events are reduced with ``rng``; a single stream
     serves the whole run, advanced once per event.
     """
-    return run_epochs(SPECTRAPLEX, stream, params, rng=rng, tol=tol, monitor=monitor, keep_states=keep_states)
+    return run_epochs(SPECTRAPLEX, stream, params, rng=rng, monitor=monitor, keep_states=keep_states)

@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import InvalidReturnsError, log_loss, normalize_returns, uniform_portfolio
+from .geometry import BETA_MAX, InvalidReturnsError, log_loss, normalize_returns, uniform_portfolio
 from .solver import QuadraticObjective, SolverFailure, default_tol, minimize_simplex
 
 ETA_CAP = 1.0 / 63.0
-BETA_CAP = math.sqrt(2.0) - 1.0
 _REL_SLACK = 1.0 + 1e-12
 
 
@@ -53,7 +52,7 @@ class BisonsParams:
             raise ParameterError(f"dimension must be at least {self.min_d}, got {self.d}")
         if self.T < 110 * self.d * self.d:
             raise ParameterError(f"horizon too small: T >= 110*d^2 = {110 * self.d * self.d} required")
-        if not 0.0 < self.beta <= BETA_CAP * _REL_SLACK:
+        if not 0.0 < self.beta <= BETA_MAX * _REL_SLACK:
             raise ParameterError(f"beta must lie in (0, sqrt(2)-1], got {self.beta}")
         if not self.B > 0.0:
             raise ParameterError(f"bias scale B must be positive, got {self.B}")
@@ -225,11 +224,11 @@ class StabilityMonitor:
     """
 
     params: BisonsParams
-    tol: float = 1e-8
     violations: list = field(default_factory=list)
     _t: list = field(default_factory=list, init=False, repr=False, compare=False)
     _buf: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
+    tol = 1e-8
     dtype = float
     checks = (
         "play ratio outside 1+6eta",

@@ -10,7 +10,6 @@ from bisons.geometry import (
     PiProjection,
     build_surrogate,
     log_loss,
-    lower_surrogate_eval,
     normalize_returns,
     uniform_portfolio,
 )
@@ -177,7 +176,7 @@ class TestLowerSurrogate:
             r = random_simplex(rng, d)
             s = build_surrogate(x_t, r, rng.uniform(0.01, BETA_MAX))
             x = random_simplex(rng, d, floor=1e-6)
-            assert lower_surrogate_eval(s, x, r) <= log_loss(x, r) + 1e-12
+            assert s.lower_hat_h(float(np.dot(x, r))) <= log_loss(x, r) + 1e-12
 
 
 class TestPiProjection:

@@ -25,6 +25,15 @@ from bisons.harness import (
 from bisons.hermitian import trace_inner
 
 
+def write_measurements(path, events):
+    """One row per event: the effect's entries, re/im interleaved and row major, then the outcome."""
+    lines = []
+    for ev in events:
+        cells = [v for z in ev.effect.reshape(-1) for v in (z.real, z.imag)] + [ev.outcome]
+        lines.append(",".join(format(float(v), ".17g") for v in cells))
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestBestCrp:
     def test_single_asset_history(self):
         R = np.tile(np.array([1.0, 0.0, 0.0]), (30, 1))
@@ -152,16 +161,25 @@ class TestFiles:
     def test_measurements_round_trip(self, tmp_path):
         events = measurement_stream(2, 10, seed=5)
         p1 = tmp_path / "m.csv"
-        lines = []
-        for ev in events:
-            cells = [v for z in ev.effect.reshape(-1) for v in (z.real, z.imag)] + [ev.outcome]
-            lines.append(",".join(format(float(v), ".17g") for v in cells))
-        p1.write_text("\n".join(lines) + "\n")
+        write_measurements(p1, events)
         loaded = load_measurements(str(p1))
         assert len(loaded) == 10
         for a, b in zip(events, loaded):
             assert np.array_equal(a.effect, b.effect)
             assert a.outcome == b.outcome
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.5,0,0,0,0,0,0.5,0,0.5\n0.5,0,zebra,0,0,0,0.5,0,0.5\n", "parse error at line 2"),
+        ("0.5,0,0,0,0,0,0.5,0,0.5\n\n0.5,0,0,0,0.5\n", "line 3: expected 2*d^2+1 cells, got 5"),
+        ("0.5,0,0,0,0,0,0.5,0,0.5\n0.5,0,0.3,0,0,0,0.5,0,0.5\n", "row 2 (line 2): effect must be Hermitian"),
+        ("\n\n", "no measurement rows found"),
+    ], ids=["unparsable-cell", "cell-count", "non-hermitian", "empty"])
+    def test_measurements_rejections_name_the_line(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_measurements(str(path))
+        assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
 
 
 class TestAdversaries:
@@ -448,6 +466,79 @@ class TestCli:
         monkeypatch.chdir(tmp_path / "cwd")
         assert main(["run", "--config", str(cfg), "--algo", "ons"]) == 0
         assert json.loads((out / "summary.json").read_text())["seed"] == 9
+
+    @pytest.mark.parametrize("algo, argv, message", [
+        ("bisons", ["--d", "3", "--T", "1000"], "row 1 has dimension 2, not d=3"),
+        ("qbisons", ["--d", "3", "--T", "1000"], "row 1 has dimension 2, not d=3"),
+        ("lbftrl", ["--d", "2", "--T", "100"], "440 rows, more than T=100"),
+        ("ons", ["--d", "5", "--T", "100"], "row 1 has dimension 2, not d=5"),
+    ])
+    def test_run_rejects_a_data_file_that_does_not_match_d_and_T(self, tmp_path, algo, argv, message):
+        from bisons.cli import main
+
+        path = tmp_path / "data.csv"
+        if algo == "qbisons":
+            write_measurements(path, measurement_stream(2, 440, seed=5))
+        else:
+            save_returns(str(path), adversary_returns("iid-dirichlet", 2, 440, 1))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=f"^{path}: {message}$"):
+            main(["run", "--algo", algo, *argv, "--data", str(path), "--out", str(out)])
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("algo, argv, message", [
+        ("bisons", ["--adversary", "single-asset-crash", "--seed", "9"], "'adversary', 'seed'"),
+        ("ons", ["--seed", "4"], "'seed'"),
+        ("lbftrl", ["--adversary", "iid-dirichlet"], "'adversary'"),
+    ])
+    def test_run_on_data_rejects_adversary_and_seed(self, tmp_path, algo, argv, message):
+        from bisons.cli import main
+
+        path = tmp_path / "r.csv"
+        save_returns(str(path), adversary_returns("iid-dirichlet", 2, 440, 1))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=f"^algorithm '{algo} on data' does not read {message}$"):
+            main(["run", "--algo", algo, "--d", "2", "--T", "440", "--data", str(path), *argv, "--out", str(out)])
+        assert not out.exists()
+
+    def test_qbisons_on_data_reads_its_seed(self, tmp_path):
+        # the seed drives the Bernoulli reduction of fractional outcomes
+        from bisons.cli import main
+
+        path = tmp_path / "m.csv"
+        write_measurements(path, measurement_stream(2, 440, seed=5))
+        traces = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert main(["run", "--algo", "qbisons", "--d", "2", "--T", "440", "--data", str(path),
+                         "--seed", seed, "--out", str(out)]) == 0
+            assert json.loads((out / "summary.json").read_text())["seed"] == int(seed)
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0] != traces[1]
+
+    def test_unknown_override_rejected_before_any_output(self, tmp_path):
+        from bisons.cli import main
+
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=r"^unknown parameter override 'foo'$"):
+            main(["run", "--algo", "bisons", "--d", "2", "--T", "440", "--adversary", "iid-dirichlet",
+                  "--set", "foo=1", "--out", str(out)])
+        assert not out.exists()
+
+    def test_pad_uniform_by_flag_and_by_config_file(self, tmp_path):
+        from bisons.cli import main
+
+        path = tmp_path / "r.csv"
+        save_returns(str(path), adversary_returns("iid-dirichlet", 2, 100, 1))
+        cfg = tmp_path / "pad.cfg"
+        cfg.write_text("pad_uniform = true\n")
+        args = ["run", "--algo", "bisons", "--d", "2", "--T", "440", "--data", str(path)]
+        for name, extra in [("flag", ["--pad-uniform"]), ("config", ["--config", str(cfg)]), ("none", [])]:
+            assert main(args + extra + ["--out", str(tmp_path / name)]) == 0
+        rounds = {name: json.loads((tmp_path / name / "summary.json").read_text())["rounds"]
+                  for name in ("flag", "config", "none")}
+        assert rounds == {"flag": 440, "config": 440, "none": 100}
+        assert (tmp_path / "flag" / "trace.csv").read_bytes() == (tmp_path / "config" / "trace.csv").read_bytes()
 
     def test_gen_lbftrl(self, tmp_path):
         from bisons.cli import main

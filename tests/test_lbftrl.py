@@ -243,7 +243,8 @@ class TestStabilityTerm:
         theta = 0.6
         rot = np.eye(d - 1)
         rot[:2, :2] = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-        proj_rot = PiProjection(d, basis=rot @ proj.basis)
+        proj_rot = PiProjection(d)
+        proj_rot.basis = rot @ proj.basis
         hist = rng.dirichlet(np.ones(d), size=6)
         x = rng.dirichlet(np.ones(d)) * 0.9 + 0.025
         r = hist[-1]
