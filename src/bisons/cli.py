@@ -44,15 +44,12 @@ def _run(args):
         mapping["pad_uniform"] = True
     for item in args.set:
         if "=" not in item:
-            raise SystemExit(f"--set expects KEY=VALUE, got {item!r}")
+            raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
     if "d" not in mapping or "T" not in mapping:
-        raise SystemExit("--d and --T are required (flag or config file)")
-    try:
-        summary = run_experiment(ExperimentConfig.from_mapping(mapping))
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+        raise ValueError("--d and --T are required (flag or config file)")
+    summary = run_experiment(ExperimentConfig.from_mapping(mapping))
     print(f"wrote {summary['rounds']} rounds to {mapping.get('out', '.')}; "
           f"final regret {summary['final_regret']:.6g}")
     return 0
@@ -64,11 +61,8 @@ def _gen_lbftrl(args):
     from .lbftrl import AdversaryPlan, generate_returns
     from .harness import save_returns
 
-    try:
-        plan = AdversaryPlan.build(args.d, args.T, args.alpha)
-        result = generate_returns(plan, args.eta)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+    plan = AdversaryPlan.build(args.d, args.T, args.alpha)
+    result = generate_returns(plan, args.eta)
     os.makedirs(args.out, exist_ok=True)
     plan.export(os.path.join(args.out, "plan.txt"))
     save_returns(os.path.join(args.out, "returns.csv"), result.returns)
@@ -120,15 +114,11 @@ def main(argv=None):
     bc.add_argument("--data", required=True)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _run(args)
-    if args.command == "adversary":
-        return _gen_lbftrl(args)
-    if args.command == "check":
-        return _check(args)
-    if args.command == "best-crp":
-        return _best_crp(args)
-    parser.error("unknown command")
+    command = {"run": _run, "adversary": _gen_lbftrl, "check": _check, "best-crp": _best_crp}[args.command]
+    try:
+        return command(args)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(str(exc)) from exc
 
 
 if __name__ == "__main__":

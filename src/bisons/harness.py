@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .geometry import InvalidReturnsError, log_loss, normalize_returns, uniform_portfolio
+from .geometry import log_loss, normalize_returns, uniform_portfolio
 from .hermitian import MeasurementEvent, phi_dual, random_effect, trace_inner
 from .lbftrl import AdversaryPlan, generate_and_run, run_lbftrl
 from .quantum import q_default_params, run_qbisons
@@ -153,65 +153,56 @@ def save_returns(path, returns):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def load_returns(path):
-    """Load and normalize a returns file; errors carry the offending row."""
-    rows = []
+def _read_rows(path, what, parse):
+    """``parse(cells)`` of each row of a comma-separated file of numbers; errors name the file and line.
+
+    Blank lines are skipped, and so is a first line whose first cell starts
+    with ``a`` (a header; no number does).  Cells must be finite, and every
+    row has as many cells as the first.
+    """
+    items, width = [], None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if lineno == 1 and parts[0].startswith("a") and not _is_float(parts[0]):
+            cells = line.strip().split(",")
+            if cells == [""] or lineno == 1 and cells[0].startswith("a"):
                 continue
             try:
-                row = np.array([float(p) for p in parts])
+                vals = [float(c) for c in cells]
             except ValueError as exc:
                 raise ValueError(f"{path}: parse error at line {lineno}: {exc}") from exc
+            width = width or len(vals)
             try:
-                rows.append(normalize_returns(row))
-            except InvalidReturnsError as exc:
-                raise InvalidReturnsError(f"{path}: row {len(rows) + 1} (line {lineno}): {exc}") from exc
-    if not rows:
-        raise ValueError(f"{path}: no returns rows found")
-    return np.array(rows)
+                if not all(map(math.isfinite, vals)):
+                    raise ValueError("cells must be finite")
+                item = parse(vals)
+                if len(vals) != width:
+                    raise ValueError(f"expected {width} cells as in row 1, got {len(vals)}")
+            except ValueError as exc:
+                raise type(exc)(f"{path}: row {len(items) + 1} (line {lineno}): {exc}") from exc
+            items.append(item)
+    if not items:
+        raise ValueError(f"{path}: no {what} rows found")
+    return items
 
 
-def _is_float(s):
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
+def load_returns(path):
+    """Load and normalize a returns file: one row of d returns per round."""
+    return np.array(_read_rows(path, "returns", lambda vals: normalize_returns(np.array(vals))))
+
+
+def _measurement(vals):
+    n = len(vals) - 1
+    d = int(round(math.sqrt(n / 2)))
+    if d < 1 or 2 * d * d != n:
+        raise ValueError(f"expected 2*d^2+1 cells, got {len(vals)}")
+    E = (np.array(vals[:-1:2]) + 1j * np.array(vals[1:-1:2])).reshape(d, d)
+    return MeasurementEvent(effect=E, outcome=vals[-1])
 
 
 def load_measurements(path):
     """Measurement rows: d^2 complex entries of the effect (re/im interleaved,
     row-major) followed by the outcome."""
-    events = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                vals = [float(p) for p in line.split(",")]
-            except ValueError as exc:
-                raise ValueError(f"{path}: parse error at line {lineno}: {exc}") from exc
-            n = len(vals) - 1
-            d = int(round(math.sqrt(n / 2)))
-            if 2 * d * d != n:
-                raise ValueError(f"{path}: line {lineno}: expected 2*d^2+1 cells, got {len(vals)}")
-            re = np.array(vals[:-1:2])
-            im = np.array(vals[1:-1:2])
-            E = (re + 1j * im).reshape(d, d)
-            try:
-                events.append(MeasurementEvent(effect=E, outcome=vals[-1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {len(events) + 1} (line {lineno}): {exc}") from exc
-    if not events:
-        raise ValueError(f"{path}: no measurement rows found")
-    return events
+    return _read_rows(path, "measurement", _measurement)
 
 
 # -- experiment driver ----------------------------------------------------------
@@ -258,6 +249,9 @@ class ExperimentConfig:
                 expected = (types[key].__name__ if key in types
                             else "float (unknown key or non-numeric parameter override)")
                 raise ValueError(f"config key {key!r}: cannot parse {value!r} as {expected}") from None
+        for key in ("d", "T"):
+            if kwargs.get(key, 1) < 1:
+                raise ValueError(f"config key {key!r} must be at least 1, got {kwargs[key]}")
         unread = [key for key in kwargs if key not in ("algo", "d", "T", "out") and key not in READS[reader]]
         if unread:
             raise ValueError(f"algorithm {reader!r} does not read {', '.join(map(repr, unread))}")
@@ -340,7 +334,7 @@ def _run_bisons(config):
     R = _get_returns(config)
     params = _apply_overrides(default_params(config.d, config.T), config.overrides)
     result = run_bisons(R, params, monitor=True)
-    return result.losses, result.resets, _crp_cum_loss(R), _epoch_summary(result, params)
+    return result.losses, result.resets, _crp_cum_loss(R), _epoch_summary(result, params), None
 
 
 def _run_qbisons(config):
@@ -352,31 +346,29 @@ def _run_qbisons(config):
     result = run_qbisons(stream, params, rng=derive_rng(config.seed, "qbisons:reduction"), monitor=True)
     u_star, _ = best_quantum_state(result.loss_matrices)
     comp_cum = np.cumsum([-math.log(trace_inner(u_star, Rm)) for Rm in result.loss_matrices])
-    return result.losses, result.resets, comp_cum, _epoch_summary(result, params)
+    return result.losses, result.resets, comp_cum, _epoch_summary(result, params), None
 
 
 def _run_lbftrl(config):
-    """LB-FTRL on lbftrl-bad (generated against the player) or on given returns; also writes stability.csv."""
+    """LB-FTRL on lbftrl-bad (generated against the player) or on given returns; its table is the stability columns."""
     if config.adversary == "lbftrl-bad":
         result = generate_and_run(AdversaryPlan.build(config.d, config.T, config.alpha), config.eta)
         extras = {"truncated": result.truncated, "completed_visits": result.completed_visits, "alpha": config.alpha}
     else:
         result = run_lbftrl(_get_returns(config), config.eta)
         extras = {}
-    with open(os.path.join(config.out, "stability.csv"), "w") as fh:
-        fh.write("t,term,is_movement\n")
-        for t, (term, flag) in enumerate(zip(result.terms, result.movement_flags), start=1):
-            fh.write(f"{t},{_fmt(term)},{int(flag)}\n")
     extras.update(eta=config.eta, stability_sum=float(result.terms.sum()))
-    return result.losses, np.zeros(len(result.losses), dtype=bool), _crp_cum_loss(result.returns), extras
+    return (result.losses, np.zeros(len(result.losses), dtype=bool), _crp_cum_loss(result.returns), extras,
+            (result.terms, result.movement_flags))
 
 
 def _run_ons(config):
     R = _get_returns(config)
-    return ons_baseline(R)[0], np.zeros(len(R), dtype=bool), _crp_cum_loss(R), {}
+    return ons_baseline(R)[0], np.zeros(len(R), dtype=bool), _crp_cum_loss(R), {}, None
 
 
-#: Runner per algorithm name: config -> (per-round losses and reset flags, comparator cumulative loss, summary entries).
+#: Runner per algorithm name: config -> (per-round losses and reset flags, comparator cumulative loss,
+#: summary entries, stability columns (terms, movement flags) or None).  Runners write no file.
 ALGORITHMS = {"bisons": _run_bisons, "qbisons": _run_qbisons, "lbftrl": _run_lbftrl, "ons": _run_ons}
 
 #: Config fields each runner reads besides algo, d, T and out; "overrides" are its parameters B, eta and beta.
@@ -395,15 +387,21 @@ READS = {
 
 
 def run_experiment(config):
-    """Execute one experiment; writes trace/summary (and the runner's own) files.
+    """Execute one experiment, then write trace.csv, stability.csv (LB-FTRL) and summary.json.
 
-    Deterministic given (config, seed).  Returns the summary dict.
+    Nothing is written unless the runner returns.  Deterministic given
+    (config, seed).  Returns the summary dict.
     """
     if config.algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {config.algo!r}")
+    losses, resets, comp_cum, extras, stability = ALGORITHMS[config.algo](config)
     os.makedirs(config.out, exist_ok=True)
-    losses, resets, comp_cum, extras = ALGORITHMS[config.algo](config)
     write_trace(os.path.join(config.out, "trace.csv"), losses, resets, comp_cum)
+    if stability is not None:
+        with open(os.path.join(config.out, "stability.csv"), "w") as fh:
+            fh.write("t,term,is_movement\n")
+            for t, (term, flag) in enumerate(zip(*stability), start=1):
+                fh.write(f"{t},{_fmt(term)},{int(flag)}\n")
     cum_loss = float(np.cumsum(losses)[-1])
     summary = {"algo": config.algo, "d": config.d, "T": config.T, "seed": config.seed,
                "adversary": config.adversary, "data": config.data, **extras,

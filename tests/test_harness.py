@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -170,7 +171,7 @@ class TestFiles:
 
     @pytest.mark.parametrize("text, message", [
         ("0.5,0,0,0,0,0,0.5,0,0.5\n0.5,0,zebra,0,0,0,0.5,0,0.5\n", "parse error at line 2"),
-        ("0.5,0,0,0,0,0,0.5,0,0.5\n\n0.5,0,0,0,0.5\n", "line 3: expected 2*d^2+1 cells, got 5"),
+        ("0.5,0,0,0,0,0,0.5,0,0.5\n\n0.5,0,0,0,0.5\n", "row 2 (line 3): expected 2*d^2+1 cells, got 5"),
         ("0.5,0,0,0,0,0,0.5,0,0.5\n0.5,0,0.3,0,0,0,0.5,0,0.5\n", "row 2 (line 2): effect must be Hermitian"),
         ("\n\n", "no measurement rows found"),
     ], ids=["unparsable-cell", "cell-count", "non-hermitian", "empty"])
@@ -180,6 +181,33 @@ class TestFiles:
         with pytest.raises(ValueError) as err:
             load_measurements(str(path))
         assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+
+    @pytest.mark.parametrize("load, text, message", [
+        (load_returns, "1,0\n0,1,0\n", "row 2 (line 2): expected 2 cells as in row 1, got 3"),
+        (load_returns, "1,0\n\n0,1,0,0\n", "row 2 (line 3): expected 2 cells as in row 1, got 4"),
+        (load_measurements, "1,0,0,0,0,0,1,0,0.5\n1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0.5\n",
+         "row 2 (line 2): expected 9 cells as in row 1, got 19"),
+        (load_returns, "1,0\nnan,1\n", "row 2 (line 2): cells must be finite"),
+        (load_returns, "inf,1\n", "row 1 (line 1): cells must be finite"),
+        (load_measurements, "0.5,0,0,0,0,0,nan,0,0.5\n", "row 1 (line 1): cells must be finite"),
+        (load_measurements, "0.5,0,0,0,0,0,0.5,0,0.5\n0.5,0,0,0,0,0,0.5,0,inf\n",
+         "row 2 (line 2): cells must be finite"),
+        (load_returns, "1,0\na1,a2\n", "parse error at line 2: could not convert string to float: 'a1'"),
+    ], ids=["ragged-returns", "ragged-after-blank", "ragged-measurements", "returns-nan", "returns-inf",
+            "effect-nan", "outcome-inf", "header-below-line-1"])
+    def test_reader_rejections_name_the_row(self, tmp_path, load, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load(str(path))
+
+    def test_measurement_header_allowed(self, tmp_path):
+        events = measurement_stream(2, 5, seed=5)
+        plain, headed = tmp_path / "plain.csv", tmp_path / "headed.csv"
+        write_measurements(plain, events)
+        headed.write_text("a11re,a11im,a12re,a12im,a21re,a21im,a22re,a22im,outcome\n" + plain.read_text())
+        for a, b in zip(load_measurements(str(plain)), load_measurements(str(headed)), strict=True):
+            assert np.array_equal(a.effect, b.effect) and a.outcome == b.outcome
 
 
 class TestAdversaries:
@@ -304,6 +332,14 @@ def test_every_algorithm_writes_trace_and_summary(tmp_path, algo):
     if algo == "lbftrl":
         assert summary["alpha"] == 0.15 and summary["completed_visits"] >= 1 and summary["truncated"] is False
         assert len((tmp_path / "stability.csv").read_text().splitlines()) == 1 + summary["rounds"]
+
+
+@pytest.mark.parametrize("algo", list(ALGORITHMS))
+def test_runners_write_nothing(tmp_path, algo):
+    fields, _ = ALGORITHM_CASES[algo]
+    out = tmp_path / "out"
+    ALGORITHMS[algo](ExperimentConfig(algo=algo, out=str(out), **fields))
+    assert not out.exists()
 
 
 class TestConfigFile:
@@ -484,7 +520,7 @@ class TestCli:
         out = tmp_path / "out"
         with pytest.raises(SystemExit, match=f"^{path}: {message}$"):
             main(["run", "--algo", algo, *argv, "--data", str(path), "--out", str(out)])
-        assert not (out / "trace.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("algo, argv, message", [
         ("bisons", ["--adversary", "single-asset-crash", "--seed", "9"], "'adversary', 'seed'"),
@@ -539,6 +575,53 @@ class TestCli:
                   for name in ("flag", "config", "none")}
         assert rounds == {"flag": 440, "config": 440, "none": 100}
         assert (tmp_path / "flag" / "trace.csv").read_bytes() == (tmp_path / "config" / "trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--algo", "bisons", "--d", "2", "--T", "440", "--data", "{tmp}/ragged.csv"],
+         "{tmp}/ragged.csv: row 2 (line 2): expected 2 cells as in row 1, got 3"),
+        (["--algo", "bisons", "--d", "2", "--T", "440", "--data", "{tmp}/missing.csv"],
+         "[Errno 2] No such file or directory: '{tmp}/missing.csv'"),
+        (["--algo", "bisons", "--d", "2", "--T", "440", "--adversary", "nosuch"], "unknown adversary 'nosuch'"),
+        (["--algo", "bisons", "--d", "2", "--T", "440", "--adversary", "iid-dirichlet", "--set", "beta=0.9"],
+         "beta must lie in (0, sqrt(2)-1], got 0.9"),
+        (["--algo", "bisons", "--d", "0", "--T", "440", "--adversary", "iid-dirichlet"],
+         "config key 'd' must be at least 1, got 0"),
+        (["--algo", "ons", "--d", "0", "--T", "440", "--adversary", "iid-dirichlet"],
+         "config key 'd' must be at least 1, got 0"),
+        (["--algo", "qbisons", "--d", "0", "--T", "440"], "config key 'd' must be at least 1, got 0"),
+        (["--algo", "lbftrl", "--d", "2", "--T", "0", "--adversary", "lbftrl-bad"],
+         "config key 'T' must be at least 1, got 0"),
+        (["--algo", "ons", "--d", "2", "--T", "-5", "--adversary", "iid-dirichlet"],
+         "config key 'T' must be at least 1, got -5"),
+        (["--algo", "bisons", "--config", "{tmp}/bad.cfg", "--adversary", "iid-dirichlet"],
+         "{tmp}/bad.cfg: malformed config line 'T 440'"),
+        (["--algo", "qbisons", "--d", "2", "--T", "440", "--data", "{tmp}/nan.csv"],
+         "{tmp}/nan.csv: row 1 (line 1): cells must be finite"),
+    ], ids=["ragged", "missing-data", "unknown-adversary", "bad-beta", "bisons-d-0", "ons-d-0", "qbisons-d-0",
+            "lbftrl-T-0", "negative-T", "malformed-config", "nan-effect"])
+    def test_rejected_run_exits_with_its_message_and_writes_nothing(self, tmp_path, argv, message):
+        from bisons.cli import main
+
+        (tmp_path / "ragged.csv").write_text("1,0\n0,1,0\n")
+        (tmp_path / "bad.cfg").write_text("d = 2\nT 440\n")
+        (tmp_path / "nan.csv").write_text("0.5,0,0,0,0,0,nan,0,0.5\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=f"^{re.escape(message.format(tmp=tmp_path))}$"):
+            main(["run", *[arg.format(tmp=tmp_path) for arg in argv], "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,0\n0,0\n", "{path}: row 2 (line 2): returns vector must have a positive entry"),
+        (None, "[Errno 2] No such file or directory: '{path}'"),
+    ], ids=["zero-row", "missing-file"])
+    def test_best_crp_exits_with_the_input_error(self, tmp_path, text, message):
+        from bisons.cli import main
+
+        path = tmp_path / "r.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit, match=f"^{re.escape(message.format(path=path))}$"):
+            main(["best-crp", "--data", str(path)])
 
     def test_gen_lbftrl(self, tmp_path):
         from bisons.cli import main

@@ -131,3 +131,19 @@ def test_parameter_allowlist_names_unset_parameters():
     unset = _unset_parameters()
     for qual, reason in ALLOWED_PARAMETERS.items():
         assert qual in unset and reason  # an entry the package now sets, or that no longer exists, is stale
+
+
+def test_only_the_cli_entry_point_turns_an_error_into_an_exit_message():
+    # every other function lets its error reach cli.main, which ends the command with the message
+    boundaries = []
+    for path, tree in _trees():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for handler in ast.walk(func):
+                if isinstance(handler, ast.ExceptHandler) and any(
+                        isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                        and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "SystemExit"
+                        for node in ast.walk(handler)):
+                    boundaries.append(f"{path.stem}.{func.name}")
+    assert boundaries == ["cli.main"]
