@@ -210,7 +210,7 @@ def check_qbisons_regret(ctx):
         stream = measurement_stream(d, T, seed)
         res = run_qbisons(stream, params, rng=derive_rng(seed, "accept:qbisons:reduction"), monitor=True)
         violations += len(res.violations)
-        _, best = best_quantum_state(res.loss_matrices)
+        _, best = best_quantum_state(res.inputs)
         regret = float(res.losses.sum()) - best
         worst_margin = max(worst_margin, regret / bound)
     ctx.setdefault("monitor_violations", {})["qbisons-regret"] = violations

@@ -30,7 +30,32 @@ _TINY_INNER = 1e-300
 
 
 class InvalidReturnsError(ValueError):
-    """Raised for returns vectors or loss matrices that are non-finite, negative or identically zero."""
+    """Raised for returns vectors or loss matrices that are non-finite, negative or identically zero.
+
+    Raised for a stack of them, ``index`` is the position of the first bad one; otherwise it is None.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
+
+
+def reject_first_failure(checks, stacked):
+    """Raise :class:`InvalidReturnsError` for the first item that fails one of ``checks``.
+
+    ``checks`` lists (message, mask) pairs in the order one item is checked,
+    each mask flagging the items that fail that check; a mask may cover only
+    the items before the first one an earlier check rejects.  The message is
+    that of the item's first failed check, so a stack is rejected as the
+    first bad item would be alone.
+    """
+    first = None
+    for message, mask in checks:
+        bad = np.flatnonzero(mask)
+        if bad.size and (first is None or bad[0] < first[0]):
+            first = (int(bad[0]), message)
+    if first is not None:
+        raise InvalidReturnsError(first[1], index=first[0] if stacked else None)
 
 
 class InfiniteLossError(ArithmeticError):
@@ -42,24 +67,26 @@ def uniform_portfolio(d):
 
 
 def normalize_returns(raw):
-    """Scale a nonnegative returns vector onto the simplex.
+    """Scale a nonnegative returns vector, or each row of an (n, d) stack, onto the simplex.
 
     The induced loss shift -log(sum(raw)) is constant in the action and is
-    dropped; regret against any comparator is unchanged.
+    dropped; regret against any comparator is unchanged.  A row whose sum is
+    already 1 to within 1e-12 is returned as it is.
     """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 1:
-        raise InvalidReturnsError("returns must be a vector")
-    if not np.isfinite(raw).all():
-        raise InvalidReturnsError("returns entries must be finite")
-    if raw.min() < 0.0:
-        raise InvalidReturnsError("returns entries must be nonnegative")
-    s = raw.sum()
-    if not s > 0.0:
-        raise InvalidReturnsError("returns vector must have a positive entry")
-    if abs(s - 1.0) <= _SUM_TOL:
-        return raw
-    return raw / s
+    raw = np.ascontiguousarray(raw, dtype=float)
+    if raw.ndim not in (1, 2):
+        raise InvalidReturnsError("returns must be a vector or a stack of vectors")
+    rows = raw.reshape(-1, raw.shape[-1])
+    finite = np.isfinite(rows).all(axis=-1)
+    # the later checks run on the rows before the first non-finite one
+    head = rows[: int(finite.argmin()) if not finite.all() else len(rows)]
+    s = head.sum(axis=-1)
+    reject_first_failure([("returns entries must be finite", ~finite),
+                          ("returns entries must be nonnegative", (head < 0.0).any(axis=-1)),
+                          ("returns vector must have a positive entry", ~(s > 0.0))], raw.ndim == 2)
+    out = rows / s[:, None]
+    np.copyto(out, rows, where=np.abs(s - 1.0)[:, None] <= _SUM_TOL)
+    return out.reshape(raw.shape)
 
 
 def log_loss(x, r):

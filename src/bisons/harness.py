@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .geometry import log_loss, normalize_returns, uniform_portfolio
+from .geometry import InvalidReturnsError, log_loss, normalize_returns, uniform_portfolio
 from .hermitian import MeasurementEvent, phi_dual, random_effect, trace_inner
 from .lbftrl import AdversaryPlan, generate_and_run, run_lbftrl
 from .quantum import q_default_params, run_qbisons
@@ -90,15 +90,18 @@ def best_crp(returns):
 
 
 def best_quantum_state(loss_matrices):
-    """Spectraplex analogue of :func:`best_crp`, halving the barrier weight until it drops below 1e-8/d."""
-    mats = list(loss_matrices)
-    if not mats:
+    """Spectraplex analogue of :func:`best_crp`, halving the barrier weight until it drops below 1e-8/d.
+
+    ``loss_matrices`` is a sequence or (n, d, d) stack of loss matrices.
+    """
+    mats = np.asarray(loss_matrices, dtype=complex)
+    if mats.ndim != 3 or mats.shape[0] == 0:
         raise ValueError("need a nonempty loss matrix sequence")
-    d = mats[0].shape[0]
-    W = np.array([phi_dual(R) for R in mats])
+    d = mats.shape[-1]
+    W = phi_dual(mats)
     X = _continuation(lambda X, w: minimize_spectraplex_history(W, w, warm_start=X, tol=1e-12).minimizer,
                       np.eye(d, dtype=complex) / d, 1.0, 1e-8 / d)
-    loss = float(sum(-math.log(trace_inner(X, R)) for R in mats))
+    loss = float(sum(-math.log(v) for v in trace_inner(X, mats)))
     return X, loss
 
 
@@ -153,41 +156,53 @@ def save_returns(path, returns):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _row_error(path, k, lineno, exc):
+    return type(exc)(f"{path}: row {k} (line {lineno}): {exc}")
+
+
 def _read_rows(path, what, parse):
-    """``parse(cells)`` of each row of a comma-separated file of numbers; errors name the file and line.
+    """``parse(cells)`` of each row of a comma-separated file of numbers, and each row's line number.
 
     Blank lines are skipped, and so is a first line whose first cell starts
     with ``a`` (a header; no number does).  Cells must be finite, and every
-    row has as many cells as the first.
+    row has as many cells as the first.  Errors name the file and the line.
     """
-    items, width = [], None
+    items, lines, width = [], [], None
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            cells = line.strip().split(",")
-            if cells == [""] or lineno == 1 and cells[0].startswith("a"):
-                continue
-            try:
-                vals = [float(c) for c in cells]
-            except ValueError as exc:
-                raise ValueError(f"{path}: parse error at line {lineno}: {exc}") from exc
-            width = width or len(vals)
-            try:
-                if not all(map(math.isfinite, vals)):
-                    raise ValueError("cells must be finite")
-                item = parse(vals)
-                if len(vals) != width:
-                    raise ValueError(f"expected {width} cells as in row 1, got {len(vals)}")
-            except ValueError as exc:
-                raise type(exc)(f"{path}: row {len(items) + 1} (line {lineno}): {exc}") from exc
-            items.append(item)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                cells = line.strip().split(",")
+                if cells == [""] or lineno == 1 and cells[0].startswith("a"):
+                    continue
+                try:
+                    vals = [float(c) for c in cells]
+                except ValueError as exc:
+                    raise ValueError(f"{path}: parse error at line {lineno}: {exc}") from exc
+                width = width or len(vals)
+                try:
+                    if not all(map(math.isfinite, vals)):
+                        raise ValueError("cells must be finite")
+                    item = parse(vals)
+                    if len(vals) != width:
+                        raise ValueError(f"expected {width} cells as in row 1, got {len(vals)}")
+                except ValueError as exc:
+                    raise _row_error(path, len(items) + 1, lineno, exc) from exc
+                items.append(item)
+                lines.append(lineno)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
     if not items:
         raise ValueError(f"{path}: no {what} rows found")
-    return items
+    return items, lines
 
 
 def load_returns(path):
     """Load and normalize a returns file: one row of d returns per round."""
-    return np.array(_read_rows(path, "returns", lambda vals: normalize_returns(np.array(vals))))
+    rows, lines = _read_rows(path, "returns", np.array)
+    try:
+        return normalize_returns(rows)
+    except InvalidReturnsError as exc:
+        raise _row_error(path, exc.index + 1, lines[exc.index], exc) from exc
 
 
 def _measurement(vals):
@@ -202,7 +217,7 @@ def _measurement(vals):
 def load_measurements(path):
     """Measurement rows: d^2 complex entries of the effect (re/im interleaved,
     row-major) followed by the outcome."""
-    return _read_rows(path, "measurement", _measurement)
+    return _read_rows(path, "measurement", _measurement)[0]
 
 
 # -- experiment driver ----------------------------------------------------------
@@ -249,9 +264,9 @@ class ExperimentConfig:
                 expected = (types[key].__name__ if key in types
                             else "float (unknown key or non-numeric parameter override)")
                 raise ValueError(f"config key {key!r}: cannot parse {value!r} as {expected}") from None
-        for key in ("d", "T"):
-            if kwargs.get(key, 1) < 1:
-                raise ValueError(f"config key {key!r} must be at least 1, got {kwargs[key]}")
+        for key, least in (("d", 1), ("T", 1), ("seed", 0)):
+            if kwargs.get(key, least) < least:
+                raise ValueError(f"config key {key!r} must be at least {least}, got {kwargs[key]}")
         unread = [key for key in kwargs if key not in ("algo", "d", "T", "out") and key not in READS[reader]]
         if unread:
             raise ValueError(f"algorithm {reader!r} does not read {', '.join(map(repr, unread))}")
@@ -344,8 +359,8 @@ def _run_qbisons(config):
         stream = measurement_stream(config.d, config.T, config.seed)
     params = _apply_overrides(q_default_params(config.d, config.T), config.overrides)
     result = run_qbisons(stream, params, rng=derive_rng(config.seed, "qbisons:reduction"), monitor=True)
-    u_star, _ = best_quantum_state(result.loss_matrices)
-    comp_cum = np.cumsum([-math.log(trace_inner(u_star, Rm)) for Rm in result.loss_matrices])
+    u_star, _ = best_quantum_state(result.inputs)
+    comp_cum = np.cumsum([-math.log(v) for v in trace_inner(u_star, result.inputs)])
     return result.losses, result.resets, comp_cum, _epoch_summary(result, params), None
 
 

@@ -35,15 +35,19 @@ def is_hermitian(M):
 
 
 def trace_inner(X, Y):
-    """Tr(XY) for Hermitian X, Y; always real up to roundoff."""
+    """Tr(XY) for Hermitian X, Y; always real up to roundoff.
+
+    Over (..., d, d) stacks (either or both), the array of the products.
+    """
     X = np.asarray(X)
     Y = np.asarray(Y)
-    if X.shape != Y.shape:
+    if X.shape[-2:] != Y.shape[-2:]:
         raise ValueError(f"dimension mismatch: {X.shape} vs {Y.shape}")
-    v = np.trace(X @ Y)
-    if abs(v.imag) > 1e-10:
-        raise ArithmeticError(f"trace inner product has imaginary residual {v.imag}")
-    return float(v.real)
+    v = np.trace(X @ Y, axis1=-2, axis2=-1)
+    residual = np.abs(v.imag).max(initial=0.0) if v.ndim else abs(v.imag)
+    if residual > 1e-10:
+        raise ArithmeticError(f"trace inner product has imaginary residual {residual}")
+    return v.real if v.ndim else float(v.real)
 
 
 def positive_part(M):
@@ -93,10 +97,21 @@ def _phi_index(d):
     return i, j
 
 
+@functools.cache
+def _phi_gather(d):
+    """The phi layout over the flattened matrix: each slot's entry, and whether it takes the imaginary part."""
+    i, j = _phi_index(d)
+    slots = np.arange(d * d)
+    return np.concatenate([i * d + j, j * d + i, slots[:d] * (d + 1)]), (i.size <= slots) & (slots < 2 * i.size)
+
+
 def vectorize_phi(M):
+    """phi(M), or the (..., d^2) array of phi over a (..., d, d) stack."""
     M = np.asarray(M, dtype=complex)
-    i, j = _phi_index(M.shape[0])
-    return np.concatenate([M[i, j].real, M[j, i].imag, np.diagonal(M).real])
+    entries, imag = _phi_gather(M.shape[-1])
+    # np.take keeps a stack's rows in C order (fancy indexing would not), and BLAS sums over them follow their layout
+    v = np.take(M.reshape(M.shape[:-2] + (-1,)), entries, axis=-1)
+    return np.where(imag, v.imag, v.real)
 
 
 def unvectorize_phi(v, d):
@@ -112,9 +127,15 @@ def unvectorize_phi(v, d):
     return M
 
 
+@functools.cache
 def trace_slots(d):
-    """Coordinate indicator of the trace functional: Tr(X) = trace_slots . phi(X)."""
-    return vectorize_phi(np.eye(d))
+    """Coordinate indicator of the trace functional: Tr(X) = trace_slots . phi(X).
+
+    Cached and read-only, like :func:`phi_scale`.
+    """
+    slots = vectorize_phi(np.eye(d))
+    slots.flags.writeable = False
+    return slots
 
 
 @functools.cache
@@ -129,8 +150,9 @@ def phi_scale(d):
 
 
 def phi_dual(M):
-    d = np.asarray(M).shape[0]
-    return phi_scale(d) * vectorize_phi(M)
+    """phi_scale * phi(M), or its (..., d^2) array over a (..., d, d) stack."""
+    M = np.asarray(M)
+    return phi_scale(M.shape[-1]) * vectorize_phi(M)
 
 
 @functools.cache

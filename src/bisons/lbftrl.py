@@ -94,6 +94,8 @@ class AdversaryPlan:
 
     @classmethod
     def build(cls, d, T, alpha):
+        if T < 1:
+            raise ValueError(f"horizon T must be at least 1, got {T}")
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         layer_count = int(math.floor((alpha / 3.0) * math.log2(T)))
@@ -149,9 +151,9 @@ def grad_pi_objective(x, history, eta, proj):
 
 
 def barrier_pi_hessian(x, eta, proj):
-    """The barrier part eta^{-1} Pi diag(1/x^2) Pi^T of the projected Hessian."""
+    """The barrier part eta^{-1} Pi diag(1/x^2) Pi^T of the projected Hessian; over (n, d) plays, its stack."""
     U = proj.basis
-    return (1.0 / eta) * (U / x**2) @ U.T
+    return (1.0 / eta) * (U / np.asarray(x)[..., None, :] ** 2) @ U.T
 
 
 def assemble_pi_hessian(x, history, eta, proj):
@@ -163,9 +165,13 @@ def assemble_pi_hessian(x, history, eta, proj):
 
 
 def stability_term(grad_pi, hessian_pi):
-    """||g||^2 in the inverse-Hessian norm; the Hessian is PD thanks to the barrier."""
-    sol = np.linalg.solve(hessian_pi, grad_pi)
-    return float(grad_pi @ sol)
+    """||g||^2 in the inverse-Hessian norm; the Hessian is PD thanks to the barrier.
+
+    Over stacks of gradients (..., k) and Hessians (..., k, k), the array of the terms.
+    """
+    g = np.asarray(grad_pi)[..., None]
+    term = (np.swapaxes(g, -1, -2) @ np.linalg.solve(hessian_pi, g))[..., 0, 0]
+    return term if term.ndim else float(term)
 
 
 # -- adversarial sequence generation ------------------------------------------
@@ -266,16 +272,20 @@ def _play(seq, eta):
     One :class:`LogLossHistory` holds the whole run.  Each solve starts at
     the previous play, where the history's cache sits, and appending the
     round's return moves the cached Hessian to the stability Hessian's
-    loss part in O(d^2).
+    loss part in O(d^2).  A round keeps only what depends on its play: the
+    solve, the loss and that move.  The stability terms, which depend on
+    no later play, are computed after the last round, in one call on the
+    stacked projected gradients and Hessians.
     """
     _check_eta(eta)
-    T, d = seq.returns.shape
+    R = seq.returns
+    T, d = R.shape
     proj = PiProjection(d)
     U = proj.basis
     history = LogLossHistory(np.empty((0, d)), 1.0 / eta, capacity=T)
-    plays, losses, terms = np.empty((T, d)), np.empty(T), np.empty(T)
+    plays, losses, loss_hessians = np.empty((T, d)), np.empty(T), np.empty((T, d, d))
     x = uniform_portfolio(d)
-    for t, r in enumerate(seq.returns):
+    for t, r in enumerate(R):
         x = lbftrl_play(history, warm_start=x)
         plays[t] = x
         losses[t] = log_loss(x, r)
@@ -284,10 +294,11 @@ def _play(seq, eta):
         if history.n:
             history.smooth_grad_hess(x)
         history.append(r)
-        grad = proj.project(-r / float(np.dot(x, r)))
-        hess = barrier_pi_hessian(x, eta, proj) + U @ history.smooth_grad_hess(x)[1] @ U.T
-        terms[t] = stability_term(grad, hess)
-    return LbftrlRun(**vars(seq), plays=plays, losses=losses, terms=terms, eta=eta)
+        loss_hessians[t] = history.smooth_grad_hess(x)[1]
+    ips = (R[:, None, :] @ plays[:, :, None])[:, 0]  # <x_t, r_t>, shape (T, 1)
+    grads = (U @ (-R / ips)[:, :, None])[..., 0]
+    hessians = barrier_pi_hessian(plays, eta, proj) + U @ loss_hessians @ U.T
+    return LbftrlRun(**vars(seq), plays=plays, losses=losses, terms=stability_term(grads, hessians), eta=eta)
 
 
 def generate_and_run(plan, eta):

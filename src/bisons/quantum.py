@@ -15,14 +15,18 @@ comparator U against the scaled inverse bias in the Loewner order,
 boundary inclusive.
 
 The epoch engine is the one of :mod:`bisons.vector`, run on the
-:class:`Spectraplex` domain.
+:class:`Spectraplex` domain.  A run ingests its whole stream once, before
+round 1: measurement events are reduced in stream order (so fractional
+outcomes draw the same uniforms as one at a time), and every loss matrix
+is checked and trace-normalized as one (n, d, d) stack, which the run's
+result keeps for the hindsight comparator.
 """
 
 import math
 
 import numpy as np
 
-from .geometry import InvalidReturnsError
+from .geometry import InvalidReturnsError, reject_first_failure
 from .hermitian import (
     ConditioningError,
     MeasurementEvent,
@@ -119,32 +123,37 @@ class QStabilityMonitor(StabilityMonitor):
 
 
 def ingest_loss_matrix(item, rng=None):
-    """Reduce measurement events and trace-normalize raw loss matrices."""
-    if isinstance(item, MeasurementEvent):
-        item = reduce_measurement(item, rng=rng)
-    R = np.asarray(item, dtype=complex)
-    if not np.isfinite(R).all():
-        raise InvalidReturnsError("loss matrix entries must be finite")
-    R = hermitize(R)
-    if min_eig(R) < -1e-10:
-        raise InvalidReturnsError("loss matrix must be PSD")
-    tr = float(np.trace(R).real)
-    if not tr > 0.0:
-        raise InvalidReturnsError("loss matrix must have positive trace")
-    return R / tr
+    """Trace-one loss matrix of a measurement event or a raw PSD loss matrix (a (d, d) array).
+
+    Of a sequence of events and matrices, or an (n, d, d) stack, the (n, d,
+    d) stack of theirs.  Events are reduced in sequence order, so fractional
+    outcomes draw their uniforms from ``rng`` in that order.  A bad item of
+    a sequence raises :class:`InvalidReturnsError` with its ``index``.
+    """
+    single = isinstance(item, MeasurementEvent) or isinstance(item, np.ndarray) and item.ndim == 2
+    items = [item] if single else item
+    R = np.array([reduce_measurement(it, rng=rng) if isinstance(it, MeasurementEvent) else it for it in items],
+                 dtype=complex)
+    finite = np.isfinite(R).all(axis=(-2, -1))
+    # the later checks run on the items before the first non-finite one
+    H = hermitize(R[: int(finite.argmin()) if not finite.all() else len(R)])
+    tr = np.trace(H, axis1=-2, axis2=-1).real
+    reject_first_failure([("loss matrix entries must be finite", ~finite),
+                          ("loss matrix must be PSD", min_eig(H) < -1e-10),
+                          ("loss matrix must have positive trace", ~(tr > 0.0))], not single)
+    out = H / tr[:, None, None]
+    return out[0] if single else out
 
 
 class Spectraplex:
     """Density matrices with the log-det barrier in phi coordinates, the domain of Schrodinger's BISONS."""
 
-    keeps_inputs = True  # reduced measurements are random, so the comparator needs them
-
     def centre(self, d):
         eye_d = np.eye(d, dtype=complex)
         return eye_d / d, float(d) * eye_d
 
-    def ingest(self, item, rng):
-        return ingest_loss_matrix(item, rng=rng)
+    def ingest(self, stream, rng):
+        return ingest_loss_matrix(stream, rng=rng)
 
     def loss(self, X, R):
         R = np.asarray(R, dtype=complex)

@@ -84,13 +84,11 @@ class Simplex:
     attribute replaced at run time takes effect.
     """
 
-    keeps_inputs = False  # the caller already holds its returns rows
-
     def centre(self, d):
         return uniform_portfolio(d), np.full(d, float(d))
 
-    def ingest(self, raw, rng):
-        return normalize_returns(raw)
+    def ingest(self, stream, rng):
+        return normalize_returns(stream)
 
     def loss(self, x, r):
         r = np.asarray(r, dtype=float)
@@ -271,14 +269,19 @@ class StabilityMonitor:
 
 @dataclass
 class RunResult:
-    """Per-round ``losses``, ``resets`` and ``plays`` (row t-1 is round t); kept states, violations, inputs."""
+    """Per-round ``losses``, ``resets``, ``plays`` and ``inputs`` (row t-1 is round t); kept states, violations.
+
+    ``inputs`` is the stack the rounds were played on: the normalized returns
+    on the simplex, the trace-one loss matrices on the spectraplex (whose
+    reduced measurements are random, so the comparator needs them).
+    """
 
     losses: np.ndarray
     resets: np.ndarray
     plays: np.ndarray
+    inputs: np.ndarray
     states: list = field(default_factory=list)
     violations: list = field(default_factory=list)
-    loss_matrices: list = field(default_factory=list)
 
     @property
     def reset_times(self):
@@ -286,24 +289,27 @@ class RunResult:
 
 
 def run_epochs(domain, stream, params, rng=None, tol=None, monitor=False, keep_states=False):
-    """Run the epoch scheme on ``domain`` over raw inputs, each ingested (with ``rng``) on arrival."""
+    """Run the epoch scheme on ``domain`` over a sequence of raw inputs.
+
+    The whole sequence is ingested (with ``rng``, in sequence order) before
+    round 1; the first bad input raises :class:`InvalidReturnsError` naming
+    its round.
+    """
     params.validate()
     if tol is None:
         tol = default_tol(params.T)
+    if len(stream) > params.T:
+        raise ValueError(f"stream longer than the horizon T={params.T}")
     mon = domain.monitor(params) if monitor else None
     state = initial_state(params, domain=domain)
     x = state.x_cur
-    result = RunResult(np.empty(params.T), np.empty(params.T, dtype=bool), np.empty((params.T,) + x.shape, x.dtype))
-    t = 0
-    for t, item in enumerate(stream, start=1):
-        if t > params.T:
-            raise ValueError(f"stream longer than the horizon T={params.T}")
-        try:
-            r = domain.ingest(item, rng)
-        except InvalidReturnsError as exc:
-            raise InvalidReturnsError(f"t={t}: {exc}") from exc
-        if domain.keeps_inputs:
-            result.loss_matrices.append(r)
+    try:
+        inputs = domain.ingest(stream, rng) if len(stream) else np.empty((0,) + x.shape, x.dtype)
+    except InvalidReturnsError as exc:
+        raise InvalidReturnsError(f"t={exc.index + 1}: {exc}") from exc
+    n = len(inputs)
+    result = RunResult(np.empty(n), np.empty(n, dtype=bool), np.empty((n,) + x.shape, x.dtype), inputs)
+    for t, r in enumerate(inputs, start=1):
         x_old, u_old, p_old = state.x_cur, state.u_cur, state.p
         result.plays[t - 1] = x_old
         before = state
@@ -318,7 +324,6 @@ def run_epochs(domain, stream, params, rng=None, tol=None, monitor=False, keep_s
             mon.observe(t, x_old, u_old, p_old, *before.last_solution)
         if keep_states:
             result.states.append(before.last_solution)
-    result.losses, result.resets, result.plays = result.losses[:t], result.resets[:t], result.plays[:t]
     if mon is not None:
         mon.flush()
         result.violations = mon.violations
@@ -326,5 +331,5 @@ def run_epochs(domain, stream, params, rng=None, tol=None, monitor=False, keep_s
 
 
 def run_bisons(returns, params, tol=None, monitor=False, keep_states=False):
-    """Run the algorithm over a returns sequence (normalized on ingestion)."""
+    """Run the algorithm over a sequence of returns vectors, normalized before round 1."""
     return run_epochs(SIMPLEX, returns, params, tol=tol, monitor=monitor, keep_states=keep_states)

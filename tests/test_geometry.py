@@ -47,6 +47,37 @@ class TestNormalizeReturns:
         with pytest.raises(InvalidReturnsError, match="finite"):
             normalize_returns([bad, 1.0, 1.0])
 
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_stack_equals_each_row_alone(self, d):
+        # d up to 12 takes the row sums past numpy's 8-way unrolled summation
+        rng = np.random.default_rng(d)
+        R = rng.dirichlet(np.ones(d), size=300) * rng.uniform(0.1, 10.0, size=(300, 1))
+        R[:200] /= R[:200].sum(axis=1, keepdims=True)  # rows whose sums are 1 to within the 1e-12 tolerance
+        R[100:200] *= 1.0 + 2e-12  # rows just off it
+
+        def alone(r):
+            s = r.sum()
+            return r if abs(s - 1.0) <= 1e-12 else r / s
+
+        kept = [abs(r.sum() - 1.0) <= 1e-12 for r in R]
+        assert 0 < sum(kept) < len(R)
+        assert normalize_returns(R).tobytes() == np.array([alone(r) for r in R]).tobytes()
+        assert np.array([normalize_returns(r) for r in R]).tobytes() == normalize_returns(R).tobytes()
+
+    @pytest.mark.parametrize("rows, index, message", [
+        ([[1.0, 0.0], [math.inf, 1.0], [-1.0, 2.0]], 1, "returns entries must be finite"),
+        ([[1.0, 0.0], [-1.0, 2.0], [math.nan, 1.0]], 1, "returns entries must be nonnegative"),
+        ([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [math.inf, -1.0]], 2, "returns vector must have a positive entry"),
+        ([[math.nan, -1.0], [0.0, 0.0]], 0, "returns entries must be finite"),
+    ], ids=["finite", "nonnegative-before-a-nan", "zero-before-an-inf", "first-row"])
+    def test_stack_rejects_its_first_bad_row(self, rows, index, message):
+        with pytest.raises(InvalidReturnsError, match=f"^{message}$") as err:
+            normalize_returns(rows)
+        assert err.value.index == index
+        with pytest.raises(InvalidReturnsError, match=f"^{message}$") as err:
+            normalize_returns(rows[index])
+        assert err.value.index is None
+
 
 class TestLogLoss:
     def test_half_support(self):

@@ -26,6 +26,10 @@ from bisons.harness import (
 from bisons.hermitian import trace_inner
 
 
+#: 200 bytes that are not UTF-8 text: 0xc0 at offset 24 never starts a UTF-8 sequence
+BINARY = b"0.5,0.5\n0.25,0.75\n1,0,0\n" + bytes([0xc0]) + bytes(range(1, 176))
+
+
 def write_measurements(path, events):
     """One row per event: the effect's entries, re/im interleaved and row major, then the outcome."""
     lines = []
@@ -597,14 +601,24 @@ class TestCli:
          "{tmp}/bad.cfg: malformed config line 'T 440'"),
         (["--algo", "qbisons", "--d", "2", "--T", "440", "--data", "{tmp}/nan.csv"],
          "{tmp}/nan.csv: row 1 (line 1): cells must be finite"),
+        (["--algo", "bisons", "--d", "2", "--T", "440", "--adversary", "iid-dirichlet", "--seed", "-1"],
+         "config key 'seed' must be at least 0, got -1"),
+        (["--algo", "qbisons", "--d", "2", "--T", "440", "--seed", "-7"],
+         "config key 'seed' must be at least 0, got -7"),
+        (["--algo", "bisons", "--d", "2", "--T", "440", "--data", "{tmp}/binary.csv"],
+         "{tmp}/binary.csv: not UTF-8 text: 'utf-8' codec can't decode byte 0xc0 in position 24: invalid start byte"),
+        (["--algo", "qbisons", "--d", "2", "--T", "440", "--data", "{tmp}/binary.csv"],
+         "{tmp}/binary.csv: not UTF-8 text: 'utf-8' codec can't decode byte 0xc0 in position 24: invalid start byte"),
     ], ids=["ragged", "missing-data", "unknown-adversary", "bad-beta", "bisons-d-0", "ons-d-0", "qbisons-d-0",
-            "lbftrl-T-0", "negative-T", "malformed-config", "nan-effect"])
+            "lbftrl-T-0", "negative-T", "malformed-config", "nan-effect", "bisons-negative-seed",
+            "qbisons-negative-seed", "bisons-binary-data", "qbisons-binary-data"])
     def test_rejected_run_exits_with_its_message_and_writes_nothing(self, tmp_path, argv, message):
         from bisons.cli import main
 
         (tmp_path / "ragged.csv").write_text("1,0\n0,1,0\n")
         (tmp_path / "bad.cfg").write_text("d = 2\nT 440\n")
         (tmp_path / "nan.csv").write_text("0.5,0,0,0,0,0,nan,0,0.5\n")
+        (tmp_path / "binary.csv").write_bytes(BINARY)
         out = tmp_path / "out"
         with pytest.raises(SystemExit, match=f"^{re.escape(message.format(tmp=tmp_path))}$"):
             main(["run", *[arg.format(tmp=tmp_path) for arg in argv], "--out", str(out)])
@@ -612,16 +626,29 @@ class TestCli:
 
     @pytest.mark.parametrize("text, message", [
         ("1,0\n0,0\n", "{path}: row 2 (line 2): returns vector must have a positive entry"),
+        ("1,0\n0,0\n-1,2\n", "{path}: row 2 (line 2): returns vector must have a positive entry"),
+        ("a,b\n\n1,0\n\n1,-1\n0,0\n", "{path}: row 2 (line 5): returns entries must be nonnegative"),
         (None, "[Errno 2] No such file or directory: '{path}'"),
-    ], ids=["zero-row", "missing-file"])
+        (BINARY, "{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xc0 in position 24: invalid start byte"),
+    ], ids=["zero-row", "zero-row-before-a-negative-row", "row-after-header-and-blanks", "missing-file", "binary"])
     def test_best_crp_exits_with_the_input_error(self, tmp_path, text, message):
         from bisons.cli import main
 
         path = tmp_path / "r.csv"
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text)
         with pytest.raises(SystemExit, match=f"^{re.escape(message.format(path=path))}$"):
             main(["best-crp", "--data", str(path)])
+
+    def test_gen_lbftrl_rejects_a_horizon_below_one(self, tmp_path):
+        from bisons.cli import main
+
+        out = tmp_path / "g"
+        with pytest.raises(SystemExit, match="^horizon T must be at least 1, got 0$"):
+            main(["adversary", "gen-lbftrl", "--d", "2", "--T", "0", "--out", str(out)])
+        assert not out.exists()
 
     def test_gen_lbftrl(self, tmp_path):
         from bisons.cli import main

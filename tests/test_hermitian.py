@@ -52,6 +52,20 @@ class TestTraceInner:
         with pytest.raises(ValueError):
             trace_inner(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_stack_equals_each_product_alone(self, d):
+        rng = np.random.default_rng(20 + d)
+        X = random_density(rng, d)
+        mats = np.array([random_pd(rng, d) for _ in range(40)])
+        alone = np.array([float(np.trace(X @ R).real) for R in mats])
+        assert trace_inner(X, mats).tobytes() == alone.tobytes()
+        assert np.array([trace_inner(X, R) for R in mats]).tobytes() == alone.tobytes()
+
+    def test_stack_rejects_an_imaginary_residual(self):
+        mats = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
+        with pytest.raises(ArithmeticError, match="imaginary residual 1.0"):
+            trace_inner(np.array([[0.0, 0.0], [1j, 0.0]]), mats)
+
 
 class TestPositivePart:
     def test_diagonal(self):
@@ -202,6 +216,24 @@ class TestPhi:
             n = d * (d - 1) // 2
             assert trace_slots(d).tobytes() == np.concatenate([np.zeros(2 * n), np.ones(d)]).tobytes()
             assert phi_scale(d).tobytes() == np.concatenate([np.full(2 * n, 2.0), np.ones(d)]).tobytes()
+
+    @pytest.mark.parametrize("table", [trace_slots, phi_scale])
+    def test_tables_are_cached_and_read_only(self, table):
+        for d in range(1, 5):
+            assert table(d) is table(d)
+            assert not table(d).flags.writeable
+            with pytest.raises(ValueError):
+                table(d)[0] = 5.0
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_phi_over_a_stack_equals_each_matrix_alone(self, d):
+        rng = np.random.default_rng(30 + d)
+        mats = np.array([random_hermitian(rng, d) for _ in range(2 * 3 * 5)])
+        for f in (vectorize_phi, phi_dual):
+            alone = np.array([f(M) for M in mats])
+            assert f(mats).tobytes() == alone.tobytes()
+            assert f(mats).flags.c_contiguous  # a BLAS product over the rows sums in the order of their layout
+            assert f(mats.reshape(2, 15, d, d)).tobytes() == alone.tobytes()
 
     def test_round_trip(self):
         rng = np.random.default_rng(10)

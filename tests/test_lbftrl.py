@@ -254,6 +254,18 @@ class TestStabilityTerm:
                             assemble_pi_hessian(x, hist, 1.3, proj_rot))
         assert abs(t1 - t2) <= 1e-10
 
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_stack_equals_each_term_alone(self, d):
+        rng = np.random.default_rng(40 + d)
+        proj = PiProjection(d)
+        hist = rng.dirichlet(np.ones(d), size=50)
+        X = rng.dirichlet(np.ones(d), size=50) * 0.9 + 0.1 / d
+        grads = np.array([proj.project(-r / float(x @ r)) for x, r in zip(X, hist)])
+        hessians = np.array([assemble_pi_hessian(x, hist[: t + 1], 0.7, proj) for t, x in enumerate(X)])
+        alone = np.array([float(g @ np.linalg.solve(H, g)) for g, H in zip(grads, hessians)])
+        assert stability_term(grads, hessians).tobytes() == alone.tobytes()
+        assert np.array([stability_term(g, H) for g, H in zip(grads, hessians)]).tobytes() == alone.tobytes()
+
 
 @pytest.fixture(scope="module")
 def d2_bad_run():
@@ -356,21 +368,30 @@ def test_generator_and_player_reject_a_bad_eta(eta):
         run_lbftrl(np.full((3, 2), 0.5), eta)
 
 
+@pytest.mark.parametrize("T", [0, -3])
+def test_plan_rejects_a_horizon_below_one(T):
+    with pytest.raises(ValueError, match=f"^horizon T must be at least 1, got {T}$"):
+        AdversaryPlan.build(2, T, 0.5)
+
+
 def _assert_matches_one_shot(monkeypatch, play, eta):
     """Every play of ``play()`` equals the one-shot solve over the rounds before
-    it (from the previous play), and every stability Hessian, caught on its
-    way into ``stability_term``, the full-history assembly."""
-    hessians = []
+    it (from the previous play), and every stability Hessian, caught in the
+    stack that the run's one ``stability_term`` call takes, the full-history
+    assembly."""
+    calls = []
 
     def recording_stability_term(grad_pi, hessian_pi):
-        hessians.append(hessian_pi.copy())
+        calls.append(hessian_pi.copy())
         return stability_term(grad_pi, hessian_pi)
 
     monkeypatch.setattr(lbftrl, "stability_term", recording_stability_term)
     res = play()
     R = res.returns
-    assert len(hessians) == len(R)
     d = R.shape[1]
+    assert len(calls) == 1
+    hessians = calls[0]
+    assert hessians.shape == (len(R), d - 1, d - 1)
     proj = PiProjection(d)
     prev = None
     for t in range(1, len(R) + 1):

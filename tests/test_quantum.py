@@ -10,10 +10,13 @@ from bisons.harness import adversary_returns
 from bisons.hermitian import (
     ConditioningError,
     MeasurementEvent,
+    hermitize,
     min_eig,
     random_density,
+    random_effect,
     random_pd,
     random_unitary,
+    reduce_measurement,
     trace_inner,
 )
 from bisons.quantum import (
@@ -227,6 +230,52 @@ class TestRunQBisons:
         ev = MeasurementEvent(effect=np.eye(2) * 0.5, outcome=0.4)
         with pytest.raises(Exception):
             run_qbisons([ev], params)
+
+
+class TestIngestLossMatrix:
+    def test_sequence_equals_each_item_alone(self):
+        """Events with outcomes 0, 1 and fractional, and raw matrices, ingested as one sequence: the
+        stack, and the generator's state after it, are those of the items reduced and normalized one
+        at a time in sequence order."""
+        rng = np.random.default_rng(21)
+        items = []
+        for k in range(60):
+            if k % 4 == 0:
+                items.append(2.5 * random_density(rng, 3))
+            else:
+                outcome = (0.0, 1.0, float(rng.uniform(0.05, 0.95)))[k % 3]
+                items.append(MeasurementEvent(effect=random_effect(rng, 3), outcome=outcome))
+
+        def alone(item, gen):
+            R = reduce_measurement(item, rng=gen) if isinstance(item, MeasurementEvent) else item
+            R = hermitize(np.asarray(R, dtype=complex))
+            return R / float(np.trace(R).real)
+
+        gen_stack, gen_alone, gen_single = (np.random.default_rng(5) for _ in range(3))
+        stack = ingest_loss_matrix(items, rng=gen_stack)
+        assert stack.shape == (60, 3, 3)
+        assert stack.tobytes() == np.array([alone(item, gen_alone) for item in items]).tobytes()
+        assert gen_stack.bit_generator.state == gen_alone.bit_generator.state
+        assert np.array([ingest_loss_matrix(item, rng=gen_single) for item in items]).tobytes() == stack.tobytes()
+        assert gen_single.bit_generator.state == gen_stack.bit_generator.state
+
+    @pytest.mark.parametrize("bad, index, message", [
+        (["inf", "indefinite"], 1, "loss matrix entries must be finite"),
+        (["indefinite", "nan"], 1, "loss matrix must be PSD"),
+        (["identity", "zero", "inf"], 2, "loss matrix must have positive trace"),
+    ], ids=["finite", "psd-before-a-nan", "trace-before-an-inf"])
+    def test_sequence_rejects_its_first_bad_item(self, bad, index, message):
+        mats = {"identity": np.eye(2), "zero": np.zeros((2, 2)), "indefinite": np.diag([1.0, -1.0]),
+                "inf": np.diag([math.inf, 1.0]), "nan": np.diag([math.nan, 1.0])}
+        items = [np.eye(2)] + [mats[name] for name in bad]
+        with pytest.raises(InvalidReturnsError, match=f"^{message}$") as err:
+            ingest_loss_matrix(items)
+        assert err.value.index == index
+        with pytest.raises(InvalidReturnsError, match=f"^{message}$") as err:
+            ingest_loss_matrix(items[index])
+        assert err.value.index is None
+        with pytest.raises(InvalidReturnsError, match=f"^t={index + 1}: {message}$"):
+            run_qbisons(items, q_default_params(2, 440))
 
 
 X_MOVED = 0.5 / 1.09  # diag(X_MOVED, 1 - X_MOVED) stays within the 1+6eta ratio of I/2

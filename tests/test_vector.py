@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -254,6 +255,15 @@ class TestRunBisons:
         params = default_params(2, 440)
         with pytest.raises(InvalidReturnsError, match=r"t=2: returns entries must be finite"):
             run_bisons([np.array([0.5, 0.5]), np.array([math.inf, 1.0])], params)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.5, 0.5], [math.inf, 1.0], [-1.0, 1.0]], "t=2: returns entries must be finite"),
+        ([[0.5, 0.5], [-1.0, 1.0], [math.nan, 1.0]], "t=2: returns entries must be nonnegative"),
+        ([[0.5, 0.5], [0.5, 0.5], [0.0, 0.0], [math.inf, 1.0]], "t=3: returns vector must have a positive entry"),
+    ], ids=["finite", "nonnegative-before-a-nan", "zero-before-an-inf"])
+    def test_first_rejected_row_names_its_round(self, rows, message):
+        with pytest.raises(InvalidReturnsError, match=f"^{re.escape(message)}$"):
+            run_bisons(np.array(rows), default_params(2, 440))
 
     def test_solver_failure_names_its_round(self, fail_solve):
         # the biased solve of t=735, the sixth round of the epoch that the t=729 reset opens
