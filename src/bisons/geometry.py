@@ -30,7 +30,7 @@ _TINY_INNER = 1e-300
 
 
 class InvalidReturnsError(ValueError):
-    """Raised for returns vectors or loss matrices that are non-finite, negative or identically zero.
+    """Raised for returns vectors, loss matrices or measurements outside their admissible set.
 
     Raised for a stack of them, ``index`` is the position of the first bad one; otherwise it is None.
     """
@@ -45,7 +45,8 @@ def reject_first_failure(checks, stacked):
 
     ``checks`` lists (message, mask) pairs in the order one item is checked,
     each mask flagging the items that fail that check; a mask may cover only
-    the items before the first one an earlier check rejects.  The message is
+    the items before the first one an earlier check rejects.  A message is a
+    string, or a function of the item's index that gives one.  The message is
     that of the item's first failed check, so a stack is rejected as the
     first bad item would be alone.
     """
@@ -55,7 +56,9 @@ def reject_first_failure(checks, stacked):
         if bad.size and (first is None or bad[0] < first[0]):
             first = (int(bad[0]), message)
     if first is not None:
-        raise InvalidReturnsError(first[1], index=first[0] if stacked else None)
+        index, message = first
+        raise InvalidReturnsError(message(index) if callable(message) else message,
+                                  index=index if stacked else None)
 
 
 class InfiniteLossError(ArithmeticError):

@@ -6,6 +6,7 @@ so every component draws from its own deterministic stream and reruns are
 byte-identical.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .geometry import InvalidReturnsError, log_loss, normalize_returns, uniform_portfolio
-from .hermitian import MeasurementEvent, phi_dual, random_effect, trace_inner
+from .hermitian import Measurements, phi_dual, random_effect, trace_inner
 from .lbftrl import AdversaryPlan, generate_and_run, run_lbftrl
 from .quantum import q_default_params, run_qbisons
 from .solver import minimize_simplex, minimize_simplex_history, minimize_spectraplex_history
@@ -53,10 +54,13 @@ def adversary_returns(name, d, T, seed):
 
 
 def measurement_stream(d, T, seed):
-    """Random two-outcome measurements with fractional outcomes."""
+    """T random two-outcome measurements with fractional outcomes, as one :class:`Measurements` stack."""
     rng = derive_rng(seed, f"measurements:d={d}:T={T}")
-    return [MeasurementEvent(effect=random_effect(rng, d), outcome=float(rng.uniform(0.05, 0.95)))
-            for _ in range(T)]
+    effects, outcomes = np.empty((T, d, d), dtype=complex), np.empty(T)
+    for t in range(T):  # an effect's draws, then its outcome's: the generator's order
+        effects[t] = random_effect(rng, d)
+        outcomes[t] = rng.uniform(0.05, 0.95)
+    return Measurements(effects, outcomes)
 
 
 # -- hindsight comparators ----------------------------------------------------
@@ -160,12 +164,14 @@ def _row_error(path, k, lineno, exc):
     return type(exc)(f"{path}: row {k} (line {lineno}): {exc}")
 
 
-def _read_rows(path, what, parse):
+def _read_rows(path, what, parse, check=None):
     """``parse(cells)`` of each row of a comma-separated file of numbers, and each row's line number.
 
     Blank lines are skipped, and so is a first line whose first cell starts
     with ``a`` (a header; no number does).  Cells must be finite, and every
     row has as many cells as the first.  Errors name the file and the line.
+    Before a rejection here, ``check(items, lines)``, if given, runs on the
+    rows read so far, so that a bad row it rejects comes first.
     """
     items, lines, width = [], [], None
     with open(path) as fh:
@@ -189,8 +195,12 @@ def _read_rows(path, what, parse):
                     raise _row_error(path, len(items) + 1, lineno, exc) from exc
                 items.append(item)
                 lines.append(lineno)
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+        except ValueError as exc:  # a UnicodeDecodeError too
+            if check is not None and items:
+                check(items, lines)
+            if isinstance(exc, UnicodeDecodeError):
+                raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+            raise
     if not items:
         raise ValueError(f"{path}: no {what} rows found")
     return items, lines
@@ -205,19 +215,29 @@ def load_returns(path):
         raise _row_error(path, exc.index + 1, lines[exc.index], exc) from exc
 
 
-def _measurement(vals):
+def _measurement_cells(vals):
     n = len(vals) - 1
     d = int(round(math.sqrt(n / 2)))
     if d < 1 or 2 * d * d != n:
         raise ValueError(f"expected 2*d^2+1 cells, got {len(vals)}")
-    E = (np.array(vals[:-1:2]) + 1j * np.array(vals[1:-1:2])).reshape(d, d)
-    return MeasurementEvent(effect=E, outcome=vals[-1])
+    return np.array(vals)
+
+
+def _measurements(path, rows, lines):
+    """The :class:`Measurements` stack of the rows' cells; its first bad row is rejected by row and line."""
+    cells = np.array(rows)
+    n, d = cells.shape[0], math.isqrt(cells.shape[1] // 2)
+    try:
+        return Measurements((cells[:, :-1:2] + 1j * cells[:, 1:-1:2]).reshape(n, d, d), cells[:, -1])
+    except InvalidReturnsError as exc:
+        raise _row_error(path, exc.index + 1, lines[exc.index], exc) from exc
 
 
 def load_measurements(path):
     """Measurement rows: d^2 complex entries of the effect (re/im interleaved,
-    row-major) followed by the outcome."""
-    return _read_rows(path, "measurement", _measurement)[0]
+    row-major) followed by the outcome; one :class:`Measurements` stack."""
+    check = functools.partial(_measurements, path)
+    return check(*_read_rows(path, "measurement", _measurement_cells, check))
 
 
 # -- experiment driver ----------------------------------------------------------
@@ -299,11 +319,13 @@ def _apply_overrides(params, overrides):
 
 
 def _read_data(config, load, dim):
-    """The data file's rows, rejected unless each has dimension ``dim(row) == d`` and there are at most T."""
+    """The data file's rows, rejected unless their dimension ``dim(rows)`` is d and there are at most T.
+
+    Every row has the dimension of row 1, as the reader rejects rows of another width.
+    """
     rows = load(config.data)
-    for k, row in enumerate(rows, start=1):
-        if dim(row) != config.d:
-            raise ValueError(f"{config.data}: row {k} has dimension {dim(row)}, not d={config.d}")
+    if dim(rows) != config.d:
+        raise ValueError(f"{config.data}: row 1 has dimension {dim(rows)}, not d={config.d}")
     if len(rows) > config.T:
         raise ValueError(f"{config.data}: {len(rows)} rows, more than T={config.T}")
     return rows
@@ -311,7 +333,7 @@ def _read_data(config, load, dim):
 
 def _get_returns(config):
     if config.data:
-        R = _read_data(config, load_returns, len)
+        R = _read_data(config, load_returns, lambda R: R.shape[1])
     elif config.adversary:
         R = adversary_returns(config.adversary, config.d, config.T, config.seed)
     else:
@@ -354,7 +376,7 @@ def _run_bisons(config):
 
 def _run_qbisons(config):
     if config.data:
-        stream = _read_data(config, load_measurements, lambda ev: ev.effect.shape[0])
+        stream = _read_data(config, load_measurements, lambda m: m.effects.shape[-1])
     else:
         stream = measurement_stream(config.d, config.T, config.seed)
     params = _apply_overrides(q_default_params(config.d, config.T), config.overrides)

@@ -7,13 +7,20 @@ matching imaginary parts taken from the upper triangle, then the (real)
 diagonal.  For d=2 and M = [[a, x+iy], [x-iy, b]] this gives (x, y, a, b).
 Under this map <X, W> = Tr(XW) equals phi(X) . phi_dual(W) where phi_dual
 doubles the off-diagonal slots; that diagonal rescaling is the only place
-the coordinate convention leaks out.
+the coordinate convention leaks out.  Both maps are one ``np.take``
+through a cached index, on single matrices and on stacks alike.
+
+Two-outcome measurements are one columnar value, :class:`Measurements`:
+an (n, d, d) stack of effects and an (n,) array of outcomes, checked as a
+stack and reduced to loss matrices as a stack.
 """
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .geometry import reject_first_failure
 
 
 class ConditioningError(ArithmeticError):
@@ -27,11 +34,6 @@ class MissingRandomnessError(ValueError):
 def hermitize(M):
     """The Hermitian part of M, or of each slice of a (..., d, d) stack."""
     return 0.5 * (M + M.conj().swapaxes(-1, -2))
-
-
-def is_hermitian(M):
-    M = np.asarray(M)
-    return M.shape[0] == M.shape[1] and np.abs(M - M.conj().T).max() <= 1e-12
 
 
 def trace_inner(X, Y):
@@ -99,32 +101,35 @@ def _phi_index(d):
 
 @functools.cache
 def _phi_gather(d):
-    """The phi layout over the flattened matrix: each slot's entry, and whether it takes the imaginary part."""
+    """Each phi slot's position in the float view of a flattened, C-ordered (d, d) complex matrix."""
     i, j = _phi_index(d)
-    slots = np.arange(d * d)
-    return np.concatenate([i * d + j, j * d + i, slots[:d] * (d + 1)]), (i.size <= slots) & (slots < 2 * i.size)
+    return np.concatenate([2 * (i * d + j), 2 * (j * d + i) + 1, 2 * (d + 1) * np.arange(d)])
+
+
+@functools.cache
+def _unphi_gather(d):
+    """For each entry of a (d, d) matrix in row-major order, its position among the
+    [upper entries, lower entries, diagonal] that :func:`unvectorize_phi` builds."""
+    i, j = _phi_index(d)
+    return np.argsort(np.concatenate([j * d + i, i * d + j, (d + 1) * np.arange(d)]))
 
 
 def vectorize_phi(M):
     """phi(M), or the (..., d^2) array of phi over a (..., d, d) stack."""
-    M = np.asarray(M, dtype=complex)
-    entries, imag = _phi_gather(M.shape[-1])
-    # np.take keeps a stack's rows in C order (fancy indexing would not), and BLAS sums over them follow their layout
-    v = np.take(M.reshape(M.shape[:-2] + (-1,)), entries, axis=-1)
-    return np.where(imag, v.imag, v.real)
+    M = np.ascontiguousarray(M, dtype=complex)
+    # take keeps a stack's rows in C order (fancy indexing would not), and BLAS sums over them follow their layout
+    return M.reshape(M.shape[:-2] + (-1,)).view(float).take(_phi_gather(M.shape[-1]), axis=-1)
 
 
 def unvectorize_phi(v, d):
+    """The Hermitian matrix with phi coordinates v, or the (..., d, d) stack of them over a (..., d^2) array."""
     v = np.asarray(v, dtype=float)
-    if v.size != d * d:
-        raise ValueError(f"expected {d * d} coordinates, got {v.size}")
-    i, j = _phi_index(d)
-    n = i.size
-    M = np.zeros((d, d), dtype=complex)
-    M[j, i] = v[:n] + 1j * v[n:2 * n]
-    M[i, j] = v[:n] - 1j * v[n:2 * n]
-    M[np.diag_indices(d)] = v[2 * n:]
-    return M
+    if v.shape[-1:] != (d * d,):
+        raise ValueError(f"expected {d * d} coordinates, got an array of shape {v.shape}")
+    n = d * (d - 1) // 2
+    re, im = v[..., :n], 1j * v[..., n:2 * n]
+    parts = np.concatenate([re + im, re - im, v[..., 2 * n:]], axis=-1)
+    return parts.take(_unphi_gather(d), axis=-1).reshape(v.shape[:-1] + (d, d))
 
 
 @functools.cache
@@ -158,51 +163,73 @@ def phi_dual(M):
 @functools.cache
 def hermitian_basis(d):
     """Stacked (d^2, d, d) array with slice k the Hermitian matrix of coordinate k."""
-    eye = np.eye(d * d)
-    return np.stack([unvectorize_phi(eye[k], d) for k in range(d * d)])
+    return unvectorize_phi(np.eye(d * d), d)
 
 
-# -- quantum measurement reductions -----------------------------------------
+# -- quantum measurements ----------------------------------------------------
 
 @dataclass(frozen=True)
-class MeasurementEvent:
-    """A two-outcome measurement (eigenvalues of ``effect`` in [0, 1]) and its outcome."""
+class Measurements:
+    """n two-outcome measurements as one stack: ``effects`` (n, d, d), Hermitian with
+    eigenvalues in [0, 1], and their ``outcomes`` (n,) in [0, 1].
 
-    effect: np.ndarray
-    outcome: float
+    A (d, d) effect with a scalar outcome is a stack of one.  The whole
+    stack is checked at once, and the first bad measurement raises
+    :class:`bisons.geometry.InvalidReturnsError` with its ``index`` and the
+    message of its first failed check, as if it were checked alone.  The
+    effects kept are hermitized.
+    """
+
+    effects: np.ndarray
+    outcomes: np.ndarray
 
     def __post_init__(self):
-        E = np.asarray(self.effect, dtype=complex)
-        if not is_hermitian(E):
-            raise ValueError("effect must be Hermitian")
-        w = np.linalg.eigvalsh(hermitize(E))
-        if w.min() < -1e-10 or w.max() > 1.0 + 1e-10:
-            raise ValueError(f"effect eigenvalues must lie in [0, 1], got [{w.min()}, {w.max()}]")
-        if not 0.0 <= self.outcome <= 1.0:
-            raise ValueError(f"outcome must lie in [0, 1], got {self.outcome}")
-        object.__setattr__(self, "effect", hermitize(E))
+        E = np.asarray(self.effects, dtype=complex)
+        b = np.asarray(self.outcomes, dtype=float)
+        if E.ndim != b.ndim + 2 or E.shape[:-2] != b.shape or E.shape[-1] != E.shape[-2]:
+            raise ValueError(f"need (n, d, d) effects and n outcomes, got shapes {E.shape} and {b.shape}")
+        E, b = E.reshape((-1,) + E.shape[-2:]), b.reshape(-1)
+        hermitian = np.abs(E - E.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= 1e-12
+        H = hermitize(E)
+        # the eigenvalue check runs on the effects before the first non-Hermitian one
+        w = np.linalg.eigvalsh(H[: int(hermitian.argmin()) if not hermitian.all() else len(H)])
+        lo, hi = w.min(axis=-1), w.max(axis=-1)
+        reject_first_failure([
+            ("effect must be Hermitian", ~hermitian),
+            (lambda k: f"effect eigenvalues must lie in [0, 1], got [{lo[k]}, {hi[k]}]",
+             (lo < -1e-10) | (hi > 1.0 + 1e-10)),
+            (lambda k: f"outcome must lie in [0, 1], got {b[k]}", ~((0.0 <= b) & (b <= 1.0))),
+        ], True)
+        object.__setattr__(self, "effects", H)
+        object.__setattr__(self, "outcomes", b)
+
+    def __len__(self):
+        return len(self.outcomes)
 
 
-def reduce_measurement(ev, rng=None):
-    """Turn a measurement event into a PSD loss matrix.
+def reduce_measurement(meas, rng=None):
+    """Turn :class:`Measurements` into the (n, d, d) stack of their PSD loss matrices.
 
     For outcomes in {0, 1} the reduction R = b E + (1-b)(I - E) is
     deterministic.  For fractional outcomes a Bernoulli(b) sample y gives
     R = (y/b) E + ((1-y)/(1-b))(I - E), whose expected log loss equals the
-    KL-style loss of the fractional outcome; one uniform variate is drawn
-    per call.  Trace normalization is left to the consumer.
+    KL-style loss of the fractional outcome; the m fractional outcomes draw
+    one uniform variate each, in stack order, with one ``rng.random(m)``
+    (the same variates, and the same generator state after, as m single
+    draws).  Trace normalization is left to the consumer.
     """
-    b = ev.outcome
-    E = ev.effect
-    eye = np.eye(E.shape[0], dtype=complex)
-    if b == 1.0:
-        return E.copy()
-    if b == 0.0:
-        return eye - E
-    if rng is None:
-        raise MissingRandomnessError("fractional outcome requires an rng for the Bernoulli draw")
-    y = 1.0 if rng.random() < b else 0.0
-    return (y / b) * E + ((1.0 - y) / (1.0 - b)) * (eye - E)
+    E, b = meas.effects, meas.outcomes
+    R = np.eye(E.shape[-1], dtype=complex) - E
+    one = b == 1.0
+    R[one] = E[one]
+    frac = np.flatnonzero((b != 0.0) & ~one)
+    if frac.size:
+        if rng is None:
+            raise MissingRandomnessError("fractional outcome requires an rng for the Bernoulli draw")
+        bf = b[frac]
+        y = (rng.random(frac.size) < bf).astype(float)
+        R[frac] = (y / bf)[:, None, None] * E[frac] + ((1.0 - y) / (1.0 - bf))[:, None, None] * R[frac]
+    return R
 
 
 # -- random generation helpers ----------------------------------------------

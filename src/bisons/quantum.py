@@ -16,10 +16,11 @@ boundary inclusive.
 
 The epoch engine is the one of :mod:`bisons.vector`, run on the
 :class:`Spectraplex` domain.  A run ingests its whole stream once, before
-round 1: measurement events are reduced in stream order (so fractional
-outcomes draw the same uniforms as one at a time), and every loss matrix
-is checked and trace-normalized as one (n, d, d) stack, which the run's
-result keeps for the hindsight comparator.
+round 1: a :class:`bisons.hermitian.Measurements` stack is reduced in one
+call (its fractional outcomes draw their uniforms in stream order, the
+same ones as one at a time), and every loss matrix is checked and
+trace-normalized as one (n, d, d) stack, which the run's result keeps for
+the hindsight comparator.
 """
 
 import math
@@ -29,7 +30,7 @@ import numpy as np
 from .geometry import InvalidReturnsError, reject_first_failure
 from .hermitian import (
     ConditioningError,
-    MeasurementEvent,
+    Measurements,
     a_norm,
     hermitize,
     min_eig,
@@ -123,17 +124,20 @@ class QStabilityMonitor(StabilityMonitor):
 
 
 def ingest_loss_matrix(item, rng=None):
-    """Trace-one loss matrix of a measurement event or a raw PSD loss matrix (a (d, d) array).
+    """Trace-one loss matrices of :class:`bisons.hermitian.Measurements` or of raw PSD loss matrices.
 
-    Of a sequence of events and matrices, or an (n, d, d) stack, the (n, d,
-    d) stack of theirs.  Events are reduced in sequence order, so fractional
-    outcomes draw their uniforms from ``rng`` in that order.  A bad item of
-    a sequence raises :class:`InvalidReturnsError` with its ``index``.
+    A (d, d) array gives its (d, d) loss matrix; measurements, an (n, d, d)
+    stack or a sequence of (d, d) arrays give the (n, d, d) stack.
+    Measurements are reduced in one call, so their fractional outcomes
+    draw their uniforms from ``rng`` in stream order.  A bad item of a
+    stack raises :class:`InvalidReturnsError` with its ``index``.
     """
-    single = isinstance(item, MeasurementEvent) or isinstance(item, np.ndarray) and item.ndim == 2
-    items = [item] if single else item
-    R = np.array([reduce_measurement(it, rng=rng) if isinstance(it, MeasurementEvent) else it for it in items],
-                 dtype=complex)
+    if isinstance(item, Measurements):
+        R, single = reduce_measurement(item, rng=rng), False
+    else:
+        R = np.asarray(item, dtype=complex)
+        single = R.ndim == 2
+        R = R.reshape((-1,) + R.shape[-2:])
     finite = np.isfinite(R).all(axis=(-2, -1))
     # the later checks run on the items before the first non-finite one
     H = hermitize(R[: int(finite.argmin()) if not finite.all() else len(R)])
@@ -191,9 +195,9 @@ def qbisons_round(state, R_t, params, tol=1e-10):
 
 
 def run_qbisons(stream, params, rng=None, monitor=False, keep_states=False):
-    """Run over a stream of loss matrices or measurement events.
+    """Run over a stack or sequence of loss matrices, or over :class:`bisons.hermitian.Measurements`.
 
-    Fractional-outcome events are reduced with ``rng``; a single stream
-    serves the whole run, advanced once per event.
+    Fractional outcomes are reduced with ``rng``; a single stream serves
+    the whole run, advanced once per fractional outcome.
     """
     return run_epochs(SPECTRAPLEX, stream, params, rng=rng, monitor=monitor, keep_states=keep_states)

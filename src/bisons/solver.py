@@ -126,11 +126,13 @@ class LogLossHistory:
     the last point evaluated are derived from it when first asked for and
     cached (keyed on exact equality of x).  With a ``capacity`` the rows
     live in a preallocated buffer that :meth:`append` fills, updating in
-    O(dim^2) whichever of the value, gradient and Hessian are cached.
+    O(dim^2) whichever of the value, gradient and Hessian are cached.  The
+    rows are kept in C order, since the BLAS products over them sum in the
+    order of their layout.
     """
 
     def __init__(self, rows, barrier_weight, capacity=None):
-        R = np.asarray(rows, dtype=float)
+        R = np.ascontiguousarray(rows, dtype=float)
         R = R.reshape(1, -1) if R.ndim == 1 else R
         self.n = R.shape[0]
         if capacity is not None:

@@ -293,7 +293,10 @@ def run_epochs(domain, stream, params, rng=None, tol=None, monitor=False, keep_s
 
     The whole sequence is ingested (with ``rng``, in sequence order) before
     round 1; the first bad input raises :class:`InvalidReturnsError` naming
-    its round.
+    its round.  An error a round raises (a solver failure, an arithmetic
+    error such as a vanishing inner product, or a ValueError) is raised
+    again as its own type, its message prefixed with the round, epoch and
+    internal time, and the original as its cause.
     """
     params.validate()
     if tol is None:
@@ -315,10 +318,13 @@ def run_epochs(domain, stream, params, rng=None, tol=None, monitor=False, keep_s
         before = state
         try:
             state, out = domain.round(state, r, params, tol=tol)
-        except SolverFailure as exc:
+        except (SolverFailure, ArithmeticError, ValueError) as exc:
             ends = np.flatnonzero(result.resets[:t - 1]) + 1  # the rounds that ended an epoch so far
             tau = t - ends[-1] if ends.size else t
-            raise SolverFailure(f"t={t} (epoch {ends.size + 1}, tau {tau}): {exc}", exc.report) from exc
+            message = f"t={t} (epoch {ends.size + 1}, tau {tau}): {exc}"
+            if isinstance(exc, SolverFailure):
+                raise SolverFailure(message, exc.report) from exc
+            raise type(exc)(message) from exc
         result.losses[t - 1], result.resets[t - 1] = out.loss, out.reset_triggered
         if mon is not None:
             mon.observe(t, x_old, u_old, p_old, *before.last_solution)

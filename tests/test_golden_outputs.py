@@ -3,7 +3,11 @@
 Each run goes through the CLI and its two files are compared by sha256 with
 digests recorded from a known-good commit with numpy 2.4.6 and Python 3.11.7
 on x86-64.  The ``bisons-crash`` run resets at t=729, so it pins the epoch,
-internal-time and reset-flag columns across an epoch boundary.  numpy's
+internal-time and reset-flag columns across an epoch boundary.  The
+``qbisons-file`` run reads a measurement file that the test writes from a
+fixed seed, with outcomes exactly 0, exactly 1 and fractional; it runs in
+the file's directory with a relative ``--data``, so ``summary.json``, which
+holds that path, is the same on every machine.  numpy's
 exp/log kernels can differ between builds, so on another numpy a mismatch
 here asks for the digests to be recomputed from a known-good commit, not for
 the code to change.
@@ -11,6 +15,7 @@ the code to change.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from bisons.checks import CRASH_OVERRIDE
@@ -28,6 +33,10 @@ GOLDEN = {
         ["--algo", "qbisons", "--d", "2", "--T", "440", "--seed", "3"],
         "470fc03d5e08ef8b0b2eeba0d04d9aff9b8f0f906b28ce06b1f2dd24ebb696e6",
         "6f5eff54abe803e0e9a801339d7b3fa99e71074922f138dc7fc86fec051a8342"),
+    "qbisons-file": (
+        ["--algo", "qbisons", "--d", "2", "--T", "440", "--seed", "5", "--data", "measurements.csv"],
+        "d665c1ad7f642d9a6f8287c68d57e1f4371ff70c8bfaeda3036a53c33afbefb3",
+        "824cdef2d908d694990b5a8bdfa9d1e00882fd3c8be8e3f931e8432201d161ab"),
     "ons": (
         ["--algo", "ons", "--d", "2", "--T", "100", "--adversary", "iid-dirichlet", "--seed", "2"],
         "16551b23ee69568e266076d19204814ffa40f17e94a6a7b5b297d6f5db1c1020",
@@ -47,9 +56,26 @@ GOLDEN = {
 }
 
 
+def write_measurement_file(path, d=2, n=440):
+    """n rows of random d x d effects (eigenvalues in [0, 1)) from seed 12, in the
+    ``--data`` layout; the outcomes cycle through exactly 0, exactly 1 and a fraction."""
+    rng = np.random.default_rng(12)
+    V, _ = np.linalg.qr(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
+    E = (V * rng.uniform(0.0, 1.0, size=(n, 1, d))) @ V.conj().swapaxes(1, 2)
+    E = 0.5 * (E + E.conj().swapaxes(1, 2))
+    cells = np.empty((n, 2 * d * d + 1))
+    cells[:, 0:-1:2] = E.reshape(n, -1).real
+    cells[:, 1:-1:2] = E.reshape(n, -1).imag
+    cells[:, -1] = np.choose(np.arange(n) % 3, [0.0, 1.0, rng.uniform(0.05, 0.95, size=n)])
+    np.savetxt(path, cells, fmt="%.17g", delimiter=",")
+
+
 @pytest.mark.parametrize("name", list(GOLDEN))
-def test_outputs_match_recorded_digests(tmp_path, name):
+def test_outputs_match_recorded_digests(tmp_path, monkeypatch, name):
     argv, trace_sha, summary_sha = GOLDEN[name]
+    if "--data" in argv:
+        monkeypatch.chdir(tmp_path)
+        write_measurement_file(tmp_path / argv[argv.index("--data") + 1])
     assert main(["run", *argv, "--out", str(tmp_path)]) == 0
     digests = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("trace.csv", "summary.json")]
     assert digests == [trace_sha, summary_sha]

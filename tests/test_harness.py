@@ -30,11 +30,11 @@ from bisons.hermitian import trace_inner
 BINARY = b"0.5,0.5\n0.25,0.75\n1,0,0\n" + bytes([0xc0]) + bytes(range(1, 176))
 
 
-def write_measurements(path, events):
-    """One row per event: the effect's entries, re/im interleaved and row major, then the outcome."""
+def write_measurements(path, meas):
+    """One row per measurement: the effect's entries, re/im interleaved and row major, then the outcome."""
     lines = []
-    for ev in events:
-        cells = [v for z in ev.effect.reshape(-1) for v in (z.real, z.imag)] + [ev.outcome]
+    for effect, outcome in zip(meas.effects, meas.outcomes):
+        cells = [v for z in effect.reshape(-1) for v in (z.real, z.imag)] + [outcome]
         lines.append(",".join(format(float(v), ".17g") for v in cells))
     path.write_text("\n".join(lines) + "\n")
 
@@ -169,9 +169,8 @@ class TestFiles:
         write_measurements(p1, events)
         loaded = load_measurements(str(p1))
         assert len(loaded) == 10
-        for a, b in zip(events, loaded):
-            assert np.array_equal(a.effect, b.effect)
-            assert a.outcome == b.outcome
+        assert loaded.effects.tobytes() == events.effects.tobytes()
+        assert loaded.outcomes.tobytes() == events.outcomes.tobytes()
 
     @pytest.mark.parametrize("text, message", [
         ("0.5,0,0,0,0,0,0.5,0,0.5\n0.5,0,zebra,0,0,0,0.5,0,0.5\n", "parse error at line 2"),
@@ -205,13 +204,33 @@ class TestFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load(str(path))
 
+    @pytest.mark.parametrize("first, later, message", [
+        ("0.5,0,0.3,0,0,0,0.5,0,0.5", "1.5,0,0,0,0,0,0.5,0,0.5", "effect must be Hermitian"),
+        ("1.5,0,0,0,0,0,0.5,0,0.5", "0.5,0,0,0,0,0,0.5,0,2", "effect eigenvalues must lie in [0, 1], got [0.5, 1.5]"),
+        ("0.5,0,0,0,0,0,-0.25,0,0.5", "0.5,0,0.3,0,0,0,0.5,0,0.5",
+         "effect eigenvalues must lie in [0, 1], got [-0.25, 0.5]"),
+        ("0.5,0,0,0,0,0,0.5,0,1.25", "0.5,0,0,0.1,0,0,0.5,0,0.5", "outcome must lie in [0, 1], got 1.25"),
+        ("0.5,0,0,0,0.5", "0.5,0,0.3,0,0,0,0.5,0,0.5", "expected 2*d^2+1 cells, got 5"),
+        ("0.5,0,0.3,0,0,0,0.5,0,0.5", "0.5,0,0,0,0.5", "effect must be Hermitian"),
+        ("0.5,0,0,0,0,0,0.5,0,-1", "0.5,0,zebra,0,0,0,0.5,0,0.5", "outcome must lie in [0, 1], got -1.0"),
+        ("1,0,0,0,0,0,1,0,-0.5", "0.5,0,0,0,0,0,0.5,0,nan", "outcome must lie in [0, 1], got -0.5"),
+    ], ids=["hermitian", "eigenvalues-high", "eigenvalues-low", "outcome", "cell-count",
+            "hermitian-before-cell-count", "outcome-before-a-parse-error", "outcome-before-a-nan"])
+    def test_measurements_first_bad_row_wins(self, tmp_path, first, later, message):
+        """Row 3 (line 4) is bad, and so is row 5 (line 6) in another way: row 3's message wins."""
+        good = "0.5,0,0,0,0,0,0.5,0,0.5"
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join([good, good, "", first, good, later, good]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: row 3 (line 4): {message}')}$"):
+            load_measurements(str(path))
+
     def test_measurement_header_allowed(self, tmp_path):
         events = measurement_stream(2, 5, seed=5)
         plain, headed = tmp_path / "plain.csv", tmp_path / "headed.csv"
         write_measurements(plain, events)
         headed.write_text("a11re,a11im,a12re,a12im,a21re,a21im,a22re,a22im,outcome\n" + plain.read_text())
-        for a, b in zip(load_measurements(str(plain)), load_measurements(str(headed)), strict=True):
-            assert np.array_equal(a.effect, b.effect) and a.outcome == b.outcome
+        a, b = load_measurements(str(plain)), load_measurements(str(headed))
+        assert a.effects.tobytes() == b.effects.tobytes() and a.outcomes.tobytes() == b.outcomes.tobytes()
 
 
 class TestAdversaries:

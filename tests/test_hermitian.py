@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from bisons.geometry import InvalidReturnsError
 from bisons.hermitian import (
-    MeasurementEvent,
+    Measurements,
     MissingRandomnessError,
     a_norm,
     hermitian_basis,
@@ -202,14 +204,28 @@ class TestPhi:
             return M
 
         rng = np.random.default_rng(14)
-        for d in range(1, 7):
+        for d in range(1, 9):
+            mats, vecs = [], []
             for _ in range(50):
                 M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                 v = rng.normal(size=d * d)
                 M[rng.random((d, d)) < 0.2] = -0.0
+                M.imag[rng.random((d, d)) < 0.2] = -0.0
                 v[rng.random(d * d) < 0.2] = -0.0
+                v[rng.random(d * d) < 0.1] = 0.0
                 assert vectorize_phi(M).tobytes() == phi_loop(M).tobytes()
                 assert unvectorize_phi(v, d).tobytes() == unphi_loop(v, d).tobytes()
+                mats.append(M)
+                vecs.append(v)
+            # stacks, also in Fortran order, map slice by slice into C-ordered results
+            M, v = np.array(mats).reshape(5, 10, d, d), np.array(vecs).reshape(5, 10, d * d)
+            phis = np.array([phi_loop(m) for m in mats]).reshape(5, 10, d * d)
+            for stack, coords in ((M, v), (np.asfortranarray(M), np.asfortranarray(v))):
+                for f, expected in ((vectorize_phi, phis), (phi_dual, phi_scale(d) * phis)):
+                    assert f(stack).tobytes() == expected.tobytes() and f(stack).flags.c_contiguous
+                back = unvectorize_phi(coords, d)
+                assert back.tobytes() == np.array([unphi_loop(u, d) for u in vecs]).tobytes()
+                assert back.shape == (5, 10, d, d) and back.flags.c_contiguous
 
     def test_trace_slots_and_scale(self):
         for d in range(1, 7):
@@ -265,25 +281,25 @@ class TestReduceMeasurement:
     def test_outcome_one(self):
         rng = np.random.default_rng(12)
         E = random_effect(rng, 3)
-        ev = MeasurementEvent(effect=E, outcome=1.0)
-        assert np.abs(reduce_measurement(ev) - E).max() <= 1e-14
+        ev = Measurements(E, 1.0)
+        assert np.abs(reduce_measurement(ev)[0] - E).max() <= 1e-14
 
     def test_outcome_zero(self):
         rng = np.random.default_rng(13)
         E = random_effect(rng, 3)
-        ev = MeasurementEvent(effect=E, outcome=0.0)
-        assert np.abs(reduce_measurement(ev) - (np.eye(3) - E)).max() <= 1e-14
+        ev = Measurements(E, 0.0)
+        assert np.abs(reduce_measurement(ev)[0] - (np.eye(3) - E)).max() <= 1e-14
 
     def test_fractional_needs_rng(self):
-        ev = MeasurementEvent(effect=np.eye(2) * 0.5, outcome=0.3)
+        ev = Measurements(np.eye(2) * 0.5, 0.3)
         with pytest.raises(MissingRandomnessError):
             reduce_measurement(ev)
 
     def test_invalid_effect_rejected(self):
         with pytest.raises(ValueError):
-            MeasurementEvent(effect=np.diag([1.5, 0.0]).astype(complex), outcome=0.5)
+            Measurements(np.diag([1.5, 0.0]).astype(complex), 0.5)
         with pytest.raises(ValueError):
-            MeasurementEvent(effect=np.eye(2) * 0.5, outcome=1.2)
+            Measurements(np.eye(2) * 0.5, 1.2)
 
     def test_monte_carlo_matches_kl_form(self):
         # E = I/2 makes <X, R> independent of X; the average loss over the
@@ -291,23 +307,83 @@ class TestReduceMeasurement:
         rng = np.random.default_rng(14)
         d = 2
         b = 0.3
-        ev = MeasurementEvent(effect=np.eye(d) * 0.5, outcome=b)
-        X = random_density(rng, d)
         n = 100_000
-        losses = np.empty(n)
-        for i in range(n):
-            R = reduce_measurement(ev, rng)
-            losses[i] = -math.log(trace_inner(X, R))
+        ev = Measurements(np.broadcast_to(np.eye(d) * 0.5, (n, d, d)), np.full(n, b))
+        X = random_density(rng, d)
+        losses = -np.log(trace_inner(X, reduce_measurement(ev, rng)))
         expected = b * math.log(2 * b) + (1 - b) * math.log(2 * (1 - b))
         se = losses.std(ddof=1) / math.sqrt(n)
         assert abs(losses.mean() - expected) <= 3.0 * se
 
     def test_reduction_is_psd(self):
         rng = np.random.default_rng(15)
-        for _ in range(20):
-            ev = MeasurementEvent(effect=random_effect(rng, 3), outcome=float(rng.uniform(0.05, 0.95)))
-            R = reduce_measurement(ev, rng)
-            assert np.linalg.eigvalsh(hermitize(R)).min() >= -1e-10
+        effects = np.array([random_effect(rng, 3) for _ in range(20)])
+        R = reduce_measurement(Measurements(effects, rng.uniform(0.05, 0.95, size=20)), rng)
+        assert np.linalg.eigvalsh(hermitize(R)).min() >= -1e-10
+
+    def test_one_draw_call_equals_single_draws(self):
+        # the stacked reduction draws its m uniforms with one rng.random(m)
+        for m in (1, 2, 7, 1000):
+            one, single = np.random.default_rng(16), np.random.default_rng(16)
+            assert one.random(m).tobytes() == np.array([single.random() for _ in range(m)]).tobytes()
+            assert one.bit_generator.state == single.bit_generator.state
+
+
+class TestMeasurements:
+    @staticmethod
+    def stack(n=6, d=3):
+        rng = np.random.default_rng(17)
+        return np.array([random_effect(rng, d) for _ in range(n)]), rng.uniform(0.05, 0.95, size=n)
+
+    def test_a_single_event_is_a_stack_of_one(self):
+        E, b = self.stack()
+        one = Measurements(E[2], b[2])
+        assert len(one) == 1 and one.effects.shape == (1, 3, 3) and one.outcomes.shape == (1,)
+        assert one.effects.tobytes() == Measurements(E, b).effects[2:3].tobytes()
+
+    def test_effects_kept_hermitized(self):
+        E, b = self.stack()
+        E[1, 0, 1] += 1e-13
+        m = Measurements(E, b)
+        assert m.effects.tobytes() == np.array([hermitize(e) for e in E]).tobytes()
+
+    @pytest.mark.parametrize("effects, outcomes", [
+        (np.zeros((2, 2, 3)), np.zeros(2)),
+        (np.zeros((2, 2, 2)), np.zeros(3)),
+        (np.zeros((2, 2)), np.zeros(1)),
+    ], ids=["not-square", "count-mismatch", "scalar-outcome-for-one"])
+    def test_shapes_checked(self, effects, outcomes):
+        with pytest.raises(ValueError, match="^need \\(n, d, d\\) effects and n outcomes"):
+            Measurements(effects, outcomes)
+
+    @pytest.mark.parametrize("first, later", [
+        ("hermitian", "eigenvalues-low"),
+        ("eigenvalues-high", "outcome"),
+        ("eigenvalues-low", "hermitian"),
+        ("outcome", "hermitian"),
+        ("outcome-nan", "eigenvalues-high"),
+    ])
+    def test_stack_rejects_its_first_bad_item(self, first, later):
+        """Item 2 fails one check and item 4 another: item 2's message wins, as when it is checked alone."""
+        effects, outcomes = np.tile(np.eye(2) * 0.5, (6, 1, 1)).astype(complex), np.full(6, 0.5)
+        effects[2], outcomes[2], message = BAD_MEASUREMENTS[first]
+        effects[4], outcomes[4], _ = BAD_MEASUREMENTS[later]
+        with pytest.raises(InvalidReturnsError, match=f"^{re.escape(message)}$") as err:
+            Measurements(effects, outcomes)
+        assert err.value.index == 2
+        with pytest.raises(InvalidReturnsError, match=f"^{re.escape(message)}$") as err:
+            Measurements(effects[2], outcomes[2])
+        assert err.value.index == 0
+
+
+#: name -> effect and outcome of a measurement that fails one check, and the message it is rejected with
+BAD_MEASUREMENTS = {
+    "hermitian": (np.array([[0.5, 0.3], [0.0, 0.5]]), 0.5, "effect must be Hermitian"),
+    "eigenvalues-high": (np.diag([1.5, 0.5]), 0.5, "effect eigenvalues must lie in [0, 1], got [0.5, 1.5]"),
+    "eigenvalues-low": (np.diag([0.5, -0.25]), 0.5, "effect eigenvalues must lie in [0, 1], got [-0.25, 0.5]"),
+    "outcome": (np.eye(2) * 0.5, 1.25, "outcome must lie in [0, 1], got 1.25"),
+    "outcome-nan": (np.eye(2) * 0.5, math.nan, "outcome must lie in [0, 1], got nan"),
+}
 
 
 class TestMatrixCalculus:

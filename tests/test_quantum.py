@@ -6,17 +6,17 @@ import pytest
 import bisons.quantum as quantum
 from bisons.checks import CRASH_OVERRIDE
 from bisons.geometry import InvalidReturnsError
-from bisons.harness import adversary_returns
+from bisons.harness import adversary_returns, derive_rng, load_measurements, measurement_stream
 from bisons.hermitian import (
     ConditioningError,
-    MeasurementEvent,
+    Measurements,
+    MissingRandomnessError,
     hermitize,
     min_eig,
     random_density,
     random_effect,
     random_pd,
     random_unitary,
-    reduce_measurement,
     trace_inner,
 )
 from bisons.quantum import (
@@ -166,7 +166,7 @@ class TestRunQBisons:
         # trace-one effect: recorded loss is -log <I/d, E>
         params = q_default_params(2, 440)
         E = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        res = run_qbisons([MeasurementEvent(effect=E, outcome=1.0)], params)
+        res = run_qbisons(Measurements(E, 1.0), params)
         assert res.losses[0] == pytest.approx(-math.log(trace_inner(np.eye(2) / 2, E)))
 
     def test_scaling_invariance_of_iterates(self):
@@ -179,8 +179,6 @@ class TestRunQBisons:
             assert np.abs(sa[0] - sb[0]).max() <= 1e-8
 
     def test_monitors_clean_on_measurement_stream(self):
-        from bisons.harness import derive_rng, measurement_stream
-
         params = q_default_params(2, 440)
         stream = measurement_stream(2, 120, seed=5)
         res = run_qbisons(stream, params, rng=derive_rng(5, "reduction"), monitor=True)
@@ -189,8 +187,6 @@ class TestRunQBisons:
 
     def test_comparator_dominated_by_scaled_plays(self):
         # while no reset occurred: U_tau <= beta^{-1} X_s for all s <= tau in the epoch
-        from bisons.harness import derive_rng, measurement_stream
-
         params = q_default_params(2, 440)
         stream = measurement_stream(2, 60, seed=6)
         res = run_qbisons(stream, params, rng=derive_rng(6, "reduction"), keep_states=True)
@@ -227,37 +223,69 @@ class TestRunQBisons:
 
     def test_fractional_outcomes_need_rng(self):
         params = q_default_params(2, 440)
-        ev = MeasurementEvent(effect=np.eye(2) * 0.5, outcome=0.4)
-        with pytest.raises(Exception):
-            run_qbisons([ev], params)
+        ev = Measurements(np.eye(2) * 0.5, 0.4)
+        with pytest.raises(MissingRandomnessError):
+            run_qbisons(ev, params)
+
+
+def ingest_alone(E, b, gen):
+    """One measurement's trace-one loss matrix, reduced on its own with one draw from ``gen`` if b is fractional."""
+    eye = np.eye(E.shape[0], dtype=complex)
+    if b == 1.0:
+        R = E.copy()
+    elif b == 0.0:
+        R = eye - E
+    else:
+        y = 1.0 if gen.random() < b else 0.0
+        R = (y / b) * E + ((1.0 - y) / (1.0 - b)) * (eye - E)
+    R = hermitize(R)
+    return R / float(np.trace(R).real)
 
 
 class TestIngestLossMatrix:
-    def test_sequence_equals_each_item_alone(self):
-        """Events with outcomes 0, 1 and fractional, and raw matrices, ingested as one sequence: the
-        stack, and the generator's state after it, are those of the items reduced and normalized one
-        at a time in sequence order."""
-        rng = np.random.default_rng(21)
-        items = []
-        for k in range(60):
-            if k % 4 == 0:
-                items.append(2.5 * random_density(rng, 3))
-            else:
-                outcome = (0.0, 1.0, float(rng.uniform(0.05, 0.95)))[k % 3]
-                items.append(MeasurementEvent(effect=random_effect(rng, 3), outcome=outcome))
-
-        def alone(item, gen):
-            R = reduce_measurement(item, rng=gen) if isinstance(item, MeasurementEvent) else item
-            R = hermitize(np.asarray(R, dtype=complex))
-            return R / float(np.trace(R).real)
-
-        gen_stack, gen_alone, gen_single = (np.random.default_rng(5) for _ in range(3))
-        stack = ingest_loss_matrix(items, rng=gen_stack)
-        assert stack.shape == (60, 3, 3)
-        assert stack.tobytes() == np.array([alone(item, gen_alone) for item in items]).tobytes()
+    @staticmethod
+    def assert_equals_each_event_alone(meas):
+        """The stack of ``meas`` and the generator's state after it are those of its events reduced
+        and normalized one at a time in stream order."""
+        gen_stack, gen_alone = np.random.default_rng(5), np.random.default_rng(5)
+        stack = ingest_loss_matrix(meas, rng=gen_stack)
+        alone = [ingest_alone(E, float(b), gen_alone) for E, b in zip(meas.effects, meas.outcomes)]
+        assert stack.shape == meas.effects.shape
+        assert stack.tobytes() == np.array(alone).tobytes()
         assert gen_stack.bit_generator.state == gen_alone.bit_generator.state
-        assert np.array([ingest_loss_matrix(item, rng=gen_single) for item in items]).tobytes() == stack.tobytes()
-        assert gen_single.bit_generator.state == gen_stack.bit_generator.state
+
+    def test_sequence_equals_each_item_alone(self):
+        """Measurements with outcomes 0, 1 and fractional, ingested as one stack, and raw matrices
+        ingested as one sequence, equal their items reduced and normalized one at a time."""
+        rng = np.random.default_rng(21)
+        effects = np.array([random_effect(rng, 3) for _ in range(60)])
+        outcomes = np.choose(np.arange(60) % 3, [0.0, 1.0, rng.uniform(0.05, 0.95, size=60)])
+        self.assert_equals_each_event_alone(Measurements(effects, outcomes))
+        mats = [2.5 * random_density(rng, 3) for _ in range(15)]
+        stack = ingest_loss_matrix(mats)
+        assert stack.tobytes() == np.array([ingest_loss_matrix(R) for R in mats]).tobytes()
+        assert stack.tobytes() == np.array([ingest_alone(R, 1.0, None) for R in mats]).tobytes()
+
+    def test_generated_stream_equals_each_event_alone(self):
+        self.assert_equals_each_event_alone(measurement_stream(3, 200, seed=7))
+
+    def test_loaded_file_equals_each_event_alone(self, tmp_path):
+        meas = measurement_stream(4, 150, seed=8)
+        cells = np.empty((150, 33))
+        cells[:, 0:-1:2] = meas.effects.reshape(150, -1).real
+        cells[:, 1:-1:2] = meas.effects.reshape(150, -1).imag
+        cells[:, -1] = np.choose(np.arange(150) % 3, [0.0, 1.0, meas.outcomes])
+        np.savetxt(tmp_path / "m.csv", cells, fmt="%.17g", delimiter=",")
+        loaded = load_measurements(str(tmp_path / "m.csv"))
+        assert loaded.effects.tobytes() == meas.effects.tobytes()
+        self.assert_equals_each_event_alone(loaded)
+
+    def test_stack_of_one_draws_once(self):
+        gen_one, gen_alone = np.random.default_rng(9), np.random.default_rng(9)
+        E = random_effect(np.random.default_rng(10), 2)
+        assert ingest_loss_matrix(Measurements(E, 0.3), rng=gen_one)[0].tobytes() == \
+            ingest_alone(hermitize(E), 0.3, gen_alone).tobytes()
+        assert gen_one.bit_generator.state == gen_alone.bit_generator.state
 
     @pytest.mark.parametrize("bad, index, message", [
         (["inf", "indefinite"], 1, "loss matrix entries must be finite"),

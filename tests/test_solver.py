@@ -269,6 +269,21 @@ class TestLogLossHistory:
             assert np.abs(got_g - want_g).max() <= 1e-12 * np.abs(want_g).max()
             assert np.abs(got_H - want_H).max() <= 1e-12 * np.abs(want_H).max()
 
+    @pytest.mark.parametrize("spectraplex", [False, True], ids=["simplex", "spectraplex"])
+    def test_fortran_ordered_rows_give_the_same_bytes(self, spectraplex):
+        # BLAS sums over the rows in the order of their layout, so the history keeps them in C order
+        rng = np.random.default_rng(26)
+        if spectraplex:
+            rows = phi_dual(np.array([random_density(rng, 3) for _ in range(300)]))
+            solve = minimize_spectraplex_history
+        else:
+            rows, solve = rng.dirichlet(np.ones(6), size=300), minimize_simplex_history
+        c_order = solve(rows, 0.01, tol=1e-12)
+        f_order = solve(np.asfortranarray(rows), 0.01, tol=1e-12)
+        assert f_order.minimizer.tobytes() == c_order.minimizer.tobytes()
+        assert LogLossHistory(rows, 1.0).rows.flags.c_contiguous
+        assert LogLossHistory(np.asfortranarray(rows), 1.0).rows.flags.c_contiguous
+
     def test_append_beyond_capacity_rejected(self):
         hist = LogLossHistory(np.empty((0, 2)), 1.0, capacity=1)
         hist.append([0.5, 0.5])

@@ -6,7 +6,8 @@ import pytest
 
 import bisons.quantum as quantum
 import bisons.vector as vector
-from bisons.geometry import InvalidReturnsError
+from bisons.geometry import InfiniteLossError, InvalidReturnsError
+from bisons.hermitian import ConditioningError
 from bisons.harness import adversary_returns
 from bisons.quantum import SPECTRAPLEX, QBisonsParams, run_qbisons
 from bisons.solver import SolverFailure
@@ -437,3 +438,39 @@ class TestMonitorChunks:
         monkeypatch.setattr(module, name, spoil_last)
         _, _, res = crash_run(domain_name, 300, monitor=True)
         assert res.violations == expected
+
+
+SINGULAR_PLAY = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)  # not diagonal, so no simplex shortcut
+
+
+class TestRoundErrors:
+    """An error raised inside a round leaves ``run_epochs`` as its own type, prefixed with the round, its
+    epoch and internal time, and with the original as its cause.  Each is raised by the real function,
+    handed a bad argument on its 731st call (one call a round): round 731 is the second round of the epoch
+    that the t=729 reset opens."""
+
+    @pytest.mark.parametrize("domain_name, owner, name, spoil, error", [
+        ("simplex", vector, "log_loss", lambda x, r: (x, 0.0 * r), InfiniteLossError),
+        ("simplex", vector, "update_bias", lambda p, x: (p, 0.0 * x), ValueError),
+        ("spectraplex", quantum.Spectraplex, "loss", lambda self, X, R: (self, X, 0.0 * R), InvalidReturnsError),
+        ("spectraplex", quantum, "q_update_bias", lambda P, X: (P, SINGULAR_PLAY), ConditioningError),
+    ], ids=["infinite-loss", "bias-update", "trace-product", "conditioning"])
+    def test_error_names_its_round(self, monkeypatch, domain_name, owner, name, spoil, error):
+        fn, calls, raised = getattr(owner, name), [0], []
+
+        def spoiled(*args):
+            calls[0] += 1
+            if calls[0] != 731:
+                return fn(*args)
+            try:
+                return fn(*spoil(*args))
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(owner, name, spoiled)
+        with pytest.raises(error) as exc_info:
+            crash_run(domain_name, 731)
+        assert type(exc_info.value) is type(raised[0]) is error
+        assert str(exc_info.value) == f"t=731 (epoch 2, tau 2): {raised[0]}"
+        assert exc_info.value.__cause__ is raised[0]
