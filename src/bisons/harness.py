@@ -17,7 +17,6 @@ import numpy as np
 
 from .geometry import InvalidReturnsError, log_loss, normalize_returns, uniform_portfolio
 from .hermitian import Measurements, phi_dual, random_effect, trace_inner
-from .lbftrl import AdversaryPlan, generate_and_run, run_lbftrl
 from .quantum import q_default_params, run_qbisons
 from .solver import minimize_simplex, minimize_simplex_history, minimize_spectraplex_history
 from .vector import default_params, run_bisons
@@ -164,8 +163,8 @@ def _row_error(path, k, lineno, exc):
     return type(exc)(f"{path}: row {k} (line {lineno}): {exc}")
 
 
-def _read_rows(path, what, parse, check=None):
-    """``parse(cells)`` of each row of a comma-separated file of numbers, and each row's line number.
+def _read_lines(path, what, parse, check=None):
+    """``parse(cells)`` of each row of a comma-separated file of numbers, and each row's line number, line by line.
 
     Blank lines are skipped, and so is a first line whose first cell starts
     with ``a`` (a header; no number does).  Cells must be finite, and every
@@ -204,6 +203,28 @@ def _read_rows(path, what, parse, check=None):
     if not items:
         raise ValueError(f"{path}: no {what} rows found")
     return items, lines
+
+
+def _read_rows(path, what, parse, check=None):
+    """The rows of a comma-separated file of numbers as one (n, w) array, and each row's line number.
+
+    Lines are kept as :func:`_read_lines` keeps them and parsed in one
+    ``np.loadtxt`` call, which reads a number as ``float`` does.  If that
+    fails, a cell is not finite or ``parse`` rejects row 1, the file is read
+    again by :func:`_read_lines`, which raises the error naming the line.
+    """
+    try:
+        with open(path) as fh:
+            kept = [(lineno, line) for lineno, line in enumerate(fh.read().split("\n"), start=1)
+                    if line.strip() and not (lineno == 1 and line.strip().startswith("a"))]
+        cells = np.loadtxt([line for _, line in kept], delimiter=",", comments=None, ndmin=2) if kept else None
+        if cells is not None:
+            parse(cells[0])
+    except ValueError:  # a UnicodeDecodeError too
+        cells = None
+    if cells is None or not np.isfinite(cells).all():
+        return _read_lines(path, what, parse, check)
+    return cells, [lineno for lineno, _ in kept]
 
 
 def load_returns(path):
@@ -388,6 +409,8 @@ def _run_qbisons(config):
 
 def _run_lbftrl(config):
     """LB-FTRL on lbftrl-bad (generated against the player) or on given returns; its table is the stability columns."""
+    from .lbftrl import AdversaryPlan, generate_and_run, run_lbftrl  # only LB-FTRL runs load it
+
     if config.adversary == "lbftrl-bad":
         result = generate_and_run(AdversaryPlan.build(config.d, config.T, config.alpha), config.eta)
         extras = {"truncated": result.truncated, "completed_visits": result.completed_visits, "alpha": config.alpha}

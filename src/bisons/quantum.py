@@ -15,10 +15,12 @@ comparator U against the scaled inverse bias in the Loewner order,
 boundary inclusive.
 
 The epoch engine is the one of :mod:`bisons.vector`, run on the
-:class:`Spectraplex` domain.  A run ingests its whole stream once, before
-round 1: a :class:`bisons.hermitian.Measurements` stack is reduced in one
-call (its fractional outcomes draw their uniforms in stream order, the
-same ones as one at a time), and every loss matrix is checked and
+:class:`Spectraplex` domain, so a round's biased and unbiased objectives
+share their quadratic part and are solved as one stacked KKT solve.  A
+run ingests its whole stream once, before round 1: a
+:class:`bisons.hermitian.Measurements` stack is reduced in one call (its
+fractional outcomes draw their uniforms in stream order, the same ones as
+one at a time), and every loss matrix is checked and
 trace-normalized as one (n, d, d) stack, which the run's result keeps for
 the hindsight comparator.
 """
@@ -170,8 +172,8 @@ class Spectraplex:
     def bias_coords(self, dP):
         return phi_dual(dP)
 
-    def solve(self, obj, warm_start, tol):
-        return minimize_spectraplex(obj, warm_start=warm_start, tol=tol)
+    def solve(self, objs, warm_starts, tol):
+        return minimize_spectraplex(objs, warm_start=warm_starts, tol=tol)
 
     def update_bias(self, P, X_next):
         return q_update_bias(P, X_next)

@@ -41,14 +41,36 @@ evaluated only by these line searches.
 The simplex equality constraint is eliminated by dropping the last
 coordinate; the spectraplex trace constraint is kept in the KKT system
 with a scalar multiplier.
+
+Both frontends solve a stack of k objectives of one dimension and barrier
+weight, given as a list or tuple with a stack of k warm starts; a single
+objective is the stack of one.  One driver runs the stack in lockstep.
+Each iteration forms the gradient and Hessian of every member still
+running, makes one stacked ``np.linalg.solve`` and computes each member's
+decrement; every member whose step may be taken in full takes it, and any
+other member gets its own boundary cap and Armijo search.  Each member
+stops on its own test, so it takes exactly the steps, and ends at exactly
+the bits, that a solve of it alone would: the stacked calls are ones that
+give each slice the bits of the single call (``solve``, ``inv``, ``@``,
+elementwise ufuncs and gathers), and the log-det Hessian ``einsum`` runs
+member by member.  A stacked solve returns one :class:`SolveReport` whose
+``minimizer`` is the (k, ...) stack, ``certified_gap`` the (k,) array and
+``iterations`` the Newton steps summed over the stack.  If members fail,
+the first failing one in stack order raises, with the message and report
+(on the spectraplex, its d x d density matrix) that a solve of it alone
+gives; a member after a failed one stops, since it could not be reported.
+A stacked ``LinAlgError`` does not say which system is singular, so then
+each member's system is solved alone.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
-from .hermitian import hermitian_basis, phi_dual, trace_slots, unvectorize_phi, vectorize_phi
+from .hermitian import hermitian_basis, hermitize, phi_dual, trace_slots, unvectorize_phi, vectorize_phi
 
 DEFAULT_MAX_ITER = 200
 _ARMIJO_SLOPE = 0.25
@@ -83,16 +105,22 @@ class QuadraticObjective:
             raise ValueError("barrier weight must be positive")
         return cls(dim, np.zeros((dim, dim)), np.zeros(dim), 0.0, float(barrier_weight))
 
-    def add_surrogate(self, w, anchor_value, anchor_inner, beta):
-        """Accumulate a + <x - x_t, g> + (beta/2) <x - x_t, g>^2.
+    def add_surrogate(self, w, anchor_value, anchor_inner, beta, *sharing):
+        """Accumulate a + <x - x_t, g> + (beta/2) <x - x_t, g>^2 here and in each of ``sharing``.
 
         ``w`` is the coordinate vector of the anchor gradient g (the
         gradient itself on the simplex, its phi-dual on the spectraplex)
-        and ``anchor_inner`` is <x_t, g>.
+        and ``anchor_inner`` is <x_t, g>.  The objectives in ``sharing``
+        hold this one's ``quad`` array, so the quadratic part is added once.
         """
+        if any(obj.quad is not self.quad for obj in sharing):
+            raise ValueError("objectives that share a surrogate must share their quad array")
         self.quad += beta * np.outer(w, w)
-        self.lin += (1.0 - beta * anchor_inner) * w
-        self.const += anchor_value - anchor_inner + 0.5 * beta * anchor_inner * anchor_inner
+        lin = (1.0 - beta * anchor_inner) * w
+        const = anchor_value - anchor_inner + 0.5 * beta * anchor_inner * anchor_inner
+        for obj in (self, *sharing):
+            obj.lin += lin
+            obj.const += const
 
     def add_linear(self, w):
         self.lin += w
@@ -230,47 +258,103 @@ def _full_step_bound(lam2, kappa):
     return (r / (1.0 - r)) ** 4 / kappa**2
 
 
-def _damped_newton(fval, grad_hess, newton_step, boundary_cap, x0, tol, max_iter, kappa):
-    """Damped Newton; ``newton_step`` gives a direction and its decrement^2,
-    ``boundary_cap`` the largest step size up to 1 that keeps 1% off the boundary.
+def _newton_steps_alone(newton_step, X, G, H):
+    """The members' Newton directions and decrements^2, each member solved alone.
 
-    ``kappa`` is half the objective's self-concordance constant.  A step
-    with kappa*lambda <= 1/3 is taken in full, with no value, cap or Armijo
-    trial: self-concordance makes it interior and Armijo-sufficient (see the
-    module docstring).  A longer step starts a line search, which evaluates
-    ``fval`` at its start point unless the last line search left that value
-    there, and once per Armijo trial.  Only a step of size 1 lands on the
-    exact Newton iterate, so only then may :func:`_full_step_bound`
-    certify the new point.
+    A stacked solve that fails does not say which member is singular; here
+    a singular member's LinAlgError stands in for its decrement^2.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    f = None  # the value at x, once a line search has needed it
-    bound = math.inf
-    for it in range(max_iter):
-        if bound <= tol:
-            return SolveReport(x, bound, it)
-        g, H = grad_hess(x)
+    dX, lam2 = np.zeros_like(X), []
+    for j in range(len(X)):
         try:
-            dx, lam2 = newton_step(x, g, H)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(f"singular Newton system: {exc}", SolveReport(x, math.inf, it)) from exc
-        if lam2 <= tol:
-            return SolveReport(x, max(lam2, 0.0), it)
-        if kappa * math.sqrt(lam2) <= _FULL_STEP:
-            x, f, s = x + dx, None, 1.0
-        else:
-            f = fval(x) if f is None else f
-            xn, f, s = _armijo(fval, x, f, dx, float(g @ dx), boundary_cap(x, dx))
-            if xn is None:
-                raise SolverFailure("line search stalled", SolveReport(x, lam2, it))
-            x = xn
-        bound = _full_step_bound(lam2, kappa) if s == 1.0 else math.inf  # s = 1 needs an uncapped step
-    try:  # the report describes the iterate it returns; lam2 is from before the last step
-        lam2 = newton_step(x, *grad_hess(x))[1]
-    except np.linalg.LinAlgError:
-        lam2 = math.inf
-    raise SolverFailure(f"no convergence in {max_iter} iterations (decrement^2 {lam2:.3e})",
-                        SolveReport(x, lam2, max_iter))
+            dx, (l2,) = newton_step(X[j:j + 1], G[j:j + 1], H[j:j + 1])
+            dX[j] = dx[0]
+        except LinAlgError as exc:
+            l2 = exc
+        lam2.append(l2)
+    return dX, lam2
+
+
+def _failure(message, x, gap, steps, cause=None):
+    """A member's SolverFailure, reporting a copy of its iterate x."""
+    exc = SolverFailure(message, SolveReport(x.copy(), gap, steps))
+    exc.__cause__ = cause
+    return exc
+
+
+def _damped_newton(X, grad_hess, newton_step, fval, boundary_cap, tol, max_iter, kappa):
+    """Damped Newton on a stack of k systems in lockstep, from the (k, n) starts ``X``, which it updates.
+
+    Each iteration, ``grad_hess(idx, X)`` gives the stacked gradients and
+    Hessians of the members ``idx`` still running at their points X, and
+    ``newton_step(X, G, H)`` their directions and the list of their
+    decrements^2 from one stacked solve.  ``kappa`` is half the objectives'
+    self-concordance constant.  A step with kappa*lambda <= 1/3 is taken in
+    full, with no value, cap or Armijo trial: self-concordance makes it
+    interior and Armijo-sufficient (see the module docstring).  A longer
+    step starts the member's own line search from step size
+    ``boundary_cap(i, x, dx)``; it evaluates ``fval(i, x)`` at its start
+    point unless the member's last line search left that value there, and
+    once per Armijo trial.  Only a step of size 1 lands on the exact Newton
+    iterate, so only then may :func:`_full_step_bound` certify the new
+    point.
+
+    Returns the minimizers X, their certified gaps and the Newton steps
+    summed over the stack; each member takes the steps it would take alone.
+    A failed member stops those after it in the stack, and the first
+    failure in stack order is raised.
+    """
+    k = len(X)
+    x = list(X)  # the members' rows of X
+    f = [None] * k  # a member's value at its point, once a line search has needed it
+    done = [None] * k  # a member's (certified gap, steps) or its SolverFailure, once it stops
+    active, stop = list(range(k)), k  # ``stop`` is the first failed member; those after it no longer matter
+    for it in range(max_iter):
+        Xa = X if len(active) == k else X[active]
+        G, H = grad_hess(active, Xa)
+        try:
+            dXa, lam2s = newton_step(Xa, G, H)
+        except LinAlgError:
+            dXa, lam2s = _newton_steps_alone(newton_step, Xa, G, H)
+        for j, i in enumerate(active):
+            lam2 = lam2s[j]
+            if isinstance(lam2, LinAlgError):
+                done[i], stop = _failure(f"singular Newton system: {lam2}", x[i], math.inf, it, lam2), min(stop, i)
+                continue
+            if lam2 <= tol:
+                done[i] = (max(lam2, 0.0), it)
+                continue
+            if kappa * math.sqrt(lam2) <= _FULL_STEP:
+                x[i] += dXa[j]
+                f[i], s = None, 1.0
+            else:
+                dx = dXa[j]
+                f[i] = fval(i, x[i]) if f[i] is None else f[i]
+                xn, f[i], s = _armijo(functools.partial(fval, i), x[i], f[i], dx, float(G[j] @ dx),
+                                      boundary_cap(i, x[i], dx))
+                if xn is None:
+                    done[i], stop = _failure("line search stalled", x[i], lam2, it), min(stop, i)
+                    continue
+                x[i][...] = xn
+            bound = _full_step_bound(lam2, kappa) if s == 1.0 else math.inf  # s = 1 needs an uncapped step
+            if bound <= tol and it + 1 < max_iter:  # certified without a system at the new point
+                done[i] = (bound, it + 1)
+        active = [i for i in active if done[i] is None and i < stop]
+        if not active:
+            break
+    else:  # max_iter steps taken: the report describes the iterate it returns, not the one before the last step
+        if active:
+            Xa = X[active]
+            _, lam2s = _newton_steps_alone(newton_step, Xa, *grad_hess(active, Xa))
+            for i, lam2 in zip(active, lam2s):
+                lam2 = math.inf if isinstance(lam2, LinAlgError) else lam2
+                done[i] = _failure(f"no convergence in {max_iter} iterations (decrement^2 {lam2:.3e})", x[i], lam2,
+                                   max_iter)
+            stop = min(stop, active[0])
+    if stop < k:
+        raise done[stop]
+    gaps, steps = zip(*done)
+    return X, list(gaps), sum(steps)
 
 
 def _kappa(barrier_weight):
@@ -278,46 +362,66 @@ def _kappa(barrier_weight):
     return max(1.0, 1.0 / math.sqrt(barrier_weight))
 
 
+def _as_stack(obj):
+    """The objectives of a solve of ``obj``, one objective or a list or tuple of them, their
+    common barrier weight, and whether the solve is stacked."""
+    if not isinstance(obj, (list, tuple)):
+        return [obj], obj.barrier_weight, False
+    dim, w = obj[0].dim, obj[0].barrier_weight
+    if any(o.dim != dim or o.barrier_weight != w for o in obj):
+        raise ValueError("a stacked solve needs objectives of one dimension and one barrier weight")
+    return list(obj), w, True
+
+
+def _report(minimizers, gaps, steps, stacked):
+    """The report of a stacked solve, or of its one member."""
+    if stacked:
+        return SolveReport(minimizers, np.array(gaps), steps)
+    return SolveReport(minimizers[0], gaps[0], steps)
+
+
 # -- frontends: one per domain, for QuadraticObjective and LogLossHistory -------
 
-def _reduced_newton_step(x, g, H):
-    """Newton step in the coordinates left after eliminating the last one by sum(x) = 1,
-    lifted back to all d coordinates."""
-    gz = g[:-1] - g[-1]
-    Hz = H[:-1, :-1] - H[:-1, -1:] - H[-1:, :-1] + H[-1, -1]
-    dz = np.linalg.solve(Hz, -gz)
-    dx = np.empty_like(x)
-    dx[:-1] = dz
-    dx[-1] = -dz.sum()
-    return dx, float(-gz @ dz)
-
-
-def _simplex_boundary_cap(x, dx):
-    neg = dx < 0.0
-    if not neg.any():
-        return 1.0
-    return min(1.0, _BOUNDARY_FRACTION * float(np.min(-x[neg] / dx[neg])))
+def _reduced_newton_step(X, G, H):
+    """Newton steps in the coordinates left after eliminating the last one by sum(x) = 1,
+    lifted back to all d coordinates, and their decrements^2; one stacked solve."""
+    ngz = -(G[:, :-1] - G[:, -1:])
+    Hz = H[:, :-1, :-1] - H[:, :-1, -1:] - H[:, -1:, :-1] + H[:, -1:, -1:]
+    dz = np.linalg.solve(Hz, ngz[..., None])
+    lam2 = (ngz[:, None] @ dz)[:, 0, 0].tolist()  # (1, m) @ (m, 1) products are dot products, as alone
+    dz = dz[..., 0]
+    return np.concatenate([dz, -dz.sum(axis=-1, keepdims=True)], axis=-1), lam2
 
 
 def minimize_simplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER):
-    """Minimize ``obj`` plus its weighted log barrier -sum(log x_i) over the simplex."""
-    d = obj.dim
-    w = obj.barrier_weight
-    x0 = np.full(d, 1.0 / d) if warm_start is None else np.asarray(warm_start, dtype=float)
+    """Minimize ``obj`` plus its weighted log barrier -sum(log x_i) over the simplex.
 
-    def fval(x):
+    ``obj`` may be a list or tuple of k objectives with a (k, d) stack of
+    warm starts; they are solved as one stack and the report is stacked.
+    """
+    objs, w, stacked = _as_stack(obj)
+    k, d = len(objs), objs[0].dim
+    x0 = np.full((k, d), 1.0 / d) if warm_start is None else np.array(warm_start, dtype=float, ndmin=2)
+
+    def fval(i, x):
         if x.min() <= 0.0:
             return math.inf
-        return obj.smooth_value(x) - w * float(np.log(x).sum())
+        return objs[i].smooth_value(x) - w * float(np.log(x).sum())
 
-    def grad_hess(x):
-        g, H = obj.smooth_grad_hess(x)
-        H = H.copy()
-        H.flat[:: d + 1] += w / (x * x)
-        return g - w / x, H
+    def grad_hess(idx, X):
+        G, H = map(np.array, zip(*[objs[i].smooth_grad_hess(x) for i, x in zip(idx, X)]))
+        H.reshape(len(idx), -1)[:, :: d + 1] += w / (X * X)
+        return G - w / X, H
 
-    return _damped_newton(fval, grad_hess, _reduced_newton_step, _simplex_boundary_cap, x0, tol, max_iter,
-                          _kappa(w))
+    def boundary_cap(i, x, dx):
+        neg = dx < 0.0
+        if not neg.any():
+            return 1.0
+        return min(1.0, _BOUNDARY_FRACTION * float(np.min(-x[neg] / dx[neg])))
+
+    X, gaps, steps = _damped_newton(x0, grad_hess, _reduced_newton_step, fval, boundary_cap, tol, max_iter,
+                                    _kappa(w))
+    return _report(X, gaps, steps, stacked)
 
 
 def minimize_simplex_history(returns, barrier_weight, warm_start=None, tol=1e-10):
@@ -329,12 +433,13 @@ def _cholesky_pd(X):
     """The Cholesky factor of X, or None if X is not positive definite."""
     try:
         return np.linalg.cholesky(X)
-    except np.linalg.LinAlgError:
+    except LinAlgError:
         return None
 
 
-def _logdet_hessian(Xinv, basis):
-    C = basis @ Xinv
+def _logdet_hessian(C):
+    """The log-det Hessian in phi coordinates from C = basis @ X^-1; one member at a time,
+    since einsum over a stack does not sum as it does over each slice."""
     return np.einsum("kab,lba->kl", C, C).real
 
 
@@ -342,71 +447,80 @@ def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_I
     """Minimize ``obj`` plus its weighted log-det barrier over trace-one PSD matrices.
 
     ``obj`` lives in the phi coordinates (dim = d^2); the warm start is a
-    density matrix.
+    density matrix.  ``obj`` may be a list or tuple of k objectives with a
+    (k, d, d) stack of warm starts; they are solved as one stack and the
+    report is stacked.
     """
-    n = obj.dim
+    objs, w, stacked = _as_stack(obj)
+    k, n = len(objs), objs[0].dim
     d = int(round(math.sqrt(n)))
     if d * d != n:
         raise ValueError(f"objective dimension {n} is not a square")
-    basis = hermitian_basis(d)
-    w = obj.barrier_weight
-    X0 = np.eye(d, dtype=complex) / d if warm_start is None else np.asarray(warm_start, dtype=complex)
-    X0 = X0 / np.trace(X0).real
-    v0 = vectorize_phi(X0)
+    rows = hermitian_basis(d).reshape(-1, d)  # basis @ X^-1 as one product per member, bit for bit as slice by slice
+    X0 = (np.tile(np.eye(d, dtype=complex) / d, (k, 1, 1)) if warm_start is None
+          else np.array(warm_start, dtype=complex, copy=None, ndmin=3))
+    X0 = X0 / X0.trace(axis1=1, axis2=2).real[:, None, None]
     a = trace_slots(d)
-    K = np.zeros((n + 1, n + 1))
-    K[:n, n] = a
-    K[n, :n] = a
-    rhs = np.zeros(n + 1)
+    K = np.zeros((k, n + 1, n + 1))  # the KKT matrices and right-hand sides; the first m serve m members
+    K[:, :n, n] = K[:, n, :n] = a
+    rhs = np.empty((k, n + 1, 1))
+    keys, mats, chols = [None] * k, [None] * k, {}  # per member, its last point evaluated: bytes, X, Cholesky factor
 
-    last = {}  # the last point evaluated: its bytes, X and, once asked for, the Cholesky factor of X
+    def matrices(idx, V):
+        """The matrices of members idx at their points V, unpacked in one call unless each point
+        is its member's last one."""
+        new = [v.tobytes() for v in V]
+        fresh = [j for j, i in enumerate(idx) if keys[i] != new[j]]
+        if not fresh:
+            return np.array([mats[i] for i in idx])
+        Xs = unvectorize_phi(V, d)
+        for j in fresh:
+            i = idx[j]
+            keys[i], mats[i] = new[j], Xs[j]
+            chols.pop(i, None)
+        return Xs
 
-    def matrix(v):
-        key = v.tobytes()
-        if last.get("key") != key:
-            last.clear()
-            last.update(key=key, X=unvectorize_phi(v, d))
-        return last["X"]
+    def cholesky(i, v):
+        """The Cholesky factor of member i's X at v, or None if X is not positive definite."""
+        X = matrices([i], v[None])[0]
+        if i not in chols:
+            chols[i] = _cholesky_pd(X)
+        return chols[i]
 
-    def cholesky(v):
-        """The Cholesky factor of X at v, or None if X is not positive definite."""
-        X = matrix(v)
-        if "L" not in last:
-            last["L"] = _cholesky_pd(X)
-        return last["L"]
-
-    def fval(v):
-        L = cholesky(v)
+    def fval(i, v):
+        L = cholesky(i, v)
         if L is None:
             return math.inf
         ld = 2.0 * float(np.log(np.diagonal(L).real).sum())
-        return obj.smooth_value(v) - w * ld
+        return objs[i].smooth_value(v) - w * ld
 
-    def grad_hess(v):
-        Xinv = np.linalg.inv(matrix(v))
-        Xinv = 0.5 * (Xinv + Xinv.conj().T)
-        g, H = obj.smooth_grad_hess(v)
-        return g - w * phi_dual(Xinv), H + w * _logdet_hessian(Xinv, basis)
+    def grad_hess(idx, V):
+        Xinv = hermitize(np.linalg.inv(matrices(idx, V)))
+        G, H = map(np.array, zip(*[objs[i].smooth_grad_hess(v) for i, v in zip(idx, V)]))
+        hess = np.array([_logdet_hessian(C) for C in (rows @ Xinv).reshape(len(idx), n, d, d)])
+        return G - w * phi_dual(Xinv), H + w * hess
 
-    def kkt_step(v, g, H):
-        K[:n, :n] = H
-        rhs[:n] = -g
-        rhs[n] = 1.0 - float(a @ v)
-        dv = np.linalg.solve(K, rhs)[:n]
-        return dv, float(dv @ H @ dv)
+    def kkt_step(V, G, H):
+        m = len(V)
+        K[:m, :n, :n] = H
+        np.negative(G, out=rhs[:m, :n, 0])
+        rhs[:m, n] = 1.0 - (V[:, None] @ a[:, None])[:, 0]
+        dV = np.linalg.solve(K[:m], rhs[:m])[:, :n]
+        # a (1, n) @ (n, n) or (1, n) @ (n, 1) product is each member's own vector product
+        return dV[..., 0], ((dV.swapaxes(1, 2) @ H) @ dV)[:, 0, 0].tolist()
 
-    def boundary_cap(v, dv):
-        Li = np.linalg.inv(cholesky(v))
+    def boundary_cap(i, v, dv):
+        Li = np.linalg.inv(cholesky(i, v))
         wmin = float(np.linalg.eigvalsh(Li @ unvectorize_phi(dv, d) @ Li.conj().T).min())
         return 1.0 if wmin >= 0.0 else min(1.0, _BOUNDARY_FRACTION / (-wmin))
 
     try:
-        rep = _damped_newton(fval, grad_hess, kkt_step, boundary_cap, v0, tol, max_iter, _kappa(w))
+        V, gaps, steps = _damped_newton(vectorize_phi(X0), grad_hess, kkt_step, fval, boundary_cap, tol, max_iter,
+                                        _kappa(w))
     except SolverFailure as exc:  # a failure report carries a density matrix too
-        exc.report.minimizer = matrix(exc.report.minimizer)
+        exc.report.minimizer = unvectorize_phi(exc.report.minimizer, d)
         raise
-    rep.minimizer = matrix(rep.minimizer)
-    return rep
+    return _report(matrices(range(k), V), gaps, steps, stacked)
 
 
 def minimize_spectraplex_history(loss_duals, barrier_weight, warm_start=None, tol=1e-10):

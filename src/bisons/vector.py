@@ -4,9 +4,12 @@ Each epoch runs two follow-the-regularized-leader solves per round on
 accumulated quadratic objectives with the log barrier: the played point
 minimizes the *biased* accumulation (surrogates minus the linear bias
 term B <x, p_tau - p_{tau-1}>) and a reference comparator minimizes the
-unbiased one.  The per-asset bias p records the worst inverse weight seen
-in the epoch, p_tau,i = max(p_{tau-1,i}, 1/x_tau,i), and the epoch resets
-once some coordinate of the comparator crosses the bias-scaled threshold
+unbiased one.  The two objectives always hold the same quadratic part, so
+they share one array, to which each round adds its surrogate's once, and
+a round solves them as one stack of two (see :mod:`bisons.solver`).  The
+per-asset bias p records the worst inverse weight seen in the epoch,
+p_tau,i = max(p_{tau-1,i}, 1/x_tau,i), and the epoch resets once some
+coordinate of the comparator crosses the bias-scaled threshold
 
     2 (1 + 6 eta) beta * u_i * p_i >= 1,
 
@@ -22,7 +25,7 @@ Schrodinger's BISONS: it takes a domain, :class:`Simplex` here or
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,8 +102,8 @@ class Simplex:
     def bias_coords(self, dp):
         return dp
 
-    def solve(self, obj, warm_start, tol):
-        return minimize_simplex(obj, warm_start=warm_start, tol=tol)
+    def solve(self, objs, warm_starts, tol):
+        return minimize_simplex(objs, warm_start=warm_starts, tol=tol)
 
     def update_bias(self, p, x_next):
         return update_bias(p, x_next)
@@ -120,7 +123,11 @@ SIMPLEX = Simplex()
 
 @dataclass
 class EpochState:
-    """Mutable per-epoch accumulators; reset wholesale on epoch boundaries."""
+    """Mutable per-epoch accumulators; reset wholesale on epoch boundaries.
+
+    The two objectives always hold the same quadratic part, so they share
+    one ``quad`` array.
+    """
 
     p: np.ndarray
     p_prev: np.ndarray
@@ -133,13 +140,13 @@ class EpochState:
 
 def initial_state(params, domain=SIMPLEX):
     """Fresh epoch at the domain's centre; the objectives live in x.size real coordinates."""
-    w = 1.0 / params.eta
     x, p = domain.centre(params.d)
+    biased = QuadraticObjective.zeros(x.size, 1.0 / params.eta)
     return EpochState(
         p=p,
         p_prev=p.copy(),
-        biased=QuadraticObjective.zeros(x.size, w),
-        unbiased=QuadraticObjective.zeros(x.size, w),
+        biased=biased,
+        unbiased=replace(biased, lin=np.zeros(x.size)),
         x_cur=x,
         u_cur=x.copy(),
     )
@@ -178,15 +185,12 @@ def bisons_round(state, r_t, params, tol=1e-10, domain=SIMPLEX):
     x = state.x_cur
     loss, g, m = domain.loss(x, r_t)
 
-    state.unbiased.add_surrogate(g, loss, m, params.beta)
-    state.biased.add_surrogate(g, loss, m, params.beta)
+    state.biased.add_surrogate(g, loss, m, params.beta, state.unbiased)
     dp = state.p - state.p_prev
     if dp.any():
         state.biased.add_linear(-params.B * domain.bias_coords(dp))
 
-    rep_x = domain.solve(state.biased, x, tol)
-    rep_u = domain.solve(state.unbiased, state.u_cur, tol)
-    x_next, u_next = rep_x.minimizer, rep_u.minimizer
+    x_next, u_next = domain.solve((state.biased, state.unbiased), (x, state.u_cur), tol).minimizer
     p_next = domain.update_bias(state.p, x_next)
     reset = domain.check_reset(u_next, p_next, params)
     state.last_solution = (x_next, u_next, p_next)

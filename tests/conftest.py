@@ -5,9 +5,10 @@ from bisons.solver import SolverFailure
 
 @pytest.fixture
 def fail_solve(monkeypatch):
-    """``fail_solve(module, name, call)`` makes the ``call``-th solve through
+    """``fail_solve(module, name, call)`` makes the ``call``-th call through
     ``module.name`` fail before any Newton step and returns the list that
-    collects that failure."""
+    collects that failure.  A round makes one call, which solves its
+    biased and unbiased objectives as one stack."""
 
     def install(module, name, call):
         solve = getattr(module, name)

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from bisons import harness
 from bisons.geometry import InvalidReturnsError
 from bisons.harness import (
     ALGORITHMS,
@@ -196,13 +197,46 @@ class TestFiles:
         (load_measurements, "0.5,0,0,0,0,0,0.5,0,0.5\n0.5,0,0,0,0,0,0.5,0,inf\n",
          "row 2 (line 2): cells must be finite"),
         (load_returns, "1,0\na1,a2\n", "parse error at line 2: could not convert string to float: 'a1'"),
+        (load_returns, "1,0\n# a comment\n", "parse error at line 2: could not convert string to float: '# a comment'"),
+        (load_returns, "1,0,\n", "parse error at line 1: could not convert string to float: ''"),
+        (load_returns, "a1,a2\n1,1\n-1,1\n", "row 2 (line 3): returns entries must be nonnegative"),
+        (load_returns, "\n1,3\n\n\n-1,1\n", "row 2 (line 5): returns entries must be nonnegative"),
+        (load_returns, "1,1\r\n\r\n-1,1\r\n", "row 2 (line 3): returns entries must be nonnegative"),
+        (load_returns, "1,1\r\n\r\nzebra,1\r\n", "parse error at line 3: could not convert string to float: 'zebra'"),
     ], ids=["ragged-returns", "ragged-after-blank", "ragged-measurements", "returns-nan", "returns-inf",
-            "effect-nan", "outcome-inf", "header-below-line-1"])
+            "effect-nan", "outcome-inf", "header-below-line-1", "comment-line", "trailing-comma", "after-a-header",
+            "after-blank-lines", "after-crlf", "parse-error-after-crlf"])
     def test_reader_rejections_name_the_row(self, tmp_path, load, text, message):
         path = tmp_path / "data.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load(str(path))
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1_0,5\n", [[10 / 15, 5 / 15]]),
+        (" 2 ,2\n", [[0.5, 0.5]]),
+        ("-0,1\n", [[-0.0, 1.0]]),
+        ("1e-320,1\n", [[1e-320, 1.0]]),
+        ("a1,a2\n1,1\n", [[0.5, 0.5]]),
+        ("\n1,3\n\n\n1,1\n", [[0.25, 0.75], [0.5, 0.5]]),
+        ("1,3\r\n1,1\r\n", [[0.25, 0.75], [0.5, 0.5]]),
+    ], ids=["underscore", "spaces", "negative-zero", "subnormal", "header", "blank-lines", "crlf"])
+    def test_reader_cells(self, tmp_path, text, expected):
+        # each cell reads as float() reads it, numpy's parser or not (it rejects 1_0), down to the sign of zero
+        path = tmp_path / "r.csv"
+        path.write_bytes(text.encode())
+        assert load_returns(str(path)).tobytes() == np.array(expected).tobytes()
+
+    def test_one_call_parse_matches_the_line_reader(self, tmp_path):
+        rng = np.random.default_rng(12)
+        rows = rng.dirichlet(np.ones(10), size=300) * 10.0 ** rng.integers(-300, 300, size=(300, 1))
+        text = "\r\n".join(",".join(format(float(v), ".17g") for v in row) for row in rows)
+        path = tmp_path / "r.csv"
+        path.write_bytes(("a1\r\n\r\n" + text.replace("\r\n", "\r\n\r\n", 5) + "\r\n").encode())
+        cells, lines = harness._read_rows(str(path), "returns", np.array)
+        items, item_lines = harness._read_lines(str(path), "returns", np.array)
+        assert cells.tobytes() == np.array(items).tobytes() == rows.tobytes()
+        assert lines == item_lines and lines[:7] == [3, 5, 7, 9, 11, 13, 14]
 
     @pytest.mark.parametrize("first, later, message", [
         ("0.5,0,0.3,0,0,0,0.5,0,0.5", "1.5,0,0,0,0,0,0.5,0,0.5", "effect must be Hermitian"),

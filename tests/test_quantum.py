@@ -213,9 +213,9 @@ class TestRunQBisons:
             run_qbisons([np.eye(2, dtype=complex), R], params)
 
     def test_solver_failure_names_its_round(self, crash_diagonal_runs, fail_solve):
-        # the unbiased solve of t=731, the second round of the epoch that the t=729 reset opens
+        # the solves of t=731, the second round of the epoch that the t=729 reset opens; the biased one fails first
         R, params_q, _, _ = crash_diagonal_runs
-        failing = fail_solve(quantum, "minimize_spectraplex", 2 * 731)
+        failing = fail_solve(quantum, "minimize_spectraplex", 731)
         with pytest.raises(SolverFailure, match=r"^t=731 \(epoch 2, tau 2\): no convergence in 0 iterations") as exc_info:
             run_qbisons([np.diag(r).astype(complex) for r in R], params_q)
         assert exc_info.value.__cause__ is failing[0]

@@ -1,10 +1,20 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from bisons import solver
-from bisons.hermitian import phi_dual, random_density, trace_inner, trace_slots, unvectorize_phi, vectorize_phi
+from bisons.hermitian import (
+    hermitian_basis,
+    hermitize,
+    phi_dual,
+    random_density,
+    trace_inner,
+    trace_slots,
+    unvectorize_phi,
+    vectorize_phi,
+)
 from bisons.solver import (
     LogLossHistory,
     QuadraticObjective,
@@ -236,9 +246,12 @@ class TestWarmStartRegression:
 
         solve, iterations = vector.minimize_simplex, []
 
-        def counted(obj, warm_start=None, tol=1e-10):
-            rep = solve(obj, warm_start=warm_start, tol=tol)
-            iterations.append(rep.iterations)
+        def counted(objs, warm_start=None, tol=1e-10):
+            # a round solves its two objectives as one stack, whose report sums their steps
+            rep = solve(objs, warm_start=warm_start, tol=tol)
+            alone = [solve(obj, warm_start=x, tol=tol).iterations for obj, x in zip(objs, warm_start)]
+            assert rep.iterations == sum(alone)
+            iterations.extend(alone)
             return rep
 
         monkeypatch.setattr(vector, "minimize_simplex", counted)
@@ -515,18 +528,18 @@ class TestFullStepWithoutLineSearch:
         driver = solver._damped_newton
         objectives, steps, searched = [], [], set()
 
-        def recording(fval, grad_hess, newton_step, boundary_cap, x0, tol, max_iter, kappa):
-            def step(x, g, H):
-                dx, lam2 = newton_step(x, g, H)
-                if lam2 > tol and objectives:  # a step of a warm-started solve
-                    steps.append((objectives[-1], x.copy(), x + dx))
-                return dx, lam2
+        def recording(x0, grad_hess, newton_step, fval, boundary_cap, tol, max_iter, kappa):
+            def step(X, G, H):  # the solves here are single: stacks of one
+                dX, lam2 = newton_step(X, G, H)
+                if lam2[0] > tol and objectives:  # a step of a warm-started solve
+                    steps.append((objectives[-1], X[0].copy(), X[0] + dX[0]))
+                return dX, lam2
 
-            def cap(x, dx):  # asked for exactly when a line search starts
+            def cap(i, x, dx):  # asked for exactly when a line search starts
                 searched.add(x.tobytes())
-                return boundary_cap(x, dx)
+                return boundary_cap(i, x, dx)
 
-            return driver(fval, grad_hess, step, cap, x0, tol, max_iter, kappa)
+            return driver(x0, grad_hess, step, fval, cap, tol, max_iter, kappa)
 
         monkeypatch.setattr(solver, "_damped_newton", recording)
         _warm_started_solves(spectraplex, history, w, seed=11,
@@ -566,9 +579,9 @@ class TestOneSystemPerWarmSolve:
             value_calls[0] += 1
             return smooth_value(self, x)
 
-        def counted_solve(obj, warm_start=None, tol=1e-10):
+        def counted_solve(objs, warm_start=None, tol=1e-10):
             before = calls[0]
-            rep = solve(obj, warm_start=warm_start, tol=tol)
+            rep = solve(objs, warm_start=warm_start, tol=tol)
             solves.append((rep.iterations, calls[0] - before))
             return rep
 
@@ -577,5 +590,216 @@ class TestOneSystemPerWarmSolve:
         monkeypatch.setattr(vector, "minimize_simplex", counted_solve)
         R = adversary_returns("iid-dirichlet", 10, 11000, 2)[:100]
         vector.run_bisons(R, vector.default_params(10, 11000))
-        assert solves == [(1, 1)] * 200
+        assert solves == [(2, 2)] * 100  # one stacked solve per round: one step for each of its two members
         assert value_calls[0] == 0  # every step was a full one: no line search, so no value
+
+
+def _stack_objective(spectraplex, history, kind="random", seed=0, counting=False):
+    """A quadratic or history objective in the simplex (d=4) or spectraplex (d=2) coordinates.
+
+    ``kind`` "random" is a sum of 20 random rounds at barrier weight 0.3;
+    "singular" is a random one whose smooth Hessian cancels the barrier's
+    at every point, so that its Newton system is singular; "cold" pulls
+    hard towards one corner at barrier weight 0.05, so that a solve from
+    the centre line-searches.
+    """
+    base = LogLossHistory if history else QuadraticObjective
+    if kind == "singular":
+        class Singular(base):
+            def smooth_grad_hess(self, x):
+                g, _ = super().smooth_grad_hess(x)
+                return g, -_barrier_hessian(x, self.barrier_weight, spectraplex)
+
+        base = Singular
+    base = _counting(base) if counting else base
+    rng = np.random.default_rng(seed)
+    d = 2 if spectraplex else 4
+    if kind != "cold":
+        rows = [phi_dual(random_density(rng, d)) if spectraplex else rng.dirichlet(np.ones(d)) for _ in range(20)]
+        w = 0.3
+    else:
+        corner = phi_dual(np.diag([1.0, 0.01]).astype(complex)) if spectraplex else np.array([1.0, 0.01, 0.01, 0.01])
+        rows, w = [corner] * 50, 0.05
+    if history:
+        return base(rows, w)
+    obj = base.zeros(rows[0].size, w)
+    for r in rows:
+        obj.add_surrogate(-r, 0.1, -1.0, 0.1)
+    return obj
+
+
+def _barrier_hessian(x, w, spectraplex):
+    """The barrier's Hessian at x as the solver forms it, so that subtracting it cancels it exactly."""
+    if not spectraplex:
+        return np.diag(w / (x * x))
+    d = math.isqrt(x.size)
+    Xinv = hermitize(np.linalg.inv(unvectorize_phi(x, d)))
+    return w * solver._logdet_hessian(hermitian_basis(d) @ Xinv)
+
+
+def _perturbed(x, spectraplex, size=1e-4):
+    """x moved slightly along the domain, so that a solve from it takes one Newton step."""
+    return x + size * (np.array([[1.0, 1j], [-1j, -1.0]]) if spectraplex else np.array([1.0, -1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("history", [False, True], ids=["quadratic", "history"])
+@pytest.mark.parametrize("spectraplex", [False, True], ids=["simplex", "spectraplex"])
+class TestStackedSolve:
+    """A stack of k systems solved in lockstep gives each member what a solve of it alone gives,
+    bit for bit, and raises the first failing member's error."""
+
+    @staticmethod
+    def solve(spectraplex):
+        return minimize_spectraplex if spectraplex else minimize_simplex
+
+    def assert_members_alone(self, spectraplex, make, starts, **kwargs):
+        """``make()`` builds the members afresh; returns each one's report alone."""
+        solve = self.solve(spectraplex)
+        stacked = solve(make(), warm_start=starts, **kwargs)
+        alone = [solve(obj, warm_start=x, **kwargs) for obj, x in zip(make(), starts)]
+        for j, rep in enumerate(alone):
+            assert stacked.minimizer[j].tobytes() == rep.minimizer.tobytes()
+            assert stacked.certified_gap[j].tobytes() == np.float64(rep.certified_gap).tobytes()
+        assert stacked.iterations == sum(rep.iterations for rep in alone)
+        assert stacked.minimizer.shape == (len(alone),) + alone[0].minimizer.shape
+        return alone
+
+    def test_an_optimal_member_beside_a_certified_full_step(self, spectraplex, history):
+        x = self.solve(spectraplex)(_stack_objective(spectraplex, history), tol=1e-14).minimizer
+        starts = np.array([x, _perturbed(x, spectraplex)])
+        members = []
+
+        def make():
+            members[:] = [_stack_objective(spectraplex, history, counting=True) for _ in range(2)]
+            return members
+
+        reports = self.assert_members_alone(spectraplex, make, starts, tol=1e-10)
+        assert [rep.iterations for rep in reports] == [0, 1]
+        assert [obj.grad_hess_calls for obj in members] == [1, 1]  # the step is certified by its bound
+
+    def test_a_cold_line_search_beside_a_warm_member(self, spectraplex, history, monkeypatch):
+        cold = _stack_objective(spectraplex, history, "cold")
+        x = self.solve(spectraplex)(cold, tol=1e-14).minimizer
+        centre = np.eye(2) / 2 if spectraplex else np.full(4, 0.25)
+        searches = [0]
+        armijo = solver._armijo
+
+        def counted(*args):
+            searches[0] += 1
+            return armijo(*args)
+
+        monkeypatch.setattr(solver, "_armijo", counted)
+        reports = self.assert_members_alone(
+            spectraplex, lambda: [_stack_objective(spectraplex, history, "cold") for _ in range(2)],
+            np.array([centre, _perturbed(x, spectraplex, 1e-7)]), tol=1e-10)
+        assert reports[0].iterations > 1 and reports[1].iterations == 1
+        assert searches[0] >= 2  # the cold member line-searched in the stack and alone
+
+    @pytest.mark.parametrize("failing", [[0], [1], [0, 1]])
+    def test_the_first_failing_member_raises_its_own_error(self, spectraplex, history, failing):
+        def make():
+            return [_stack_objective(spectraplex, history, "singular" if j in failing else "random", seed=j)
+                    for j in range(2)]
+
+        solve = self.solve(spectraplex)
+        starts = np.array([np.eye(2) / 2 if spectraplex else np.full(4, 0.25)] * 2)
+        with pytest.raises(SolverFailure) as stacked:
+            solve(make(), warm_start=starts, tol=1e-10)
+        with pytest.raises(SolverFailure) as alone:
+            solve(make()[failing[0]], warm_start=starts[failing[0]], tol=1e-10)
+        assert str(stacked.value) == str(alone.value) == "singular Newton system: Singular matrix"
+        assert stacked.value.report.minimizer.tobytes() == alone.value.report.minimizer.tobytes()
+        assert (stacked.value.report.certified_gap, stacked.value.report.iterations) == (math.inf, 0)
+        assert isinstance(stacked.value.__cause__, np.linalg.LinAlgError)
+
+    def test_an_earlier_member_failing_later_wins(self, spectraplex, history):
+        # member 0 runs out of steps at its second iteration; member 1 is singular at its first
+        def make():
+            return [_stack_objective(spectraplex, history), _stack_objective(spectraplex, history, "singular")]
+
+        solve = self.solve(spectraplex)
+        starts = np.array([np.eye(2) / 2 if spectraplex else np.full(4, 0.25)] * 2)
+        with pytest.raises(SolverFailure) as stacked:
+            solve(make(), warm_start=starts, tol=1e-10, max_iter=2)
+        with pytest.raises(SolverFailure) as alone:
+            solve(make()[0], warm_start=starts[0], tol=1e-10, max_iter=2)
+        assert str(stacked.value) == str(alone.value)
+        assert str(stacked.value).startswith("no convergence in 2 iterations")
+        assert stacked.value.report.minimizer.tobytes() == alone.value.report.minimizer.tobytes()
+        assert stacked.value.report.certified_gap == alone.value.report.certified_gap
+
+    def test_no_iterations_allowed(self, spectraplex, history):
+        x = self.solve(spectraplex)(_stack_objective(spectraplex, history), tol=1e-14).minimizer
+        starts = np.array([x, _perturbed(x, spectraplex)])
+        solve = self.solve(spectraplex)
+        with pytest.raises(SolverFailure) as stacked:
+            solve([_stack_objective(spectraplex, history) for _ in range(2)], warm_start=starts, max_iter=0)
+        with pytest.raises(SolverFailure) as alone:
+            solve(_stack_objective(spectraplex, history), warm_start=starts[0], max_iter=0)
+        assert str(stacked.value) == str(alone.value)
+        assert str(stacked.value).startswith("no convergence in 0 iterations")
+        assert stacked.value.report.minimizer.tobytes() == alone.value.report.minimizer.tobytes()
+        assert stacked.value.report.iterations == 0
+
+
+def test_a_shared_surrogate_adds_its_quadratic_part_once():
+    # two objectives holding one quad array end where two separate accumulations end
+    rng = np.random.default_rng(14)
+    shared = QuadraticObjective.zeros(3, 1.0)
+    other = QuadraticObjective(3, shared.quad, np.zeros(3), 0.0, 1.0)
+    alone = [QuadraticObjective.zeros(3, 1.0) for _ in range(2)]
+    for _ in range(5):
+        w, value, inner = rng.normal(size=3), rng.normal(), rng.normal()
+        shared.add_surrogate(w, value, inner, 0.1, other)
+        for obj in alone:
+            obj.add_surrogate(w, value, inner, 0.1)
+    for obj, ref in zip((shared, other), alone):
+        assert obj.quad.tobytes() == ref.quad.tobytes() and obj.lin.tobytes() == ref.lin.tobytes()
+        assert obj.const == ref.const
+    with pytest.raises(ValueError, match="share their quad array"):
+        shared.add_surrogate(w, value, inner, 0.1, alone[0])
+
+
+def test_stacked_objectives_must_share_dimension_and_barrier_weight():
+    with pytest.raises(ValueError, match="one dimension and one barrier weight"):
+        minimize_simplex([QuadraticObjective.zeros(3, 1.0), QuadraticObjective.zeros(3, 2.0)])
+    with pytest.raises(ValueError, match="one dimension and one barrier weight"):
+        minimize_spectraplex([QuadraticObjective.zeros(4, 1.0), QuadraticObjective.zeros(9, 1.0)])
+
+
+class TestStackedRoundStates:
+    """1000-round CRASH_OVERRIDE crash runs through their t=729 reset keep every (x, u, p) state
+    byte for byte: sha256 digests recorded before the round's two solves were stacked (numpy 2.4.6,
+    Python 3.11.7, x86-64; another numpy build may differ in the last digits, as in test_golden_outputs)."""
+
+    @staticmethod
+    def digest(states):
+        h = hashlib.sha256()
+        for state in states:
+            for a in state:
+                h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    def test_simplex(self):
+        from bisons.checks import CRASH_OVERRIDE
+        from bisons.harness import adversary_returns
+        from bisons.vector import BisonsParams, run_bisons
+
+        R = adversary_returns("single-asset-crash", 2, 1000, 0)
+        res = run_bisons(R, BisonsParams(d=2, T=1000, **CRASH_OVERRIDE).validate(), keep_states=True)
+        assert res.reset_times == [729]
+        assert self.digest(res.states) == "4b42b8f469f335ac32d8cd42d7ce3b15ab42da0a678dece1ae72372cddfe632a"
+
+    def test_spectraplex_in_a_rotated_basis(self):
+        # the rotation makes every play non-diagonal, so the bias update takes its eigh branch
+        from bisons.checks import CRASH_OVERRIDE
+        from bisons.harness import adversary_returns
+        from bisons.hermitian import random_unitary
+        from bisons.quantum import QBisonsParams, run_qbisons
+
+        R = adversary_returns("single-asset-crash", 2, 1000, 0)
+        V = random_unitary(np.random.default_rng(0), 2)
+        res = run_qbisons([V @ np.diag(r).astype(complex) @ V.conj().T for r in R],
+                          QBisonsParams(d=2, T=1000, **CRASH_OVERRIDE).validate(), keep_states=True)
+        assert res.reset_times == [729]
+        assert self.digest(res.states) == "c223fb18dc71bdd7372fbc86837dcfbfd51c8cbbc31288a5fecdcf98f3193285"

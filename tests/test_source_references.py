@@ -78,6 +78,16 @@ def test_importing_the_package_loads_no_module():
     assert out.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_leaves_lbftrl_unloaded():
+    # only an LB-FTRL run or check loads it, with fractions and decimal
+    src = str(pathlib.Path(bisons.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", "import sys, bisons.cli; print(sorted(m for m in sys.modules "
+                          "if m in ('bisons.lbftrl', 'bisons.checks', 'fractions', 'decimal')))"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def _defaulted_parameters():
     """{callee name: [(qualified name, name, index among the call's positional arguments or None)]};
     a method's index skips self or cls, and a class's __init__ is listed under the class name,

@@ -267,8 +267,8 @@ class TestRunBisons:
             run_bisons(np.array(rows), default_params(2, 440))
 
     def test_solver_failure_names_its_round(self, fail_solve):
-        # the biased solve of t=735, the sixth round of the epoch that the t=729 reset opens
-        failing = fail_solve(vector, "minimize_simplex", 2 * 734 + 1)
+        # the solves of t=735, the sixth round of the epoch that the t=729 reset opens; the biased one fails first
+        failing = fail_solve(vector, "minimize_simplex", 735)
         R = adversary_returns("single-asset-crash", 2, 1000, 0)
         with pytest.raises(SolverFailure, match=r"^t=735 \(epoch 2, tau 6\): no convergence in 0 iterations") as exc_info:
             run_bisons(R, crash_params())
