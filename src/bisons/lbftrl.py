@@ -143,11 +143,17 @@ def lbftrl_play(history, warm_start=None, tol=1e-10):
     return minimize_simplex(history, warm_start=warm_start, tol=tol).minimizer
 
 
-def grad_pi_objective(x, history, eta, proj):
-    """Projected gradient of the accumulated objective (losses + barrier) at x."""
+def grad_pi_objective(x, history, eta, proj, barrier_grad=None):
+    """Projected gradient of the accumulated objective (losses + barrier) at x.
+
+    ``barrier_grad`` is the barrier's gradient -1/(eta x), for a caller that
+    evaluates at one x many times and computes it once.
+    """
     x = np.asarray(x, dtype=float)
     hist = np.asarray(history, dtype=float).reshape(-1, x.size)
-    return proj.project(-1.0 / (eta * x) - hist.T @ (1.0 / (hist @ x)))
+    if barrier_grad is None:
+        barrier_grad = -1.0 / (eta * x)
+    return proj.project(barrier_grad - hist.T @ (1.0 / (hist @ x)))
 
 
 def barrier_pi_hessian(x, eta, proj):
@@ -176,8 +182,9 @@ def stability_term(grad_pi, hessian_pi):
 
 # -- adversarial sequence generation ------------------------------------------
 
-def move_to_x(target, grad_pi, T, proj):
-    """One movement return steering the player toward ``target``.
+def move_to_x(target, grad_pi, T, proj, pi_target=None):
+    """One movement return steering the player toward ``target``; ``pi_target`` is
+    Pi target, for a caller that steers toward one target many times and computes it once.
 
     The raw projected gradient g is rescaled by
     min(T^{-1/2}/||g||, 1/(d max(1 - <g, Pi target>, 0))) and lifted back to
@@ -189,12 +196,14 @@ def move_to_x(target, grad_pi, T, proj):
     """
     g = np.asarray(grad_pi, dtype=float)
     d = proj.d
-    norm = float(np.linalg.norm(g))
+    norm = math.sqrt(float(g @ g))  # np.linalg.norm's value, without its dispatch
     if norm == 0.0:
         r, _ = proj.lift(np.zeros_like(g))
         return r
     cap_norm = T ** -0.5 / norm
-    denom = d * max(1.0 - float(g @ proj.project(target)), 0.0)
+    if pi_target is None:
+        pi_target = proj.project(target)
+    denom = d * max(1.0 - float(g @ pi_target), 0.0)
     cap_finish = math.inf if denom == 0.0 else 1.0 / denom
     r, inside = proj.lift(min(cap_norm, cap_finish) * g)
     if not inside:
@@ -252,11 +261,12 @@ def generate_returns(plan, eta):
     for i, k, s in product(range(len(plan.targets)), range(plan.repetitions), range(plan.layer_count + 1)):
         tgt, out = plan.targets[i]
         tgt_s = pull_to_center(tgt, s, plan)
+        barrier_grad, pi_target = -1.0 / (eta * tgt_s), proj.project(tgt_s)  # fixed through the visit
         while len(visits) < T:
-            g = grad_pi_objective(tgt_s, rows[: len(visits)], eta, proj)
-            if float(np.linalg.norm(g)) <= TARGET_GRAD_TOL:
+            g = grad_pi_objective(tgt_s, rows[: len(visits)], eta, proj, barrier_grad)
+            if math.sqrt(float(g @ g)) <= TARGET_GRAD_TOL:
                 break
-            emit(move_to_x(tgt_s, g, T, proj), None)
+            emit(move_to_x(tgt_s, g, T, proj, pi_target), None)
         if len(visits) >= T:
             truncated = True
             break

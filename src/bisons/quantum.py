@@ -162,7 +162,6 @@ class Spectraplex:
         return ingest_loss_matrix(stream, rng=rng)
 
     def loss(self, X, R):
-        R = np.asarray(R, dtype=complex)
         ip = trace_inner(X, R)
         if ip <= 0.0:
             raise InvalidReturnsError("realized trace product is not positive")

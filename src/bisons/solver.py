@@ -61,6 +61,26 @@ the first failing one in stack order raises, with the message and report
 gives; a member after a failed one stops, since it could not be reported.
 A stacked ``LinAlgError`` does not say which system is singular, so then
 each member's system is solved alone.
+
+An iteration pays per member only for the member's own arithmetic: its
+``smooth_grad_hess`` call (and on the spectraplex its log-det Hessian
+``einsum``).  Everything else is a fixed number of array calls over the
+whole stack, a stack of one included.  On the simplex that is a buffer
+holding each member's Hessian and gradient (two copies per member), five
+calls for the barrier terms, two gathers and five elementwise operations
+for the reduced system, one ``solve``, one ``vecdot`` for the decrements
+and three calls to lift the steps; when every member takes its full step,
+the steps are one addition.
+
+Warm starts: a solve takes one warm start per objective (a stack of k for
+a list of k), and a count that does not match, or an empty list, raises a
+ValueError that names both counts.  A simplex warm start is not checked:
+it must be interior, and since Newton steps keep the coordinate sum, a
+start off the simplex gives the minimizer over the plane through it.  A
+spectraplex warm start is normalised to trace one and must then be finite,
+Hermitian (to 1e-12) and positive definite, or a ValueError names the
+member; one stacked Cholesky factorisation checks the stack and seeds the
+factors a first line search would need.
 """
 
 import functools
@@ -77,6 +97,7 @@ _ARMIJO_SLOPE = 0.25
 _ARMIJO_SHRINK = 0.5
 _BOUNDARY_FRACTION = 0.99
 _FULL_STEP = 1.0 / 3.0  # kappa * lambda at or below which a Newton step is taken in full
+_HERMITIAN_TOL = 1e-12  # largest entry of a spectraplex warm start's distance to the Hermitian matrix it gives
 
 
 def default_tol(T):
@@ -113,9 +134,10 @@ class QuadraticObjective:
         and ``anchor_inner`` is <x_t, g>.  The objectives in ``sharing``
         hold this one's ``quad`` array, so the quadratic part is added once.
         """
-        if any(obj.quad is not self.quad for obj in sharing):
-            raise ValueError("objectives that share a surrogate must share their quad array")
-        self.quad += beta * np.outer(w, w)
+        for obj in sharing:
+            if obj.quad is not self.quad:
+                raise ValueError("objectives that share a surrogate must share their quad array")
+        self.quad += beta * (w[:, None] * w)  # np.outer(w, w), without its dispatch
         lin = (1.0 - beta * anchor_inner) * w
         const = anchor_value - anchor_inner + 0.5 * beta * anchor_inner * anchor_inner
         for obj in (self, *sharing):
@@ -168,19 +190,17 @@ class LogLossHistory:
             buf[: self.n] = R
             R = buf
         self._buf = R
+        self.rows = R[: self.n]  # the rows so far, a view of the buffer
         self.dim = R.shape[1]
         self.barrier_weight = float(barrier_weight)
         self._last = None
 
-    @property
-    def rows(self):
-        return self._buf[: self.n]
-
     def _at(self, x):
         key = x.tobytes()
-        if self._last is None or self._last.key != key:
-            self._last = _Evaluation(x.copy(), key, self.rows @ x)
-        return self._last
+        ev = self._last
+        if ev is None or ev.key != key:
+            ev = self._last = _Evaluation(x.copy(), key, self.rows @ x)
+        return ev
 
     def smooth_value(self, x):
         ev = self._at(x)
@@ -192,17 +212,21 @@ class LogLossHistory:
     def smooth_grad_hess(self, x):
         ev = self._at(x)
         if ev.grad is None:
-            inv = 1.0 / ev.ips
-            ev.grad, ev.hess = -(self.rows.T @ inv), (self.rows.T * inv**2) @ self.rows
+            R, inv = self.rows, 1.0 / ev.ips
+            ev.grad, ev.hess = -(R.T @ inv), (R.T * inv**2) @ R
         return ev.grad, ev.hess
 
     def append(self, r):
-        """Add the row r; a cached gradient and Hessian (and value) move to the new sum at their point."""
+        """Add the row r, of shape (dim,); a cached gradient and Hessian (and value) move to the new sum
+        at their point."""
         if self.n == self._buf.shape[0]:
             raise ValueError(f"history is full ({self.n} rows)")
         r = np.asarray(r, dtype=float)
+        if r.shape != (self.dim,):
+            raise ValueError(f"a history row has shape ({self.dim},), got {r.shape}")
         self._buf[self.n] = r
         self.n += 1
+        self.rows = self._buf[: self.n]
         ev, self._last = self._last, None
         if ev is None or ev.grad is None:
             return
@@ -212,7 +236,7 @@ class LogLossHistory:
                 ev.value -= math.log(ip)
             ev.ips = None  # one row short now
             ev.grad = ev.grad - r / ip
-            ev.hess = ev.hess + np.outer(r, r) / ip**2
+            ev.hess = ev.hess + r[:, None] * r / ip**2
             self._last = ev
 
 
@@ -297,7 +321,8 @@ def _damped_newton(X, grad_hess, newton_step, fval, boundary_cap, tol, max_iter,
     point unless the member's last line search left that value there, and
     once per Armijo trial.  Only a step of size 1 lands on the exact Newton
     iterate, so only then may :func:`_full_step_bound` certify the new
-    point.
+    point.  When every member of the stack takes its full step, the steps
+    are one array addition.
 
     Returns the minimizers X, their certified gaps and the Newton steps
     summed over the stack; each member takes the steps it would take alone.
@@ -305,10 +330,9 @@ def _damped_newton(X, grad_hess, newton_step, fval, boundary_cap, tol, max_iter,
     failure in stack order is raised.
     """
     k = len(X)
-    x = list(X)  # the members' rows of X
     f = [None] * k  # a member's value at its point, once a line search has needed it
     done = [None] * k  # a member's (certified gap, steps) or its SolverFailure, once it stops
-    active, stop = list(range(k)), k  # ``stop`` is the first failed member; those after it no longer matter
+    active, stop = range(k), k  # ``stop`` is the first failed member; those after it no longer matter
     for it in range(max_iter):
         Xa = X if len(active) == k else X[active]
         G, H = grad_hess(active, Xa)
@@ -316,45 +340,54 @@ def _damped_newton(X, grad_hess, newton_step, fval, boundary_cap, tol, max_iter,
             dXa, lam2s = newton_step(Xa, G, H)
         except LinAlgError:
             dXa, lam2s = _newton_steps_alone(newton_step, Xa, G, H)
-        for j, i in enumerate(active):
-            lam2 = lam2s[j]
+        full, stopped = [], False  # the positions in ``active`` of the members that take their full step
+        for j, lam2 in enumerate(lam2s):
+            i = active[j]
             if isinstance(lam2, LinAlgError):
-                done[i], stop = _failure(f"singular Newton system: {lam2}", x[i], math.inf, it, lam2), min(stop, i)
+                done[i], stop, stopped = (_failure(f"singular Newton system: {lam2}", X[i], math.inf, it, lam2),
+                                          min(stop, i), True)
                 continue
             if lam2 <= tol:
-                done[i] = (max(lam2, 0.0), it)
+                done[i], stopped = (max(lam2, 0.0), it), True
                 continue
             if kappa * math.sqrt(lam2) <= _FULL_STEP:
-                x[i] += dXa[j]
-                f[i], s = None, 1.0
+                full.append(j)
+                f[i] = None
             else:
-                dx = dXa[j]
-                f[i] = fval(i, x[i]) if f[i] is None else f[i]
-                xn, f[i], s = _armijo(functools.partial(fval, i), x[i], f[i], dx, float(G[j] @ dx),
-                                      boundary_cap(i, x[i], dx))
+                x, dx = X[i], dXa[j]
+                f[i] = fval(i, x) if f[i] is None else f[i]
+                xn, f[i], s = _armijo(functools.partial(fval, i), x, f[i], dx, float(G[j] @ dx),
+                                      boundary_cap(i, x, dx))
                 if xn is None:
-                    done[i], stop = _failure("line search stalled", x[i], lam2, it), min(stop, i)
+                    done[i], stop, stopped = _failure("line search stalled", x, lam2, it), min(stop, i), True
                     continue
-                x[i][...] = xn
-            bound = _full_step_bound(lam2, kappa) if s == 1.0 else math.inf  # s = 1 needs an uncapped step
+                x[...] = xn
+                if s != 1.0:  # only an uncapped step of size 1 lands on the Newton iterate
+                    continue
+            bound = _full_step_bound(lam2, kappa)
             if bound <= tol and it + 1 < max_iter:  # certified without a system at the new point
-                done[i] = (bound, it + 1)
-        active = [i for i in active if done[i] is None and i < stop]
-        if not active:
-            break
+                done[i], stopped = (bound, it + 1), True
+        if len(full) == k:
+            X += dXa
+        else:
+            for j in full:
+                X[active[j]] += dXa[j]
+        if stopped:
+            active = [i for i in active if done[i] is None and i < stop]
+            if not active:
+                break
     else:  # max_iter steps taken: the report describes the iterate it returns, not the one before the last step
         if active:
             Xa = X[active]
             _, lam2s = _newton_steps_alone(newton_step, Xa, *grad_hess(active, Xa))
             for i, lam2 in zip(active, lam2s):
                 lam2 = math.inf if isinstance(lam2, LinAlgError) else lam2
-                done[i] = _failure(f"no convergence in {max_iter} iterations (decrement^2 {lam2:.3e})", x[i], lam2,
+                done[i] = _failure(f"no convergence in {max_iter} iterations (decrement^2 {lam2:.3e})", X[i], lam2,
                                    max_iter)
             stop = min(stop, active[0])
     if stop < k:
         raise done[stop]
-    gaps, steps = zip(*done)
-    return X, list(gaps), sum(steps)
+    return X, done
 
 
 def _kappa(barrier_weight):
@@ -362,34 +395,71 @@ def _kappa(barrier_weight):
     return max(1.0, 1.0 / math.sqrt(barrier_weight))
 
 
-def _as_stack(obj):
+def _as_stack(obj, starts):
     """The objectives of a solve of ``obj``, one objective or a list or tuple of them, their
-    common barrier weight, and whether the solve is stacked."""
-    if not isinstance(obj, (list, tuple)):
-        return [obj], obj.barrier_weight, False
-    dim, w = obj[0].dim, obj[0].barrier_weight
-    if any(o.dim != dim or o.barrier_weight != w for o in obj):
-        raise ValueError("a stacked solve needs objectives of one dimension and one barrier weight")
-    return list(obj), w, True
+    common barrier weight, and whether the solve is stacked; ``starts`` is the stack of warm
+    starts, or None."""
+    stacked = isinstance(obj, (list, tuple))
+    objs = obj if stacked else (obj,)
+    k = len(objs)
+    if not k or (starts is not None and len(starts) != k):
+        raise ValueError(f"a solve needs at least one objective and one warm start per objective "
+                         f"(objectives: {k}, warm starts: {k if starts is None else len(starts)})")
+    dim, w = objs[0].dim, objs[0].barrier_weight
+    for o in objs:
+        if o.dim != dim or o.barrier_weight != w:
+            raise ValueError("a stacked solve needs objectives of one dimension and one barrier weight")
+    return objs, w, stacked
 
 
-def _report(minimizers, gaps, steps, stacked):
-    """The report of a stacked solve, or of its one member."""
-    if stacked:
-        return SolveReport(minimizers, np.array(gaps), steps)
-    return SolveReport(minimizers[0], gaps[0], steps)
+def _report(minimizers, done, stacked):
+    """The report of a stacked solve, or of its one member, from each member's (certified gap, steps)."""
+    if not stacked:
+        gap, steps = done[0]
+        return SolveReport(minimizers[0], gap, steps)
+    gaps, steps = zip(*done)
+    return SolveReport(minimizers, np.array(gaps), sum(steps))
 
 
 # -- frontends: one per domain, for QuadraticObjective and LogLossHistory -------
 
-def _reduced_newton_step(X, G, H):
+@functools.cache
+def _reduction_terms(m, d):
+    """Flat indices of the terms that eliminate the last coordinate, for a stack of m members of dimension d.
+
+    Each member's row of the stack holds its d x d Hessian H, row-major, then
+    its gradient g.  With n = d - 1, the reduced Hessian is
+    ((H_ij - H_in) - H_nj) + H_nn and the reduced gradient g_j - g_n for
+    i, j < n; the first array gathers the four Hessian terms as a (4, m, n*n)
+    stack and the second the two gradient terms as a (2, m, n) stack.
+    """
+    n, size = d - 1, d * d + d
+    i, j = np.divmod(np.arange(n * n), n)
+    rows = size * np.arange(m)[:, None]
+    hess = np.array([i * d + j, i * d + n, n * d + j, np.full(n * n, n * d + n)])
+    grad = d * d + np.array([np.arange(n), np.full(n, n)])
+    return rows + hess[:, None], rows + grad[:, None]
+
+
+def _reduced_newton_step(X, G, F):
     """Newton steps in the coordinates left after eliminating the last one by sum(x) = 1,
-    lifted back to all d coordinates, and their decrements^2; one stacked solve."""
-    ngz = -(G[:, :-1] - G[:, -1:])
-    Hz = H[:, :-1, :-1] - H[:, :-1, -1:] - H[:, -1:, :-1] + H[:, -1:, -1:]
-    dz = np.linalg.solve(Hz, ngz[..., None])
-    lam2 = (ngz[:, None] @ dz)[:, 0, 0].tolist()  # (1, m) @ (m, 1) products are dot products, as alone
-    dz = dz[..., 0]
+    lifted back to all d coordinates, and their decrements^2; one stacked solve.
+
+    ``F`` is the (k, d*d + d) stack of each member's Hessian, row-major, then
+    its gradient G (see :func:`_reduction_terms`).  One gather takes out the
+    terms, so the reduction is made of array operations of one shape.
+    """
+    m, d = X.shape
+    hess, grad = _reduction_terms(m, d)
+    flat = F.reshape(-1)
+    T = flat.take(hess)
+    Hz = T[0] - T[1]
+    Hz -= T[2]
+    Hz += T[3]
+    T = flat.take(grad)
+    ngz = -(T[0] - T[1])
+    dz = np.linalg.solve(Hz.reshape(m, d - 1, d - 1), ngz[..., None])[..., 0]
+    lam2 = np.vecdot(ngz, dz).tolist()  # each member's dot product, as alone
     return np.concatenate([dz, -dz.sum(axis=-1, keepdims=True)], axis=-1), lam2
 
 
@@ -398,10 +468,14 @@ def minimize_simplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER)
 
     ``obj`` may be a list or tuple of k objectives with a (k, d) stack of
     warm starts; they are solved as one stack and the report is stacked.
+    A warm start is not checked: the iterates keep its coordinate sum, so
+    a start off the simplex gives a minimizer over the plane through it.
     """
-    objs, w, stacked = _as_stack(obj)
-    k, d = len(objs), objs[0].dim
-    x0 = np.full((k, d), 1.0 / d) if warm_start is None else np.array(warm_start, dtype=float, ndmin=2)
+    X = None if warm_start is None else np.array(warm_start, dtype=float, ndmin=2)
+    objs, w, stacked = _as_stack(obj, X)
+    d = objs[0].dim
+    if X is None:
+        X = np.full((len(objs), d), 1.0 / d)
 
     def fval(i, x):
         if x.min() <= 0.0:
@@ -409,9 +483,14 @@ def minimize_simplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER)
         return objs[i].smooth_value(x) - w * float(np.log(x).sum())
 
     def grad_hess(idx, X):
-        G, H = map(np.array, zip(*[objs[i].smooth_grad_hess(x) for i, x in zip(idx, X)]))
-        H.reshape(len(idx), -1)[:, :: d + 1] += w / (X * X)
-        return G - w / X, H
+        m = len(idx)
+        F = np.empty((m, d * d + d))  # each member's Hessian, row-major, then its gradient
+        H, G = F[:, : d * d].reshape(m, d, d), F[:, d * d :]
+        for j, i in enumerate(idx):
+            G[j], H[j] = objs[i].smooth_grad_hess(X[j])
+        F[:, : d * d : d + 1] += w / (X * X)
+        G -= w / X
+        return G, F
 
     def boundary_cap(i, x, dx):
         neg = dx < 0.0
@@ -419,9 +498,8 @@ def minimize_simplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER)
             return 1.0
         return min(1.0, _BOUNDARY_FRACTION * float(np.min(-x[neg] / dx[neg])))
 
-    X, gaps, steps = _damped_newton(x0, grad_hess, _reduced_newton_step, fval, boundary_cap, tol, max_iter,
-                                    _kappa(w))
-    return _report(X, gaps, steps, stacked)
+    X, done = _damped_newton(X, grad_hess, _reduced_newton_step, fval, boundary_cap, tol, max_iter, _kappa(w))
+    return _report(X, done, stacked)
 
 
 def minimize_simplex_history(returns, barrier_weight, warm_start=None, tol=1e-10):
@@ -437,10 +515,43 @@ def _cholesky_pd(X):
         return None
 
 
+def _start_factors(X0, Xs):
+    """The stacked Cholesky factors of the starts Xs, the Hermitian matrices with the phi
+    coordinates of the trace-normalised warm starts X0.
+
+    A start that is not finite, not Hermitian (to 1e-12) or not positive
+    definite raises a ValueError naming the first such member.  A start
+    that equals its Xs, as one solve's minimizer handed to the next does,
+    costs one comparison and the factorisation.
+    """
+    if (X0 == Xs).all() or np.abs(X0 - Xs).max() <= _HERMITIAN_TOL:
+        try:
+            return np.linalg.cholesky(Xs)
+        except LinAlgError:
+            pass
+    for i, (X, S) in enumerate(zip(X0, Xs)):
+        reason = ("is not finite" if not np.isfinite(X).all()
+                  else "is not Hermitian" if np.abs(X - S).max() > _HERMITIAN_TOL
+                  else "is not positive definite" if _cholesky_pd(S) is None else None)
+        if reason:
+            raise ValueError(f"warm start {i} {reason} after trace normalisation")
+
+
 def _logdet_hessian(C):
     """The log-det Hessian in phi coordinates from C = basis @ X^-1; one member at a time,
     since einsum over a stack does not sum as it does over each slice."""
     return np.einsum("kab,lba->kl", C, C).real
+
+
+@functools.cache
+def _kkt_matrices(k, d):
+    """A stack of k KKT matrices for the d x d spectraplex with the trace constraint's border
+    filled in, for copying; read-only."""
+    n = d * d
+    K = np.zeros((k, n + 1, n + 1))
+    K[:, :n, n] = K[:, n, :n] = trace_slots(d)
+    K.flags.writeable = False
+    return K
 
 
 def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER):
@@ -451,20 +562,24 @@ def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_I
     (k, d, d) stack of warm starts; they are solved as one stack and the
     report is stacked.
     """
-    objs, w, stacked = _as_stack(obj)
+    X0 = None if warm_start is None else np.array(warm_start, dtype=complex, copy=None, ndmin=3)
+    objs, w, stacked = _as_stack(obj, X0)
     k, n = len(objs), objs[0].dim
     d = int(round(math.sqrt(n)))
     if d * d != n:
         raise ValueError(f"objective dimension {n} is not a square")
     rows = hermitian_basis(d).reshape(-1, d)  # basis @ X^-1 as one product per member, bit for bit as slice by slice
-    X0 = (np.tile(np.eye(d, dtype=complex) / d, (k, 1, 1)) if warm_start is None
-          else np.array(warm_start, dtype=complex, copy=None, ndmin=3))
+    if X0 is None:
+        X0 = np.tile(np.eye(d, dtype=complex) / d, (k, 1, 1))
     X0 = X0 / X0.trace(axis1=1, axis2=2).real[:, None, None]
+    V0 = vectorize_phi(X0)
+    Xs = unvectorize_phi(V0, d)
     a = trace_slots(d)
-    K = np.zeros((k, n + 1, n + 1))  # the KKT matrices and right-hand sides; the first m serve m members
-    K[:, :n, n] = K[:, n, :n] = a
+    K = _kkt_matrices(k, d).copy()  # the KKT matrices and right-hand sides; the first m serve m members
     rhs = np.empty((k, n + 1, 1))
-    keys, mats, chols = [None] * k, [None] * k, {}  # per member, its last point evaluated: bytes, X, Cholesky factor
+    # per member, its last point evaluated: its bytes, its X (a row of mats) and X's Cholesky factor;
+    # first the checked start
+    keys, mats, chols = [v.tobytes() for v in V0], Xs, dict(zip(range(k), _start_factors(X0, Xs)))
 
     def matrices(idx, V):
         """The matrices of members idx at their points V, unpacked in one call unless each point
@@ -472,7 +587,7 @@ def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_I
         new = [v.tobytes() for v in V]
         fresh = [j for j, i in enumerate(idx) if keys[i] != new[j]]
         if not fresh:
-            return np.array([mats[i] for i in idx])
+            return mats if len(idx) == k else mats[idx]
         Xs = unvectorize_phi(V, d)
         for j in fresh:
             i = idx[j]
@@ -504,7 +619,7 @@ def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_I
         m = len(V)
         K[:m, :n, :n] = H
         np.negative(G, out=rhs[:m, :n, 0])
-        rhs[:m, n] = 1.0 - (V[:, None] @ a[:, None])[:, 0]
+        np.subtract(1.0, np.vecdot(V, a), out=rhs[:m, n, 0])  # each member's dot product, as alone
         dV = np.linalg.solve(K[:m], rhs[:m])[:, :n]
         # a (1, n) @ (n, n) or (1, n) @ (n, 1) product is each member's own vector product
         return dV[..., 0], ((dV.swapaxes(1, 2) @ H) @ dV)[:, 0, 0].tolist()
@@ -515,12 +630,11 @@ def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_I
         return 1.0 if wmin >= 0.0 else min(1.0, _BOUNDARY_FRACTION / (-wmin))
 
     try:
-        V, gaps, steps = _damped_newton(vectorize_phi(X0), grad_hess, kkt_step, fval, boundary_cap, tol, max_iter,
-                                        _kappa(w))
+        V, done = _damped_newton(V0, grad_hess, kkt_step, fval, boundary_cap, tol, max_iter, _kappa(w))
     except SolverFailure as exc:  # a failure report carries a density matrix too
         exc.report.minimizer = unvectorize_phi(exc.report.minimizer, d)
         raise
-    return _report(matrices(range(k), V), gaps, steps, stacked)
+    return _report(unvectorize_phi(V, d), done, stacked)
 
 
 def minimize_spectraplex_history(loss_duals, barrier_weight, warm_start=None, tol=1e-10):

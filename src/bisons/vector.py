@@ -29,7 +29,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import BETA_MAX, InvalidReturnsError, log_loss, normalize_returns, uniform_portfolio
+from .geometry import BETA_MAX, InvalidReturnsError, log_loss_and_gradient, normalize_returns, uniform_portfolio
+from .geometry import log_loss  # noqa: F401  (no longer called here; bench/tracer.py still wraps vector.log_loss)
 from .solver import QuadraticObjective, SolverFailure, default_tol, minimize_simplex
 
 ETA_CAP = 1.0 / 63.0
@@ -94,9 +95,7 @@ class Simplex:
         return normalize_returns(stream)
 
     def loss(self, x, r):
-        r = np.asarray(r, dtype=float)
-        loss = log_loss(x, r)
-        g = -r / float(np.dot(x, r))
+        loss, g = log_loss_and_gradient(x, r)
         return loss, g, float(np.dot(x, g))
 
     def bias_coords(self, dp):
@@ -162,7 +161,6 @@ class RoundRecord:
 
 def update_bias(p, x_next):
     """p'_i = max(p_i, 1/x_next_i); the bias never decreases within an epoch."""
-    x_next = np.asarray(x_next, dtype=float)
     if x_next.min() <= 0.0:
         raise ValueError("bias update needs a strictly interior point")
     return np.maximum(p, 1.0 / x_next)
@@ -170,7 +168,7 @@ def update_bias(p, x_next):
 
 def check_reset(u_next, p_next, params):
     """True iff some coordinate satisfies 2(1+6eta)beta * u_i * p_i >= 1."""
-    return bool((params.reset_factor * np.asarray(u_next) * np.asarray(p_next) >= 1.0).any())
+    return bool((params.reset_factor * u_next * p_next >= 1.0).any())
 
 
 def bisons_round(state, r_t, params, tol=1e-10, domain=SIMPLEX):

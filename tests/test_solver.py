@@ -803,3 +803,62 @@ class TestStackedRoundStates:
                           QBisonsParams(d=2, T=1000, **CRASH_OVERRIDE).validate(), keep_states=True)
         assert res.reset_times == [729]
         assert self.digest(res.states) == "c223fb18dc71bdd7372fbc86837dcfbfd51c8cbbc31288a5fecdcf98f3193285"
+
+
+class TestStackCounts:
+    """A solve takes at least one objective and exactly one warm start per objective."""
+
+    @pytest.mark.parametrize("spectraplex", [False, True], ids=["simplex", "spectraplex"])
+    @pytest.mark.parametrize("objectives, starts", [(2, 1), (2, 3), (1, 2), (0, 0)])
+    def test_count_mismatch_or_empty_stack_rejected(self, spectraplex, objectives, starts):
+        solve = minimize_spectraplex if spectraplex else minimize_simplex
+        obj = QuadraticObjective.zeros(4 if spectraplex else 3, 1.0)
+        start = np.eye(2) / 2 if spectraplex else np.full(3, 1.0 / 3.0)
+        objs = obj if objectives == 1 else [obj] * objectives
+        with pytest.raises(ValueError) as exc_info:
+            solve(objs, warm_start=np.array([start] * starts) if starts else None)
+        assert str(exc_info.value) == ("a solve needs at least one objective and one warm start per objective "
+                                       f"(objectives: {objectives}, warm starts: {starts})")
+
+    def test_history_rows_must_have_its_dimension(self):
+        hist = LogLossHistory(np.full((1, 3), 1.0 / 3.0), 1.0, capacity=4)
+        for row, shape in [(0.5, "()"), (np.ones(4), "(4,)"), (np.ones((1, 3)), "(1, 3)")]:
+            with pytest.raises(ValueError) as exc_info:
+                hist.append(row)
+            assert str(exc_info.value) == f"a history row has shape (3,), got {shape}"
+        assert hist.n == 1
+
+
+class TestSpectraplexWarmStart:
+    """A spectraplex warm start must be finite, Hermitian and positive definite after trace normalisation."""
+
+    @pytest.mark.parametrize("start, reason", [
+        (np.diag([1.2, -0.2]), "is not positive definite"),
+        (np.array([[0.5, 0.6], [0.6, 0.5]]), "is not positive definite"),
+        (np.diag([1.0, 0.0]), "is not positive definite"),
+        (np.array([[0.5, 0.1], [0.2, 0.5]]), "is not Hermitian"),
+        (np.array([[0.5, np.inf], [0.0, 0.5]]), "is not finite"),
+    ], ids=["indefinite", "indefinite-off-diagonal", "singular", "not-hermitian", "not-finite"])
+    def test_bad_start_rejected(self, start, reason):
+        with pytest.raises(ValueError) as exc_info, np.errstate(invalid="ignore"):  # inf / 1 in complex is NaN
+            minimize_spectraplex(QuadraticObjective.zeros(4, 1.0), warm_start=start)
+        assert str(exc_info.value) == f"warm start 0 {reason} after trace normalisation"
+
+    def test_the_bad_member_is_named(self):
+        starts = np.array([np.eye(2) / 2, np.diag([1.2, -0.2])])
+        with pytest.raises(ValueError) as exc_info:
+            minimize_spectraplex([QuadraticObjective.zeros(4, 1.0)] * 2, warm_start=starts)
+        assert str(exc_info.value) == "warm start 1 is not positive definite after trace normalisation"
+
+    @pytest.mark.parametrize("history", [False, True], ids=["quadratic", "history"])
+    def test_a_singular_member_still_fails_in_its_solve(self, history):
+        # the entry checks pass a positive definite start, so the singular system is reported as before
+        objs = [_stack_objective(True, history), _stack_objective(True, history, "singular")]
+        with pytest.raises(SolverFailure) as exc_info:
+            minimize_spectraplex(objs, warm_start=np.array([np.eye(2) / 2] * 2), tol=1e-10)
+        assert str(exc_info.value) == "singular Newton system: Singular matrix"
+
+    def test_a_start_within_the_hermitian_tolerance_is_accepted(self):
+        start = np.array([[0.5, 0.1 + 1e-14], [0.1, 0.5]])
+        rep = minimize_spectraplex(QuadraticObjective.zeros(4, 1.0), warm_start=start)
+        assert np.abs(rep.minimizer - np.eye(2) / 2).max() <= 1e-9

@@ -450,7 +450,7 @@ class TestRoundErrors:
     that the t=729 reset opens."""
 
     @pytest.mark.parametrize("domain_name, owner, name, spoil, error", [
-        ("simplex", vector, "log_loss", lambda x, r: (x, 0.0 * r), InfiniteLossError),
+        ("simplex", vector, "log_loss_and_gradient", lambda x, r: (x, 0.0 * r), InfiniteLossError),
         ("simplex", vector, "update_bias", lambda p, x: (p, 0.0 * x), ValueError),
         ("spectraplex", quantum.Spectraplex, "loss", lambda self, X, R: (self, X, 0.0 * R), InvalidReturnsError),
         ("spectraplex", quantum, "q_update_bias", lambda P, X: (P, SINGULAR_PLAY), ConditioningError),
