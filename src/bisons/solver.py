@@ -51,16 +51,17 @@ decrement; every member whose step may be taken in full takes it, and any
 other member gets its own boundary cap and Armijo search.  Each member
 stops on its own test, so it takes exactly the steps, and ends at exactly
 the bits, that a solve of it alone would: the stacked calls are ones that
-give each slice the bits of the single call (``solve``, ``inv``, ``@``,
-elementwise ufuncs and gathers), and the log-det Hessian ``einsum`` runs
-member by member.  A stacked solve returns one :class:`SolveReport` whose
-``minimizer`` is the (k, ...) stack, ``certified_gap`` the (k,) array and
-``iterations`` the Newton steps summed over the stack.  If members fail,
-the first failing one in stack order raises, with the message and report
-(on the spectraplex, its d x d density matrix) that a solve of it alone
-gives; a member after a failed one stops, since it could not be reported.
-A stacked ``LinAlgError`` does not say which system is singular, so then
-each member's system is solved alone.
+give each slice the bits of the single call (``solve``, ``inv``,
+``cholesky``, ``@``, ``vecdot``, elementwise ufuncs and gathers), and the
+log-det Hessian ``einsum`` runs member by member.  A stacked solve returns
+one :class:`SolveReport` whose ``minimizer`` is the (k, ...) stack,
+``certified_gap`` the (k,) array and ``iterations`` the Newton steps
+summed over the stack.  If members fail, the first failing one in stack
+order raises, with the message and report (on the spectraplex, its d x d
+density matrix) that a solve of it alone gives; a member after a failed
+one stops, since it could not be reported.  A stacked ``LinAlgError`` does
+not say which system is singular, so then each member's system is solved
+alone.
 
 An iteration pays per member only for the member's own arithmetic: its
 ``smooth_grad_hess`` call (and on the spectraplex its log-det Hessian
