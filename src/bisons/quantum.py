@@ -79,10 +79,15 @@ def q_update_bias(P, X_next):
 
 
 def q_check_reset(U, P, params):
-    """True iff U is not strictly below (2(1+6eta)beta)^{-1} P^{-1}, boundary inclusive."""
+    """True iff U is not strictly below (2(1+6eta)beta)^{-1} P^{-1}, boundary inclusive.
+
+    U must be exactly Hermitian, as every solver minimizer is, so that its
+    difference from the hermitized, scaled P^{-1} is too and has its
+    eigenvalues taken as it stands.
+    """
     Pinv = np.linalg.inv(np.asarray(P, dtype=complex))
     M = hermitize(Pinv) / params.reset_factor - np.asarray(U, dtype=complex)
-    return bool(min_eig(M) <= 0.0)
+    return bool(np.linalg.eigvalsh(M).min() <= 0.0)
 
 
 class QStabilityMonitor(StabilityMonitor):

@@ -36,7 +36,10 @@ Optimization, Thm 4.1.8 and sec. 4.1.5):
 
 A longer step is damped: clipped to 99% of the distance to the boundary,
 then Armijo backtracking (slope 0.25, halving).  The objective's value is
-evaluated only by these line searches.
+evaluated only by these line searches.  They are rare (about 31 in 5e4
+Newton iterations over the benchmark's jobs: none in 17,548 BISONS and
+Q-BISONS solves, 7 in 98 hindsight solves, 24 in 12,400 LB-FTRL solves),
+so a line search unpacks, factors and evaluates its own points.
 
 The simplex equality constraint is eliminated by dropping the last
 coordinate; the spectraplex trace constraint is kept in the KKT system
@@ -80,8 +83,7 @@ it must be interior, and since Newton steps keep the coordinate sum, a
 start off the simplex gives the minimizer over the plane through it.  A
 spectraplex warm start is normalised to trace one and must then be finite,
 Hermitian (to 1e-12) and positive definite, or a ValueError names the
-member; one stacked Cholesky factorisation checks the stack and seeds the
-factors a first line search would need.
+member; one stacked Cholesky factorisation checks the stack.
 """
 
 import functools
@@ -155,31 +157,19 @@ class QuadraticObjective:
         return self.quad @ x + self.lin, self.quad
 
 
-@dataclass
-class _Evaluation:
-    """A point x (``key`` is its bytes) with ips = rows @ x; the value,
-    gradient and Hessian there once asked for."""
-
-    x: np.ndarray
-    key: bytes
-    ips: np.ndarray
-    value: float = None
-    grad: np.ndarray = None
-    hess: np.ndarray = None
-
-
 class LogLossHistory:
     """Sum of true log losses sum_t -log<x, r_t> plus ``barrier_weight`` times the barrier.
 
     ``rows`` holds the r_t: returns on the simplex, phi_dual(R_t) on the
     spectraplex, so that <x, r_t> = rows @ x in both coordinate systems.
-    Each point costs one ``rows @ x``; the value, gradient and Hessian at
-    the last point evaluated are derived from it when first asked for and
-    cached (keyed on exact equality of x).  With a ``capacity`` the rows
-    live in a preallocated buffer that :meth:`append` fills, updating in
-    O(dim^2) whichever of the value, gradient and Hessian are cached.  The
-    rows are kept in C order, since the BLAS products over them sum in the
-    order of their layout.
+    A value costs one ``rows @ x`` and a log-sum.  The gradient and Hessian
+    at the last point asked for are kept with a copy of it (keyed on exact
+    equality of x); with a ``capacity`` the rows live in a preallocated
+    buffer that :meth:`append` fills, moving the kept gradient and Hessian
+    to the new sum in O(dim^2).  Both products are taken over a copy of x,
+    so their bits do not depend on its strides, and the rows are kept in C
+    order, since the BLAS products over them sum in the order of their
+    layout.
     """
 
     def __init__(self, rows, barrier_weight, capacity=None):
@@ -194,32 +184,23 @@ class LogLossHistory:
         self.rows = R[: self.n]  # the rows so far, a view of the buffer
         self.dim = R.shape[1]
         self.barrier_weight = float(barrier_weight)
-        self._last = None
-
-    def _at(self, x):
-        key = x.tobytes()
-        ev = self._last
-        if ev is None or ev.key != key:
-            ev = self._last = _Evaluation(x.copy(), key, self.rows @ x)
-        return ev
+        self._last = None  # (bytes of x, copy of x, gradient, Hessian) at the last point asked for
 
     def smooth_value(self, x):
-        ev = self._at(x)
-        if ev.value is None:
-            ips = self.rows @ ev.x if ev.ips is None else ev.ips
-            ev.value = math.inf if ips.size and ips.min() <= 0.0 else -float(np.log(ips).sum())
-        return ev.value
+        ips = self.rows @ x.copy()
+        return math.inf if ips.size and ips.min() <= 0.0 else -float(np.log(ips).sum())
 
     def smooth_grad_hess(self, x):
-        ev = self._at(x)
-        if ev.grad is None:
-            R, inv = self.rows, 1.0 / ev.ips
-            ev.grad, ev.hess = -(R.T @ inv), (R.T * inv**2) @ R
-        return ev.grad, ev.hess
+        key = x.tobytes()
+        if self._last is None or self._last[0] != key:
+            x = x.copy()
+            R = self.rows
+            inv = 1.0 / (R @ x)
+            self._last = key, x, -(R.T @ inv), (R.T * inv**2) @ R
+        return self._last[2:]
 
     def append(self, r):
-        """Add the row r, of shape (dim,); a cached gradient and Hessian (and value) move to the new sum
-        at their point."""
+        """Add the row r, of shape (dim,); a kept gradient and Hessian move to the new sum at their point."""
         if self.n == self._buf.shape[0]:
             raise ValueError(f"history is full ({self.n} rows)")
         r = np.asarray(r, dtype=float)
@@ -228,17 +209,13 @@ class LogLossHistory:
         self._buf[self.n] = r
         self.n += 1
         self.rows = self._buf[: self.n]
-        ev, self._last = self._last, None
-        if ev is None or ev.grad is None:
+        last, self._last = self._last, None
+        if last is None:
             return
-        ip = float(r @ ev.x)
+        key, x, g, H = last
+        ip = float(r @ x)
         if ip > 0.0:
-            if ev.value is not None:
-                ev.value -= math.log(ip)
-            ev.ips = None  # one row short now
-            ev.grad = ev.grad - r / ip
-            ev.hess = ev.hess + r[:, None] * r / ip**2
-            self._last = ev
+            self._last = key, x, g - r / ip, H + r[:, None] * r / ip**2
 
 
 @dataclass
@@ -516,20 +493,18 @@ def _cholesky_pd(X):
         return None
 
 
-def _start_factors(X0, Xs):
-    """The stacked Cholesky factors of the starts Xs, the Hermitian matrices with the phi
-    coordinates of the trace-normalised warm starts X0.
+def _check_starts(X0, Xs):
+    """Check the trace-normalised warm starts X0 against Xs, the Hermitian matrices with their
+    phi coordinates.
 
     A start that is not finite, not Hermitian (to 1e-12) or not positive
     definite raises a ValueError naming the first such member.  A start
     that equals its Xs, as one solve's minimizer handed to the next does,
-    costs one comparison and the factorisation.
+    costs one comparison and one stacked Cholesky factorisation.
     """
     if (X0 == Xs).all() or np.abs(X0 - Xs).max() <= _HERMITIAN_TOL:
-        try:
-            return np.linalg.cholesky(Xs)
-        except LinAlgError:
-            pass
+        if _cholesky_pd(Xs) is not None:
+            return
     for i, (X, S) in enumerate(zip(X0, Xs)):
         reason = ("is not finite" if not np.isfinite(X).all()
                   else "is not Hermitian" if np.abs(X - S).max() > _HERMITIAN_TOL
@@ -574,44 +549,20 @@ def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_I
         X0 = np.tile(np.eye(d, dtype=complex) / d, (k, 1, 1))
     X0 = X0 / X0.trace(axis1=1, axis2=2).real[:, None, None]
     V0 = vectorize_phi(X0)
-    Xs = unvectorize_phi(V0, d)
+    _check_starts(X0, unvectorize_phi(V0, d))
     a = trace_slots(d)
     K = _kkt_matrices(k, d).copy()  # the KKT matrices and right-hand sides; the first m serve m members
     rhs = np.empty((k, n + 1, 1))
-    # per member, its last point evaluated: its bytes, its X (a row of mats) and X's Cholesky factor;
-    # first the checked start
-    keys, mats, chols = [v.tobytes() for v in V0], Xs, dict(zip(range(k), _start_factors(X0, Xs)))
-
-    def matrices(idx, V):
-        """The matrices of members idx at their points V, unpacked in one call unless each point
-        is its member's last one."""
-        new = [v.tobytes() for v in V]
-        fresh = [j for j, i in enumerate(idx) if keys[i] != new[j]]
-        if not fresh:
-            return mats if len(idx) == k else mats[idx]
-        Xs = unvectorize_phi(V, d)
-        for j in fresh:
-            i = idx[j]
-            keys[i], mats[i] = new[j], Xs[j]
-            chols.pop(i, None)
-        return Xs
-
-    def cholesky(i, v):
-        """The Cholesky factor of member i's X at v, or None if X is not positive definite."""
-        X = matrices([i], v[None])[0]
-        if i not in chols:
-            chols[i] = _cholesky_pd(X)
-        return chols[i]
 
     def fval(i, v):
-        L = cholesky(i, v)
+        L = _cholesky_pd(unvectorize_phi(v, d))
         if L is None:
             return math.inf
         ld = 2.0 * float(np.log(np.diagonal(L).real).sum())
         return objs[i].smooth_value(v) - w * ld
 
     def grad_hess(idx, V):
-        Xinv = hermitize(np.linalg.inv(matrices(idx, V)))
+        Xinv = hermitize(np.linalg.inv(unvectorize_phi(V, d)))
         G, H = map(np.array, zip(*[objs[i].smooth_grad_hess(v) for i, v in zip(idx, V)]))
         hess = np.array([_logdet_hessian(C) for C in (rows @ Xinv).reshape(len(idx), n, d, d)])
         return G - w * phi_dual(Xinv), H + w * hess
@@ -626,7 +577,7 @@ def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_I
         return dV[..., 0], ((dV.swapaxes(1, 2) @ H) @ dV)[:, 0, 0].tolist()
 
     def boundary_cap(i, v, dv):
-        Li = np.linalg.inv(cholesky(i, v))
+        Li = np.linalg.inv(np.linalg.cholesky(unvectorize_phi(v, d)))
         wmin = float(np.linalg.eigvalsh(Li @ unvectorize_phi(dv, d) @ Li.conj().T).min())
         return 1.0 if wmin >= 0.0 else min(1.0, _BOUNDARY_FRACTION / (-wmin))
 

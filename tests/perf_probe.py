@@ -1,4 +1,4 @@
-"""Layer-cost probe: per-call times of the simplex hot paths, for comparing commits.
+"""Layer-cost probe: per-call times of the simplex and spectraplex hot paths, for comparing commits.
 
     PYTHONPATH=<checkout>/src python3 tests/perf_probe.py [--repeats N]
 
@@ -12,6 +12,9 @@ in the machine's load spreads over all of them alike:
   d=10, T=11000, over rounds 901..1000 of seeded Dirichlet(1) returns,
   per round;
 - ``bisons round``: a whole BISONS round over the same rounds;
+- ``qbisons pair``: the stacked biased and unbiased solves of a Q-BISONS
+  round at d=4, T=11000, over rounds 901..1000 of seeded measurements,
+  per round;
 - ``criterion-9 play``: the LB-FTRL player over criterion 9's four
   sequences (the generated d=3, alpha=0.5 one and three 800-row ones);
 - ``generate_returns``: the adversary at d=3, alpha=0.5, T=10^4;
@@ -29,22 +32,40 @@ import time
 
 import numpy as np
 
+from bisons.harness import measurement_stream
 from bisons.lbftrl import AdversaryPlan, generate_returns, run_lbftrl
-from bisons.solver import default_tol, minimize_simplex, minimize_simplex_history
-from bisons.vector import Simplex, bisons_round, default_params, initial_state
+from bisons.quantum import SPECTRAPLEX, ingest_loss_matrix, q_default_params
+from bisons.solver import default_tol, minimize_simplex, minimize_simplex_history, minimize_spectraplex
+from bisons.vector import SIMPLEX, bisons_round, default_params, initial_state
 
 ROUNDS_BEFORE, ROUNDS_TIMED = 900, 100
 
 
-class _Recording(Simplex):
-    """The simplex domain, keeping a copy of every solve's arguments."""
+def _recorded_rounds(domain, params, rows, tol):
+    """The state after the first ROUNDS_BEFORE rounds on ``domain``, and a copy of the arguments
+    of each stacked solve of the ROUNDS_TIMED rounds after them."""
+    calls = []
 
-    def __init__(self):
-        self.calls = []
+    class Recording(type(domain)):
+        def solve(self, objs, warm_starts, tol):
+            calls.append(copy.deepcopy((objs, warm_starts)))
+            return super().solve(objs, warm_starts, tol)
 
-    def solve(self, objs, warm_starts, tol):
-        self.calls.append(copy.deepcopy((objs, warm_starts)))
-        return super().solve(objs, warm_starts, tol)
+    state = initial_state(params, domain)
+    for r in rows[:ROUNDS_BEFORE]:
+        state, _ = bisons_round(state, r, params, tol=tol, domain=domain)
+    after = copy.deepcopy(state)
+    for r in rows[ROUNDS_BEFORE:]:
+        after, _ = bisons_round(after, r, params, tol=tol, domain=Recording())
+    return state, calls
+
+
+def _pair(solve, calls, tol):
+    def run():
+        for objs, warm_starts in calls:
+            solve(objs, warm_start=warm_starts, tol=tol)
+
+    return run, ROUNDS_TIMED
 
 
 def _history_solve():
@@ -63,17 +84,7 @@ def _bisons():
     params = default_params(10, 11_000)
     tol = default_tol(params.T)
     rows = np.random.default_rng(11).dirichlet(np.ones(10), size=ROUNDS_BEFORE + ROUNDS_TIMED)
-    state = initial_state(params)
-    for r in rows[:ROUNDS_BEFORE]:
-        state, _ = bisons_round(state, r, params, tol=tol)
-    recording = _Recording()
-    after = copy.deepcopy(state)
-    for r in rows[ROUNDS_BEFORE:]:
-        after, _ = bisons_round(after, r, params, tol=tol, domain=recording)
-
-    def pair():
-        for objs, warm_starts in recording.calls:
-            minimize_simplex(objs, warm_start=warm_starts, tol=tol)
+    state, calls = _recorded_rounds(SIMPLEX, params, rows, tol)
 
     def rounds():
         s = copy.deepcopy(state)
@@ -82,7 +93,16 @@ def _bisons():
             s, _ = bisons_round(s, r, params, tol=tol)
         return time.perf_counter() - start
 
-    return (pair, ROUNDS_TIMED), (rounds, ROUNDS_TIMED)
+    return _pair(minimize_simplex, calls, tol), (rounds, ROUNDS_TIMED)
+
+
+def _qbisons():
+    params = q_default_params(4, 11_000)
+    tol = default_tol(params.T)
+    rows = ingest_loss_matrix(measurement_stream(4, ROUNDS_BEFORE + ROUNDS_TIMED, seed=12),
+                              rng=np.random.default_rng(12))
+    _, calls = _recorded_rounds(SPECTRAPLEX, params, rows, tol)
+    return _pair(minimize_spectraplex, calls, tol)
 
 
 def _lbftrl():
@@ -101,8 +121,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--repeats", type=int, default=21)
     args = parser.parse_args(argv)
-    items = dict(zip(["history solve", "bisons pair", "bisons round", "criterion-9 play", "generate_returns",
-                      "run_lbftrl 800"], [_history_solve(), *_bisons(), *_lbftrl()]))
+    items = dict(zip(["history solve", "bisons pair", "bisons round", "qbisons pair", "criterion-9 play",
+                      "generate_returns", "run_lbftrl 800"], [_history_solve(), *_bisons(), _qbisons(), *_lbftrl()]))
     times = {name: [] for name in items}
     for _ in range(args.repeats):
         for name, (fn, per) in items.items():

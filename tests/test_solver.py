@@ -273,12 +273,13 @@ class TestLogLossHistory:
         x = rng.dirichlet(np.ones(4))
         hist = LogLossHistory(R[:1], 1.0, capacity=len(R))
         for n in range(2, len(R) + 1):
-            hist.smooth_grad_hess(x)  # the cache sits at x before every append
+            hist.smooth_value(x)
+            hist.smooth_grad_hess(x)  # the gradient and Hessian sit at x before every append
             hist.append(R[n - 1])
             fresh = LogLossHistory(R[:n], 1.0)
             want_g, want_H = fresh.smooth_grad_hess(x)
             got_g, got_H = hist.smooth_grad_hess(x)
-            assert hist.smooth_value(x) == pytest.approx(fresh.smooth_value(x), rel=1e-12)
+            assert hist.smooth_value(x) == fresh.smooth_value(x)  # a value is summed afresh, not moved
             assert np.abs(got_g - want_g).max() <= 1e-12 * np.abs(want_g).max()
             assert np.abs(got_H - want_H).max() <= 1e-12 * np.abs(want_H).max()
 
@@ -385,22 +386,26 @@ class TestOneValuePerIterate:
         assert trials[0] > searches[0]  # some Armijo trial was rejected
         assert obj.value_calls == 1 + trials[0]  # one value where the first line search starts
 
-    def test_spectraplex_unpacks_each_point_once(self, trials, monkeypatch):
-        # one matrix per point evaluated, plus one per Newton direction for its boundary step
+    def test_spectraplex_warm_stack_unpacks_once_per_iteration(self, monkeypatch):
+        # one stacked unpacking checks the starts, one per lockstep iteration forms the gradients
+        # and Hessians, and one gives the report; a warm solve takes no line search
         unpack, unpacked = solver.unvectorize_phi, [0]
 
         def counted(v, d):
             unpacked[0] += 1
             return unpack(v, d)
 
+        objs = [_stack_objective(True, history, seed=seed, counting=True) for history, seed in ((False, 1), (True, 2))]
+        starts = np.array([_perturbed(minimize_spectraplex(obj, tol=1e-13).minimizer, True, size)
+                           for obj, size in zip(objs, (1e-4, 2e-2))])
+        for obj in objs:
+            obj.value_calls = obj.grad_hess_calls = 0
         monkeypatch.setattr(solver, "unvectorize_phi", counted)
-        rng = np.random.default_rng(9)
-        duals = np.array([phi_dual(random_density(rng, 3)) for _ in range(20)])
-        for obj in (self._quadratic(rng, 9), LogLossHistory(duals, 0.3)):
-            trials[0] = unpacked[0] = 0
-            rep = minimize_spectraplex(obj, tol=1e-13)
-            assert rep.iterations >= 2
-            assert unpacked[0] == 1 + trials[0] + rep.iterations
+        rep = minimize_spectraplex(objs, warm_start=starts, tol=1e-13)
+        lockstep = max(obj.grad_hess_calls for obj in objs)  # every running member's, once per iteration
+        assert [obj.value_calls for obj in objs] == [0, 0]
+        assert lockstep > 1 and sum(obj.grad_hess_calls for obj in objs) > lockstep  # the members shared iterations
+        assert unpacked[0] == 1 + lockstep + 1
 
 
 def _tangent_decrement2(g, H, a):
@@ -561,15 +566,14 @@ class TestFullStepWithoutLineSearch:
 
 
 class TestOneSystemPerWarmSolve:
-    def test_bisons_solves_form_one_gradient_and_hessian_per_step(self, monkeypatch):
-        from bisons import vector
-        from bisons.harness import adversary_returns
-
-        solves = []
-        calls, value_calls = [0], [0]
+    @staticmethod
+    def _count_round_solves(monkeypatch, module, name):
+        """Record (Newton steps, smooth_grad_hess calls) of each solve through ``module.name``;
+        also returns the count of QuadraticObjective.smooth_value calls."""
+        solves, calls, value_calls = [], [0], [0]
         grad_hess = QuadraticObjective.smooth_grad_hess
         smooth_value = QuadraticObjective.smooth_value
-        solve = vector.minimize_simplex
+        solve = getattr(module, name)
 
         def counted_grad_hess(self, x):
             calls[0] += 1
@@ -587,10 +591,30 @@ class TestOneSystemPerWarmSolve:
 
         monkeypatch.setattr(QuadraticObjective, "smooth_grad_hess", counted_grad_hess)
         monkeypatch.setattr(QuadraticObjective, "smooth_value", counted_value)
-        monkeypatch.setattr(vector, "minimize_simplex", counted_solve)
+        monkeypatch.setattr(module, name, counted_solve)
+        return solves, value_calls
+
+    def test_bisons_solves_form_one_gradient_and_hessian_per_step(self, monkeypatch):
+        from bisons import vector
+        from bisons.harness import adversary_returns
+
+        solves, value_calls = self._count_round_solves(monkeypatch, vector, "minimize_simplex")
         R = adversary_returns("iid-dirichlet", 10, 11000, 2)[:100]
         vector.run_bisons(R, vector.default_params(10, 11000))
         assert solves == [(2, 2)] * 100  # one stacked solve per round: one step for each of its two members
+        assert value_calls[0] == 0  # every step was a full one: no line search, so no value
+
+    def test_qbisons_rounds_take_no_line_search(self, monkeypatch):
+        # the spectraplex twin: no cache serves line searches, since Q-BISONS rounds make none
+        from bisons import quantum
+        from bisons.harness import measurement_stream
+
+        solves, value_calls = self._count_round_solves(monkeypatch, quantum, "minimize_spectraplex")
+        quantum.run_qbisons(measurement_stream(4, 200, seed=3), quantum.q_default_params(4, 1760),
+                            rng=np.random.default_rng(0))
+        assert len(solves) == 200  # one stacked solve per round
+        # each member forms a gradient and Hessian per step, and one more if it stops on its decrement
+        assert all(steps <= formed <= steps + 2 for steps, formed in solves)
         assert value_calls[0] == 0  # every step was a full one: no line search, so no value
 
 
