@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from .harness import ALGORITHMS, ExperimentConfig, best_crp, load_returns, parse_config_file, run_experiment
+from .solver import SolverFailure
 
 
 def _add_run_parser(sub):
@@ -91,6 +92,12 @@ def _best_crp(args):
     return 0
 
 
+def _lbftrl_errors():
+    """LB-FTRL's own error, once a command has loaded the module; the others never load it."""
+    lbftrl = sys.modules.get(f"{__package__}.lbftrl")
+    return (lbftrl.InfeasibleMovementError,) if lbftrl else ()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="bisons")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -117,7 +124,7 @@ def main(argv=None):
     command = {"run": _run, "adversary": _gen_lbftrl, "check": _check, "best-crp": _best_crp}[args.command]
     try:
         return command(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SolverFailure, ArithmeticError, *_lbftrl_errors()) as exc:
         raise SystemExit(str(exc)) from exc
 
 

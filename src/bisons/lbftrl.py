@@ -56,11 +56,6 @@ def build_target_sequence_exact(d):
     return pairs
 
 
-def build_target_sequence(d):
-    return [(np.array(t, dtype=float), np.array(o, dtype=float))
-            for t, o in build_target_sequence_exact(d)]
-
-
 def validate_target_sequence_exact(pairs, d):
     """Exact-rational validity: <t_i, o_i> = 0 and <t_i, o_j> >= 1/d^2 for j < i.
 
@@ -102,11 +97,11 @@ class AdversaryPlan:
         scales = 1.0 - 2.0 ** np.arange(layer_count + 1) * T ** (-alpha)
         if scales.min() <= 0.0 or scales.max() >= 1.0:
             raise ValueError("layer scalings left (0, 1); horizon too small for alpha")
-        pairs = build_target_sequence(d)
         exact = build_target_sequence_exact(d)
         ok, msg = validate_target_sequence_exact(exact, d)
         if not ok:
             raise ValueError(f"invalid target sequence: {msg}")
+        pairs = [(np.array(t, dtype=float), np.array(o, dtype=float)) for t, o in exact]
         return cls(d=d, alpha=alpha, T=T, targets=pairs, targets_exact=exact,
                    layer_count=layer_count, scales=scales)
 

@@ -16,7 +16,9 @@ boundary inclusive.
 
 The epoch engine is the one of :mod:`bisons.vector`, run on the
 :class:`Spectraplex` domain, so a round's biased and unbiased objectives
-share their quadratic part and are solved as one stacked KKT solve.  A
+share their quadratic part and are solved as one stacked KKT solve, and
+its stability monitor runs the same checks with least eigenvalues, matrix
+inverses and :func:`bisons.hermitian.a_norm`.  A
 run ingests its whole stream once, before round 1: a
 :class:`bisons.hermitian.Measurements` stack is reduced in one call (its
 fractional outcomes draw their uniforms in stream order, the same ones as
@@ -91,43 +93,15 @@ def q_check_reset(U, P, params):
 
 
 class QStabilityMonitor(StabilityMonitor):
-    """Loewner-order analogues of the simplex stability checks, a chunk of rounds at a time.
-
-    Buffering, message order and completeness are those of
-    :class:`bisons.vector.StabilityMonitor`.
-    """
+    """The checks of :class:`bisons.vector.StabilityMonitor` in the Loewner order, a chunk of rounds at a time."""
 
     dtype = complex
-    checks = (
-        "play ratio outside 1+6eta",
-        "bias grew faster than 1+6eta",
-        "bias decreased",
-        "comparator more than doubled",
-        "bias below inverse play",
-        "bias above T^2",
-        "bias increment norm above play increment norm",
-    )
+    least = staticmethod(min_eig)
+    inverse = staticmethod(np.linalg.inv)
+    a_norm = staticmethod(a_norm)
 
     # Its own entry in the class body, so that each monitor can be wrapped on its own.
     observe = StabilityMonitor.observe
-
-    def _failed(self, X_old, U_old, P_old, X_next, U_next, P_next):
-        """(rounds, checks) mask of the failed checks, over (rounds, d, d) stacks."""
-        ratio = 1.0 + 6.0 * self.params.eta
-        tol = self.tol
-        Xinv_next, Xinv_old = np.moveaxis(np.linalg.inv(np.stack([X_next, X_old], axis=1)), 1, 0)
-        eig = min_eig(np.stack([
-            ratio * X_next - X_old,
-            ratio * X_old - X_next,
-            ratio * P_old - P_next,
-            P_next - P_old,
-            2.0 * U_old - U_next,
-            P_next - Xinv_next,
-            self.params.T**2 * np.eye(P_next.shape[-1]) - P_next,
-        ], axis=1)) < -tol
-        lhs, rhs = np.moveaxis(a_norm(np.stack([P_next - P_old, X_next - X_old], axis=1),
-                                      np.stack([X_next, Xinv_old], axis=1)), 1, 0)
-        return np.column_stack([eig[:, 0] | eig[:, 1], eig[:, 2:], lhs > rhs + tol])
 
 
 def ingest_loss_matrix(item, rng=None):

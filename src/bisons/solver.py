@@ -235,16 +235,15 @@ class SolverFailure(RuntimeError):
 
 # -- shared damped-Newton driver ----------------------------------------------
 
-def _armijo(fval, x, f, step_dir, slope, s0):
-    """Backtrack from step size ``s0``; the accepted point, its value and its step size."""
-    s = s0
+def _armijo(fval, x, step_dir, slope, s0):
+    """Backtrack from step size ``s0``; the accepted point and its step size."""
+    f, s = fval(x), s0
     for _ in range(80):
         xn = x + s * step_dir
-        fn = fval(xn)
-        if fn <= f + _ARMIJO_SLOPE * s * slope:
-            return xn, fn, s
+        if fval(xn) <= f + _ARMIJO_SLOPE * s * slope:
+            return xn, s
         s *= _ARMIJO_SHRINK
-    return None, None, None
+    return None, None
 
 
 def _full_step_bound(lam2, kappa):
@@ -296,8 +295,8 @@ def _damped_newton(X, grad_hess, newton_step, fval, boundary_cap, tol, max_iter,
     interior and Armijo-sufficient (see the module docstring).  A longer
     step starts the member's own line search from step size
     ``boundary_cap(i, x, dx)``; it evaluates ``fval(i, x)`` at its start
-    point unless the member's last line search left that value there, and
-    once per Armijo trial.  Only a step of size 1 lands on the exact Newton
+    point (no value is kept from an earlier search) and once per Armijo
+    trial.  Only a step of size 1 lands on the exact Newton
     iterate, so only then may :func:`_full_step_bound` certify the new
     point.  When every member of the stack takes its full step, the steps
     are one array addition.
@@ -308,7 +307,6 @@ def _damped_newton(X, grad_hess, newton_step, fval, boundary_cap, tol, max_iter,
     failure in stack order is raised.
     """
     k = len(X)
-    f = [None] * k  # a member's value at its point, once a line search has needed it
     done = [None] * k  # a member's (certified gap, steps) or its SolverFailure, once it stops
     active, stop = range(k), k  # ``stop`` is the first failed member; those after it no longer matter
     for it in range(max_iter):
@@ -330,12 +328,9 @@ def _damped_newton(X, grad_hess, newton_step, fval, boundary_cap, tol, max_iter,
                 continue
             if kappa * math.sqrt(lam2) <= _FULL_STEP:
                 full.append(j)
-                f[i] = None
             else:
                 x, dx = X[i], dXa[j]
-                f[i] = fval(i, x) if f[i] is None else f[i]
-                xn, f[i], s = _armijo(functools.partial(fval, i), x, f[i], dx, float(G[j] @ dx),
-                                      boundary_cap(i, x, dx))
+                xn, s = _armijo(functools.partial(fval, i), x, dx, float(G[j] @ dx), boundary_cap(i, x, dx))
                 if xn is None:
                     done[i], stop, stopped = _failure("line search stalled", x, lam2, it), min(stop, i), True
                     continue

@@ -19,9 +19,11 @@ O(d^2) regardless of the horizon.
 The first iterate of every epoch is uniform, so the implicit p_1 equals
 p_0 = d*1 and the first round carries no bias increment.
 
-The epoch engine here (params, state, round, run loop, result) also runs
-Schrodinger's BISONS: it takes a domain, :class:`Simplex` here or
-:class:`bisons.quantum.Spectraplex`, that supplies only what differs.
+The epoch engine here (params, state, round, run loop, stability monitor,
+result) also runs Schrodinger's BISONS: it takes a domain, :class:`Simplex`
+here or :class:`bisons.quantum.Spectraplex`, that supplies only what
+differs.  The monitor's checks are written in the Loewner order, and the
+simplex runs them as their diagonal case.
 """
 
 import math
@@ -211,10 +213,15 @@ MONITOR_CHUNK = 128
 class StabilityMonitor:
     """Checks of the stability guarantees, a chunk of rounds at a time; collects violations.
 
-    Within an epoch and at tolerance ``tol``: successive plays stay within
-    a (1+6 eta) ratio of each other, the bias grows by at most the same
-    ratio, the comparator at most doubles, the bias dominates the inverse
-    play, and the bias never exceeds T^2.
+    The checks are written in the Loewner order, and the simplex is their
+    diagonal case.  Within an epoch and at tolerance ``tol`` (1e-9 for the
+    inverse play): successive plays stay within a (1+6 eta) ratio of each
+    other, the bias grows by at most that ratio and never decreases, the
+    comparator at most doubles, the bias dominates the inverse play and
+    stays below T^2, and the bias increment's norm at the new play is at
+    most the play increment's at the old inverse play.  A domain's monitor
+    supplies ``least`` (the least entry; the least eigenvalue), ``inverse``
+    and ``a_norm`` (:func:`bisons.hermitian.a_norm`) over stacks of rounds.
 
     ``observe`` copies a round's arrays into a buffer and checks the
     buffered rounds once it holds ``MONITOR_CHUNK`` of them; ``flush``
@@ -233,10 +240,16 @@ class StabilityMonitor:
     checks = (
         "play ratio outside 1+6eta",
         "bias grew faster than 1+6eta",
+        "bias decreased",
         "comparator more than doubled",
         "bias below inverse play",
         "bias above T^2",
+        "bias increment norm above play increment norm",
     )
+
+    least = staticmethod(lambda M: M.min(axis=-1))
+    inverse = staticmethod(lambda M: 1.0 / M)
+    a_norm = staticmethod(lambda W, A: np.sqrt(((A * W) ** 2).sum(axis=-1)))
 
     def observe(self, t, x_old, u_old, p_old, x_next, u_next, p_next):
         """Buffer round t's arrays; check the buffered rounds once there are MONITOR_CHUNK."""
@@ -256,17 +269,24 @@ class StabilityMonitor:
             self.violations.extend(f"t={self._t[i]}: {self.checks[j]}" for i, j in zip(*np.nonzero(failed)))
             self._t.clear()
 
-    def _failed(self, x_old, u_old, p_old, x_next, u_next, p_next):
-        """(rounds, checks) mask of the failed checks, over (rounds, d) stacks."""
+    def _failed(self, X_old, U_old, P_old, X_next, U_next, P_next):
+        """(rounds, checks) mask of the failed checks, over stacks of rounds."""
         ratio = 1.0 + 6.0 * self.params.eta
         tol = self.tol
-        return np.stack([
-            ((x_old - ratio * x_next > tol) | (x_next - ratio * x_old > tol)).any(axis=-1),
-            (p_next - ratio * p_old > tol).any(axis=-1),
-            (u_next - 2.0 * u_old > tol).any(axis=-1),
-            (1.0 / x_next - p_next > 1e-9).any(axis=-1),
-            (p_next > self.params.T**2 + tol).any(axis=-1),
-        ], axis=-1)
+        Xinv_next, Xinv_old = np.moveaxis(self.inverse(np.stack([X_next, X_old], axis=1)), 1, 0)
+        # each difference's least entry or eigenvalue falls below minus its bound when its check fails
+        below = self.least(np.stack([
+            ratio * X_next - X_old,
+            ratio * X_old - X_next,
+            ratio * P_old - P_next,
+            P_next - P_old,
+            2.0 * U_old - U_next,
+            P_next - Xinv_next,
+            -P_next,
+        ], axis=1)) < -np.array([tol, tol, tol, tol, tol, 1e-9, self.params.T**2 + tol])
+        lhs, rhs = np.moveaxis(self.a_norm(np.stack([P_next - P_old, X_next - X_old], axis=1),
+                                           np.stack([X_next, Xinv_old], axis=1)), 1, 0)
+        return np.column_stack([below[:, 0] | below[:, 1], below[:, 2:], lhs > rhs + tol])
 
 
 @dataclass

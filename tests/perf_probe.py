@@ -2,7 +2,7 @@
 
     PYTHONPATH=<checkout>/src python3 tests/perf_probe.py [--repeats N]
 
-Prints, per item, the median and quartiles over N repeats (default 21).
+Prints, per item, the median and quartiles over N >= 2 repeats (default 21).
 The items are timed interleaved, one repeat of each in turn, so that drift
 in the machine's load spreads over all of them alike:
 
@@ -18,7 +18,10 @@ in the machine's load spreads over all of them alike:
 - ``criterion-9 play``: the LB-FTRL player over criterion 9's four
   sequences (the generated d=3, alpha=0.5 one and three 800-row ones);
 - ``generate_returns``: the adversary at d=3, alpha=0.5, T=10^4;
-- ``run_lbftrl 800``: the player over 800 seeded Dirichlet(1) rows at d=3.
+- ``run_lbftrl 800``: the player over 800 seeded Dirichlet(1) rows at d=3;
+- ``bisons monitor`` and ``qbisons monitor``: a stability monitor
+  observing and checking one chunk of MONITOR_CHUNK rounds, the first
+  rounds of the ``bisons pair`` and ``qbisons pair`` runs, per chunk.
 
 It calls public functions only, so the same file times any commit whose
 ``bisons`` package it is pointed at.  The file has no ``test_`` prefix, so
@@ -34,9 +37,9 @@ import numpy as np
 
 from bisons.harness import measurement_stream
 from bisons.lbftrl import AdversaryPlan, generate_returns, run_lbftrl
-from bisons.quantum import SPECTRAPLEX, ingest_loss_matrix, q_default_params
+from bisons.quantum import SPECTRAPLEX, ingest_loss_matrix, q_default_params, run_qbisons
 from bisons.solver import default_tol, minimize_simplex, minimize_simplex_history, minimize_spectraplex
-from bisons.vector import SIMPLEX, bisons_round, default_params, initial_state
+from bisons.vector import MONITOR_CHUNK, SIMPLEX, bisons_round, default_params, initial_state, run_bisons
 
 ROUNDS_BEFORE, ROUNDS_TIMED = 900, 100
 
@@ -68,6 +71,22 @@ def _pair(solve, calls, tol):
     return run, ROUNDS_TIMED
 
 
+def _monitor(domain, run, rows, params):
+    """A fresh monitor of ``domain`` observing the first MONITOR_CHUNK rounds of ``run`` over ``rows``."""
+    res = run(rows[:MONITOR_CHUNK], params, keep_states=True)
+    assert not res.resets.any()
+    x0, p0 = domain.centre(params.d)
+    olds = [(x0, x0, p0)] + res.states[:-1]
+    rounds = [(t, *old, *new) for t, (old, new) in enumerate(zip(olds, res.states), start=1)]
+
+    def run_chunk():
+        mon = domain.monitor(params)
+        for args in rounds:
+            mon.observe(*args)
+
+    return run_chunk, 1
+
+
 def _history_solve():
     rows = np.random.default_rng(5).dirichlet(np.ones(3), size=400)
     x = minimize_simplex_history(rows[:-1], 1.0).minimizer
@@ -93,7 +112,7 @@ def _bisons():
             s, _ = bisons_round(s, r, params, tol=tol)
         return time.perf_counter() - start
 
-    return _pair(minimize_simplex, calls, tol), (rounds, ROUNDS_TIMED)
+    return _pair(minimize_simplex, calls, tol), (rounds, ROUNDS_TIMED), _monitor(SIMPLEX, run_bisons, rows, params)
 
 
 def _qbisons():
@@ -102,7 +121,7 @@ def _qbisons():
     rows = ingest_loss_matrix(measurement_stream(4, ROUNDS_BEFORE + ROUNDS_TIMED, seed=12),
                               rng=np.random.default_rng(12))
     _, calls = _recorded_rounds(SPECTRAPLEX, params, rows, tol)
-    return _pair(minimize_spectraplex, calls, tol)
+    return _pair(minimize_spectraplex, calls, tol), _monitor(SPECTRAPLEX, run_qbisons, rows, params)
 
 
 def _lbftrl():
@@ -117,12 +136,21 @@ def _lbftrl():
     return (play, 1), (lambda: generate_returns(plan, 1.0), 1), (lambda: run_lbftrl(seqs[1], 1.0), 1)
 
 
+def _at_least_two(text):
+    """A repeat count; quartiles need two repeats."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
+    return n
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--repeats", type=int, default=21)
+    parser.add_argument("--repeats", type=_at_least_two, default=21)
     args = parser.parse_args(argv)
-    items = dict(zip(["history solve", "bisons pair", "bisons round", "qbisons pair", "criterion-9 play",
-                      "generate_returns", "run_lbftrl 800"], [_history_solve(), *_bisons(), _qbisons(), *_lbftrl()]))
+    items = dict(zip(["history solve", "bisons pair", "bisons round", "bisons monitor", "qbisons pair",
+                      "qbisons monitor", "criterion-9 play", "generate_returns", "run_lbftrl 800"],
+                     [_history_solve(), *_bisons(), *_qbisons(), *_lbftrl()]))
     times = {name: [] for name in items}
     for _ in range(args.repeats):
         for name, (fn, per) in items.items():

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from bisons import harness
+from bisons import harness, lbftrl
 from bisons.geometry import InvalidReturnsError
 from bisons.harness import (
     ALGORITHMS,
@@ -507,6 +507,35 @@ class TestCli:
         with pytest.raises(SystemExit, match=f"^{message}$"):
             main(["run", "--algo", "lbftrl", "--d", "2", "--T", "400", *argv, "--out", str(out)])
         assert not (out / "trace.csv").exists()
+
+    def test_a_run_that_fails_in_its_solver_exits_with_one_line(self, tmp_path, capsys):
+        # at eta = 1e300 the barrier weighs nothing and LB-FTRL's line search stalls
+        from bisons.cli import main
+
+        path, out = tmp_path / "r.csv", tmp_path / "out"
+        save_returns(str(path), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--algo", "lbftrl", "--d", "2", "--T", "4", "--data", str(path), "--eta", "1e300",
+                  "--out", str(out)])
+        assert exc.value.code == "line search stalled"  # printed to stderr, exit status 1
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo, owner, name, error", [
+        ("bisons", harness, "run_bisons", ZeroDivisionError),
+        ("lbftrl", lbftrl, "run_lbftrl", lbftrl.InfeasibleMovementError),
+    ], ids=["arithmetic", "infeasible-movement"])
+    def test_run_errors_exit_with_their_message(self, tmp_path, monkeypatch, algo, owner, name, error):
+        from bisons.cli import main
+
+        def fail(*args, **kwargs):
+            raise error("spoiled")
+
+        monkeypatch.setattr(owner, name, fail)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match="^spoiled$"):
+            main(["run", "--algo", algo, "--d", "2", "--T", "440", "--adversary", "iid-dirichlet", "--out", str(out)])
+        assert not out.exists()
 
     def test_eta_flag_means_the_eta_config_key(self, tmp_path):
         from bisons.cli import main

@@ -10,7 +10,6 @@ from bisons.lbftrl import (
     AdversaryPlan,
     InfeasibleMovementError,
     assemble_pi_hessian,
-    build_target_sequence,
     build_target_sequence_exact,
     generate_and_run,
     generate_returns,
@@ -57,13 +56,18 @@ class TestLbftrlPlay:
 class TestTargetSequence:
     def test_length_2_to_the_d_minus_2(self):
         for d in range(2, 9):
-            assert len(build_target_sequence(d)) == 2**d - 2
+            assert len(build_target_sequence_exact(d)) == 2**d - 2
 
     def test_first_target_outcome(self):
-        pairs = build_target_sequence(3)
-        t0, o0 = pairs[0]
-        assert np.allclose(t0, [1.0, 0.0, 0.0])
-        assert np.allclose(o0, [0.0, 0.5, 0.5])
+        t0, o0 = build_target_sequence_exact(3)[0]
+        assert t0 == (1, 0, 0) and o0 == (0, Fraction(1, 2), Fraction(1, 2))
+
+    def test_plan_targets_are_the_exact_pairs_as_floats(self):
+        plan = AdversaryPlan.build(3, 10_000, 0.5)
+        assert len(plan.targets) == len(plan.targets_exact) == 6
+        for (t, o), (te, oe) in zip(plan.targets, plan.targets_exact):
+            assert t.dtype == o.dtype == float
+            assert t.tolist() == [float(v) for v in te] and o.tolist() == [float(v) for v in oe]
 
     def test_exact_validity_d3_to_d8(self):
         for d in range(3, 9):
@@ -102,9 +106,9 @@ class TestTargetSequence:
 
     def test_dimension_bounds(self):
         with pytest.raises(ValueError):
-            build_target_sequence(1)
+            build_target_sequence_exact(1)
         with pytest.raises(ValueError):
-            build_target_sequence(13)
+            build_target_sequence_exact(13)
 
 
 class TestPullToCenter:

@@ -22,7 +22,6 @@ from bisons.hermitian import (
 from bisons.quantum import (
     SPECTRAPLEX,
     QBisonsParams,
-    QStabilityMonitor,
     ingest_loss_matrix,
     q_check_reset,
     q_default_params,
@@ -304,32 +303,6 @@ class TestIngestLossMatrix:
         assert err.value.index is None
         with pytest.raises(InvalidReturnsError, match=f"^t={index + 1}: {message}$"):
             run_qbisons(items, q_default_params(2, 440))
-
-
-X_MOVED = 0.5 / 1.09  # diag(X_MOVED, 1 - X_MOVED) stays within the 1+6eta ratio of I/2
-
-
-class TestQStabilityMonitor:
-    @pytest.mark.parametrize("changes, message", [
-        ({"X_next": [0.7, 0.3], "P_old": [4.0, 4.0], "P_next": [4.0, 4.0]}, "play ratio outside 1+6eta"),
-        ({"X_next": [X_MOVED, 1 - X_MOVED], "P_old": [2.2, 2.2], "P_next": [2.42, 2.2]},
-         "bias grew faster than 1+6eta"),
-        ({"X_next": [X_MOVED, 1 - X_MOVED], "P_old": [2.2, 2.2], "P_next": [2.2, 2.1]}, "bias decreased"),
-        ({"U_old": [0.3, 0.7], "U_next": [0.7, 0.3]}, "comparator more than doubled"),
-        ({"P_old": [2.0, 1.9], "P_next": [2.0, 1.9]}, "bias below inverse play"),
-        ({"P_old": [1e6 + 1.0, 2.0], "P_next": [1e6 + 1.0, 2.0]}, "bias above T^2"),
-        ({"P_next": [2.1, 2.0]}, "bias increment norm above play increment norm"),
-    ])
-    def test_each_check_fires_alone(self, changes, message):
-        # a maximally mixed round passes every check; each case breaks exactly one, in a rotated basis
-        params = QBisonsParams(d=2, T=1000, **CRASH_OVERRIDE).validate()
-        V = random_unitary(np.random.default_rng(0), 2)
-        eigs = {"X_old": [0.5, 0.5], "U_old": [0.5, 0.5], "P_old": [2.0, 2.0],
-                "X_next": [0.5, 0.5], "U_next": [0.5, 0.5], "P_next": [2.0, 2.0], **changes}
-        mon = QStabilityMonitor(params)
-        mon.observe(7, *((V * eigs[k]) @ V.conj().T for k in ("X_old", "U_old", "P_old", "X_next", "U_next", "P_next")))
-        mon.flush()
-        assert mon.violations == [f"t=7: {message}"]
 
 
 @pytest.fixture(scope="module")

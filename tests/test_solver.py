@@ -322,21 +322,22 @@ def _counting(cls):
 
 
 class TestOneValuePerIterate:
-    """A cold solve evaluates the objective's value where its first line
-    search starts and once per Armijo trial; an accepted trial's value is
-    reused, not recomputed, and full Newton steps need none."""
+    """A solve evaluates the objective's value once where each line search
+    starts and once per Armijo trial; full Newton steps need none."""
 
     @pytest.fixture
-    def trials(self, monkeypatch):
-        count = [0]
+    def counts(self, monkeypatch):
+        """Line searches, and their Armijo trials: the values they take away from their start."""
+        count = {"searches": 0, "trials": 0}
         armijo = solver._armijo
 
-        def counted(fval, *args):
-            def fval_counted(x):
-                count[0] += 1
-                return fval(x)
+        def counted(fval, x, *args):
+            def fval_counted(y):
+                count["trials"] += y is not x
+                return fval(y)
 
-            return armijo(fval_counted, *args)
+            count["searches"] += 1
+            return armijo(fval_counted, x, *args)
 
         monkeypatch.setattr(solver, "_armijo", counted)
         return count
@@ -348,43 +349,35 @@ class TestOneValuePerIterate:
             obj.add_surrogate(w, 0.1, 0.2, 0.5)
         return obj
 
-    def test_simplex(self, trials):
+    def test_simplex(self, counts):
         rng = np.random.default_rng(8)
         for obj in (self._quadratic(rng, 4),
                     _counting(LogLossHistory)(rng.dirichlet(np.ones(4), size=30), 0.3)):
-            trials[0] = 0
+            counts.update(searches=0, trials=0)
             rep = minimize_simplex(obj, tol=1e-13)
-            assert rep.iterations >= 1
-            assert obj.value_calls == 1 + trials[0]
+            assert rep.iterations >= 1 and counts["searches"] >= 1
+            assert obj.value_calls == counts["searches"] + counts["trials"]
 
-    def test_spectraplex(self, trials):
+    def test_spectraplex(self, counts):
         rng = np.random.default_rng(9)
         d = 2
         duals = np.array([phi_dual(random_density(rng, d)) for _ in range(20)])
         for obj in (self._quadratic(rng, d * d), _counting(LogLossHistory)(duals, 0.3)):
-            trials[0] = 0
+            counts.update(searches=0, trials=0)
             rep = minimize_spectraplex(obj, tol=1e-13)
-            assert rep.iterations >= 1
-            assert obj.value_calls == 1 + trials[0]
+            assert rep.iterations >= 1 and counts["searches"] >= 1
+            assert obj.value_calls == counts["searches"] + counts["trials"]
 
     @pytest.mark.parametrize("spectraplex", [False, True], ids=["simplex", "spectraplex"])
-    def test_cold_solve_backtracks(self, trials, monkeypatch, spectraplex):
+    def test_cold_solve_backtracks(self, counts, spectraplex):
         # from the centre, a strong linear pull needs damped steps before any full one
-        searches = [0]
-        armijo = solver._armijo
-
-        def counted(*args):
-            searches[0] += 1
-            return armijo(*args)
-
-        monkeypatch.setattr(solver, "_armijo", counted)
         dim = 4 if spectraplex else 3
         obj = _counting(QuadraticObjective).zeros(dim, 0.05)
         obj.add_linear(np.array([-40.0, 0.0, 0.0, 0.0][:dim]))
         rep = (minimize_spectraplex if spectraplex else minimize_simplex)(obj, tol=1e-13)
-        assert rep.iterations > searches[0] >= 2
-        assert trials[0] > searches[0]  # some Armijo trial was rejected
-        assert obj.value_calls == 1 + trials[0]  # one value where the first line search starts
+        assert rep.iterations > counts["searches"] >= 2
+        assert counts["trials"] > counts["searches"]  # some Armijo trial was rejected
+        assert obj.value_calls == counts["searches"] + counts["trials"]  # one value where each line search starts
 
     def test_spectraplex_warm_stack_unpacks_once_per_iteration(self, monkeypatch):
         # one stacked unpacking checks the starts, one per lockstep iteration forms the gradients

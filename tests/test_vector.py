@@ -7,7 +7,7 @@ import pytest
 import bisons.quantum as quantum
 import bisons.vector as vector
 from bisons.geometry import InfiniteLossError, InvalidReturnsError
-from bisons.hermitian import ConditioningError
+from bisons.hermitian import ConditioningError, random_unitary
 from bisons.harness import adversary_returns
 from bisons.quantum import SPECTRAPLEX, QBisonsParams, run_qbisons
 from bisons.solver import SolverFailure
@@ -16,7 +16,6 @@ from bisons.vector import (
     SIMPLEX,
     BisonsParams,
     ParameterError,
-    StabilityMonitor,
     bisons_round,
     check_reset,
     default_params,
@@ -330,21 +329,35 @@ class TestRunBisons:
 OBSERVED = ("x_old", "u_old", "p_old", "x_next", "u_next", "p_next")
 
 
+X_MOVED = 0.5 / 1.09  # diag(X_MOVED, 1 - X_MOVED) stays within the 1+6eta ratio of I/2
+
+
 class TestStabilityMonitor:
+    @pytest.mark.parametrize("domain_name", ["simplex", "spectraplex"])
     @pytest.mark.parametrize("changes, message", [
-        ({"x_next": [0.5, 0.25, 0.25], "p_old": [4.0] * 3, "p_next": [4.0] * 3}, "play ratio outside 1+6eta"),
-        ({"p_next": [3.0, 3.0, 4.0]}, "bias grew faster than 1+6eta"),
-        ({"u_next": [0.7, 0.15, 0.15]}, "comparator more than doubled"),
-        ({"p_next": [3.0, 3.0, 2.9]}, "bias below inverse play"),
-        ({"p_old": [2e6, 3.0, 3.0], "p_next": [2e6, 3.0, 3.0]}, "bias above T^2"),
+        ({"x_next": [0.7, 0.3], "p_old": [4.0, 4.0], "p_next": [4.0, 4.0]}, "play ratio outside 1+6eta"),
+        ({"x_next": [X_MOVED, 1 - X_MOVED], "p_old": [2.2, 2.2], "p_next": [2.42, 2.2]},
+         "bias grew faster than 1+6eta"),
+        ({"x_next": [X_MOVED, 1 - X_MOVED], "p_old": [2.2, 2.2], "p_next": [2.2, 2.1]}, "bias decreased"),
+        ({"u_old": [0.3, 0.7], "u_next": [0.7, 0.3]}, "comparator more than doubled"),
+        ({"p_old": [2.0, 1.9], "p_next": [2.0, 1.9]}, "bias below inverse play"),
+        ({"p_old": [2.0, 2.0 - 5e-9], "p_next": [2.0, 2.0 - 5e-9]}, "bias below inverse play"),  # its 1e-9 bound
+        ({"p_old": [1e6 + 1.0, 2.0], "p_next": [1e6 + 1.0, 2.0]}, "bias above T^2"),
+        ({"p_next": [2.1, 2.0]}, "bias increment norm above play increment norm"),
     ])
-    def test_each_check_fires_alone(self, changes, message):
-        # a uniform round passes every check; each case breaks exactly one
-        params = BisonsParams(d=3, T=1000, **CRASH_PARAMS).validate()
-        arrays = {"x_old": [1 / 3] * 3, "u_old": [1 / 3] * 3, "p_old": [3.0] * 3,
-                  "x_next": [1 / 3] * 3, "u_next": [1 / 3] * 3, "p_next": [3.0] * 3, **changes}
-        mon = StabilityMonitor(params)
-        mon.observe(7, *(np.array(arrays[k]) for k in OBSERVED))
+    def test_each_check_fires_alone(self, changes, message, domain_name):
+        # a maximally mixed round passes every check; each case breaks exactly one, given as
+        # eigenvalues: the arrays themselves on the simplex, matrices in a rotated basis on the spectraplex
+        eigs = {"x_old": [0.5, 0.5], "u_old": [0.5, 0.5], "p_old": [2.0, 2.0],
+                "x_next": [0.5, 0.5], "u_next": [0.5, 0.5], "p_next": [2.0, 2.0], **changes}
+        if domain_name == "simplex":
+            domain, params, arrays = SIMPLEX, crash_params(), (np.array(eigs[k]) for k in OBSERVED)
+        else:
+            V = random_unitary(np.random.default_rng(0), 2)
+            domain, params = SPECTRAPLEX, QBisonsParams(d=2, T=1000, **CRASH_PARAMS).validate()
+            arrays = ((V * eigs[k]) @ V.conj().T for k in OBSERVED)
+        mon = domain.monitor(params)
+        mon.observe(7, *arrays)
         mon.flush()
         assert mon.violations == [f"t=7: {message}"]
 
@@ -369,31 +382,20 @@ FAULTS = {
     1000: (5, lambda a: 1e7 * a),  # the final, partial chunk
 }
 
-# messages of the monitor that checked each round on arrival, on the same inputs
-FAULT_MESSAGES = {
-    "simplex": [
-        "t=128: bias grew faster than 1+6eta",
-        "t=129: play ratio outside 1+6eta",
-        "t=129: bias below inverse play",
-        "t=730: comparator more than doubled",
-        "t=999: bias below inverse play",
-        "t=1000: bias grew faster than 1+6eta",
-        "t=1000: bias above T^2",
-    ],
-    "spectraplex": [
-        "t=128: bias grew faster than 1+6eta",
-        "t=128: bias increment norm above play increment norm",
-        "t=129: play ratio outside 1+6eta",
-        "t=129: bias below inverse play",
-        "t=730: comparator more than doubled",
-        "t=999: bias decreased",
-        "t=999: bias below inverse play",
-        "t=999: bias increment norm above play increment norm",
-        "t=1000: bias grew faster than 1+6eta",
-        "t=1000: bias above T^2",
-        "t=1000: bias increment norm above play increment norm",
-    ],
-}
+# messages of the monitor that checked each round on arrival, on the same inputs, on either domain
+FAULT_MESSAGES = [
+    "t=128: bias grew faster than 1+6eta",
+    "t=128: bias increment norm above play increment norm",
+    "t=129: play ratio outside 1+6eta",
+    "t=129: bias below inverse play",
+    "t=730: comparator more than doubled",
+    "t=999: bias decreased",
+    "t=999: bias below inverse play",
+    "t=999: bias increment norm above play increment norm",
+    "t=1000: bias grew faster than 1+6eta",
+    "t=1000: bias above T^2",
+    "t=1000: bias increment norm above play increment norm",
+]
 
 
 def crash_run(domain_name, T, **kwargs):
@@ -420,14 +422,13 @@ class TestMonitorChunks:
         for args in rounds:
             mon.observe(*args)
         mon.flush()
-        assert mon.violations == FAULT_MESSAGES[domain_name]
+        assert mon.violations == FAULT_MESSAGES
 
-    @pytest.mark.parametrize("domain_name, module, name, expected", [
-        ("simplex", vector, "update_bias", ["t=300: bias grew faster than 1+6eta", "t=300: bias above T^2"]),
-        ("spectraplex", quantum, "q_update_bias", ["t=300: bias grew faster than 1+6eta", "t=300: bias above T^2",
-                                                   "t=300: bias increment norm above play increment norm"]),
+    @pytest.mark.parametrize("domain_name, module, name", [
+        ("simplex", vector, "update_bias"),
+        ("spectraplex", quantum, "q_update_bias"),
     ])
-    def test_run_reports_its_final_partial_chunk(self, monkeypatch, domain_name, module, name, expected):
+    def test_run_reports_its_final_partial_chunk(self, monkeypatch, domain_name, module, name):
         assert 300 % MONITOR_CHUNK != 0
         update, calls = getattr(module, name), [0]
 
@@ -437,7 +438,8 @@ class TestMonitorChunks:
 
         monkeypatch.setattr(module, name, spoil_last)
         _, _, res = crash_run(domain_name, 300, monitor=True)
-        assert res.violations == expected
+        assert res.violations == ["t=300: bias grew faster than 1+6eta", "t=300: bias above T^2",
+                                  "t=300: bias increment norm above play increment norm"]
 
 
 SINGULAR_PLAY = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)  # not diagonal, so no simplex shortcut
