@@ -3,7 +3,8 @@
 Each criterion is a function returning (passed, detail); ``run_checks``
 times each call and fails a criterion that overruns its ``BUDGET_S`` entry.
 Criteria 2, 3, 5 and 6 also feed the per-round stability monitors whose
-aggregate feeds criterion 7.  Everything is seeded and deterministic.
+aggregate feeds criterion 7.  Criterion 1 also checks the surrogate that a
+round builds.  Everything is seeded and deterministic.
 """
 
 import math
@@ -27,7 +28,7 @@ from .hermitian import (
 from .lbftrl import AdversaryPlan, generate_and_run, regret_vs_next_iterate, run_lbftrl, validate_target_sequence_exact, build_target_sequence_exact
 from .quantum import QBisonsParams, q_default_params, q_update_bias, run_qbisons
 from .solver import QuadraticObjective, minimize_simplex, minimize_spectraplex
-from .vector import BisonsParams, default_params, run_bisons, update_bias
+from .vector import SIMPLEX, BisonsParams, default_params, run_bisons, update_bias
 
 # overridden parameters for the reset-bearing crash runs: the defaults of the
 # regret theorem move iterates by O(eta) = O(1/(d log T)) per round, which
@@ -63,6 +64,7 @@ def check_lower_surrogate(ctx):
     rng = derive_rng(101, "accept:lower-surrogate")
     worst_gap = 0.0
     worst_eq = 0.0
+    worst_round = 0.0
     for _ in range(10_000):
         d = int(rng.integers(2, 6))
         x_t = _random_simplex(rng, d, floor=1e-4)
@@ -72,9 +74,14 @@ def check_lower_surrogate(ctx):
         gap = s.lower_hat_h(float(np.dot(x, r))) - log_loss(x, r)
         worst_gap = max(worst_gap, gap)
         worst_eq = max(worst_eq, abs(s.lower_hat_h(s.anchor_reward) + math.log(s.anchor_reward)))
-    passed = worst_gap <= 1e-12 and worst_eq <= 1e-12
+        loss, g, m = SIMPLEX.loss(x_t, r)  # a round's surrogate, as bisons_round builds it
+        obj = QuadraticObjective.zeros(d, 1.0)
+        obj.add_surrogate(g, loss, m, s.curvature)
+        hat = s.hat_h(float(np.dot(x, r)))
+        worst_round = max(worst_round, abs(obj.smooth_value(x) - hat) / max(1.0, abs(hat)))
+    passed = worst_gap <= 1e-12 and worst_eq <= 1e-12 and worst_round <= 1e-12
     return passed, (f"10^4 triples: max excess over true loss {worst_gap:.2e}, "
-                    f"max anchor equality gap {worst_eq:.2e}")
+                    f"max anchor equality gap {worst_eq:.2e}, max round surrogate gap {worst_round:.2e}")
 
 
 # -- criteria 2 and 3 ------------------------------------------------------------

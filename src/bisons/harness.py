@@ -3,10 +3,10 @@
 Randomness is one documented scheme throughout: a root seed plus a string
 label feed ``numpy.random.SeedSequence([root_seed, sha256(label)[:8]])``,
 so every component draws from its own deterministic stream and reruns are
-byte-identical.
+byte-identical.  Returns and measurement files are read by one reader,
+which reports a file's first bad row by its row and line.
 """
 
-import functools
 import hashlib
 import json
 import math
@@ -159,106 +159,88 @@ def save_returns(path, returns):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _row_error(path, k, lineno, exc):
-    return type(exc)(f"{path}: row {k} (line {lineno}): {exc}")
+def _row_fault(vals, width, build):
+    """Why a parsed row is rejected, or None: a cell that is not finite, or a count of cells other than
+    row 1's ``width``, in ``build``'s words if ``build`` rejects that count on no rows."""
+    if not all(map(math.isfinite, vals)):
+        return "cells must be finite"
+    if len(vals) != width:
+        try:
+            build(np.empty((0, len(vals))))
+        except InvalidReturnsError as exc:
+            return str(exc)
+        return f"expected {width} cells as in row 1, got {len(vals)}"
 
 
-def _read_lines(path, what, parse, check=None):
-    """``parse(cells)`` of each row of a comma-separated file of numbers, and each row's line number, line by line.
+def _read_rows(path, what, build):
+    """``build(cells)`` of the (n, w) cells of a comma-separated file of numbers; the first bad row is rejected.
 
     Blank lines are skipped, and so is a first line whose first cell starts
-    with ``a`` (a header; no number does).  Cells must be finite, and every
-    row has as many cells as the first.  Errors name the file and the line.
-    Before a rejection here, ``check(items, lines)``, if given, runs on the
-    rows read so far, so that a bad row it rejects comes first.
-    """
-    items, lines, width = [], [], None
-    with open(path) as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                cells = line.strip().split(",")
-                if cells == [""] or lineno == 1 and cells[0].startswith("a"):
-                    continue
-                try:
-                    vals = [float(c) for c in cells]
-                except ValueError as exc:
-                    raise ValueError(f"{path}: parse error at line {lineno}: {exc}") from exc
-                width = width or len(vals)
-                try:
-                    if not all(map(math.isfinite, vals)):
-                        raise ValueError("cells must be finite")
-                    item = parse(vals)
-                    if len(vals) != width:
-                        raise ValueError(f"expected {width} cells as in row 1, got {len(vals)}")
-                except ValueError as exc:
-                    raise _row_error(path, len(items) + 1, lineno, exc) from exc
-                items.append(item)
-                lines.append(lineno)
-        except ValueError as exc:  # a UnicodeDecodeError too
-            if check is not None and items:
-                check(items, lines)
-            if isinstance(exc, UnicodeDecodeError):
-                raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
-            raise
-    if not items:
-        raise ValueError(f"{path}: no {what} rows found")
-    return items, lines
-
-
-def _read_rows(path, what, parse, check=None):
-    """The rows of a comma-separated file of numbers as one (n, w) array, and each row's line number.
-
-    Lines are kept as :func:`_read_lines` keeps them and parsed in one
-    ``np.loadtxt`` call, which reads a number as ``float`` does.  If that
-    fails, a cell is not finite or ``parse`` rejects row 1, the file is read
-    again by :func:`_read_lines`, which raises the error naming the line.
+    with ``a`` (a header; no number does).  The kept lines are parsed in one
+    ``np.loadtxt`` call, which reads a number as ``float`` does.  Only if
+    that fails or a cell is not finite, one ``float`` pass stops at the first
+    line that does not parse or that :func:`_row_fault` rejects, after
+    ``build`` ran on the rows above it.  Errors name the file and the line,
+    and the row once its cells parse (``InvalidReturnsError.index`` for ``build``).
     """
     try:
         with open(path) as fh:
-            kept = [(lineno, line) for lineno, line in enumerate(fh.read().split("\n"), start=1)
-                    if line.strip() and not (lineno == 1 and line.strip().startswith("a"))]
-        cells = np.loadtxt([line for _, line in kept], delimiter=",", comments=None, ndmin=2) if kept else None
-        if cells is not None:
-            parse(cells[0])
-    except ValueError:  # a UnicodeDecodeError too
+            kept = [(lineno, line) for lineno, raw in enumerate(fh.read().split("\n"), start=1)
+                    if (line := raw.strip()) and not (lineno == 1 and line.startswith("a"))]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not kept:
+        raise ValueError(f"{path}: no {what} rows found")
+    lines = [lineno for lineno, _ in kept]
+
+    def built(cells):
+        try:
+            return build(cells)
+        except InvalidReturnsError as exc:
+            raise type(exc)(f"{path}: row {exc.index + 1} (line {lines[exc.index]}): {exc}") from exc
+
+    try:
+        cells = np.loadtxt([line for _, line in kept], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
         cells = None
-    if cells is None or not np.isfinite(cells).all():
-        return _read_lines(path, what, parse, check)
-    return cells, [lineno for lineno, _ in kept]
+    if cells is not None and np.isfinite(cells).all():
+        del kept  # the lines' text is not needed to build, and would raise the load's peak memory
+        return built(cells)
+    rows = []
+    for k, (lineno, line) in enumerate(kept):
+        try:
+            vals = [float(c) for c in line.split(",")]
+        except ValueError as exc:
+            fault = f"parse error at line {lineno}: {exc}"
+        else:
+            fault = _row_fault(vals, len(rows[0]) if rows else len(vals), build)
+            fault = fault and f"row {k + 1} (line {lineno}): {fault}"
+        if fault:
+            if rows:
+                built(np.array(rows))
+            raise ValueError(f"{path}: {fault}")
+        rows.append(vals)
+    return built(np.array(rows))
 
 
 def load_returns(path):
     """Load and normalize a returns file: one row of d returns per round."""
-    rows, lines = _read_rows(path, "returns", np.array)
-    try:
-        return normalize_returns(rows)
-    except InvalidReturnsError as exc:
-        raise _row_error(path, exc.index + 1, lines[exc.index], exc) from exc
+    return _read_rows(path, "returns", normalize_returns)
 
 
-def _measurement_cells(vals):
-    n = len(vals) - 1
-    d = int(round(math.sqrt(n / 2)))
-    if d < 1 or 2 * d * d != n:
-        raise ValueError(f"expected 2*d^2+1 cells, got {len(vals)}")
-    return np.array(vals)
-
-
-def _measurements(path, rows, lines):
-    """The :class:`Measurements` stack of the rows' cells; its first bad row is rejected by row and line."""
-    cells = np.array(rows)
-    n, d = cells.shape[0], math.isqrt(cells.shape[1] // 2)
-    try:
-        return Measurements((cells[:, :-1:2] + 1j * cells[:, 1:-1:2]).reshape(n, d, d), cells[:, -1])
-    except InvalidReturnsError as exc:
-        raise _row_error(path, exc.index + 1, lines[exc.index], exc) from exc
+def _measurements(cells):
+    """The :class:`Measurements` stack of (n, 2*d^2+1) measurement cells."""
+    n, w = cells.shape
+    d = math.isqrt((w - 1) // 2)
+    if d < 1 or 2 * d * d + 1 != w:
+        raise InvalidReturnsError(f"expected 2*d^2+1 cells, got {w}", index=0)
+    return Measurements((cells[:, :-1:2] + 1j * cells[:, 1:-1:2]).reshape(n, d, d), cells[:, -1])
 
 
 def load_measurements(path):
     """Measurement rows: d^2 complex entries of the effect (re/im interleaved,
     row-major) followed by the outcome; one :class:`Measurements` stack."""
-    check = functools.partial(_measurements, path)
-    return check(*_read_rows(path, "measurement", _measurement_cells, check))
+    return _read_rows(path, "measurement", _measurements)
 
 
 # -- experiment driver ----------------------------------------------------------

@@ -16,7 +16,7 @@ vanishes outright; "the player sits at the target" is exactly
 Per-round stability terms ||grad_Pi f_t(x_t)||^2 in the inverse Hessian
 norm of the accumulated objective (losses through round t plus barrier)
 both lower- and upper-bound the player's regret, which is what the
-diagnostics here measure.
+diagnostics here measure.  A round's error is raised again with ``t=k: `` in front.
 """
 
 import math
@@ -27,13 +27,17 @@ from itertools import combinations, product
 import numpy as np
 
 from .geometry import PiProjection, log_loss, uniform_portfolio
-from .solver import LogLossHistory, minimize_simplex, minimize_simplex_history
+from .solver import LogLossHistory, SolverFailure, minimize_simplex, minimize_simplex_history, prefixed
 
 TARGET_GRAD_TOL = 1e-12
 
 
 class InfeasibleMovementError(RuntimeError):
     """A movement return left the simplex; surfaced rather than clipped."""
+
+
+#: Errors a round of the generator or the player raises again as their own type, naming the round.
+ROUND_ERRORS = (SolverFailure, ArithmeticError, ValueError, InfeasibleMovementError)
 
 
 # -- target sequence ----------------------------------------------------------
@@ -261,7 +265,10 @@ def generate_returns(plan, eta):
             g = grad_pi_objective(tgt_s, rows[: len(visits)], eta, proj, barrier_grad)
             if math.sqrt(float(g @ g)) <= TARGET_GRAD_TOL:
                 break
-            emit(move_to_x(tgt_s, g, T, proj, pi_target), None)
+            try:
+                emit(move_to_x(tgt_s, g, T, proj, pi_target), None)
+            except ROUND_ERRORS as exc:
+                raise prefixed(exc, f"t={len(visits) + 1}: ") from exc
         if len(visits) >= T:
             truncated = True
             break
@@ -291,15 +298,18 @@ def _play(seq, eta):
     plays, losses, loss_hessians = np.empty((T, d)), np.empty(T), np.empty((T, d, d))
     x = uniform_portfolio(d)
     for t, r in enumerate(R):
-        x = lbftrl_play(history, warm_start=x)
-        plays[t] = x
-        losses[t] = log_loss(x, r)
-        # A certified solve may stop without the Hessian at x; form it so that
-        # append moves it.  An empty history keeps summing its first row afresh.
-        if history.n:
-            history.smooth_grad_hess(x)
-        history.append(r)
-        loss_hessians[t] = history.smooth_grad_hess(x)[1]
+        try:
+            x = lbftrl_play(history, warm_start=x)
+            plays[t] = x
+            losses[t] = log_loss(x, r)
+            # A certified solve may stop without the Hessian at x; form it so that
+            # append moves it.  An empty history keeps summing its first row afresh.
+            if history.n:
+                history.smooth_grad_hess(x)
+            history.append(r)
+            loss_hessians[t] = history.smooth_grad_hess(x)[1]
+        except ROUND_ERRORS as exc:
+            raise prefixed(exc, f"t={t + 1}: ") from exc
     ips = (R[:, None, :] @ plays[:, :, None])[:, 0]  # <x_t, r_t>, shape (T, 1)
     grads = (U @ (-R / ips)[:, :, None])[..., 0]
     hessians = barrier_pi_hessian(plays, eta, proj) + U @ loss_hessians @ U.T

@@ -233,6 +233,13 @@ class SolverFailure(RuntimeError):
         self.report = report
 
 
+def prefixed(exc, prefix):
+    """``exc`` as its own type with ``prefix`` before its message, to raise ``from exc``; a failure keeps its report."""
+    if isinstance(exc, SolverFailure):
+        return SolverFailure(f"{prefix}{exc}", exc.report)
+    return type(exc)(f"{prefix}{exc}")
+
+
 # -- shared damped-Newton driver ----------------------------------------------
 
 def _armijo(fval, x, step_dir, slope, s0):

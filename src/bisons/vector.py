@@ -33,7 +33,7 @@ import numpy as np
 
 from .geometry import BETA_MAX, InvalidReturnsError, log_loss_and_gradient, normalize_returns, uniform_portfolio
 from .geometry import log_loss  # noqa: F401  (no longer called here; bench/tracer.py still wraps vector.log_loss)
-from .solver import QuadraticObjective, SolverFailure, default_tol, minimize_simplex
+from .solver import QuadraticObjective, SolverFailure, default_tol, minimize_simplex, prefixed
 
 ETA_CAP = 1.0 / 63.0
 _REL_SLACK = 1.0 + 1e-12
@@ -136,7 +136,6 @@ class EpochState:
     unbiased: QuadraticObjective
     x_cur: np.ndarray
     u_cur: np.ndarray
-    last_solution: tuple = None
 
 
 def initial_state(params, domain=SIMPLEX):
@@ -155,10 +154,11 @@ def initial_state(params, domain=SIMPLEX):
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """What a round reports: its loss, and whether it ended the epoch."""
+    """What a round reports: its loss, whether it ended the epoch, and its solved (x_next, u_next, p_next)."""
 
     loss: float
     reset_triggered: bool
+    solution: tuple
 
 
 def update_bias(p, x_next):
@@ -178,9 +178,7 @@ def bisons_round(state, r_t, params, tol=1e-10, domain=SIMPLEX):
 
     ``r_t`` must already be ingested by ``domain`` (by default normalized
     onto the simplex).  Returns the state to use next round (a fresh epoch
-    state when the reset fired) and the round's :class:`RoundRecord`.  The solved
-    (x_next, u_next, p_next) triple is stashed on ``state.last_solution``
-    for monitoring.
+    state when the reset fired) and the round's :class:`RoundRecord`.
     """
     x = state.x_cur
     loss, g, m = domain.loss(x, r_t)
@@ -193,9 +191,8 @@ def bisons_round(state, r_t, params, tol=1e-10, domain=SIMPLEX):
     x_next, u_next = domain.solve((state.biased, state.unbiased), (x, state.u_cur), tol).minimizer
     p_next = domain.update_bias(state.p, x_next)
     reset = domain.check_reset(u_next, p_next, params)
-    state.last_solution = (x_next, u_next, p_next)
 
-    record = RoundRecord(loss, reset)
+    record = RoundRecord(loss, reset, (x_next, u_next, p_next))
     if reset:
         return initial_state(params, domain=domain), record
     state.x_cur = x_next
@@ -337,21 +334,17 @@ def run_epochs(domain, stream, params, rng=None, tol=None, monitor=False, keep_s
     for t, r in enumerate(inputs, start=1):
         x_old, u_old, p_old = state.x_cur, state.u_cur, state.p
         result.plays[t - 1] = x_old
-        before = state
         try:
             state, out = domain.round(state, r, params, tol=tol)
         except (SolverFailure, ArithmeticError, ValueError) as exc:
             ends = np.flatnonzero(result.resets[:t - 1]) + 1  # the rounds that ended an epoch so far
             tau = t - ends[-1] if ends.size else t
-            message = f"t={t} (epoch {ends.size + 1}, tau {tau}): {exc}"
-            if isinstance(exc, SolverFailure):
-                raise SolverFailure(message, exc.report) from exc
-            raise type(exc)(message) from exc
+            raise prefixed(exc, f"t={t} (epoch {ends.size + 1}, tau {tau}): ") from exc
         result.losses[t - 1], result.resets[t - 1] = out.loss, out.reset_triggered
         if mon is not None:
-            mon.observe(t, x_old, u_old, p_old, *before.last_solution)
+            mon.observe(t, x_old, u_old, p_old, *out.solution)
         if keep_states:
-            result.states.append(before.last_solution)
+            result.states.append(out.solution)
     if mon is not None:
         mon.flush()
         result.violations = mon.violations

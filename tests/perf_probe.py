@@ -21,7 +21,10 @@ in the machine's load spreads over all of them alike:
 - ``run_lbftrl 800``: the player over 800 seeded Dirichlet(1) rows at d=3;
 - ``bisons monitor`` and ``qbisons monitor``: a stability monitor
   observing and checking one chunk of MONITOR_CHUNK rounds, the first
-  rounds of the ``bisons pair`` and ``qbisons pair`` runs, per chunk.
+  rounds of the ``bisons pair`` and ``qbisons pair`` runs, per chunk;
+- ``load_returns``: an 11,000 x 10 returns file (the shape of the
+  benchmark's simplex input) that ``save_returns`` wrote from seeded
+  Dirichlet(1) rows into a temporary directory.
 
 It calls public functions only, so the same file times any commit whose
 ``bisons`` package it is pointed at.  The file has no ``test_`` prefix, so
@@ -30,12 +33,14 @@ pytest does not collect it.
 
 import argparse
 import copy
+import os
 import statistics
+import tempfile
 import time
 
 import numpy as np
 
-from bisons.harness import measurement_stream
+from bisons.harness import load_returns, measurement_stream, save_returns
 from bisons.lbftrl import AdversaryPlan, generate_returns, run_lbftrl
 from bisons.quantum import SPECTRAPLEX, ingest_loss_matrix, q_default_params, run_qbisons
 from bisons.solver import default_tol, minimize_simplex, minimize_simplex_history, minimize_spectraplex
@@ -136,6 +141,12 @@ def _lbftrl():
     return (play, 1), (lambda: generate_returns(plan, 1.0), 1), (lambda: run_lbftrl(seqs[1], 1.0), 1)
 
 
+def _load_returns(directory):
+    path = os.path.join(directory, "returns.csv")
+    save_returns(path, np.random.default_rng(13).dirichlet(np.ones(10), size=11_000))
+    return (lambda: load_returns(path)), 1
+
+
 def _at_least_two(text):
     """A repeat count; quartiles need two repeats."""
     n = int(text)
@@ -148,16 +159,18 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--repeats", type=_at_least_two, default=21)
     args = parser.parse_args(argv)
-    items = dict(zip(["history solve", "bisons pair", "bisons round", "bisons monitor", "qbisons pair",
-                      "qbisons monitor", "criterion-9 play", "generate_returns", "run_lbftrl 800"],
-                     [_history_solve(), *_bisons(), *_qbisons(), *_lbftrl()]))
-    times = {name: [] for name in items}
-    for _ in range(args.repeats):
-        for name, (fn, per) in items.items():
-            start = time.perf_counter()
-            inner = fn()  # a function that times itself returns its own seconds
-            elapsed = inner if isinstance(inner, float) else time.perf_counter() - start
-            times[name].append(elapsed / per)
+    with tempfile.TemporaryDirectory() as directory:
+        items = dict(zip(["history solve", "bisons pair", "bisons round", "bisons monitor", "qbisons pair",
+                          "qbisons monitor", "criterion-9 play", "generate_returns", "run_lbftrl 800",
+                          "load_returns"],
+                         [_history_solve(), *_bisons(), *_qbisons(), *_lbftrl(), _load_returns(directory)]))
+        times = {name: [] for name in items}
+        for _ in range(args.repeats):
+            for name, (fn, per) in items.items():
+                start = time.perf_counter()
+                inner = fn()  # a function that times itself returns its own seconds
+                elapsed = inner if isinstance(inner, float) else time.perf_counter() - start
+                times[name].append(elapsed / per)
     print(f"{'item':<18} {'unit':>4} {'median':>10} {'q1':>10} {'q3':>10}")
     for name, ts in times.items():
         scale, unit = (1e6, "us") if statistics.median(ts) < 1e-3 else (1e3, "ms")

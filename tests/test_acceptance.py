@@ -11,6 +11,7 @@ import pytest
 
 from bisons import checks
 from bisons.checks import run_checks
+from bisons.solver import QuadraticObjective
 
 _RESULTS = None
 
@@ -51,3 +52,18 @@ def test_criterion_over_its_budget_fails(monkeypatch):
     (res,) = run_checks("all")
     assert not res.passed
     assert res.detail == "slow but correct; over its 0.01s budget"
+
+
+def test_criterion_1_sees_a_round_surrogate_with_the_wrong_linear_term(monkeypatch):
+    # the linear term (1 - beta <x_t, g>) g of the surrogate a round accumulates becomes (1 + beta <x_t, g>) g
+    add = QuadraticObjective.add_surrogate
+
+    def mutant(self, w, anchor_value, anchor_inner, beta, *sharing):
+        add(self, w, anchor_value, anchor_inner, beta, *sharing)
+        for obj in (self, *sharing):
+            obj.lin += 2.0 * beta * anchor_inner * w
+
+    monkeypatch.setattr(QuadraticObjective, "add_surrogate", mutant)
+    passed, detail = checks.check_lower_surrogate({})
+    assert not passed
+    assert float(detail.rsplit(" ", 1)[1]) > 1.0, detail

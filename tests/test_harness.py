@@ -25,6 +25,7 @@ from bisons.harness import (
     save_returns,
 )
 from bisons.hermitian import trace_inner
+from bisons.solver import SolverFailure
 
 
 #: 200 bytes that are not UTF-8 text: 0xc0 at offset 24 never starts a UTF-8 sequence
@@ -227,16 +228,37 @@ class TestFiles:
         path.write_bytes(text.encode())
         assert load_returns(str(path)).tobytes() == np.array(expected).tobytes()
 
-    def test_one_call_parse_matches_the_line_reader(self, tmp_path):
+    @pytest.mark.parametrize("underscored", [False, True], ids=["one-call", "float-pass"])
+    def test_reader_keeps_cells_and_lines(self, tmp_path, underscored):
         rng = np.random.default_rng(12)
         rows = rng.dirichlet(np.ones(10), size=300) * 10.0 ** rng.integers(-300, 300, size=(300, 1))
-        text = "\r\n".join(",".join(format(float(v), ".17g") for v in row) for row in rows)
+        cells = [[format(float(v), ".17g") for v in row] for row in rows]
+        if underscored:  # float() reads 1_0 as 10 and np.loadtxt rejects it, so the float pass reads the file
+            cells[100][3], rows[100, 3] = "1_0", 10.0
+        text = "\r\n".join(",".join(row) for row in cells)
         path = tmp_path / "r.csv"
         path.write_bytes(("a1\r\n\r\n" + text.replace("\r\n", "\r\n\r\n", 5) + "\r\n").encode())
-        cells, lines = harness._read_rows(str(path), "returns", np.array)
-        items, item_lines = harness._read_lines(str(path), "returns", np.array)
-        assert cells.tobytes() == np.array(items).tobytes() == rows.tobytes()
-        assert lines == item_lines and lines[:7] == [3, 5, 7, 9, 11, 13, 14]
+        assert harness._read_rows(str(path), "returns", lambda c: c).tobytes() == rows.tobytes()
+
+        def line_of(k):
+            def reject(c):
+                raise InvalidReturnsError("rejected", index=k)
+            with pytest.raises(InvalidReturnsError) as err:
+                harness._read_rows(str(path), "returns", reject)
+            found = re.fullmatch(rf"{re.escape(str(path))}: row {k + 1} \(line (\d+)\): rejected", str(err.value))
+            return int(found[1])
+
+        assert [line_of(k) for k in range(300)] == [3, 5, 7, 9, 11] + list(range(13, 308))
+
+    @pytest.mark.parametrize("later", ["0.3,abc", "0.3,nan", "0.3,0.3,0.4", "0,0"],
+                             ids=["parse-error", "nan", "cell-count", "no-positive-entry"])
+    def test_returns_first_bad_row_wins(self, tmp_path, later):
+        """Row 2 (line 2) is negative, and row 4 (line 4) is bad in another way: row 2's message wins."""
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(["0.5,0.5", "-1,2", "0.2,0.8", later]) + "\n")
+        with pytest.raises(InvalidReturnsError,
+                           match=f"^{re.escape(f'{path}: row 2 (line 2): returns entries must be nonnegative')}$"):
+            load_returns(str(path))
 
     @pytest.mark.parametrize("first, later, message", [
         ("0.5,0,0.3,0,0,0,0.5,0,0.5", "1.5,0,0,0,0,0,0.5,0,0.5", "effect must be Hermitian"),
@@ -517,9 +539,12 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--algo", "lbftrl", "--d", "2", "--T", "4", "--data", str(path), "--eta", "1e300",
                   "--out", str(out)])
-        assert exc.value.code == "line search stalled"  # printed to stderr, exit status 1
+        assert exc.value.code == "t=2: line search stalled"  # printed to stderr, exit status 1
         assert capsys.readouterr().out == ""
         assert not out.exists()
+        cause = exc.value.__cause__
+        assert isinstance(cause, SolverFailure) and isinstance(cause.__cause__, SolverFailure)
+        assert cause.report is cause.__cause__.report and str(cause.__cause__) == "line search stalled"
 
     @pytest.mark.parametrize("algo, owner, name, error", [
         ("bisons", harness, "run_bisons", ZeroDivisionError),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bisons import lbftrl
-from bisons.geometry import PiProjection, uniform_portfolio
+from bisons.geometry import InfiniteLossError, PiProjection, uniform_portfolio
 from bisons.lbftrl import (
     AdversaryPlan,
     InfeasibleMovementError,
@@ -370,6 +370,35 @@ def test_generator_and_player_reject_a_bad_eta(eta):
         generate_returns(AdversaryPlan.build(2, 300, 0.5), eta)
     with pytest.raises(ValueError, match=message):
         run_lbftrl(np.full((3, 2), 0.5), eta)
+
+
+def failing_on_call(function, call, error):
+    """``function``, except that its ``call``-th call raises ``error("spoiled")``; the raised errors are collected."""
+    calls, raised = [0], []
+
+    def fail_or_call(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] != call:
+            return function(*args, **kwargs)
+        raised.append(error("spoiled"))
+        raise raised[-1]
+
+    return fail_or_call, raised
+
+
+def test_generator_and_player_errors_name_their_round(monkeypatch):
+    plan = AdversaryPlan.build(2, 300, 0.5)
+    t = int(np.flatnonzero(generate_returns(plan, 1.0).movement_flags)[2]) + 1  # the third movement row's round
+    spoiled, raised = failing_on_call(lbftrl.move_to_x, 3, InfeasibleMovementError)
+    monkeypatch.setattr(lbftrl, "move_to_x", spoiled)
+    with pytest.raises(InfeasibleMovementError, match=f"^t={t}: spoiled$") as err:
+        generate_returns(plan, 1.0)
+    assert err.value.__cause__ is raised[0]
+    spoiled, raised = failing_on_call(lbftrl.log_loss, 2, InfiniteLossError)
+    monkeypatch.setattr(lbftrl, "log_loss", spoiled)
+    with pytest.raises(InfiniteLossError, match="^t=2: spoiled$") as err:
+        run_lbftrl(np.full((3, 2), 0.5), 1.0)
+    assert err.value.__cause__ is raised[0]
 
 
 @pytest.mark.parametrize("T", [0, -3])
