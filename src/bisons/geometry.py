@@ -166,37 +166,3 @@ def build_surrogate(x_t, r_t, beta):
         anchor_reward=y,
         curvature=float(beta),
     )
-
-
-class PiProjection:
-    """Orthonormal chart of the simplex affine hull.
-
-    The rows of ``basis`` span the subspace orthogonal to the all-ones
-    vector, so the projection has the uniform point c = 1/d as its kernel
-    representative: project(c) = 0 and lift(0) = c.  The basis is built by
-    Gram-Schmidt over e_i - e_d, which is deterministic and seed free.
-    """
-
-    def __init__(self, d):
-        if d < 2:
-            raise ValueError("need dimension >= 2")
-        self.d = d
-        rows = []
-        for i in range(d - 1):
-            v = np.zeros(d)
-            v[i] = 1.0
-            v[d - 1] = -1.0
-            for q in rows:
-                v = v - np.dot(q, v) * q
-            v /= np.linalg.norm(v)
-            rows.append(v)
-        self.basis = np.array(rows)
-        self.center = np.full(d, 1.0 / d)
-
-    def project(self, x):
-        return self.basis @ np.asarray(x, dtype=float)
-
-    def lift(self, v):
-        """Inverse chart into the affine hull; the flag reports simplex membership."""
-        x = self.basis.T @ np.asarray(v, dtype=float) + self.center
-        return x, bool(x.min() >= 0.0)

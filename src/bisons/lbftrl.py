@@ -16,9 +16,14 @@ vanishes outright; "the player sits at the target" is exactly
 Per-round stability terms ||grad_Pi f_t(x_t)||^2 in the inverse Hessian
 norm of the accumulated objective (losses through round t plus barrier)
 both lower- and upper-bound the player's regret, which is what the
-diagnostics here measure.  A round's error is raised again with ``t=k: `` in front.
+diagnostics here measure.  Pi is the chart :func:`pi_basis`: its rows are an
+orthonormal basis of the directions of the simplex's affine hull, so Pi x
+is a point's chart coordinate and Pi^T v + 1/d lifts one back.  A round's
+error, one of the shared :data:`~bisons.solver.ROUND_ERRORS`, is raised
+again as its own type with ``t=k: `` in front.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,18 +31,32 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .geometry import PiProjection, log_loss, uniform_portfolio
-from .solver import LogLossHistory, SolverFailure, minimize_simplex, minimize_simplex_history, prefixed
+from .geometry import log_loss, uniform_portfolio
+from .solver import ROUND_ERRORS, LogLossHistory, minimize_simplex, minimize_simplex_history, prefixed
 
 TARGET_GRAD_TOL = 1e-12
 
 
-class InfeasibleMovementError(RuntimeError):
+class InfeasibleMovementError(ArithmeticError):
     """A movement return left the simplex; surfaced rather than clipped."""
 
 
-#: Errors a round of the generator or the player raises again as their own type, naming the round.
-ROUND_ERRORS = (SolverFailure, ArithmeticError, ValueError, InfeasibleMovementError)
+@functools.cache
+def pi_basis(d):
+    """The chart Pi: (d-1, d) Gram-Schmidt rows over e_i - e_d, orthonormal and orthogonal to the
+    all-ones vector, so the centre 1/d maps to 0.  Cached and read-only, like :func:`~bisons.hermitian.trace_slots`."""
+    if d < 2:
+        raise ValueError("need dimension >= 2")
+    rows = []
+    for i in range(d - 1):
+        v = np.zeros(d)
+        v[i], v[-1] = 1.0, -1.0
+        for q in rows:
+            v = v - np.dot(q, v) * q
+        rows.append(v / np.linalg.norm(v))
+    U = np.array(rows)
+    U.flags.writeable = False
+    return U
 
 
 # -- target sequence ----------------------------------------------------------
@@ -123,10 +142,8 @@ class AdversaryPlan:
 
 def pull_to_center(x, s, plan):
     """x^(s) = c_s x + (1 - c_s) c; layer s in 0..layer_count."""
-    if not 0 <= s <= plan.layer_count:
-        raise ValueError(f"layer {s} outside 0..{plan.layer_count}")
     c_s = plan.scales[s]
-    return c_s * np.asarray(x, dtype=float) + (1.0 - c_s) / plan.d
+    return c_s * x + (1.0 - c_s) / plan.d
 
 
 # -- the player ---------------------------------------------------------------
@@ -142,31 +159,25 @@ def lbftrl_play(history, warm_start=None, tol=1e-10):
     return minimize_simplex(history, warm_start=warm_start, tol=tol).minimizer
 
 
-def grad_pi_objective(x, history, eta, proj, barrier_grad=None):
+def grad_pi_objective(x, history, barrier_grad, U):
     """Projected gradient of the accumulated objective (losses + barrier) at x.
 
-    ``barrier_grad`` is the barrier's gradient -1/(eta x), for a caller that
-    evaluates at one x many times and computes it once.
+    ``history`` is an (n, d) array of returns and ``barrier_grad`` the
+    barrier's gradient -1/(eta x), which a caller evaluating at one x many
+    times computes once.
     """
-    x = np.asarray(x, dtype=float)
-    hist = np.asarray(history, dtype=float).reshape(-1, x.size)
-    if barrier_grad is None:
-        barrier_grad = -1.0 / (eta * x)
-    return proj.project(barrier_grad - hist.T @ (1.0 / (hist @ x)))
+    return U @ (barrier_grad - history.T @ (1.0 / (history @ x)))
 
 
-def barrier_pi_hessian(x, eta, proj):
+def barrier_pi_hessian(x, eta, U):
     """The barrier part eta^{-1} Pi diag(1/x^2) Pi^T of the projected Hessian; over (n, d) plays, its stack."""
-    U = proj.basis
-    return (1.0 / eta) * (U / np.asarray(x)[..., None, :] ** 2) @ U.T
+    return (1.0 / eta) * (U / x[..., None, :] ** 2) @ U.T
 
 
-def assemble_pi_hessian(x, history, eta, proj):
-    """Projected Hessian sum_s (Pi r_s)(Pi r_s)^T / <x, r_s>^2 + eta^{-1} barrier part."""
-    x = np.asarray(x, dtype=float)
-    hist = np.asarray(history, dtype=float).reshape(-1, x.size)
-    PR = hist @ proj.basis.T
-    return barrier_pi_hessian(x, eta, proj) + (PR / (hist @ x)[:, None] ** 2).T @ PR
+def assemble_pi_hessian(x, history, eta, U):
+    """Projected Hessian sum_s (Pi r_s)(Pi r_s)^T / <x, r_s>^2 + eta^{-1} barrier part; ``history`` is (n, d)."""
+    PR = history @ U.T
+    return barrier_pi_hessian(x, eta, U) + (PR / (history @ x)[:, None] ** 2).T @ PR
 
 
 def stability_term(grad_pi, hessian_pi):
@@ -181,11 +192,11 @@ def stability_term(grad_pi, hessian_pi):
 
 # -- adversarial sequence generation ------------------------------------------
 
-def move_to_x(target, grad_pi, T, proj, pi_target=None):
-    """One movement return steering the player toward ``target``; ``pi_target`` is
-    Pi target, for a caller that steers toward one target many times and computes it once.
+def move_to_x(pi_target, grad_pi, T, U):
+    """One movement return steering the player toward the target whose chart point is ``pi_target``.
 
-    The raw projected gradient g is rescaled by
+    The projected gradient g = ``grad_pi`` must be nonzero; the generator
+    stops steering once ||g|| <= TARGET_GRAD_TOL.  g is rescaled by
     min(T^{-1/2}/||g||, 1/(d max(1 - <g, Pi target>, 0))) and lifted back to
     the simplex; the first cap keeps ||Pi r|| <= T^{-1/2}, the second makes
     the post-return gradient at the target vanish exactly when it binds (an
@@ -193,19 +204,12 @@ def move_to_x(target, grad_pi, T, proj, pi_target=None):
     zero denominator means the finishing cap is inactive and the norm cap
     binds.
     """
-    g = np.asarray(grad_pi, dtype=float)
-    d = proj.d
-    norm = math.sqrt(float(g @ g))  # np.linalg.norm's value, without its dispatch
-    if norm == 0.0:
-        r, _ = proj.lift(np.zeros_like(g))
-        return r
-    cap_norm = T ** -0.5 / norm
-    if pi_target is None:
-        pi_target = proj.project(target)
-    denom = d * max(1.0 - float(g @ pi_target), 0.0)
+    d = U.shape[1]
+    cap_norm = T ** -0.5 / math.sqrt(float(grad_pi @ grad_pi))  # np.linalg.norm's value, without its dispatch
+    denom = d * max(1.0 - float(grad_pi @ pi_target), 0.0)
     cap_finish = math.inf if denom == 0.0 else 1.0 / denom
-    r, inside = proj.lift(min(cap_norm, cap_finish) * g)
-    if not inside:
+    r = U.T @ (min(cap_norm, cap_finish) * grad_pi) + 1.0 / d
+    if not r.min() >= 0.0:  # a NaN entry is rejected too
         raise InfeasibleMovementError(f"movement return left the simplex (min entry {r.min()})")
     return r
 
@@ -248,7 +252,7 @@ def generate_returns(plan, eta):
     """
     _check_eta(eta)
     T = plan.T
-    proj = PiProjection(plan.d)
+    U = pi_basis(plan.d)
     rows = np.empty((T, plan.d))
     visits = []
     truncated = False
@@ -260,13 +264,13 @@ def generate_returns(plan, eta):
     for i, k, s in product(range(len(plan.targets)), range(plan.repetitions), range(plan.layer_count + 1)):
         tgt, out = plan.targets[i]
         tgt_s = pull_to_center(tgt, s, plan)
-        barrier_grad, pi_target = -1.0 / (eta * tgt_s), proj.project(tgt_s)  # fixed through the visit
+        barrier_grad, pi_target = -1.0 / (eta * tgt_s), U @ tgt_s  # fixed through the visit
         while len(visits) < T:
-            g = grad_pi_objective(tgt_s, rows[: len(visits)], eta, proj, barrier_grad)
+            g = grad_pi_objective(tgt_s, rows[: len(visits)], barrier_grad, U)
             if math.sqrt(float(g @ g)) <= TARGET_GRAD_TOL:
                 break
             try:
-                emit(move_to_x(tgt_s, g, T, proj, pi_target), None)
+                emit(move_to_x(pi_target, g, T, U), None)
             except ROUND_ERRORS as exc:
                 raise prefixed(exc, f"t={len(visits) + 1}: ") from exc
         if len(visits) >= T:
@@ -292,8 +296,7 @@ def _play(seq, eta):
     _check_eta(eta)
     R = seq.returns
     T, d = R.shape
-    proj = PiProjection(d)
-    U = proj.basis
+    U = pi_basis(d)
     history = LogLossHistory(np.empty((0, d)), 1.0 / eta, capacity=T)
     plays, losses, loss_hessians = np.empty((T, d)), np.empty(T), np.empty((T, d, d))
     x = uniform_portfolio(d)
@@ -312,7 +315,7 @@ def _play(seq, eta):
             raise prefixed(exc, f"t={t + 1}: ") from exc
     ips = (R[:, None, :] @ plays[:, :, None])[:, 0]  # <x_t, r_t>, shape (T, 1)
     grads = (U @ (-R / ips)[:, :, None])[..., 0]
-    hessians = barrier_pi_hessian(plays, eta, proj) + U @ loss_hessians @ U.T
+    hessians = barrier_pi_hessian(plays, eta, U) + U @ loss_hessians @ U.T
     return LbftrlRun(**vars(seq), plays=plays, losses=losses, terms=stability_term(grads, hessians), eta=eta)
 
 

@@ -240,6 +240,10 @@ def prefixed(exc, prefix):
     return type(exc)(f"{prefix}{exc}")
 
 
+#: Errors a round may raise: a run raises them again with :func:`prefixed`, the command line prints them in one line.
+ROUND_ERRORS = (SolverFailure, ArithmeticError, ValueError)
+
+
 # -- shared damped-Newton driver ----------------------------------------------
 
 def _armijo(fval, x, step_dir, slope, s0):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .geometry import BETA_MAX, InvalidReturnsError, log_loss_and_gradient, normalize_returns, uniform_portfolio
 from .geometry import log_loss  # noqa: F401  (no longer called here; bench/tracer.py still wraps vector.log_loss)
-from .solver import QuadraticObjective, SolverFailure, default_tol, minimize_simplex, prefixed
+from .solver import ROUND_ERRORS, QuadraticObjective, default_tol, minimize_simplex, prefixed
 
 ETA_CAP = 1.0 / 63.0
 _REL_SLACK = 1.0 + 1e-12
@@ -336,7 +336,7 @@ def run_epochs(domain, stream, params, rng=None, tol=None, monitor=False, keep_s
         result.plays[t - 1] = x_old
         try:
             state, out = domain.round(state, r, params, tol=tol)
-        except (SolverFailure, ArithmeticError, ValueError) as exc:
+        except ROUND_ERRORS as exc:
             ends = np.flatnonzero(result.resets[:t - 1]) + 1  # the rounds that ended an epoch so far
             tau = t - ends[-1] if ends.size else t
             raise prefixed(exc, f"t={t} (epoch {ends.size + 1}, tau {tau}): ") from exc

@@ -7,7 +7,6 @@ from bisons.geometry import (
     BETA_MAX,
     InfiniteLossError,
     InvalidReturnsError,
-    PiProjection,
     build_surrogate,
     log_loss,
     normalize_returns,
@@ -208,40 +207,3 @@ class TestLowerSurrogate:
             s = build_surrogate(x_t, r, rng.uniform(0.01, BETA_MAX))
             x = random_simplex(rng, d, floor=1e-6)
             assert s.lower_hat_h(float(np.dot(x, r))) <= log_loss(x, r) + 1e-12
-
-
-class TestPiProjection:
-    def test_center_maps_to_zero(self):
-        for d in (2, 3, 5, 8):
-            proj = PiProjection(d)
-            assert np.abs(proj.project(uniform_portfolio(d))).max() <= 1e-12
-
-    def test_zero_lifts_to_center(self):
-        proj = PiProjection(4)
-        x, inside = proj.lift(np.zeros(3))
-        assert inside
-        assert np.allclose(x, uniform_portfolio(4), atol=1e-14)
-
-    def test_basis_orthonormal_and_orthogonal_to_center(self):
-        for d in (2, 3, 6):
-            proj = PiProjection(d)
-            gram = proj.basis @ proj.basis.T
-            assert np.abs(gram - np.eye(d - 1)).max() <= 1e-10
-            assert np.abs(proj.basis @ proj.center).max() <= 1e-12
-
-    def test_round_trip_on_random_points(self):
-        rng = np.random.default_rng(15)
-        for d in (2, 3, 5):
-            proj = PiProjection(d)
-            worst = 0.0
-            for _ in range(100):
-                x = random_simplex(rng, d)
-                y, _ = proj.lift(proj.project(x))
-                worst = max(worst, float(np.abs(y - x).max()))
-            assert worst <= 1e-10
-
-    def test_outside_points_flagged(self):
-        proj = PiProjection(3)
-        v = proj.project(np.array([1.5, -0.25, -0.25]))
-        x, inside = proj.lift(v)
-        assert not inside

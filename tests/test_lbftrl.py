@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bisons import lbftrl
-from bisons.geometry import InfiniteLossError, PiProjection, uniform_portfolio
+from bisons.geometry import InfiniteLossError, uniform_portfolio
 from bisons.lbftrl import (
     AdversaryPlan,
     InfeasibleMovementError,
@@ -16,6 +18,7 @@ from bisons.lbftrl import (
     grad_pi_objective,
     lbftrl_play,
     move_to_x,
+    pi_basis,
     pull_to_center,
     regret_vs_next_iterate,
     run_lbftrl,
@@ -23,6 +26,35 @@ from bisons.lbftrl import (
     validate_target_sequence_exact,
 )
 from bisons.solver import LogLossHistory, minimize_simplex_history
+
+
+class TestPiBasis:
+    def test_rows_orthonormal_and_orthogonal_to_ones(self):
+        for d in (2, 3, 6):
+            U = pi_basis(d)
+            assert U.shape == (d - 1, d)
+            assert np.abs(U @ U.T - np.eye(d - 1)).max() <= 1e-10
+            assert np.abs(U @ np.ones(d)).max() <= 1e-12
+
+    def test_center_maps_to_zero(self):
+        for d in (2, 3, 5, 8):
+            assert np.abs(pi_basis(d) @ uniform_portfolio(d)).max() <= 1e-12
+
+    def test_lift_of_projection_is_identity_on_the_simplex(self):
+        rng = np.random.default_rng(15)
+        for d in (2, 3, 5):
+            U = pi_basis(d)
+            X = rng.dirichlet(np.ones(d), size=100)
+            assert np.abs((X @ U.T) @ U + 1.0 / d - X).max() <= 1e-10
+
+    def test_cached_and_read_only(self):
+        assert pi_basis(4) is pi_basis(4)
+        with pytest.raises(ValueError, match="read-only"):
+            pi_basis(4)[0, 0] = 1.0
+
+    def test_dimension_below_two_rejected(self):
+        with pytest.raises(ValueError, match="^need dimension >= 2$"):
+            pi_basis(1)
 
 
 class TestLbftrlPlay:
@@ -132,11 +164,6 @@ class TestPullToCenter:
         out = pull_to_center(np.array([1.0, 0.0]), 0, plan)
         assert np.allclose(out, [0.95, 0.05], atol=1e-15)
 
-    def test_layer_out_of_range(self):
-        plan = AdversaryPlan.build(2, 10_000, 0.5)
-        with pytest.raises(ValueError):
-            pull_to_center(np.array([0.5, 0.5]), plan.layer_count + 1, plan)
-
     def test_on_target_inner_products(self):
         # <t^(s), o^(s')> = (1 - c_s c_s') / d for every layer pair
         plan = AdversaryPlan.build(3, 10_000, 0.5)
@@ -149,64 +176,81 @@ class TestPullToCenter:
 
 
 class TestMoveToX:
-    def test_zero_gradient_returns_center(self):
-        proj = PiProjection(3)
-        r = move_to_x(uniform_portfolio(3), np.zeros(2), 10_000, proj)
-        assert np.allclose(r, 1.0 / 3.0, atol=1e-15)
-
     def test_projected_norm_cap(self):
         rng = np.random.default_rng(0)
-        proj = PiProjection(3)
+        U = pi_basis(3)
         T = 10_000
         for _ in range(100):
             g = rng.normal(size=2) * 10.0 ** rng.integers(-3, 4)
             tgt = rng.dirichlet(np.ones(3))
-            r = move_to_x(tgt, g, T, proj)
+            r = move_to_x(U @ tgt, g, T, U)
             assert (r >= 0.0).all()
-            assert np.linalg.norm(proj.project(r)) <= T**-0.5 + 1e-15
+            assert np.linalg.norm(U @ r) <= T**-0.5 + 1e-15
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(d=st.integers(2, 6), T=st.integers(1, 10**5), data=st.data())
+    def test_return_is_a_capped_simplex_point_or_raises(self, d, T, data):
+        U = pi_basis(d)
+        weights = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=d, max_size=d))
+        tgt = np.array(weights) / sum(weights)
+        g = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=d - 1, max_size=d - 1)))
+        if not np.linalg.norm(g) > 1e-12:
+            g[0] = 1e-6
+        try:
+            r = move_to_x(U @ tgt, g, T, U)
+        except InfeasibleMovementError:
+            return
+        assert (r >= 0.0).all()
+        assert abs(r.sum() - 1.0) <= 1e-12
+        assert np.linalg.norm(U @ r) <= T**-0.5 + 1e-15
 
     def test_finishing_cap_zeroes_target_gradient(self):
         # small gradient: the finishing factor binds and one movement return
         # cancels the accumulated gradient at the target exactly
-        proj = PiProjection(3)
+        U = pi_basis(3)
         eta = 1.0
         T = 10_000
         tgt = np.array([0.5, 0.3, 0.2])
         hist = np.empty((0, 3))
-        g0 = grad_pi_objective(tgt, hist, eta, proj)
+        g0 = grad_pi_objective(tgt, hist, -1.0 / (eta * tgt), U)
         scaled = g0 * 1e-3 / np.linalg.norm(g0)  # pretend a small residual gradient
-        r = move_to_x(tgt, scaled, T, proj)
+        r = move_to_x(U @ tgt, scaled, T, U)
         # post-return gradient contribution: -Pi r / <tgt, r> must equal -scaled
-        contrib = -proj.project(r) / float(tgt @ r)
+        contrib = -(U @ r) / float(tgt @ r)
         assert np.abs(contrib + scaled).max() <= 1e-12
 
     def test_return_leaving_the_simplex_raises(self):
         # T = 1 lets the norm cap allow a unit projected step, longer than the
         # sqrt(2/3) from the centre to a vertex; <g, Pi target> >= 1 leaves
         # the finishing cap inactive
-        proj = PiProjection(3)
-        tgt = np.array([1.0, 0.0, 0.0])
-        u = proj.project(tgt)
+        U = pi_basis(3)
+        u = U @ np.array([1.0, 0.0, 0.0])
         g = 2.0 * u / np.linalg.norm(u)
         with pytest.raises(InfeasibleMovementError, match="left the simplex"):
-            move_to_x(tgt, g, 1, proj)
+            move_to_x(u, g, 1, U)
+
+    def test_a_nan_return_raises(self):
+        U = pi_basis(3)
+        with pytest.raises(InfeasibleMovementError, match=r"left the simplex \(min entry nan\)"):
+            move_to_x(U @ uniform_portfolio(3), np.array([math.nan, 1.0]), 10_000, U)
 
     def test_termination_bound_on_instrumented_pin(self):
         # steer a fresh objective (barrier only) onto a pulled-in target and
         # count movement steps against 2 sqrt(T) ||grad|| / d + 1
         d, T, eta = 3, 10_000, 1.0
         plan = AdversaryPlan.build(d, T, 0.5)
-        proj = PiProjection(d)
+        U = pi_basis(d)
         tgt = pull_to_center(plan.targets[0][0], 0, plan)
+        barrier_grad = -1.0 / (eta * tgt)
         hist = []
-        g0 = grad_pi_objective(tgt, np.array(hist), eta, proj)
+        g0 = grad_pi_objective(tgt, np.empty((0, d)), barrier_grad, U)
         bound = 2.0 * math.sqrt(T) * float(np.linalg.norm(g0)) / d + 1.0
         steps = 0
         while True:
-            g = grad_pi_objective(tgt, np.array(hist) if hist else np.empty((0, d)), eta, proj)
+            g = grad_pi_objective(tgt, np.array(hist) if hist else np.empty((0, d)), barrier_grad, U)
             if float(np.linalg.norm(g)) <= 1e-12:
                 break
-            hist.append(move_to_x(tgt, g, T, proj))
+            hist.append(move_to_x(U @ tgt, g, T, U))
             steps += 1
             assert steps <= bound + 1
         assert steps <= bound
@@ -214,58 +258,55 @@ class TestMoveToX:
 
 class TestStabilityTerm:
     def test_uniform_return_gives_zero(self):
-        proj = PiProjection(3)
+        U = pi_basis(3)
         x = np.array([0.2, 0.5, 0.3])
-        grad = proj.project(-uniform_portfolio(3) / float(x @ uniform_portfolio(3)))
-        H = assemble_pi_hessian(x, np.array([uniform_portfolio(3)]), 1.0, proj)
+        grad = U @ (-uniform_portfolio(3) / float(x @ uniform_portfolio(3)))
+        H = assemble_pi_hessian(x, np.array([uniform_portfolio(3)]), 1.0, U)
         assert stability_term(grad, H) <= 1e-20
 
     def test_matches_finite_difference_hessian(self):
         # t = 1, d = 2: Hessian of the chart objective by central differences
-        proj = PiProjection(2)
+        U = pi_basis(2)
         eta = 0.7
         r = np.array([0.8, 0.2])
         x = np.array([0.45, 0.55])
         hist = np.array([r])
 
         def chart_value(v):
-            y, _ = proj.lift(v)
+            y = U.T @ v + 0.5
             return float(-np.log(hist @ y).sum() - (1.0 / eta) * np.log(y).sum())
 
-        v0 = proj.project(x)
+        v0 = U @ x
         h = 1e-5
         fd = (chart_value(v0 + h) - 2.0 * chart_value(v0) + chart_value(v0 - h)) / (h * h)
-        H = assemble_pi_hessian(x, hist, eta, proj)
+        H = assemble_pi_hessian(x, hist, eta, U)
         assert H[0, 0] == pytest.approx(fd, rel=1e-6)
-        grad = proj.project(-r / float(x @ r))
+        grad = U @ (-r / float(x @ r))
         assert stability_term(grad, H) == pytest.approx(float(grad @ grad) / fd, rel=1e-6)
 
     def test_invariant_to_basis_rotation(self):
         rng = np.random.default_rng(1)
         d = 4
-        proj = PiProjection(d)
+        U = pi_basis(d)
         theta = 0.6
         rot = np.eye(d - 1)
         rot[:2, :2] = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-        proj_rot = PiProjection(d)
-        proj_rot.basis = rot @ proj.basis
+        U_rot = rot @ U
         hist = rng.dirichlet(np.ones(d), size=6)
         x = rng.dirichlet(np.ones(d)) * 0.9 + 0.025
         r = hist[-1]
-        t1 = stability_term(proj.project(-r / float(x @ r)),
-                            assemble_pi_hessian(x, hist, 1.3, proj))
-        t2 = stability_term(proj_rot.project(-r / float(x @ r)),
-                            assemble_pi_hessian(x, hist, 1.3, proj_rot))
+        t1 = stability_term(U @ (-r / float(x @ r)), assemble_pi_hessian(x, hist, 1.3, U))
+        t2 = stability_term(U_rot @ (-r / float(x @ r)), assemble_pi_hessian(x, hist, 1.3, U_rot))
         assert abs(t1 - t2) <= 1e-10
 
     @pytest.mark.parametrize("d", range(2, 6))
     def test_stack_equals_each_term_alone(self, d):
         rng = np.random.default_rng(40 + d)
-        proj = PiProjection(d)
+        U = pi_basis(d)
         hist = rng.dirichlet(np.ones(d), size=50)
         X = rng.dirichlet(np.ones(d), size=50) * 0.9 + 0.1 / d
-        grads = np.array([proj.project(-r / float(x @ r)) for x, r in zip(X, hist)])
-        hessians = np.array([assemble_pi_hessian(x, hist[: t + 1], 0.7, proj) for t, x in enumerate(X)])
+        grads = np.array([U @ (-r / float(x @ r)) for x, r in zip(X, hist)])
+        hessians = np.array([assemble_pi_hessian(x, hist[: t + 1], 0.7, U) for t, x in enumerate(X)])
         alone = np.array([float(g @ np.linalg.solve(H, g)) for g, H in zip(grads, hessians)])
         assert stability_term(grads, hessians).tobytes() == alone.tobytes()
         assert np.array([stability_term(g, H) for g, H in zip(grads, hessians)]).tobytes() == alone.tobytes()
@@ -283,11 +324,11 @@ class TestGenerateAndRun:
         assert len(res.returns) <= 10_000
         # every round is a movement return or a pulled outcome, nothing else
         T = 10_000
-        proj = PiProjection(2)
+        U = pi_basis(2)
         for visit, r, flag in zip(res.visits, res.returns, res.movement_flags):
             assert (visit is None) == flag
             if flag:
-                assert np.linalg.norm(proj.project(r)) <= T**-0.5 + 1e-15
+                assert np.linalg.norm(U @ r) <= T**-0.5 + 1e-15
             else:
                 i, k, s = visit
                 expected = pull_to_center(plan.targets[i][1], s, plan)
@@ -301,13 +342,13 @@ class TestGenerateAndRun:
         # movement rounds contribute at most d^2/T/(1 - d T^{-1/2})^2 each to
         # the Hessian trace at any fixed target, so their total stays O(d^2)
         plan, res = d2_bad_run
-        proj = PiProjection(2)
+        U = pi_basis(2)
         d, T = 2, 10_000
         cap = d * d / T / (1.0 - d * T**-0.5) ** 2
         movement = res.returns[res.movement_flags]
         for t, _ in plan.targets:
             tgt = pull_to_center(t, 0, plan)
-            g = (movement @ proj.basis.T) / (movement @ tgt)[:, None]
+            g = (movement @ U.T) / (movement @ tgt)[:, None]
             contributions = (g * g).sum(axis=1)
             assert contributions.max() <= cap * (1.0 + 1e-9)
             assert contributions.sum() <= cap * len(movement) * (1.0 + 1e-9)
@@ -323,16 +364,16 @@ class TestGenerateAndRun:
         assert reg >= 0.5 * c2 * terms.sum() - 1e-6 * T
 
         # upper side with the measured curvature ratio along the trajectory
-        proj = PiProjection(d)
+        U = pi_basis(d)
         plays = np.vstack([res.plays, x_next])
         c1_hat = 1.0
         for t in range(T):
-            H_t = assemble_pi_hessian(plays[t], R[: t + 1], eta, proj)
+            H_t = assemble_pi_hessian(plays[t], R[: t + 1], eta, U)
             L = np.linalg.cholesky(H_t)
             Li = np.linalg.inv(L)
             for lam in (0.25, 0.5, 0.75, 1.0):
                 xbar = (1.0 - lam) * plays[t] + lam * plays[t + 1]
-                Hbar = assemble_pi_hessian(xbar, R[: t + 1], eta, proj)
+                Hbar = assemble_pi_hessian(xbar, R[: t + 1], eta, U)
                 c1_hat = max(c1_hat, float(np.linalg.eigvalsh(Li @ Hbar @ Li.T).max()))
         barrier = lambda x: -float(np.log(x).sum())
         upper = 0.5 * c1_hat * terms.sum() + (1.0 / eta) * (barrier(x_next) - barrier(res.plays[0]))
@@ -425,13 +466,13 @@ def _assert_matches_one_shot(monkeypatch, play, eta):
     assert len(calls) == 1
     hessians = calls[0]
     assert hessians.shape == (len(R), d - 1, d - 1)
-    proj = PiProjection(d)
+    U = pi_basis(d)
     prev = None
     for t in range(1, len(R) + 1):
         x = res.plays[t - 1]
         ref = minimize_simplex_history(R[: t - 1], 1.0 / eta, warm_start=prev).minimizer
         assert np.abs(x - ref).max() <= 1e-9
-        H_ref = assemble_pi_hessian(x, R[:t], eta, proj)
+        H_ref = assemble_pi_hessian(x, R[:t], eta, U)
         H = hessians[t - 1]
         assert np.abs(H - H_ref).max() <= 1e-10 * np.abs(H_ref).max()
         prev = x
