@@ -2,9 +2,9 @@
 
 Each criterion is a function returning (passed, detail); ``run_checks``
 times each call and fails a criterion that overruns its ``BUDGET_S`` entry.
-Criteria 2, 3, 5 and 6 also feed the per-round stability monitors whose
-aggregate feeds criterion 7.  Criterion 1 also checks the surrogate that a
-round builds.  Everything is seeded and deterministic.
+Criteria 2, 3, 5 and 6 feed their runs' stability-monitor violations to
+criterion 7; criterion 12 checks its own.  Criterion 1 also checks the
+surrogate that a round builds.  Everything is seeded and deterministic.
 """
 
 import math
@@ -97,7 +97,7 @@ def check_bisons_regret(ctx):
         for adversary in ("iid-dirichlet", "single-asset-crash"):
             for seed in range(20):
                 R = adversary_returns(adversary, d, T, seed)
-                res = run_bisons(R, params, monitor=True)
+                res = run_bisons(R, params)
                 violations += len(res.violations)
                 _, best = best_crp(R)
                 regret = float(res.losses.sum()) - best
@@ -130,7 +130,7 @@ def check_epoch_nonpositivity(ctx):
     violations = 0
     for seed in range(5):
         R = adversary_returns("single-asset-crash", d, T, seed)
-        res = run_bisons(R, params, monitor=True)
+        res = run_bisons(R, params)
         violations += len(res.violations)
         if not res.reset_times:
             return False, f"seed {seed}: crash run triggered no reset"
@@ -173,12 +173,11 @@ def check_p_update(ctx):
 
 # -- criteria 5 and 12 -----------------------------------------------------------
 
-def _diagonal_runs(R, params, monitor):
+def _diagonal_runs(R, params):
     """BISONS on R and Q-BISONS on its diagonal embedding, with the same parameters, and over all
     rounds the largest gap between the diagonals of their plays and the largest off-diagonal modulus."""
-    res_v = run_bisons(R, params, monitor=monitor)
-    res_q = run_qbisons([np.diag(r).astype(complex) for r in R], QBisonsParams(**asdict(params)).validate(),
-                        monitor=monitor)
+    res_v = run_bisons(R, params)
+    res_q = run_qbisons([np.diag(r).astype(complex) for r in R], QBisonsParams(**asdict(params)).validate())
     diagonals = np.diagonal(res_q.plays, axis1=1, axis2=2)
     off_diagonal = res_q.plays - diagonals[:, :, None] * np.eye(params.d)
     return res_v, res_q, float(np.abs(diagonals.real - res_v.plays).max()), float(np.abs(off_diagonal).max())
@@ -187,7 +186,7 @@ def _diagonal_runs(R, params, monitor):
 def check_diagonal_equivalence(ctx):
     d, T = 3, 990
     R = derive_rng(105, "accept:diag-equivalence").dirichlet(np.ones(d), size=T)
-    res_v, res_q, gap, off = _diagonal_runs(R, default_params(d, T), monitor=True)
+    res_v, res_q, gap, off = _diagonal_runs(R, default_params(d, T))
     worst = max(gap, off)
     same_resets = res_v.reset_times == res_q.reset_times
     violations = len(res_v.violations) + len(res_q.violations)
@@ -199,10 +198,13 @@ def check_diagonal_equivalence(ctx):
 
 def check_diagonal_equivalence_resets(ctx):
     R = adversary_returns("single-asset-crash", 2, 1000, 0)
-    res_v, res_q, gap, off = _diagonal_runs(R, BisonsParams(d=2, T=1000, **CRASH_OVERRIDE).validate(), monitor=False)
-    passed = res_v.reset_times == res_q.reset_times and len(res_v.reset_times) > 0 and gap <= 1e-12 and off == 0.0
+    res_v, res_q, gap, off = _diagonal_runs(R, BisonsParams(d=2, T=1000, **CRASH_OVERRIDE).validate())
+    violations = len(res_v.violations) + len(res_q.violations)
+    passed = (res_v.reset_times == res_q.reset_times and len(res_v.reset_times) > 0 and gap <= 1e-12 and off == 0.0
+              and violations == 0)
     return passed, (f"d=2 T=1000 crash run: reset times {res_v.reset_times} vs {res_q.reset_times} (equal, nonempty "
-                    f"required), max diagonal gap {gap:.2e} (<= 1e-12), max off-diagonal modulus {off:.2e} (0 required)")
+                    f"required), max diagonal gap {gap:.2e} (<= 1e-12), max off-diagonal modulus {off:.2e} "
+                    f"(0 required), monitor violations {violations}")
 
 
 # -- criterion 6 -----------------------------------------------------------------
@@ -215,7 +217,7 @@ def check_qbisons_regret(ctx):
     params = q_default_params(d, T)
     for seed in range(20):
         stream = measurement_stream(d, T, seed)
-        res = run_qbisons(stream, params, rng=derive_rng(seed, "accept:qbisons:reduction"), monitor=True)
+        res = run_qbisons(stream, params, rng=derive_rng(seed, "accept:qbisons:reduction"))
         violations += len(res.violations)
         _, best = best_quantum_state(res.inputs)
         regret = float(res.losses.sum()) - best
@@ -411,12 +413,12 @@ def run_checks(suite="all"):
     for number, name, fn, tags in CHECKS:
         if suite != "all" and suite not in tags:
             continue
-        start = time.time()
+        start = time.perf_counter()
         try:
             passed, detail = fn(ctx)
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        seconds = time.time() - start
+        seconds = time.perf_counter() - start
         if seconds >= BUDGET_S.get(number, math.inf):
             passed, detail = False, f"{detail}; over its {BUDGET_S[number]:g}s budget"
         results.append(CheckResult(number, name, passed, detail, seconds))

@@ -92,8 +92,8 @@ def normalize_returns(raw):
     return out.reshape(raw.shape)
 
 
-def _neg_log_inner(ip):
-    """-log ip for an inner product ip = <x, r>; raises InfiniteLossError when it vanishes."""
+def neg_log_inner(ip):
+    """-log ip for an inner product ip, <x, r> or Tr(X R); raises InfiniteLossError when it vanishes."""
     if ip < _TINY_INNER:
         raise InfiniteLossError("inner product <x, r> is zero to machine precision")
     return -math.log(ip)
@@ -101,13 +101,13 @@ def _neg_log_inner(ip):
 
 def log_loss(x, r):
     """-log<x, r>; raises InfiniteLossError when the inner product vanishes."""
-    return _neg_log_inner(float(np.dot(x, r)))
+    return neg_log_inner(float(np.dot(x, r)))
 
 
 def log_loss_and_gradient(x, r):
     """-log<x, r> and its gradient -r / <x, r>, from one inner product; raises as :func:`log_loss` does."""
     ip = float(np.dot(x, r))
-    return _neg_log_inner(ip), -r / ip
+    return neg_log_inner(ip), -r / ip
 
 
 @dataclass(frozen=True)

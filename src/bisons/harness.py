@@ -373,7 +373,7 @@ def _epoch_summary(result, params):
 def _run_bisons(config):
     R = _get_returns(config)
     params = _apply_overrides(default_params(config.d, config.T), config.overrides)
-    result = run_bisons(R, params, monitor=True)
+    result = run_bisons(R, params)
     return result.losses, result.resets, _crp_cum_loss(R), _epoch_summary(result, params), None
 
 
@@ -383,7 +383,7 @@ def _run_qbisons(config):
     else:
         stream = measurement_stream(config.d, config.T, config.seed)
     params = _apply_overrides(q_default_params(config.d, config.T), config.overrides)
-    result = run_qbisons(stream, params, rng=derive_rng(config.seed, "qbisons:reduction"), monitor=True)
+    result = run_qbisons(stream, params, rng=derive_rng(config.seed, "qbisons:reduction"))
     u_star, _ = best_quantum_state(result.inputs)
     comp_cum = np.cumsum([-math.log(v) for v in trace_inner(u_star, result.inputs)])
     return result.losses, result.resets, comp_cum, _epoch_summary(result, params), None

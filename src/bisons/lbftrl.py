@@ -216,11 +216,10 @@ def move_to_x(pi_target, grad_pi, T, U):
 
 @dataclass
 class GeneratedReturns:
-    """The adversary's sequence: one row, movement flag and visit per round."""
+    """The adversary's sequence: one row and movement flag per round."""
 
     returns: np.ndarray
     movement_flags: np.ndarray
-    visits: list  # (target index, repetition, layer) or None for movement rounds
     truncated: bool
     completed_visits: int
 
@@ -253,33 +252,29 @@ def generate_returns(plan, eta):
     _check_eta(eta)
     T = plan.T
     U = pi_basis(plan.d)
-    rows = np.empty((T, plan.d))
-    visits = []
+    rows, flags = np.empty((T, plan.d)), np.ones(T, dtype=bool)
+    n = 0  # rounds generated so far
     truncated = False
-
-    def emit(r, visit):
-        rows[len(visits)] = r
-        visits.append(visit)
-
-    for i, k, s in product(range(len(plan.targets)), range(plan.repetitions), range(plan.layer_count + 1)):
+    for i, _, s in product(range(len(plan.targets)), range(plan.repetitions), range(plan.layer_count + 1)):
         tgt, out = plan.targets[i]
         tgt_s = pull_to_center(tgt, s, plan)
         barrier_grad, pi_target = -1.0 / (eta * tgt_s), U @ tgt_s  # fixed through the visit
-        while len(visits) < T:
-            g = grad_pi_objective(tgt_s, rows[: len(visits)], barrier_grad, U)
+        while n < T:
+            g = grad_pi_objective(tgt_s, rows[:n], barrier_grad, U)
             if math.sqrt(float(g @ g)) <= TARGET_GRAD_TOL:
                 break
             try:
-                emit(move_to_x(pi_target, g, T, U), None)
+                rows[n] = move_to_x(pi_target, g, T, U)
             except ROUND_ERRORS as exc:
-                raise prefixed(exc, f"t={len(visits) + 1}: ") from exc
-        if len(visits) >= T:
+                raise prefixed(exc, f"t={n + 1}: ") from exc
+            n += 1
+        if n >= T:
             truncated = True
             break
-        emit(pull_to_center(out, s, plan), (i, k, s))
-    flags = np.array([v is None for v in visits], dtype=bool)
-    return GeneratedReturns(returns=rows[: len(visits)].copy(), movement_flags=flags, visits=visits,
-                            truncated=truncated, completed_visits=int((~flags).sum()))
+        rows[n], flags[n] = pull_to_center(out, s, plan), False
+        n += 1
+    return GeneratedReturns(returns=rows[:n].copy(), movement_flags=flags[:n], truncated=truncated,
+                            completed_visits=int((~flags[:n]).sum()))
 
 
 def _play(seq, eta):
@@ -327,8 +322,8 @@ def generate_and_run(plan, eta):
 def run_lbftrl(returns, eta):
     """Run the plain player over a fixed returns sequence, recording stability."""
     R = np.array(returns, dtype=float)
-    return _play(GeneratedReturns(returns=R, movement_flags=np.zeros(len(R), dtype=bool), visits=[None] * len(R),
-                                  truncated=False, completed_visits=0), eta)
+    return _play(GeneratedReturns(returns=R, movement_flags=np.zeros(len(R), dtype=bool), truncated=False,
+                                  completed_visits=0), eta)
 
 
 def regret_vs_next_iterate(result):

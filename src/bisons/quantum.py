@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .geometry import InvalidReturnsError, reject_first_failure
+from .geometry import neg_log_inner, reject_first_failure
 from .hermitian import (
     ConditioningError,
     Measurements,
@@ -142,10 +142,9 @@ class Spectraplex:
 
     def loss(self, X, R):
         ip = trace_inner(X, R)
-        if ip <= 0.0:
-            raise InvalidReturnsError("realized trace product is not positive")
+        loss = neg_log_inner(ip)
         G = -R / ip
-        return -math.log(ip), phi_dual(G), trace_inner(X, G)
+        return loss, phi_dual(G), trace_inner(X, G)
 
     def bias_coords(self, dP):
         return phi_dual(dP)
@@ -174,10 +173,10 @@ def qbisons_round(state, R_t, params, tol=1e-10):
     return bisons_round(state, R_t, params, tol=tol, domain=SPECTRAPLEX)
 
 
-def run_qbisons(stream, params, rng=None, monitor=False, keep_states=False):
+def run_qbisons(stream, params, rng=None, keep_states=False):
     """Run over a stack or sequence of loss matrices, or over :class:`bisons.hermitian.Measurements`.
 
     Fractional outcomes are reduced with ``rng``; a single stream serves
     the whole run, advanced once per fractional outcome.
     """
-    return run_epochs(SPECTRAPLEX, stream, params, rng=rng, monitor=monitor, keep_states=keep_states)
+    return run_epochs(SPECTRAPLEX, stream, params, rng=rng, keep_states=keep_states)

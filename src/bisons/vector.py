@@ -307,7 +307,7 @@ class RunResult:
         return (np.flatnonzero(self.resets) + 1).tolist()
 
 
-def run_epochs(domain, stream, params, rng=None, tol=None, monitor=False, keep_states=False):
+def run_epochs(domain, stream, params, rng=None, tol=None, keep_states=False):
     """Run the epoch scheme on ``domain`` over a sequence of raw inputs.
 
     The whole sequence is ingested (with ``rng``, in sequence order) before
@@ -315,14 +315,15 @@ def run_epochs(domain, stream, params, rng=None, tol=None, monitor=False, keep_s
     its round.  An error a round raises (a solver failure, an arithmetic
     error such as a vanishing inner product, or a ValueError) is raised
     again as its own type, its message prefixed with the round, epoch and
-    internal time, and the original as its cause.
+    internal time, and the original as its cause.  The domain's stability
+    monitor checks every round; the result keeps its violations.
     """
     params.validate()
     if tol is None:
         tol = default_tol(params.T)
     if len(stream) > params.T:
         raise ValueError(f"stream longer than the horizon T={params.T}")
-    mon = domain.monitor(params) if monitor else None
+    mon = domain.monitor(params)
     state = initial_state(params, domain=domain)
     x = state.x_cur
     try:
@@ -341,16 +342,14 @@ def run_epochs(domain, stream, params, rng=None, tol=None, monitor=False, keep_s
             tau = t - ends[-1] if ends.size else t
             raise prefixed(exc, f"t={t} (epoch {ends.size + 1}, tau {tau}): ") from exc
         result.losses[t - 1], result.resets[t - 1] = out.loss, out.reset_triggered
-        if mon is not None:
-            mon.observe(t, x_old, u_old, p_old, *out.solution)
+        mon.observe(t, x_old, u_old, p_old, *out.solution)
         if keep_states:
             result.states.append(out.solution)
-    if mon is not None:
-        mon.flush()
-        result.violations = mon.violations
+    mon.flush()
+    result.violations = mon.violations
     return result
 
 
-def run_bisons(returns, params, tol=None, monitor=False, keep_states=False):
+def run_bisons(returns, params, tol=None, keep_states=False):
     """Run the algorithm over a sequence of returns vectors, normalized before round 1."""
-    return run_epochs(SIMPLEX, returns, params, tol=tol, monitor=monitor, keep_states=keep_states)
+    return run_epochs(SIMPLEX, returns, params, tol=tol, keep_states=keep_states)

@@ -5,6 +5,7 @@ subcommand exercises exactly the same code.  One pass/fail line prints per
 criterion.
 """
 
+import math
 import time
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from bisons import checks
 from bisons.checks import run_checks
 from bisons.solver import QuadraticObjective
+from bisons.vector import MONITOR_CHUNK, StabilityMonitor
 
 _RESULTS = None
 
@@ -67,3 +69,18 @@ def test_criterion_1_sees_a_round_surrogate_with_the_wrong_linear_term(monkeypat
     passed, detail = checks.check_lower_surrogate({})
     assert not passed
     assert float(detail.rsplit(" ", 1)[1]) > 1.0, detail
+
+
+def test_criterion_12_fails_when_its_runs_monitor_fires(monkeypatch):
+    # each chunk's first round fails its first check, on both the simplex and the spectraplex run
+    failed = StabilityMonitor._failed
+
+    def mutant(self, *stacks):
+        mask = failed(self, *stacks)
+        mask[0, 0] = True
+        return mask
+
+    monkeypatch.setattr(StabilityMonitor, "_failed", mutant)
+    passed, detail = checks.check_diagonal_equivalence_resets({})
+    assert passed is False
+    assert detail.endswith(f", monitor violations {2 * math.ceil(1000 / MONITOR_CHUNK)}"), detail

@@ -23,7 +23,7 @@ def _digests(obj, *names):
 
 def test_bisons_d10_run():
     rows = np.random.default_rng(17).dirichlet(np.ones(10), size=2000)
-    result = run_bisons(rows, default_params(10, 11_000), monitor=True)
+    result = run_bisons(rows, default_params(10, 11_000))
     assert not result.violations
     assert _digests(result, "plays", "losses", "resets") == {
         "plays": "d1697f26298c30cdad49bed6fe349006172605ebda7d3c5c693a6a524ccf055e",

@@ -5,7 +5,7 @@ import pytest
 
 import bisons.quantum as quantum
 from bisons.checks import CRASH_OVERRIDE
-from bisons.geometry import InvalidReturnsError
+from bisons.geometry import InfiniteLossError, InvalidReturnsError
 from bisons.harness import adversary_returns, derive_rng, load_measurements, measurement_stream
 from bisons.hermitian import (
     ConditioningError,
@@ -30,7 +30,7 @@ from bisons.quantum import (
     run_qbisons,
 )
 from bisons.solver import SolverFailure
-from bisons.vector import BisonsParams, check_reset, default_params, initial_state, run_bisons, update_bias
+from bisons.vector import SIMPLEX, BisonsParams, check_reset, default_params, initial_state, run_bisons, update_bias
 
 
 class TestQDefaultParams:
@@ -132,7 +132,7 @@ class TestQBisonsRound:
     def test_maximally_mixed_stream_is_stationary(self):
         params = q_default_params(2, 440)
         mats = [np.eye(2, dtype=complex) / 2] * 100
-        res = run_qbisons(mats, params, monitor=True)
+        res = run_qbisons(mats, params)
         assert np.allclose(res.losses, math.log(2.0), atol=1e-12)
         assert res.reset_times == []
         assert res.violations == []
@@ -180,7 +180,7 @@ class TestRunQBisons:
     def test_monitors_clean_on_measurement_stream(self):
         params = q_default_params(2, 440)
         stream = measurement_stream(2, 120, seed=5)
-        res = run_qbisons(stream, params, rng=derive_rng(5, "reduction"), monitor=True)
+        res = run_qbisons(stream, params, rng=derive_rng(5, "reduction"))
         assert res.violations == []
         assert len(res.losses) == len(res.plays) == 120
 
@@ -204,6 +204,16 @@ class TestRunQBisons:
         params = q_default_params(2, 440)
         with pytest.raises(InvalidReturnsError, match="finite"):
             run_qbisons([np.eye(2, dtype=complex), R], params)
+
+    def test_vanishing_loss_raises_as_on_the_simplex(self):
+        # <x, r> = 1e-301 lies below the simplex's 1e-300 floor; the spectraplex applies the same rule
+        x, r = np.array([1e-301, 1.0]), np.array([1.0, 0.0])
+        with pytest.raises(InfiniteLossError) as simplex:
+            SIMPLEX.loss(x, r)
+        with pytest.raises(InfiniteLossError) as spectraplex:
+            SPECTRAPLEX.loss(np.diag(x).astype(complex), np.diag(r).astype(complex))
+        assert type(spectraplex.value) is type(simplex.value)
+        assert str(spectraplex.value) == str(simplex.value)
 
     def test_rejected_matrix_names_its_round(self):
         R = np.array([[math.inf, 0.0], [0.0, 1.0]], dtype=complex)
@@ -310,9 +320,9 @@ def crash_diagonal_runs():
     """BISONS and Q-BISONS on the diagonal embedding of a crash sequence that resets."""
     d, T = 2, 1000
     R = adversary_returns("single-asset-crash", d, T, 0)
-    res_v = run_bisons(R, BisonsParams(d=d, T=T, **CRASH_OVERRIDE).validate(), monitor=True)
+    res_v = run_bisons(R, BisonsParams(d=d, T=T, **CRASH_OVERRIDE).validate())
     params_q = QBisonsParams(d=d, T=T, **CRASH_OVERRIDE).validate()
-    res_q = run_qbisons([np.diag(r).astype(complex) for r in R], params_q, monitor=True)
+    res_q = run_qbisons([np.diag(r).astype(complex) for r in R], params_q)
     return R, params_q, res_v, res_q
 
 
@@ -337,7 +347,7 @@ class TestQBisonsResets:
             return update(P, X)
 
         monkeypatch.setattr(quantum, "q_update_bias", spy)
-        res = run_qbisons([V @ np.diag(r).astype(complex) @ V.conj().T for r in R], params_q, monitor=True)
+        res = run_qbisons([V @ np.diag(r).astype(complex) @ V.conj().T for r in R], params_q)
         assert len(diagonal_plays) == len(R) and not any(diagonal_plays)
         assert res.reset_times == [729]
         assert res.violations == []

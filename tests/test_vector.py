@@ -173,7 +173,7 @@ class TestBisonsRound:
     def test_uniform_returns_are_stationary(self):
         params = default_params(2, 440)
         r = np.array([0.5, 0.5])
-        res = run_bisons([r] * 100, params, monitor=True)
+        res = run_bisons([r] * 100, params)
         assert np.allclose(res.losses, math.log(2.0), atol=1e-12)
         assert res.reset_times == []
         assert res.violations == []
@@ -211,7 +211,7 @@ class TestBisonsRound:
     def test_crash_sequence_triggers_reset(self):
         params = crash_params()
         R = adversary_returns("single-asset-crash", 2, 1000, 0)
-        res = run_bisons(R, params, monitor=True)
+        res = run_bisons(R, params)
         assert len(res.reset_times) >= 1
         assert res.reset_times[0] < 1000
         assert res.violations == []
@@ -282,7 +282,7 @@ class TestRunBisons:
     def test_monitors_clean_on_random_run(self):
         params = default_params(3, 990)
         R = adversary_returns("iid-dirichlet", 3, 300, 7)
-        res = run_bisons(R, params, monitor=True)
+        res = run_bisons(R, params)
         assert res.violations == []
 
     def test_bias_range_and_monotonicity(self):
@@ -437,7 +437,7 @@ class TestMonitorChunks:
             return 1e7 * update(P, X) if calls[0] == 300 else update(P, X)
 
         monkeypatch.setattr(module, name, spoil_last)
-        _, _, res = crash_run(domain_name, 300, monitor=True)
+        _, _, res = crash_run(domain_name, 300)
         assert res.violations == ["t=300: bias grew faster than 1+6eta", "t=300: bias above T^2",
                                   "t=300: bias increment norm above play increment norm"]
 
@@ -454,7 +454,7 @@ class TestRoundErrors:
     @pytest.mark.parametrize("domain_name, owner, name, spoil, error", [
         ("simplex", vector, "log_loss_and_gradient", lambda x, r: (x, 0.0 * r), InfiniteLossError),
         ("simplex", vector, "update_bias", lambda p, x: (p, 0.0 * x), ValueError),
-        ("spectraplex", quantum.Spectraplex, "loss", lambda self, X, R: (self, X, 0.0 * R), InvalidReturnsError),
+        ("spectraplex", quantum.Spectraplex, "loss", lambda self, X, R: (self, X, 0.0 * R), InfiniteLossError),
         ("spectraplex", quantum, "q_update_bias", lambda P, X: (P, SINGULAR_PLAY), ConditioningError),
     ], ids=["infinite-loss", "bias-update", "trace-product", "conditioning"])
     def test_error_names_its_round(self, monkeypatch, domain_name, owner, name, spoil, error):
