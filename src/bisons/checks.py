@@ -359,7 +359,7 @@ def check_solver_oracles(ctx):
 
     # spectraplex linear objective vs eigenvalue/rotation sweep
     obj_q = QuadraticObjective.zeros(4, 1.0)
-    obj_q.add_linear(phi_dual(np.diag([-1.0, 0.0]).astype(complex)))
+    obj_q.lin += phi_dual(np.diag([-1.0, 0.0]).astype(complex))
     rep_q = minimize_spectraplex(obj_q, tol=1e-12)
 
     def qval(X):

@@ -115,15 +115,11 @@ class SurrogateQuad:
     """Quadratic surrogate of one round's log loss, anchored at the played point.
 
     anchor_value  f(x_t)
-    anchor_grad   g = -r / <x_t, r>
-    anchor_point  x_t
     anchor_reward y_t = <x_t, r>
     curvature     beta in (0, sqrt(2)-1]
     """
 
     anchor_value: float
-    anchor_grad: np.ndarray
-    anchor_point: np.ndarray
     anchor_reward: float
     curvature: float
 
@@ -161,8 +157,6 @@ def build_surrogate(x_t, r_t, beta):
         raise InfiniteLossError("anchor reward <x_t, r_t> is zero to machine precision")
     return SurrogateQuad(
         anchor_value=-math.log(y),
-        anchor_grad=-r_t / y,
-        anchor_point=x_t,
         anchor_reward=y,
         curvature=float(beta),
     )

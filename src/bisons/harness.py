@@ -279,8 +279,8 @@ class ExperimentConfig:
             try:
                 if key not in types:
                     overrides[key] = float(value)
-                elif types[key] is bool:
-                    kwargs[key] = str(value).lower() in ("1", "true", "yes")
+                elif types[key] is bool:  # index raises ValueError for a word that is neither false nor true
+                    kwargs[key] = ("0", "false", "no", "1", "true", "yes").index(str(value).lower()) >= 3
                 else:
                     kwargs[key] = types[key](value)
             except ValueError:

@@ -52,22 +52,25 @@ def trace_inner(X, Y):
     return v.real if v.ndim else float(v.real)
 
 
-def positive_part(M):
-    """Zero out the negative eigenvalues of a Hermitian matrix.
+def rebuild(V, w):
+    """The Hermitian matrix V diag(w) V^H, or the stack of them over (..., d, d) V and (..., d) w."""
+    return hermitize((V * w[..., None, :]) @ V.conj().swapaxes(-1, -2))
 
-    Eigenvalues in (-1e-12, 0) are treated as exact zeros so roundoff noise
-    cannot inflate the rank of M_+ - M.
+
+def positive_part(M):
+    """The positive part of Hermitian M, or of each slice of a (..., d, d) stack.
+
+    Every eigenvalue <= 0 is set to exactly zero and every positive one is
+    kept; there is no tolerance.
     """
     w, V = np.linalg.eigh(hermitize(np.asarray(M, dtype=complex)))
-    w = np.where(w > 0.0, w, 0.0)
-    return hermitize((V * w) @ V.conj().T)
+    return rebuild(V, np.where(w > 0.0, w, 0.0))
 
 
 def sqrt_psd(M):
     """The PSD square root of M, or of each slice of a (..., d, d) stack."""
     w, V = np.linalg.eigh(hermitize(np.asarray(M, dtype=complex)))
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return hermitize((V * w[..., None, :]) @ V.conj().swapaxes(-1, -2))
+    return rebuild(V, np.sqrt(np.clip(w, 0.0, None)))
 
 
 def a_norm(W, A):
@@ -233,6 +236,7 @@ def reduce_measurement(meas, rng=None):
 
 
 # -- random generation helpers ----------------------------------------------
+# The random matrices draw their unitary, then their spectrum (arguments are evaluated in order).
 
 def random_hermitian(rng, d):
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -246,18 +250,12 @@ def random_unitary(rng, d):
 
 
 def random_pd(rng, d, eig_low=0.1, eig_high=2.0):
-    V = random_unitary(rng, d)
-    w = rng.uniform(eig_low, eig_high, size=d)
-    return hermitize((V * w) @ V.conj().T)
+    return rebuild(random_unitary(rng, d), rng.uniform(eig_low, eig_high, size=d))
 
 
 def random_effect(rng, d):
-    V = random_unitary(rng, d)
-    w = rng.uniform(0.0, 1.0, size=d)
-    return hermitize((V * w) @ V.conj().T)
+    return rebuild(random_unitary(rng, d), rng.uniform(0.0, 1.0, size=d))
 
 
 def random_density(rng, d):
-    V = random_unitary(rng, d)
-    w = rng.dirichlet(np.ones(d))
-    return hermitize((V * w) @ V.conj().T)
+    return rebuild(random_unitary(rng, d), rng.dirichlet(np.ones(d)))

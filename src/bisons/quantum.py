@@ -27,11 +27,9 @@ trace-normalized as one (n, d, d) stack, which the run's result keeps for
 the hindsight comparator.
 """
 
-import math
-
 import numpy as np
 
-from .geometry import neg_log_inner, reject_first_failure
+from .geometry import InvalidReturnsError, neg_log_inner, reject_first_failure
 from .hermitian import (
     ConditioningError,
     Measurements,
@@ -40,11 +38,12 @@ from .hermitian import (
     min_eig,
     phi_dual,
     positive_part,
+    rebuild,
     reduce_measurement,
     trace_inner,
 )
 from .solver import minimize_spectraplex
-from .vector import BisonsParams, ParameterError, StabilityMonitor, bisons_round, run_epochs, update_bias
+from .vector import BisonsParams, StabilityMonitor, bisons_round, run_epochs, update_bias
 
 
 class QBisonsParams(BisonsParams):
@@ -54,11 +53,8 @@ class QBisonsParams(BisonsParams):
 
 
 def q_default_params(d, T):
-    """Parameter tuning giving the O(d^3 log^2 T) regret guarantee."""
-    if T < 110 * d * d:
-        raise ParameterError(f"T >= 110*d^2 = {110 * d * d} required, got {T}")
-    B = (264.0 / 5.0) * d * d * math.log(T)
-    return QBisonsParams(d=d, T=T, B=B, eta=1.0 / (4.0 * B), beta=11.0 * d / (7.0 * B)).validate()
+    """Parameter tuning giving the O(d^3 log^2 T) regret guarantee: the simplex tuning with s = d."""
+    return QBisonsParams.tuned(d, T, d)
 
 
 def _is_exactly_diagonal(M):
@@ -74,8 +70,8 @@ def q_update_bias(P, X_next):
     w, V = np.linalg.eigh(hermitize(X))
     if w.min() <= 1e-12:
         raise ConditioningError(f"play nearly singular, min eigenvalue {w.min()}")
-    S = hermitize((V * np.sqrt(w)) @ V.conj().T)
-    Si = hermitize((V / np.sqrt(w)) @ V.conj().T)
+    S = rebuild(V, np.sqrt(w))
+    Si = hermitize((V / np.sqrt(w)) @ V.conj().T)  # not rebuild(V, 1 / sqrt(w)): that rounds differently
     inner = positive_part(np.eye(P.shape[0]) - S @ P @ S)
     return hermitize(P + Si @ inner @ Si)
 
@@ -108,15 +104,18 @@ def ingest_loss_matrix(item, rng=None):
     """Trace-one loss matrices of :class:`bisons.hermitian.Measurements` or of raw PSD loss matrices.
 
     A (d, d) array gives its (d, d) loss matrix; measurements, an (n, d, d)
-    stack or a sequence of (d, d) arrays give the (n, d, d) stack.
-    Measurements are reduced in one call, so their fractional outcomes
-    draw their uniforms from ``rng`` in stream order.  A bad item of a
-    stack raises :class:`InvalidReturnsError` with its ``index``.
+    stack or a sequence of (d, d) arrays give the (n, d, d) stack.  Any
+    other shape raises :class:`InvalidReturnsError`.  Measurements are
+    reduced in one call, so their fractional outcomes draw their uniforms
+    from ``rng`` in stream order.  A bad item of a stack raises
+    :class:`InvalidReturnsError` with its ``index``.
     """
     if isinstance(item, Measurements):
         R, single = reduce_measurement(item, rng=rng), False
     else:
         R = np.asarray(item, dtype=complex)
+        if R.ndim not in (2, 3) or R.shape[-1] != R.shape[-2]:
+            raise InvalidReturnsError(f"need a (d, d) loss matrix or an (n, d, d) stack, got shape {R.shape}")
         single = R.ndim == 2
         R = R.reshape((-1,) + R.shape[-2:])
     finite = np.isfinite(R).all(axis=(-2, -1))

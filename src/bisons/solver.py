@@ -147,9 +147,6 @@ class QuadraticObjective:
             obj.lin += lin
             obj.const += const
 
-    def add_linear(self, w):
-        self.lin += w
-
     def smooth_value(self, x):
         return 0.5 * float(x @ self.quad @ x) + float(self.lin @ x) + self.const
 

@@ -27,6 +27,7 @@ simplex runs them as their diagonal case.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -69,6 +70,15 @@ class BisonsParams:
             raise ParameterError(f"horizon too small: T >= max(2d, 1/beta) = {max(2 * self.d, 1.0 / self.beta)}")
         return self
 
+    @classmethod
+    def tuned(cls, d, T, s):
+        """The default tuning B = (264/5) d s ln T, eta = 1/(4B), beta = 11 s/(7B), for T >= 110 d^2,
+        with s = 1 on the simplex and s = d on the spectraplex."""
+        if T < 110 * d * d:
+            raise ParameterError(f"T >= 110*d^2 = {110 * d * d} required, got {T}")
+        B = (264.0 / 5.0) * d * s * math.log(T)
+        return cls(d=d, T=T, B=B, eta=1.0 / (4.0 * B), beta=11.0 * s / (7.0 * B)).validate()
+
     @property
     def reset_factor(self):
         return 2.0 * (1.0 + 6.0 * self.eta) * self.beta
@@ -76,10 +86,7 @@ class BisonsParams:
 
 def default_params(d, T):
     """Parameter tuning giving the O(d^2 log^2 T) regret guarantee."""
-    if T < 110 * d * d:
-        raise ParameterError(f"T >= 110*d^2 = {110 * d * d} required, got {T}")
-    B = (264.0 / 5.0) * d * math.log(T)
-    return BisonsParams(d=d, T=T, B=B, eta=1.0 / (4.0 * B), beta=11.0 / (7.0 * B)).validate()
+    return BisonsParams.tuned(d, T, 1)
 
 
 class Simplex:
@@ -152,13 +159,8 @@ def initial_state(params, domain=SIMPLEX):
     )
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """What a round reports: its loss, whether it ended the epoch, and its solved (x_next, u_next, p_next)."""
-
-    loss: float
-    reset_triggered: bool
-    solution: tuple
+#: What a round reports: its loss, whether it ended the epoch, and its solved (x_next, u_next, p_next).
+RoundRecord = namedtuple("RoundRecord", "loss reset_triggered solution")
 
 
 def update_bias(p, x_next):
@@ -186,7 +188,7 @@ def bisons_round(state, r_t, params, tol=1e-10, domain=SIMPLEX):
     state.biased.add_surrogate(g, loss, m, params.beta, state.unbiased)
     dp = state.p - state.p_prev
     if dp.any():
-        state.biased.add_linear(-params.B * domain.bias_coords(dp))
+        state.biased.lin += -params.B * domain.bias_coords(dp)
 
     x_next, u_next = domain.solve((state.biased, state.unbiased), (x, state.u_cur), tol).minimizer
     p_next = domain.update_bias(state.p, x_next)
@@ -312,25 +314,32 @@ def run_epochs(domain, stream, params, rng=None, tol=None, keep_states=False):
 
     The whole sequence is ingested (with ``rng``, in sequence order) before
     round 1; the first bad input raises :class:`InvalidReturnsError` naming
-    its round.  An error a round raises (a solver failure, an arithmetic
-    error such as a vanishing inner product, or a ValueError) is raised
-    again as its own type, its message prefixed with the round, epoch and
-    internal time, and the original as its cause.  The domain's stability
-    monitor checks every round; the result keeps its violations.
+    its round.  The ingested stack must hold one input of the play's shape
+    per round, else :class:`InvalidReturnsError` is raised, and at most T
+    of them, else a ValueError is.  An error a round raises (a solver
+    failure, an arithmetic error such as a vanishing inner product, or a
+    ValueError) is raised again as its own type, its message prefixed with
+    the round, epoch and internal time, and the original as its cause.  The
+    domain's stability monitor checks every round; the result keeps its
+    violations.
     """
     params.validate()
     if tol is None:
         tol = default_tol(params.T)
-    if len(stream) > params.T:
-        raise ValueError(f"stream longer than the horizon T={params.T}")
     mon = domain.monitor(params)
     state = initial_state(params, domain=domain)
     x = state.x_cur
     try:
         inputs = domain.ingest(stream, rng) if len(stream) else np.empty((0,) + x.shape, x.dtype)
     except InvalidReturnsError as exc:
+        if exc.index is None:
+            raise
         raise InvalidReturnsError(f"t={exc.index + 1}: {exc}") from exc
+    if inputs.shape[1:] != x.shape:
+        raise InvalidReturnsError(f"need one input of shape {x.shape} per round, got an array of shape {inputs.shape}")
     n = len(inputs)
+    if n > params.T:
+        raise ValueError(f"stream longer than the horizon T={params.T}")
     result = RunResult(np.empty(n), np.empty(n, dtype=bool), np.empty((n,) + x.shape, x.dtype), inputs)
     for t, r in enumerate(inputs, start=1):
         x_old, u_old, p_old = state.x_cur, state.u_cur, state.p

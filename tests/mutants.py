@@ -37,6 +37,12 @@ MUTANTS = {
            (4, 7)),
     "M7": ("quantum.py", "return phi_dual(dP)", "return 0.5 * phi_dual(dP)", (5, 12)),
     "M8": ("vector.py", "ratio = 1.0 + 6.0 * self.params.eta", "ratio = 1.0 + 60.0 * self.params.eta", ()),
+    "M9": ("lbftrl.py", "min(cap_norm, cap_finish)", "min(2.0 * cap_norm, cap_finish)", ()),
+    "M10": ("vector.py", "QuadraticObjective.zeros(x.size, 1.0 / params.eta)",
+            "QuadraticObjective.zeros(x.size, 0.5 / params.eta)", ()),
+    "M11": ("solver.py", "_FULL_STEP = 1.0 / 3.0", "_FULL_STEP = 0.9", ()),
+    "M12": ("quantum.py", "inner = positive_part(np.eye(P.shape[0]) - S @ P @ S)",
+            "inner = np.eye(P.shape[0]) - S @ P @ S", (4, 7)),
 }
 
 # runs in the subprocess: the criteria of CRITERIA in order, one context; prints the failed ones

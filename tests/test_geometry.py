@@ -121,7 +121,6 @@ class TestSurrogate:
         x = random_simplex(rng, 3, floor=1e-2)
         r = random_simplex(rng, 3)
         assert np.allclose(accumulated_surrogate(x, r, 0.3).smooth_grad_hess(x)[0], -r / np.dot(x, r), atol=1e-12)
-        assert np.allclose(build_surrogate(x, r, 0.3).anchor_grad, -r / np.dot(x, r), atol=1e-12)
 
     def test_hand_evaluation(self):
         # g = (-2, 0), <x - x_t, g> = 0.5, value = log 2 + 0.5 + 0.0125

@@ -440,12 +440,21 @@ class TestConfigFile:
         ("B", "abc", "float (unknown key or non-numeric parameter override)"),
         ("adversry", "iid-dirichlet", "float (unknown key or non-numeric parameter override)"),
         ("T", "4.5e2", "int"),
+        ("pad_uniform", "ture", "bool"),
+        ("pad_uniform", "on", "bool"),
+        ("pad_uniform", "2", "bool"),
     ])
     def test_unparsable_value_names_key_value_and_type(self, key, value, expected):
         mapping = {"algo": "bisons", "d": "2", "T": "440", "adversary": "iid-dirichlet", key: value}
         with pytest.raises(ValueError) as exc_info:
             ExperimentConfig.from_mapping(mapping)
         assert str(exc_info.value) == f"config key {key!r}: cannot parse {value!r} as {expected}"
+
+    @pytest.mark.parametrize("value, expected", [("1", True), ("TRUE", True), ("Yes", True), (True, True),
+                                                 ("0", False), ("False", False), ("NO", False)])
+    def test_bool_words_in_any_case(self, value, expected):
+        mapping = {"algo": "bisons", "d": "2", "T": "440", "data": "r.csv", "pad_uniform": value}
+        assert ExperimentConfig.from_mapping(mapping).pad_uniform is expected
 
 
 class TestCli:

@@ -136,11 +136,13 @@ class TestStackedHelpers:
         M, A = self.stacks(d)
         H = hermitize(M)
         eigs, roots, invs, norms = min_eig(H), sqrt_psd(A), np.linalg.inv(A), a_norm(H, A)
+        parts = positive_part(H)
         assert eigs.shape == norms.shape == (3, 4)
         for idx in np.ndindex(3, 4):
             assert np.array_equal(H[idx], hermitize(M[idx]))
             assert eigs[idx] == min_eig(H[idx])
             assert np.array_equal(roots[idx], sqrt_psd(A[idx]))
+            assert np.array_equal(parts[idx], positive_part(H[idx]))
             assert np.array_equal(invs[idx], np.linalg.inv(A[idx]))
             assert norms[idx] == a_norm(H[idx], A[idx])
 

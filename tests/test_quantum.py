@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,10 +14,13 @@ from bisons.hermitian import (
     MissingRandomnessError,
     hermitize,
     min_eig,
+    positive_part,
     random_density,
     random_effect,
+    random_hermitian,
     random_pd,
     random_unitary,
+    sqrt_psd,
     trace_inner,
 )
 from bisons.quantum import (
@@ -92,6 +96,37 @@ class TestQUpdateBias:
         X = (V * np.array([1.0, 1e-14])) @ V.conj().T  # not diagonal, so the matrix rule runs
         with pytest.raises(ConditioningError):
             q_update_bias(random_pd(rng, 2, 1.0, 5.0), X)
+
+
+class TestSpectralRebuildBits:
+    """The bits of every spectral rebuild V diag(w) V^H at d = 3 and 5, which the golden runs (d = 2) and
+    the benchmark (d = 4) miss: sha256 over C-order bytes, recorded with numpy 2.4.6 and Python 3.11.7 on
+    x86-64.  On another numpy build a mismatch asks for the digests to be recomputed from a known-good
+    commit, not for the code to change."""
+
+    @staticmethod
+    def digest(arrays):
+        return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+    def test_q_update_bias_on_non_diagonal_pairs(self):
+        rng = np.random.default_rng(31)
+        out = []
+        for k in range(50):
+            d = (3, 5)[k % 2]
+            P = random_pd(rng, d, 1.0, 5.0)
+            out.append(q_update_bias(P, 0.7 * random_density(rng, d) + 0.3 * np.eye(d) / d))
+        assert self.digest(out) == "8ae07a4d74078adf174f38bc51c9f700eeece8940c16d1b040c20636080c9868"
+
+    def test_sqrt_psd_and_positive_part_on_a_stack(self):
+        rng = np.random.default_rng(32)
+        H = np.array([random_hermitian(rng, 3) for _ in range(50)])
+        assert self.digest([sqrt_psd(H), [positive_part(M) for M in H]]) == \
+            "fea320c92072cc38ea42cf15ce68aa22bafbc0cad5033ca87aaa2f59ef5c1af2"
+
+    def test_random_matrices_and_generator_state(self):
+        rng = np.random.default_rng(33)
+        out = [f(rng, 3) for _ in range(10) for f in (random_pd, random_effect, random_density)]
+        assert self.digest(out + [rng.random(4)]) == "ca563b862dd4935f88da43e4506193128b4f4959885ca2249e90178cd08b606d"
 
 
 class TestQCheckReset:

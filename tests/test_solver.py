@@ -159,7 +159,7 @@ class TestMinimizeSpectraplex:
         # linear term proportional to the identity is constant on the domain
         d = 3
         obj = QuadraticObjective.zeros(d * d, 1.0)
-        obj.add_linear(phi_dual(np.eye(d)))
+        obj.lin += phi_dual(np.eye(d))
         rng = np.random.default_rng(2)
         warm = random_density(rng, d)
         warm = 0.5 * warm + 0.5 * np.eye(d) / d
@@ -170,7 +170,7 @@ class TestMinimizeSpectraplex:
         # objective with diagonal data: sweep eigenvalue split and rotation angle
         d = 2
         obj = QuadraticObjective.zeros(d * d, 1.0)
-        obj.add_linear(phi_dual(np.diag([-1.0, 0.0]).astype(complex)))
+        obj.lin += phi_dual(np.diag([-1.0, 0.0]).astype(complex))
         rep = minimize_spectraplex(obj, tol=1e-12)
 
         def value(X):
@@ -373,7 +373,7 @@ class TestOneValuePerIterate:
         # from the centre, a strong linear pull needs damped steps before any full one
         dim = 4 if spectraplex else 3
         obj = _counting(QuadraticObjective).zeros(dim, 0.05)
-        obj.add_linear(np.array([-40.0, 0.0, 0.0, 0.0][:dim]))
+        obj.lin += np.array([-40.0, 0.0, 0.0, 0.0][:dim])
         rep = (minimize_spectraplex if spectraplex else minimize_simplex)(obj, tol=1e-13)
         assert rep.iterations > counts["searches"] >= 2
         assert counts["trials"] > counts["searches"]  # some Armijo trial was rejected

@@ -111,6 +111,35 @@ class TestDefaultParams:
         with pytest.raises(ParameterError):
             default_params(3, 500)
 
+    @staticmethod
+    def literal(tuning, d, T):
+        """The tuning written out for each domain: its params, or the message of the error it raises."""
+        if T < 110 * d * d:
+            return f"T >= 110*d^2 = {110 * d * d} required, got {T}"
+        if tuning is default_params:
+            cls, B = BisonsParams, (264.0 / 5.0) * d * math.log(T)
+            beta = 11.0 / (7.0 * B)
+        else:
+            cls, B = QBisonsParams, (264.0 / 5.0) * d * d * math.log(T)
+            beta = 11.0 * d / (7.0 * B)
+        try:
+            return cls(d=d, T=T, B=B, eta=1.0 / (4.0 * B), beta=beta).validate()
+        except ParameterError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("tuning, dims", [(default_params, range(2, 13)), (quantum.q_default_params, range(1, 13))],
+                             ids=["simplex", "spectraplex"])
+    def test_default_tunings_equal_the_literal_formulas(self, tuning, dims):
+        for d in dims:
+            for T in (1, 110 * d * d - 1, 110 * d * d, 990, 2750, 11_000, 10**6):
+                expected = self.literal(tuning, d, T)
+                if isinstance(expected, str):
+                    with pytest.raises(ParameterError, match=f"^{re.escape(expected)}$"):
+                        tuning(d, T)
+                else:
+                    got = tuning(d, T)
+                    assert type(got) is type(expected) and vars(got) == vars(expected), (d, T)
+
     def test_override_validation(self):
         with pytest.raises(ParameterError):
             BisonsParams(d=2, T=1000, B=10.0, eta=0.1, beta=0.1).validate()  # eta > beta/4
@@ -278,6 +307,22 @@ class TestRunBisons:
         params = default_params(2, 440)
         with pytest.raises(ValueError):
             run_bisons([np.array([0.5, 0.5])] * 441, params)
+
+    @pytest.mark.parametrize("run, stream, message", [
+        ("qbisons", np.tile(np.eye(2, dtype=complex) / 2, (1, 500, 1, 1)),
+         "need a (d, d) loss matrix or an (n, d, d) stack, got shape (1, 500, 2, 2)"),
+        ("qbisons", np.eye(2, dtype=complex) / 2,
+         "need one input of shape (2, 2) per round, got an array of shape (2, 2)"),
+        ("bisons", np.array([0.3, 0.7]), "need one input of shape (2,) per round, got an array of shape (2,)"),
+        ("bisons", np.full((2, 2, 2), 0.5), "returns must be a vector or a stack of vectors"),
+        ("bisons", np.full((5, 3), 1.0 / 3.0), "need one input of shape (2,) per round, got an array of shape (5, 3)"),
+    ], ids=["4-d-loss-matrices", "one-loss-matrix", "one-returns-vector", "3-d-returns", "wide-rows"])
+    def test_non_stack_rejected_before_round_1(self, monkeypatch, run, stream, message):
+        domain, params = {"bisons": (SIMPLEX, default_params(2, 440)),
+                          "qbisons": (SPECTRAPLEX, quantum.q_default_params(2, 440))}[run]
+        monkeypatch.setattr(domain, "round", lambda *args, **kwargs: pytest.fail("a round was played"))
+        with pytest.raises(InvalidReturnsError, match=f"^{re.escape(message)}$"):
+            {"bisons": run_bisons, "qbisons": run_qbisons}[run](stream, params)
 
     def test_monitors_clean_on_random_run(self):
         params = default_params(3, 990)
