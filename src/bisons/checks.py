@@ -36,7 +36,7 @@ from .vector import SIMPLEX, BisonsParams, default_params, run_bisons, update_bi
 # admissibility constraints with a learning rate at its cap
 CRASH_OVERRIDE = dict(B=15.75, eta=1.0 / 63.0, beta=0.1)
 # wall-time budgets in seconds, by criterion; run_checks times each whole call
-BUDGET_S = {1: 10.0, 2: 600.0, 8: 5.0, 12: 10.0}
+BUDGET_S = {1: 10.0, 2: 600.0, 8: 5.0, 11: 10.0, 12: 10.0}
 EPOCH_GRID_POINTS = 200
 
 
@@ -56,6 +56,17 @@ class CheckResult:
 def _random_simplex(rng, d, floor=0.0):
     x = rng.dirichlet(np.ones(d))
     return (1.0 - d * floor) * x + floor if floor > 0.0 else x
+
+
+def _worst_ratio(runs):
+    """The worst regret/bound ratio over (run result, comparator loss, bound) triples."""
+    return max((float(res.losses.sum()) - best) / bound for res, best, bound in runs)
+
+
+def _record_violations(ctx, key, results):
+    """Record the monitor violations of the runs ``results`` under ``key`` for criterion 7; returns their count."""
+    ctx.setdefault("monitor_violations", {})[key] = count = sum(len(res.violations) for res in results)
+    return count
 
 
 # -- criterion 1 ---------------------------------------------------------------
@@ -87,26 +98,17 @@ def check_lower_surrogate(ctx):
 # -- criteria 2 and 3 ------------------------------------------------------------
 
 def check_bisons_regret(ctx):
-    worst_margin = -math.inf
-    violations = 0
-    runs = 0
+    runs = []
     for d in (2, 3, 5):
         T = max(110 * d * d, 1000)
         params = default_params(d, T)
-        bound = 740.0 * d * d * math.log(T) ** 2
         for adversary in ("iid-dirichlet", "single-asset-crash"):
             for seed in range(20):
                 R = adversary_returns(adversary, d, T, seed)
-                res = run_bisons(R, params)
-                violations += len(res.violations)
-                _, best = best_crp(R)
-                regret = float(res.losses.sum()) - best
-                worst_margin = max(worst_margin, regret / bound)
-                runs += 1
-    ctx.setdefault("monitor_violations", {})["bisons-regret"] = violations
-    passed = worst_margin <= 1.0
-    return passed, (f"{runs} runs, worst regret/bound ratio {worst_margin:.3e}, "
-                    f"monitor violations {violations}")
+                runs.append((run_bisons(R, params), best_crp(R)[1], 740.0 * d * d * math.log(T) ** 2))
+    worst = _worst_ratio(runs)
+    violations = _record_violations(ctx, "bisons-regret", [res for res, _, _ in runs])
+    return worst <= 1.0, f"{len(runs)} runs, worst regret/bound ratio {worst:.3e}, monitor violations {violations}"
 
 
 def epoch_grid_regret(R, losses, resets, T):
@@ -125,22 +127,17 @@ def epoch_grid_regret(R, losses, resets, T):
 def check_epoch_nonpositivity(ctx):
     d, T = 2, 1000
     params = BisonsParams(d=d, T=T, **CRASH_OVERRIDE).validate()
-    total_epochs = 0
-    worst = -math.inf
-    violations = 0
+    results, epoch_regrets = [], []
     for seed in range(5):
         R = adversary_returns("single-asset-crash", d, T, seed)
-        res = run_bisons(R, params)
-        violations += len(res.violations)
+        results.append(res := run_bisons(R, params))
         if not res.reset_times:
             return False, f"seed {seed}: crash run triggered no reset"
-        epoch_regrets = epoch_grid_regret(R, res.losses, res.resets, T)
-        total_epochs += len(epoch_regrets)
-        worst = max(worst, max(epoch_regrets))
-    ctx.setdefault("monitor_violations", {})["epoch-nonpositivity"] = violations
-    passed = worst <= 1e-6
-    return passed, (f"{total_epochs} completed epochs over 5 crash runs, worst grid regret "
-                    f"{worst:.3e} (<= 1e-6 required), monitor violations {violations}")
+        epoch_regrets += epoch_grid_regret(R, res.losses, res.resets, T)
+    violations = _record_violations(ctx, "epoch-nonpositivity", results)
+    worst = max(epoch_regrets)
+    return worst <= 1e-6, (f"{len(epoch_regrets)} completed epochs over 5 crash runs, worst grid regret "
+                           f"{worst:.3e} (<= 1e-6 required), monitor violations {violations}")
 
 
 # -- criterion 4 -----------------------------------------------------------------
@@ -189,8 +186,7 @@ def check_diagonal_equivalence(ctx):
     res_v, res_q, gap, off = _diagonal_runs(R, default_params(d, T))
     worst = max(gap, off)
     same_resets = res_v.reset_times == res_q.reset_times
-    violations = len(res_v.violations) + len(res_q.violations)
-    ctx.setdefault("monitor_violations", {})["diagonal-equivalence"] = violations
+    violations = _record_violations(ctx, "diagonal-equivalence", (res_v, res_q))
     passed = worst <= 1e-6 and same_resets
     return passed, (f"d=3 T=990: max per-round iterate gap {worst:.2e}, reset times equal: {same_resets} "
                     f"({res_v.reset_times} vs {res_q.reset_times}), monitor violations {violations}")
@@ -211,21 +207,15 @@ def check_diagonal_equivalence_resets(ctx):
 
 def check_qbisons_regret(ctx):
     d, T = 2, 440
-    bound = 740.0 * d**3 * math.log(T) ** 2
-    worst_margin = -math.inf
-    violations = 0
     params = q_default_params(d, T)
+    runs = []
     for seed in range(20):
-        stream = measurement_stream(d, T, seed)
-        res = run_qbisons(stream, params, rng=derive_rng(seed, "accept:qbisons:reduction"))
-        violations += len(res.violations)
-        _, best = best_quantum_state(res.inputs)
-        regret = float(res.losses.sum()) - best
-        worst_margin = max(worst_margin, regret / bound)
-    ctx.setdefault("monitor_violations", {})["qbisons-regret"] = violations
-    passed = worst_margin <= 1.0
-    return passed, (f"20 measurement streams, worst regret/bound ratio {worst_margin:.3e}, "
-                    f"monitor violations {violations}")
+        res = run_qbisons(measurement_stream(d, T, seed), params, rng=derive_rng(seed, "accept:qbisons:reduction"))
+        runs.append((res, best_quantum_state(res.inputs)[1], 740.0 * d**3 * math.log(T) ** 2))
+    worst = _worst_ratio(runs)
+    violations = _record_violations(ctx, "qbisons-regret", [res for res, _, _ in runs])
+    return worst <= 1.0, (f"20 measurement streams, worst regret/bound ratio {worst:.3e}, "
+                          f"monitor violations {violations}")
 
 
 # -- criterion 7 -----------------------------------------------------------------
@@ -281,6 +271,11 @@ def check_regret_stability(ctx):
 
 # -- criterion 10 ----------------------------------------------------------------
 
+def _neg_logdet(Y):
+    """-log det Y, through the Cholesky factor of Y."""
+    return -2.0 * float(np.log(np.diagonal(np.linalg.cholesky(Y)).real).sum())
+
+
 def check_calculus(ctx):
     rng = derive_rng(110, "accept:calculus")
 
@@ -307,8 +302,7 @@ def check_calculus(ctx):
         d = int(rng.integers(2, 5))
         X = random_pd(rng, d, 0.5, 2.0)
         D = unit_trace_zero(d)
-        f = lambda Y: -2.0 * float(np.log(np.diagonal(np.linalg.cholesky(Y)).real).sum())
-        fd = (f(X + h * D) - f(X)) / h
+        fd = (_neg_logdet(X + h * D) - _neg_logdet(X)) / h
         exact = trace_inner(D, -np.linalg.inv(X))
         worst_logdet = max(worst_logdet, abs(fd - exact) / max(1.0, abs(exact)))
 
@@ -319,8 +313,7 @@ def check_calculus(ctx):
         X = random_pd(rng, d, 0.5, 2.0)
         D = random_hermitian(rng, d)
         D /= np.linalg.norm(D)
-        f = lambda Y: -2.0 * float(np.log(np.diagonal(np.linalg.cholesky(Y)).real).sum())
-        fd2 = (f(X + h2 * D) - 2.0 * f(X) + f(X - h2 * D)) / (h2 * h2)
+        fd2 = (_neg_logdet(X + h2 * D) - 2.0 * _neg_logdet(X) + _neg_logdet(X - h2 * D)) / (h2 * h2)
         Xi = np.linalg.inv(X)
         exact = trace_inner(D @ Xi @ D, Xi)
         worst_hess = max(worst_hess, abs(fd2 - exact) / max(1.0, abs(exact)))
@@ -357,25 +350,23 @@ def check_solver_oracles(ctx):
     obj_gap = (0.5 * rep.minimizer @ obj.quad @ rep.minimizer + obj.lin @ rep.minimizer
                - np.log(rep.minimizer).sum()) - float(vals.min())
 
-    # spectraplex linear objective vs eigenvalue/rotation sweep
+    # spectraplex linear objective vs a sweep of U diag(a, 1 - a) U^H over eigenvalues a (the steps of the
+    # simplex grid) and rotation angles, as one stacked product per eigenvalue
     obj_q = QuadraticObjective.zeros(4, 1.0)
     obj_q.lin += phi_dual(np.diag([-1.0, 0.0]).astype(complex))
     rep_q = minimize_spectraplex(obj_q, tol=1e-12)
 
     def qval(X):
-        return float(obj_q.lin @ vectorize_phi(X)) - float(np.linalg.slogdet(X)[1].real)
+        return np.vecdot(vectorize_phi(X), obj_q.lin) - np.linalg.slogdet(X)[1].real
 
-    best_val, best_X = math.inf, None
-    for aa in np.arange(1e-3, 1.0, 1e-3):
-        for theta in np.arange(0.0, math.pi, 2e-3):
-            c, s = math.cos(theta), math.sin(theta)
-            U = np.array([[c, -s], [s, c]], dtype=complex)
-            X = U @ np.diag([aa, 1.0 - aa]).astype(complex) @ U.conj().T
-            v = qval(X)
-            if v < best_val:
-                best_val, best_X = v, X
-    q_arg_gap = float(np.abs(rep_q.minimizer - best_X).max())
-    q_obj_gap = qval(rep_q.minimizer) - best_val
+    cos_sin = [(math.cos(theta), math.sin(theta)) for theta in np.arange(0.0, math.pi, 2e-3)]
+    U = np.array([[[c, -s], [s, c]] for c, s in cos_sin], dtype=complex)
+    D = np.zeros((a.size, 2, 2), dtype=complex)
+    D[:, 0, 0], D[:, 1, 1] = a, 1.0 - a
+    q_vals = np.stack([qval(U @ Da @ U.conj().swapaxes(1, 2)) for Da in D])
+    i, j = np.unravel_index(np.argmin(q_vals), q_vals.shape)  # the first minimum in (eigenvalue, angle) order
+    q_arg_gap = float(np.abs(rep_q.minimizer - U[j] @ D[i] @ U[j].conj().T).max())
+    q_obj_gap = qval(rep_q.minimizer) - q_vals[i, j]
 
     # hindsight comparator vs grid
     rng = derive_rng(111, "accept:best-crp-grid")

@@ -313,10 +313,12 @@ def run_epochs(domain, stream, params, rng=None, tol=None, keep_states=False):
     """Run the epoch scheme on ``domain`` over a sequence of raw inputs.
 
     The whole sequence is ingested (with ``rng``, in sequence order) before
-    round 1; the first bad input raises :class:`InvalidReturnsError` naming
-    its round.  The ingested stack must hold one input of the play's shape
-    per round, else :class:`InvalidReturnsError` is raised, and at most T
-    of them, else a ValueError is.  An error a round raises (a solver
+    round 1; an input with no length, such as an iterator or a scalar,
+    raises :class:`InvalidReturnsError` naming its type, and the first bad
+    input of a stack raises it naming its round.  The ingested stack must
+    hold one input of the play's shape per round, else
+    :class:`InvalidReturnsError` is raised, and at most T of them, else a
+    ValueError is.  An error a round raises (a solver
     failure, an arithmetic error such as a vanishing inner product, or a
     ValueError) is raised again as its own type, its message prefixed with
     the round, epoch and internal time, and the original as its cause.  The
@@ -330,7 +332,11 @@ def run_epochs(domain, stream, params, rng=None, tol=None, keep_states=False):
     state = initial_state(params, domain=domain)
     x = state.x_cur
     try:
-        inputs = domain.ingest(stream, rng) if len(stream) else np.empty((0,) + x.shape, x.dtype)
+        n = len(stream)
+    except TypeError:
+        raise InvalidReturnsError(f"need a stack of inputs, got a {type(stream).__name__} with no length") from None
+    try:
+        inputs = domain.ingest(stream, rng) if n else np.empty((0,) + x.shape, x.dtype)
     except InvalidReturnsError as exc:
         if exc.index is None:
             raise

@@ -4,13 +4,12 @@
 
 Each mutant replaces one piece of text, which must occur exactly once, in
 one file of a temporary copy of ``src``.  The unmutated copy and then each
-mutant run criteria 1-10 and 12 (criterion 11 plays no round) in order, in
-one subprocess, because criterion 7 reads what criteria 2, 3, 5 and 6
-report.  The script prints a table of each mutant, the criteria it was last
-seen to fail and those it fails now.  It exits 1 if the unmutated copy fails
-a criterion or a mutant survives, that is, fails none.  A run of the gate
-takes about 30 s on 2 vCPUs.  The file has no ``test_`` prefix, so pytest
-does not collect it.
+mutant run all 12 criteria in order, in one subprocess, because criterion 7
+reads what criteria 2, 3, 5 and 6 report.  The script prints a table of
+each mutant, the criteria it was last seen to fail and those it fails now.
+It exits 1 if the unmutated copy fails a criterion or a mutant survives,
+that is, fails none.  A run of the gate takes about 30 s on 2 vCPUs.  The
+file has no ``test_`` prefix, so pytest does not collect it.
 """
 
 import json
@@ -22,7 +21,7 @@ import sys
 import tempfile
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-CRITERIA = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
+CRITERIA = tuple(range(1, 13))
 
 # name -> (file in src/bisons, old text, new text, criteria it failed when last recorded)
 MUTANTS = {

@@ -2,7 +2,11 @@
 
 The underlying runners live in ``bisons.checks`` so the CLI ``check``
 subcommand exercises exactly the same code.  One pass/fail line prints per
-criterion.
+criterion.  Each criterion's detail string (its line without the timing) is
+pinned in ``DETAILS``, recorded from a known-good commit with numpy 2.4.6
+and Python 3.11.7 on x86-64.  numpy's exp/log kernels can differ between
+builds, so on another numpy a mismatch there asks for the strings to be
+re-recorded from a known-good commit, not for the code to change.
 """
 
 import math
@@ -17,6 +21,29 @@ from bisons.vector import MONITOR_CHUNK, StabilityMonitor
 
 _RESULTS = None
 
+DETAILS = {
+    1: "10^4 triples: max excess over true loss 0.00e+00, max anchor equality gap 0.00e+00, "
+       "max round surrogate gap 2.66e-15",
+    2: "120 runs, worst regret/bound ratio 5.228e-04, monitor violations 0",
+    3: "5 completed epochs over 5 crash runs, worst grid regret -7.577e+01 (<= 1e-6 required), monitor violations 0",
+    4: "10^3 PD pairs: min-eig(P'-P) -3.44e-15, min-eig(P'-X^-1) -3.57e-14, cost identity gap 3.55e-15, "
+       "diagonal max-rule exact: True",
+    5: "d=3 T=990: max per-round iterate gap 6.11e-16, reset times equal: True ([] vs []), monitor violations 0",
+    6: "20 measurement streams, worst regret/bound ratio 1.698e-05, monitor violations 0",
+    7: "per-round stability monitors over all acceptance runs (bisons-regret: 0, diagonal-equivalence: 0, "
+       "epoch-nonpositivity: 0, qbisons-regret: 0)",
+    8: "d=3..8 exact-rational validity and lengths 2^d-2",
+    9: "generated d=3 alpha=0.5: regret 7.191 >= 0.017 - tol (slack 7.184); random seed 0: regret 4.094 >= 0.996 "
+       "- tol (slack 3.099); random seed 1: regret 4.088 >= 1.006 - tol (slack 3.082); random seed 2: regret 4.249 "
+       ">= 1.041 - tol (slack 3.209); generated run truncated with 9999 movement rounds",
+    10: "grad rel err 5.90e-07 (<=1e-5), logdet grad 1.44e-06 (<=1e-5), hessian rel err 1.56e-07 (<=1e-4), "
+        "hessian lower-bound defect 0.00e+00 over 10^3 samples",
+    11: "simplex arg gap 1.1e-04 obj gap -7.0e-08; spectraplex arg gap 3.4e-05 obj gap -5.5e-09; "
+        "best-CRP loss gap -9.1e-06",
+    12: "d=2 T=1000 crash run: reset times [729] vs [729] (equal, nonempty required), max diagonal gap 1.67e-15 "
+        "(<= 1e-12), max off-diagonal modulus 0.00e+00 (0 required), monitor violations 0",
+}
+
 
 def _results():
     global _RESULTS
@@ -30,6 +57,11 @@ def test_acceptance_criterion(criterion):
     res = _results()[criterion]
     print(res.line())
     assert res.passed, res.line()
+
+
+@pytest.mark.parametrize("criterion", list(range(1, 13)))
+def test_acceptance_detail_is_pinned(criterion):
+    assert _results()[criterion].detail == DETAILS[criterion]
 
 
 def test_suite_membership_covers_all_criteria():

@@ -316,7 +316,12 @@ class TestRunBisons:
         ("bisons", np.array([0.3, 0.7]), "need one input of shape (2,) per round, got an array of shape (2,)"),
         ("bisons", np.full((2, 2, 2), 0.5), "returns must be a vector or a stack of vectors"),
         ("bisons", np.full((5, 3), 1.0 / 3.0), "need one input of shape (2,) per round, got an array of shape (5, 3)"),
-    ], ids=["4-d-loss-matrices", "one-loss-matrix", "one-returns-vector", "3-d-returns", "wide-rows"])
+        ("bisons", np.float64(1.0), "need a stack of inputs, got a float64 with no length"),
+        ("bisons", iter([[0.3, 0.7]] * 3), "need a stack of inputs, got a list_iterator with no length"),
+        ("bisons", (row for row in [[0.3, 0.7]] * 3), "need a stack of inputs, got a generator with no length"),
+        ("qbisons", iter([np.eye(2) / 2] * 3), "need a stack of inputs, got a list_iterator with no length"),
+    ], ids=["4-d-loss-matrices", "one-loss-matrix", "one-returns-vector", "3-d-returns", "wide-rows",
+            "scalar-returns", "iterator-of-rows", "generator-of-rows", "iterator-of-loss-matrices"])
     def test_non_stack_rejected_before_round_1(self, monkeypatch, run, stream, message):
         domain, params = {"bisons": (SIMPLEX, default_params(2, 440)),
                           "qbisons": (SPECTRAPLEX, quantum.q_default_params(2, 440))}[run]
