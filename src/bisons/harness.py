@@ -18,7 +18,7 @@ import numpy as np
 from .geometry import InvalidReturnsError, log_loss, normalize_returns, uniform_portfolio
 from .hermitian import Measurements, phi_dual, random_effect, trace_inner
 from .quantum import q_default_params, run_qbisons
-from .solver import minimize_simplex, minimize_simplex_history, minimize_spectraplex_history
+from .solver import HINDSIGHT_TOL, minimize_simplex, minimize_simplex_history, minimize_spectraplex_history
 from .vector import default_params, run_bisons
 
 TRACE_HEADER = "t,epoch,internal_time,loss,cum_loss,comparator_cum_loss,regret,reset_flag"
@@ -87,7 +87,7 @@ def best_crp(returns):
     if R.ndim != 2 or R.shape[0] == 0:
         raise ValueError("need a nonempty returns matrix")
     d = R.shape[1]
-    x = _continuation(lambda x, w: minimize_simplex_history(R, w, warm_start=x, tol=1e-12).minimizer,
+    x = _continuation(lambda x, w: minimize_simplex_history(R, w, warm_start=x, tol=HINDSIGHT_TOL).minimizer,
                       uniform_portfolio(d), 1.0, 1e-9 / d)
     return x, float(-np.log(R @ x).sum())
 
@@ -102,7 +102,7 @@ def best_quantum_state(loss_matrices):
         raise ValueError("need a nonempty loss matrix sequence")
     d = mats.shape[-1]
     W = phi_dual(mats)
-    X = _continuation(lambda X, w: minimize_spectraplex_history(W, w, warm_start=X, tol=1e-12).minimizer,
+    X = _continuation(lambda X, w: minimize_spectraplex_history(W, w, warm_start=X, tol=HINDSIGHT_TOL).minimizer,
                       np.eye(d, dtype=complex) / d, 1.0, 1e-8 / d)
     loss = float(sum(-math.log(v) for v in trace_inner(X, mats)))
     return X, loss
@@ -127,7 +127,7 @@ class _Projection:
 
 def _generalized_projection(q, A):
     """argmin over the simplex of (x - q)' A (x - q), by barrier continuation down to weight 1e-9."""
-    return _continuation(lambda x, w: minimize_simplex(_Projection(q, A, w), warm_start=x, tol=1e-12).minimizer,
+    return _continuation(lambda x, w: minimize_simplex(_Projection(q, A, w), warm_start=x, tol=HINDSIGHT_TOL).minimizer,
                          uniform_portfolio(q.size), 1e-2, 1e-9)
 
 

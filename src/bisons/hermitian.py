@@ -22,6 +22,9 @@ import numpy as np
 
 from .geometry import reject_first_failure
 
+HERMITIAN_TOL = 1e-12  # largest entry of M - M^H for a matrix taken as Hermitian
+PSD_TOL = 1e-10  # eigenvalue slack: below 0 for a trace-normalised loss matrix, outside [0, 1] for an effect
+
 
 class ConditioningError(ArithmeticError):
     """Raised when an input is too close to singular for the requested operation."""
@@ -192,7 +195,7 @@ class Measurements:
         if E.ndim != b.ndim + 2 or E.shape[:-2] != b.shape or E.shape[-1] != E.shape[-2]:
             raise ValueError(f"need (n, d, d) effects and n outcomes, got shapes {E.shape} and {b.shape}")
         E, b = E.reshape((-1,) + E.shape[-2:]), b.reshape(-1)
-        hermitian = np.abs(E - E.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= 1e-12
+        hermitian = np.abs(E - E.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= HERMITIAN_TOL
         H = hermitize(E)
         # the eigenvalue check runs on the effects before the first non-Hermitian one
         w = np.linalg.eigvalsh(H[: int(hermitian.argmin()) if not hermitian.all() else len(H)])
@@ -200,7 +203,7 @@ class Measurements:
         reject_first_failure([
             ("effect must be Hermitian", ~hermitian),
             (lambda k: f"effect eigenvalues must lie in [0, 1], got [{lo[k]}, {hi[k]}]",
-             (lo < -1e-10) | (hi > 1.0 + 1e-10)),
+             (lo < -PSD_TOL) | (hi > 1.0 + PSD_TOL)),
             (lambda k: f"outcome must lie in [0, 1], got {b[k]}", ~((0.0 <= b) & (b <= 1.0))),
         ], True)
         object.__setattr__(self, "effects", H)

@@ -148,7 +148,7 @@ def pull_to_center(x, s, plan):
 
 # -- the player ---------------------------------------------------------------
 
-def lbftrl_play(history, warm_start=None, tol=1e-10):
+def lbftrl_play(history, warm_start=None):
     """Barrier-FTRL argmin of the accumulated true log losses.
 
     ``history`` is a :class:`LogLossHistory` with barrier weight 1/eta; it
@@ -156,7 +156,7 @@ def lbftrl_play(history, warm_start=None, tol=1e-10):
     """
     if history.n == 0:
         return uniform_portfolio(history.dim)
-    return minimize_simplex(history, warm_start=warm_start, tol=tol).minimizer
+    return minimize_simplex(history, warm_start=warm_start).minimizer
 
 
 def grad_pi_objective(x, history, barrier_grad, U):

@@ -31,6 +31,7 @@ import numpy as np
 
 from .geometry import InvalidReturnsError, neg_log_inner, reject_first_failure
 from .hermitian import (
+    PSD_TOL,
     ConditioningError,
     Measurements,
     a_norm,
@@ -105,10 +106,11 @@ def ingest_loss_matrix(item, rng=None):
 
     A (d, d) array gives its (d, d) loss matrix; measurements, an (n, d, d)
     stack or a sequence of (d, d) arrays give the (n, d, d) stack.  Any
-    other shape raises :class:`InvalidReturnsError`.  Measurements are
-    reduced in one call, so their fractional outcomes draw their uniforms
-    from ``rng`` in stream order.  A bad item of a stack raises
-    :class:`InvalidReturnsError` with its ``index``.
+    other shape raises :class:`InvalidReturnsError`, and a matrix must be
+    PSD to ``PSD_TOL`` after trace normalisation, whatever its scale.
+    Measurements are reduced in one call, so their fractional outcomes draw
+    their uniforms from ``rng`` in stream order.  A bad item of a stack
+    raises :class:`InvalidReturnsError` with its ``index``.
     """
     if isinstance(item, Measurements):
         R, single = reduce_measurement(item, rng=rng), False
@@ -123,7 +125,7 @@ def ingest_loss_matrix(item, rng=None):
     H = hermitize(R[: int(finite.argmin()) if not finite.all() else len(R)])
     tr = np.trace(H, axis1=-2, axis2=-1).real
     reject_first_failure([("loss matrix entries must be finite", ~finite),
-                          ("loss matrix must be PSD", min_eig(H) < -1e-10),
+                          ("loss matrix must be PSD", min_eig(H) < -PSD_TOL * tr),
                           ("loss matrix must have positive trace", ~(tr > 0.0))], not single)
     out = H / tr[:, None, None]
     return out[0] if single else out
@@ -160,16 +162,16 @@ class Spectraplex:
     def monitor(self, params):
         return QStabilityMonitor(params)
 
-    def round(self, state, R, params, tol):
-        return qbisons_round(state, R, params, tol=tol)
+    def round(self, state, R, params):
+        return qbisons_round(state, R, params)
 
 
 SPECTRAPLEX = Spectraplex()
 
 
-def qbisons_round(state, R_t, params, tol=1e-10):
+def qbisons_round(state, R_t, params):
     """One round against a trace-one PSD loss matrix: the simplex round on the spectraplex."""
-    return bisons_round(state, R_t, params, tol=tol, domain=SPECTRAPLEX)
+    return bisons_round(state, R_t, params, domain=SPECTRAPLEX)
 
 
 def run_qbisons(stream, params, rng=None, keep_states=False):

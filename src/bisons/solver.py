@@ -93,19 +93,20 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .hermitian import hermitian_basis, hermitize, phi_dual, trace_slots, unvectorize_phi, vectorize_phi
+from .hermitian import HERMITIAN_TOL, hermitian_basis, hermitize, phi_dual, trace_slots, unvectorize_phi, vectorize_phi
 
 DEFAULT_MAX_ITER = 200
+DEFAULT_TOL = 1e-10  # a frontend's default accuracy, and the loosest a round solves at (see default_tol)
+HINDSIGHT_TOL = 1e-12  # the accuracy of the hindsight comparators, the ONS projection and criterion 11
 _ARMIJO_SLOPE = 0.25
 _ARMIJO_SHRINK = 0.5
 _BOUNDARY_FRACTION = 0.99
 _FULL_STEP = 1.0 / 3.0  # kappa * lambda at or below which a Newton step is taken in full
-_HERMITIAN_TOL = 1e-12  # largest entry of a spectraplex warm start's distance to the Hermitian matrix it gives
 
 
 def default_tol(T):
-    """Solve accuracy used along a run with horizon T."""
-    return min(1e-10, float(T) ** -2)
+    """The accuracy of every BISONS and Q-BISONS round's solves at horizon T."""
+    return min(DEFAULT_TOL, float(T) ** -2)
 
 
 @dataclass
@@ -444,7 +445,7 @@ def _reduced_newton_step(X, G, F):
     return np.concatenate([dz, -dz.sum(axis=-1, keepdims=True)], axis=-1), lam2
 
 
-def minimize_simplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER):
+def minimize_simplex(obj, warm_start=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Minimize ``obj`` plus its weighted log barrier -sum(log x_i) over the simplex.
 
     ``obj`` may be a list or tuple of k objectives with a (k, d) stack of
@@ -483,7 +484,7 @@ def minimize_simplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER)
     return _report(X, done, stacked)
 
 
-def minimize_simplex_history(returns, barrier_weight, warm_start=None, tol=1e-10):
+def minimize_simplex_history(returns, barrier_weight, warm_start=None, tol=DEFAULT_TOL):
     """Minimize sum_t -log<x, r_t> + barrier_weight * (-sum_i log x_i) over the simplex."""
     return minimize_simplex(LogLossHistory(returns, barrier_weight), warm_start, tol)
 
@@ -500,17 +501,17 @@ def _check_starts(X0, Xs):
     """Check the trace-normalised warm starts X0 against Xs, the Hermitian matrices with their
     phi coordinates.
 
-    A start that is not finite, not Hermitian (to 1e-12) or not positive
+    A start that is not finite, not Hermitian (to HERMITIAN_TOL) or not positive
     definite raises a ValueError naming the first such member.  A start
     that equals its Xs, as one solve's minimizer handed to the next does,
     costs one comparison and one stacked Cholesky factorisation.
     """
-    if (X0 == Xs).all() or np.abs(X0 - Xs).max() <= _HERMITIAN_TOL:
+    if (X0 == Xs).all() or np.abs(X0 - Xs).max() <= HERMITIAN_TOL:
         if _cholesky_pd(Xs) is not None:
             return
     for i, (X, S) in enumerate(zip(X0, Xs)):
         reason = ("is not finite" if not np.isfinite(X).all()
-                  else "is not Hermitian" if np.abs(X - S).max() > _HERMITIAN_TOL
+                  else "is not Hermitian" if np.abs(X - S).max() > HERMITIAN_TOL
                   else "is not positive definite" if _cholesky_pd(S) is None else None)
         if reason:
             raise ValueError(f"warm start {i} {reason} after trace normalisation")
@@ -533,7 +534,7 @@ def _kkt_matrices(k, d):
     return K
 
 
-def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_ITER):
+def minimize_spectraplex(obj, warm_start=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Minimize ``obj`` plus its weighted log-det barrier over trace-one PSD matrices.
 
     ``obj`` lives in the phi coordinates (dim = d^2); the warm start is a
@@ -592,7 +593,7 @@ def minimize_spectraplex(obj, warm_start=None, tol=1e-10, max_iter=DEFAULT_MAX_I
     return _report(unvectorize_phi(V, d), done, stacked)
 
 
-def minimize_spectraplex_history(loss_duals, barrier_weight, warm_start=None, tol=1e-10):
+def minimize_spectraplex_history(loss_duals, barrier_weight, warm_start=None, tol=DEFAULT_TOL):
     """Minimize sum_t -log<X, R_t> + barrier_weight * (-log det X) over density matrices.
 
     ``loss_duals`` holds phi_dual(R_t) as rows, so <X, R_t> = loss_duals @ phi(X).

@@ -122,8 +122,8 @@ class Simplex:
     def monitor(self, params):
         return StabilityMonitor(params)
 
-    def round(self, state, r, params, tol):
-        return bisons_round(state, r, params, tol=tol)
+    def round(self, state, r, params):
+        return bisons_round(state, r, params)
 
 
 SIMPLEX = Simplex()
@@ -175,12 +175,12 @@ def check_reset(u_next, p_next, params):
     return bool((params.reset_factor * u_next * p_next >= 1.0).any())
 
 
-def bisons_round(state, r_t, params, tol=1e-10, domain=SIMPLEX):
+def bisons_round(state, r_t, params, domain=SIMPLEX):
     """Advance one round: play ``state.x_cur``, suffer the loss, refresh both FTRL solutions, update the bias.
 
     ``r_t`` must already be ingested by ``domain`` (by default normalized
-    onto the simplex).  Returns the state to use next round (a fresh epoch
-    state when the reset fired) and the round's :class:`RoundRecord`.
+    onto the simplex); both solves run at ``default_tol(params.T)``.  Returns
+    the next state (a fresh epoch state on a reset) and the :class:`RoundRecord`.
     """
     x = state.x_cur
     loss, g, m = domain.loss(x, r_t)
@@ -190,7 +190,7 @@ def bisons_round(state, r_t, params, tol=1e-10, domain=SIMPLEX):
     if dp.any():
         state.biased.lin += -params.B * domain.bias_coords(dp)
 
-    x_next, u_next = domain.solve((state.biased, state.unbiased), (x, state.u_cur), tol).minimizer
+    x_next, u_next = domain.solve((state.biased, state.unbiased), (x, state.u_cur), default_tol(params.T)).minimizer
     p_next = domain.update_bias(state.p, x_next)
     reset = domain.check_reset(u_next, p_next, params)
 
@@ -309,7 +309,7 @@ class RunResult:
         return (np.flatnonzero(self.resets) + 1).tolist()
 
 
-def run_epochs(domain, stream, params, rng=None, tol=None, keep_states=False):
+def run_epochs(domain, stream, params, rng=None, keep_states=False):
     """Run the epoch scheme on ``domain`` over a sequence of raw inputs.
 
     The whole sequence is ingested (with ``rng``, in sequence order) before
@@ -326,8 +326,6 @@ def run_epochs(domain, stream, params, rng=None, tol=None, keep_states=False):
     violations.
     """
     params.validate()
-    if tol is None:
-        tol = default_tol(params.T)
     mon = domain.monitor(params)
     state = initial_state(params, domain=domain)
     x = state.x_cur
@@ -351,7 +349,7 @@ def run_epochs(domain, stream, params, rng=None, tol=None, keep_states=False):
         x_old, u_old, p_old = state.x_cur, state.u_cur, state.p
         result.plays[t - 1] = x_old
         try:
-            state, out = domain.round(state, r, params, tol=tol)
+            state, out = domain.round(state, r, params)
         except ROUND_ERRORS as exc:
             ends = np.flatnonzero(result.resets[:t - 1]) + 1  # the rounds that ended an epoch so far
             tau = t - ends[-1] if ends.size else t
@@ -365,6 +363,6 @@ def run_epochs(domain, stream, params, rng=None, tol=None, keep_states=False):
     return result
 
 
-def run_bisons(returns, params, tol=None, keep_states=False):
+def run_bisons(returns, params, keep_states=False):
     """Run the algorithm over a sequence of returns vectors, normalized before round 1."""
-    return run_epochs(SIMPLEX, returns, params, tol=tol, keep_states=keep_states)
+    return run_epochs(SIMPLEX, returns, params, keep_states=keep_states)

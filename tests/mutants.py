@@ -42,6 +42,7 @@ MUTANTS = {
     "M11": ("solver.py", "_FULL_STEP = 1.0 / 3.0", "_FULL_STEP = 0.9", ()),
     "M12": ("quantum.py", "inner = positive_part(np.eye(P.shape[0]) - S @ P @ S)",
             "inner = np.eye(P.shape[0]) - S @ P @ S", (4, 7)),
+    "M13": ("solver.py", "return min(DEFAULT_TOL, float(T) ** -2)", "return 1e-6", ()),
 }
 
 # runs in the subprocess: the criteria of CRITERIA in order, one context; prints the failed ones

@@ -43,34 +43,34 @@ import numpy as np
 from bisons.harness import load_returns, measurement_stream, save_returns
 from bisons.lbftrl import AdversaryPlan, generate_returns, run_lbftrl
 from bisons.quantum import SPECTRAPLEX, ingest_loss_matrix, q_default_params, run_qbisons
-from bisons.solver import default_tol, minimize_simplex, minimize_simplex_history, minimize_spectraplex
+from bisons.solver import minimize_simplex, minimize_simplex_history, minimize_spectraplex
 from bisons.vector import MONITOR_CHUNK, SIMPLEX, bisons_round, default_params, initial_state, run_bisons
 
 ROUNDS_BEFORE, ROUNDS_TIMED = 900, 100
 
 
-def _recorded_rounds(domain, params, rows, tol):
+def _recorded_rounds(domain, params, rows):
     """The state after the first ROUNDS_BEFORE rounds on ``domain``, and a copy of the arguments
-    of each stacked solve of the ROUNDS_TIMED rounds after them."""
+    (objectives, warm starts, tolerance) of each stacked solve of the ROUNDS_TIMED rounds after them."""
     calls = []
 
     class Recording(type(domain)):
         def solve(self, objs, warm_starts, tol):
-            calls.append(copy.deepcopy((objs, warm_starts)))
+            calls.append(copy.deepcopy((objs, warm_starts, tol)))
             return super().solve(objs, warm_starts, tol)
 
     state = initial_state(params, domain)
     for r in rows[:ROUNDS_BEFORE]:
-        state, _ = bisons_round(state, r, params, tol=tol, domain=domain)
+        state, _ = bisons_round(state, r, params, domain=domain)
     after = copy.deepcopy(state)
     for r in rows[ROUNDS_BEFORE:]:
-        after, _ = bisons_round(after, r, params, tol=tol, domain=Recording())
+        after, _ = bisons_round(after, r, params, domain=Recording())
     return state, calls
 
 
-def _pair(solve, calls, tol):
+def _pair(solve, calls):
     def run():
-        for objs, warm_starts in calls:
+        for objs, warm_starts, tol in calls:
             solve(objs, warm_start=warm_starts, tol=tol)
 
     return run, ROUNDS_TIMED
@@ -106,27 +106,25 @@ def _history_solve():
 
 def _bisons():
     params = default_params(10, 11_000)
-    tol = default_tol(params.T)
     rows = np.random.default_rng(11).dirichlet(np.ones(10), size=ROUNDS_BEFORE + ROUNDS_TIMED)
-    state, calls = _recorded_rounds(SIMPLEX, params, rows, tol)
+    state, calls = _recorded_rounds(SIMPLEX, params, rows)
 
     def rounds():
         s = copy.deepcopy(state)
         start = time.perf_counter()
         for r in rows[ROUNDS_BEFORE:]:
-            s, _ = bisons_round(s, r, params, tol=tol)
+            s, _ = bisons_round(s, r, params)
         return time.perf_counter() - start
 
-    return _pair(minimize_simplex, calls, tol), (rounds, ROUNDS_TIMED), _monitor(SIMPLEX, run_bisons, rows, params)
+    return _pair(minimize_simplex, calls), (rounds, ROUNDS_TIMED), _monitor(SIMPLEX, run_bisons, rows, params)
 
 
 def _qbisons():
     params = q_default_params(4, 11_000)
-    tol = default_tol(params.T)
     rows = ingest_loss_matrix(measurement_stream(4, ROUNDS_BEFORE + ROUNDS_TIMED, seed=12),
                               rng=np.random.default_rng(12))
-    _, calls = _recorded_rounds(SPECTRAPLEX, params, rows, tol)
-    return _pair(minimize_spectraplex, calls, tol), _monitor(SPECTRAPLEX, run_qbisons, rows, params)
+    _, calls = _recorded_rounds(SPECTRAPLEX, params, rows)
+    return _pair(minimize_spectraplex, calls), _monitor(SPECTRAPLEX, run_qbisons, rows, params)
 
 
 def _lbftrl():

@@ -26,7 +26,7 @@ from bisons.lbftrl import (
     stability_term,
     validate_target_sequence_exact,
 )
-from bisons.solver import LogLossHistory, minimize_simplex_history
+from bisons.solver import LogLossHistory, minimize_simplex, minimize_simplex_history
 
 
 class TestPiBasis:
@@ -69,7 +69,7 @@ class TestLbftrlPlay:
         prev = 0.5
         for k in (1, 3, 10, 50):
             R = np.tile(np.array([1.0, 0.0]), (k, 1))
-            x = lbftrl_play(LogLossHistory(R, 1.0 / eta), tol=1e-13)
+            x = minimize_simplex(LogLossHistory(R, 1.0 / eta), tol=1e-13).minimizer
             lo, hi = 1e-12, 1.0 - 1e-12
             for _ in range(80):
                 mid = 0.5 * (lo + hi)

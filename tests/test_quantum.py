@@ -20,6 +20,7 @@ from bisons.hermitian import (
     random_hermitian,
     random_pd,
     random_unitary,
+    rebuild,
     sqrt_psd,
     trace_inner,
 )
@@ -287,6 +288,15 @@ def ingest_alone(E, b, gen):
 
 
 class TestIngestLossMatrix:
+    def test_psd_check_ignores_scale(self):
+        # PSD to PSD_TOL after trace normalisation: a rank-deficient matrix passes at any scale
+        rng = np.random.default_rng(31)
+        mats = np.array([1e8 * rebuild(random_unitary(rng, 4), np.array([0.0, *rng.uniform(0.1, 1.0, 3)]))
+                         for _ in range(20)])
+        assert ingest_loss_matrix(mats).shape == (20, 4, 4)
+        with pytest.raises(InvalidReturnsError, match="^loss matrix must be PSD$"):
+            ingest_loss_matrix(rebuild(random_unitary(rng, 2), np.array([1.0 + 1e-9, -1e-9])))
+
     @staticmethod
     def assert_equals_each_event_alone(meas):
         """The stack of ``meas`` and the generator's state after it are those of its events reduced

@@ -23,12 +23,10 @@ ALLOWED = {
 
 # function.parameter (Class.parameter for __init__) -> why a test sets it although the package never does
 ALLOWED_PARAMETERS = {
-    "run_bisons.tol": "tests solve at tol=1e-12 to compare near-exact states",
     "run_bisons.keep_states": "tests compare the kept (x, u, p) states of a run",
     "run_qbisons.keep_states": "tests compare the kept (X, U, P) states of a run",
     "minimize_simplex.max_iter": "tests force a solver failure with max_iter=0",
     "minimize_spectraplex.max_iter": "tests force a solver failure with max_iter=0",
-    "lbftrl_play.tol": "tests replay the player at tol=1e-13",
     "main.argv": "tests drive the CLI in process",
 }
 
@@ -141,6 +139,20 @@ def test_parameter_allowlist_names_unset_parameters():
     unset = _unset_parameters()
     for qual, reason in ALLOWED_PARAMETERS.items():
         assert qual in unset and reason  # an entry the package now sets, or that no longer exists, is stale
+
+
+def test_only_the_solver_takes_a_tolerance():
+    # a round derives its accuracy from its horizon (solver.default_tol); nothing above the solver chooses one
+    takers = []
+    for path, tree in _trees():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and path.stem != "solver":
+                a = fn.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [p for p, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+                takers += [f"{path.stem}.{fn.name}" for p in defaulted if p.arg == "tol"]
+    assert takers == []
 
 
 def test_only_the_cli_entry_point_turns_an_error_into_an_exit_message():

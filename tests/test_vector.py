@@ -199,6 +199,27 @@ class TestBisonsRound:
         state, rec = bisons_round(state, np.array([0.2, 0.3, 0.5]), params)
         assert rec.loss == pytest.approx(math.log(3.0)) and not rec.reset_triggered  # played the uniform x_cur
 
+    @pytest.mark.parametrize("spectraplex", [False, True], ids=["bisons_round", "qbisons_round"])
+    def test_a_round_solves_at_its_horizons_accuracy(self, spectraplex, monkeypatch):
+        # a direct round solves as a run's round does, at default_tol(T) = T^-2 once T > 10^5
+        module, solver = (quantum, "minimize_spectraplex") if spectraplex else (vector, "minimize_simplex")
+        solve, tols = getattr(module, solver), []
+
+        def recording(objs, warm_start=None, tol=None):
+            tols.append(tol)
+            return solve(objs, warm_start=warm_start, tol=tol)
+
+        monkeypatch.setattr(module, solver, recording)
+        if spectraplex:
+            params, domain, play = quantum.q_default_params(2, 10**6), SPECTRAPLEX, quantum.qbisons_round
+            r = np.diag([0.3, 0.7]).astype(complex)
+        else:
+            params, domain, play, r = default_params(2, 10**6), SIMPLEX, bisons_round, np.array([0.3, 0.7])
+        state = initial_state(params, domain=domain)
+        for _ in range(3):
+            state, _ = play(state, r, params)
+        assert tols == [1e-12] * 3
+
     def test_uniform_returns_are_stationary(self):
         params = default_params(2, 440)
         r = np.array([0.5, 0.5])
@@ -209,12 +230,13 @@ class TestBisonsRound:
         assert res.plays.shape == (100, 2)
         assert np.abs(res.plays - 0.5).max() <= 1e-7
 
-    def test_matches_independent_reference_loop(self):
+    def test_matches_independent_reference_loop(self, monkeypatch):
+        monkeypatch.setattr(vector, "default_tol", lambda T: 1e-12)  # near-exact states to compare
         params = default_params(2, 440)
         rng = np.random.default_rng(42)
         R = rng.dirichlet(np.ones(2), size=30)
         ref = ReferenceBisons2D(params)
-        res = run_bisons(R, params, tol=1e-12, keep_states=True)
+        res = run_bisons(R, params, keep_states=True)
         for t, row in enumerate(R):
             loss_ref, reset_ref = ref.round(row)
             assert res.losses[t] == pytest.approx(loss_ref, abs=1e-10)
@@ -224,11 +246,12 @@ class TestBisonsRound:
                 assert np.abs(x_next - ref.x).max() <= 1e-7
                 assert np.abs(res.states[t][1] - ref.u).max() <= 1e-7
 
-    def test_reference_loop_agreement_through_resets(self):
+    def test_reference_loop_agreement_through_resets(self, monkeypatch):
+        monkeypatch.setattr(vector, "default_tol", lambda T: 1e-12)
         params = crash_params()
         R = adversary_returns("single-asset-crash", 2, 1000, 0)[:780]
         ref = ReferenceBisons2D(params)
-        res = run_bisons(R, params, tol=1e-12, keep_states=True)
+        res = run_bisons(R, params, keep_states=True)
         resets_ref = []
         for t, row in enumerate(R):
             _, reset_ref = ref.round(row)
