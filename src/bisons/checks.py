@@ -3,8 +3,9 @@
 Each criterion is a function returning (passed, detail); ``run_checks``
 times each call and fails a criterion that overruns its ``BUDGET_S`` entry.
 Criteria 2, 3, 5 and 6 feed their runs' stability-monitor violations to
-criterion 7; criterion 12 checks its own.  Criterion 1 also checks the
-surrogate that a round builds.  Everything is seeded and deterministic.
+criterion 7; criterion 12 checks its own.  Criterion 9 hands its generated
+run to criterion 13.  Criterion 1 also checks the surrogate that a round
+builds.  Everything is seeded and deterministic.
 """
 
 import math
@@ -22,13 +23,14 @@ from .hermitian import (
     random_effect,
     random_hermitian,
     random_pd,
+    random_unitary,
     trace_inner,
     vectorize_phi,
 )
 from .lbftrl import AdversaryPlan, generate_and_run, regret_vs_next_iterate, run_lbftrl, validate_target_sequence_exact, build_target_sequence_exact
-from .quantum import QBisonsParams, q_default_params, q_update_bias, run_qbisons
+from .quantum import SPECTRAPLEX, QBisonsParams, q_default_params, q_update_bias, run_qbisons
 from .solver import HINDSIGHT_TOL, QuadraticObjective, minimize_simplex, minimize_spectraplex
-from .vector import SIMPLEX, BisonsParams, default_params, run_bisons, update_bias
+from .vector import SIMPLEX, BisonsParams, StabilityMonitor, default_params, run_bisons, update_bias
 
 # overridden parameters for the reset-bearing crash runs: the defaults of the
 # regret theorem move iterates by O(eta) = O(1/(d log T)) per round, which
@@ -36,7 +38,7 @@ from .vector import SIMPLEX, BisonsParams, default_params, run_bisons, update_bi
 # admissibility constraints with a learning rate at its cap
 CRASH_OVERRIDE = dict(B=15.75, eta=1.0 / 63.0, beta=0.1)
 # wall-time budgets in seconds, by criterion; run_checks times each whole call
-BUDGET_S = {1: 10.0, 2: 90.0, 8: 5.0, 11: 10.0, 12: 10.0}
+BUDGET_S = {1: 10.0, 2: 90.0, 8: 5.0, 11: 10.0, 12: 10.0, 13: 10.0, 14: 10.0}
 EPOCH_GRID_POINTS = 200
 
 
@@ -86,10 +88,10 @@ def check_lower_surrogate(ctx):
         worst_gap = max(worst_gap, gap)
         worst_eq = max(worst_eq, abs(s.lower_hat_h(s.anchor_reward) + math.log(s.anchor_reward)))
         loss, g, m = SIMPLEX.loss(x_t, r)  # a round's surrogate, as bisons_round builds it
-        obj = QuadraticObjective.zeros(d, 1.0)
+        obj = QuadraticObjective.zeros(d, 1.0, 1)
         obj.add_surrogate(g, loss, m, s.curvature)
         hat = s.hat_h(float(np.dot(x, r)))
-        worst_round = max(worst_round, abs(obj.smooth_value(x) - hat) / max(1.0, abs(hat)))
+        worst_round = max(worst_round, abs(obj.smooth_value(0, x) - hat) / max(1.0, abs(hat)))
     passed = worst_gap <= 1e-12 and worst_eq <= 1e-12 and worst_round <= 1e-12
     return passed, (f"10^4 triples: max excess over true loss {worst_gap:.2e}, "
                     f"max anchor equality gap {worst_eq:.2e}, max round surrogate gap {worst_round:.2e}")
@@ -249,6 +251,7 @@ def check_regret_stability(ctx):
     plan = AdversaryPlan.build(3, 10_000, 0.5)
     eta = 1.0
     gen = generate_and_run(plan, eta)
+    ctx["generated"] = plan.T, gen.returns, gen.movement_flags  # criterion 13's input, not the whole run
     results.append(("generated d=3 alpha=0.5", gen))
     rng_root = 109
     for seed in range(3):
@@ -337,27 +340,26 @@ def check_calculus(ctx):
 
 def check_solver_oracles(ctx):
     # simplex quadratic vs dense grid
-    obj = QuadraticObjective(3, 0.01 * np.eye(3), np.array([-1.0, 0.0, 0.0]), 0.0, 1.0)
-    rep = minimize_simplex(obj, tol=HINDSIGHT_TOL)
+    quad, lin = 0.01 * np.eye(3), np.array([-1.0, 0.0, 0.0])
+    x = minimize_simplex(QuadraticObjective(quad, lin[None], np.zeros(1), 1.0), tol=HINDSIGHT_TOL).minimizer[0]
     step = 1e-3
     a = np.arange(step, 1.0, step)
     A, B = np.meshgrid(a, a, indexing="ij")
     mask = A + B < 1.0 - step / 2
     grid = np.stack([A[mask], B[mask], 1.0 - A[mask] - B[mask]], axis=1)
-    vals = (0.5 * np.einsum("ij,jk,ik->i", grid, obj.quad, grid) + grid @ obj.lin
+    vals = (0.5 * np.einsum("ij,jk,ik->i", grid, quad, grid) + grid @ lin
             - np.log(grid).sum(axis=1))
-    arg_gap = float(np.abs(rep.minimizer - grid[np.argmin(vals)]).max())
-    obj_gap = (0.5 * rep.minimizer @ obj.quad @ rep.minimizer + obj.lin @ rep.minimizer
-               - np.log(rep.minimizer).sum()) - float(vals.min())
+    arg_gap = float(np.abs(x - grid[np.argmin(vals)]).max())
+    obj_gap = (0.5 * x @ quad @ x + lin @ x - np.log(x).sum()) - float(vals.min())
 
     # spectraplex linear objective vs a sweep of U diag(a, 1 - a) U^H over eigenvalues a (the steps of the
     # simplex grid) and rotation angles, as one stacked product per eigenvalue
-    obj_q = QuadraticObjective.zeros(4, 1.0)
-    obj_q.lin += phi_dual(np.diag([-1.0, 0.0]).astype(complex))
-    rep_q = minimize_spectraplex(obj_q, tol=HINDSIGHT_TOL)
+    lin_q = phi_dual(np.diag([-1.0, 0.0]).astype(complex))
+    X_q = minimize_spectraplex(QuadraticObjective(np.zeros((4, 4)), lin_q[None], np.zeros(1), 1.0),
+                               tol=HINDSIGHT_TOL).minimizer[0]
 
     def qval(X):
-        return np.vecdot(vectorize_phi(X), obj_q.lin) - np.linalg.slogdet(X)[1].real
+        return np.vecdot(vectorize_phi(X), lin_q) - np.linalg.slogdet(X)[1].real
 
     cos_sin = [(math.cos(theta), math.sin(theta)) for theta in np.arange(0.0, math.pi, 2e-3)]
     U = np.array([[[c, -s], [s, c]] for c, s in cos_sin], dtype=complex)
@@ -365,8 +367,8 @@ def check_solver_oracles(ctx):
     D[:, 0, 0], D[:, 1, 1] = a, 1.0 - a
     q_vals = np.stack([qval(U @ Da @ U.conj().swapaxes(1, 2)) for Da in D])
     i, j = np.unravel_index(np.argmin(q_vals), q_vals.shape)  # the first minimum in (eigenvalue, angle) order
-    q_arg_gap = float(np.abs(rep_q.minimizer - U[j] @ D[i] @ U[j].conj().T).max())
-    q_obj_gap = qval(rep_q.minimizer) - q_vals[i, j]
+    q_arg_gap = float(np.abs(X_q - U[j] @ D[i] @ U[j].conj().T).max())
+    q_obj_gap = qval(X_q) - q_vals[i, j]
 
     # hindsight comparator vs grid
     rng = derive_rng(111, "accept:best-crp-grid")
@@ -379,6 +381,59 @@ def check_solver_oracles(ctx):
               and crp_gap <= 5e-3)
     return passed, (f"simplex arg gap {arg_gap:.1e} obj gap {obj_gap:.1e}; spectraplex arg gap "
                     f"{q_arg_gap:.1e} obj gap {q_obj_gap:.1e}; best-CRP loss gap {crp_gap:.1e}")
+
+
+# -- criterion 13 ----------------------------------------------------------------
+
+def check_movement_norm_cap(ctx):
+    """Every movement return r_t of criterion 9's generated run has ||Pi r_t|| <= T^-1/2, with Pi the
+    projection onto the sum-zero plane through its own orthonormal basis, not lbftrl.pi_basis: the
+    Helmert rows (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)), k = 1..d-1."""
+    if "generated" not in ctx:
+        return False, "no generated run (run criterion 9 first)"
+    T, returns, movement_flags = ctx["generated"]
+    moves = returns[movement_flags]
+    d = moves.shape[1]
+    k, j = np.arange(1, d)[:, None], np.arange(d)
+    basis = np.where(j < k, 1.0, np.where(j == k, -k, 0.0)) / np.sqrt(k * (k + 1.0))
+    worst = float(np.linalg.norm(moves @ basis.T, axis=1).max()) * math.sqrt(T)
+    return worst <= 1.0 + 1e-12, (f"{len(moves)} movement rows of criterion 9's generated run (d={d}, "
+                                  f"T={T}): max ||Pi r_t|| sqrt(T) = 1 + {worst - 1.0:.1e} (<= 1 + 1e-12)")
+
+
+# -- criterion 14 ----------------------------------------------------------------
+
+def check_monitors_fire(ctx):
+    """On both domains, a monitor fed seven rounds, the k-th breaking its k-th check alone by twice
+    the check's tolerance, reports exactly ``t=k: <check k>`` for each."""
+    T, over = 1000, 2.0 * StabilityMonitor.tol  # how far a round breaks its check (2e-9 for the inverse play)
+    ratio = 1.0 + 6.0 * CRASH_OVERRIDE["eta"]
+    shrunk, moved = (0.5 - over) / ratio, 0.5 / 1.09  # a play ratio just outside 1 + 6 eta; one inside it
+    centre = dict(x_old=[0.5, 0.5], u_old=[0.5, 0.5], p_old=[2.0, 2.0], x_next=[0.5, 0.5], u_next=[0.5, 0.5],
+                  p_next=[2.0, 2.0])
+    rounds = [{**centre, **case} for case in (  # eigenvalues of the round's arrays
+        dict(x_next=[shrunk, 1.0 - shrunk], p_old=[4.0, 4.0], p_next=[4.0, 4.0]),
+        dict(x_next=[moved, 1.0 - moved], p_old=[2.2, 2.2], p_next=[ratio * 2.2 + over, 2.2]),
+        dict(x_next=[moved, 1.0 - moved], p_old=[2.2, 2.2], p_next=[2.2, 2.2 - over]),
+        dict(u_old=[0.3, 0.7], u_next=[0.6 + over, 0.4 - over]),
+        dict(p_old=[2.0, 2.0 - 2e-9], p_next=[2.0, 2.0 - 2e-9]),
+        dict(p_old=[T**2 + over, 4.0], p_next=[T**2 + over, 4.0]),
+        dict(p_next=[2.0 + 2.0 * over, 2.0]),  # its norm at x = 1/2 is ``over``
+    )]
+    V = random_unitary(derive_rng(114, "accept:monitors-fire"), 2)
+    domains = (("simplex", SIMPLEX, BisonsParams, np.array),
+               ("spectraplex", SPECTRAPLEX, QBisonsParams, lambda e: (V * e) @ V.conj().T))
+    passed, details = True, []
+    for name, domain, params_type, lift in domains:
+        mon = domain.monitor(params_type(d=2, T=T, **CRASH_OVERRIDE).validate())
+        for t, eigs in enumerate(rounds, start=1):
+            mon.observe(t, *(lift(eigs[key]) for key in centre))
+        mon.flush()
+        own = [f"t={t}: {check}" for t, check in enumerate(mon.checks, start=1)]
+        passed = passed and mon.violations == own
+        details.append(f"{name} {len(set(own) & set(mon.violations))}/7 ({len(set(mon.violations) - set(own))} other)")
+    return passed, ("7 rounds per domain, the k-th breaking monitor check k alone by 2x its tolerance, fire their "
+                    f"own check: {', '.join(details)}")
 
 
 CHECKS = [
@@ -394,6 +449,8 @@ CHECKS = [
     (10, "calculus", check_calculus, {"lemmas"}),
     (11, "solver-oracles", check_solver_oracles, {"lemmas"}),
     (12, "diagonal-equivalence-resets", check_diagonal_equivalence_resets, {"qbisons"}),
+    (13, "movement-norm-cap", check_movement_norm_cap, {"lbftrl"}),
+    (14, "monitors-fire", check_monitors_fire, {"lemmas"}),
 ]
 
 

@@ -87,7 +87,7 @@ def best_crp(returns):
     if R.ndim != 2 or R.shape[0] == 0:
         raise ValueError("need a nonempty returns matrix")
     d = R.shape[1]
-    x = _continuation(lambda x, w: minimize_simplex_history(R, w, warm_start=x, tol=HINDSIGHT_TOL).minimizer,
+    x = _continuation(lambda x, w: minimize_simplex_history(R, w, warm_start=x, tol=HINDSIGHT_TOL).minimizer[0],
                       uniform_portfolio(d), 1.0, 1e-9 / d)
     return x, float(-np.log(R @ x).sum())
 
@@ -102,7 +102,7 @@ def best_quantum_state(loss_matrices):
         raise ValueError("need a nonempty loss matrix sequence")
     d = mats.shape[-1]
     W = phi_dual(mats)
-    X = _continuation(lambda X, w: minimize_spectraplex_history(W, w, warm_start=X, tol=HINDSIGHT_TOL).minimizer,
+    X = _continuation(lambda X, w: minimize_spectraplex_history(W, w, warm_start=X, tol=HINDSIGHT_TOL).minimizer[0],
                       np.eye(d, dtype=complex) / d, 1.0, 1e-8 / d)
     loss = float(sum(-math.log(v) for v in trace_inner(X, mats)))
     return X, loss
@@ -111,24 +111,28 @@ def best_quantum_state(loss_matrices):
 # -- online Newton step baseline ----------------------------------------------
 
 class _Projection:
-    """(x - q)' A (x - q) plus ``barrier_weight`` times the barrier, evaluated
+    """(x - q)' A (x - q) plus ``barrier_weight`` times the barrier, one member, evaluated
     centred on q: the expanded form cancels to noise once tr A is large."""
 
     def __init__(self, q, A, barrier_weight):
         self.q, self.A, self.barrier_weight, self.dim = q, A, barrier_weight, q.size
 
-    def smooth_value(self, x):
+    def __len__(self):
+        return 1
+
+    def smooth_value(self, i, x):
         y = x - self.q
         return float(y @ self.A @ y)
 
-    def smooth_grad_hess(self, x):
-        return 2.0 * (self.A @ (x - self.q)), 2.0 * self.A
+    def smooth_grad_hess(self, idx, X):
+        return 2.0 * (self.A @ (X[0] - self.q))[None], 2.0 * self.A
 
 
 def _generalized_projection(q, A):
     """argmin over the simplex of (x - q)' A (x - q), by barrier continuation down to weight 1e-9."""
-    return _continuation(lambda x, w: minimize_simplex(_Projection(q, A, w), warm_start=x, tol=HINDSIGHT_TOL).minimizer,
-                         uniform_portfolio(q.size), 1e-2, 1e-9)
+    return _continuation(
+        lambda x, w: minimize_simplex(_Projection(q, A, w), warm_start=x, tol=HINDSIGHT_TOL).minimizer[0],
+        uniform_portfolio(q.size), 1e-2, 1e-9)
 
 
 def ons_baseline(returns):

@@ -156,7 +156,7 @@ def lbftrl_play(history, warm_start=None):
     """
     if history.n == 0:
         return uniform_portfolio(history.dim)
-    return minimize_simplex(history, warm_start=warm_start).minimizer
+    return minimize_simplex(history, warm_start=warm_start).minimizer[0]
 
 
 def grad_pi_objective(x, history, barrier_grad, U):
@@ -303,9 +303,9 @@ def _play(seq, eta):
             # A certified solve may stop without the Hessian at x; form it so that
             # append moves it.  An empty history keeps summing its first row afresh.
             if history.n:
-                history.smooth_grad_hess(x)
+                history.smooth_grad_hess((0,), x[None])
             history.append(r)
-            loss_hessians[t] = history.smooth_grad_hess(x)[1]
+            loss_hessians[t] = history.smooth_grad_hess((0,), x[None])[1]
         except ROUND_ERRORS as exc:
             raise prefixed(exc, f"t={t + 1}: ") from exc
     ips = (R[:, None, :] @ plays[:, :, None])[:, 0]  # <x_t, r_t>, shape (T, 1)
@@ -329,6 +329,6 @@ def run_lbftrl(returns, eta):
 def regret_vs_next_iterate(result):
     """Cumulative loss minus the loss of x_{T+1}, the post-horizon FTRL iterate."""
     hist = result.returns
-    x_next = minimize_simplex_history(hist, 1.0 / result.eta, warm_start=result.plays[-1]).minimizer
+    x_next = minimize_simplex_history(hist, 1.0 / result.eta, warm_start=result.plays[-1]).minimizer[0]
     comparator = float(-np.log(hist @ x_next).sum())
     return float(result.losses.sum()) - comparator, x_next

@@ -16,9 +16,9 @@ boundary inclusive.
 
 The epoch engine is the one of :mod:`bisons.vector`, run on the
 :class:`Spectraplex` domain, so a round's biased and unbiased objectives
-share their quadratic part and are solved as one stacked KKT solve, and
-its stability monitor runs the same checks with least eigenvalues, matrix
-inverses and :func:`bisons.hermitian.a_norm`.  A
+are the two members of one quadratic objective, solved as one stacked KKT
+solve, and its stability monitor runs the same checks with least
+eigenvalues, matrix inverses and :func:`bisons.hermitian.a_norm`.  A
 run ingests its whole stream once, before round 1: a
 :class:`bisons.hermitian.Measurements` stack is reduced in one call (its
 fractional outcomes draw their uniforms in stream order, the same ones as
@@ -150,8 +150,8 @@ class Spectraplex:
     def bias_coords(self, dP):
         return phi_dual(dP)
 
-    def solve(self, objs, warm_starts, tol):
-        return minimize_spectraplex(objs, warm_start=warm_starts, tol=tol)
+    def solve(self, obj, warm_starts, tol):
+        return minimize_spectraplex(obj, warm_start=warm_starts, tol=tol)
 
     def update_bias(self, P, X_next):
         return q_update_bias(P, X_next)

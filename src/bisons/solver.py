@@ -5,11 +5,11 @@ Two domains are supported: the probability simplex with the log barrier
 the log-det barrier, handled in the real coordinates of
 :func:`bisons.hermitian.vectorize_phi`.  Objectives are either accumulated
 quadratics (:class:`QuadraticObjective`) or sums of true log losses over a
-stored history (:class:`LogLossHistory`); each supplies its smooth value,
-gradient and Hessian, and one frontend per domain adds the barrier.  All
-of these are self-concordant, so the Newton decrement lambda certifies the
-optimality gap.  Iteration stops on either of two tests, and the report
-carries the value that passed as ``certified_gap``:
+stored history (:class:`LogLossHistory`); each supplies its members' smooth
+values, gradients and Hessians, and one frontend per domain adds the
+barrier.  All of these are self-concordant, so the Newton decrement
+lambda certifies the optimality gap.  Iteration stops on either of two
+tests, and the report carries the value that passed as ``certified_gap``:
 
 - the decrement computed at the iterate: lambda^2 <= tol;
 - after a full, uncapped Newton step from a point with decrement lambda,
@@ -45,45 +45,46 @@ The simplex equality constraint is eliminated by dropping the last
 coordinate; the spectraplex trace constraint is kept in the KKT system
 with a scalar multiplier.
 
-Both frontends solve a stack of k objectives of one dimension and barrier
-weight, given as a list or tuple with a stack of k warm starts; a single
-objective is the stack of one.  One driver runs the stack in lockstep.
-Each iteration forms the gradient and Hessian of every member still
-running, makes one stacked ``np.linalg.solve`` and computes each member's
-decrement; every member whose step may be taken in full takes it, and any
-other member gets its own boundary cap and Armijo search.  Each member
-stops on its own test, so it takes exactly the steps, and ends at exactly
-the bits, that a solve of it alone would: the stacked calls are ones that
-give each slice the bits of the single call (``solve``, ``inv``,
-``cholesky``, ``@``, ``vecdot``, elementwise ufuncs and gathers), and the
-log-det Hessian ``einsum`` runs member by member.  A stacked solve returns
-one :class:`SolveReport` whose ``minimizer`` is the (k, ...) stack,
-``certified_gap`` the (k,) array and ``iterations`` the Newton steps
-summed over the stack.  If members fail, the first failing one in stack
-order raises, with the message and report (on the spectraplex, its d x d
-density matrix) that a solve of it alone gives; a member after a failed
-one stops, since it could not be reported.  A stacked ``LinAlgError`` does
-not say which system is singular, so then each member's system is solved
-alone.
+Each frontend solves the k = ``len(obj)`` members of one objective from a
+stack of k warm starts: a :class:`QuadraticObjective` holds k members that
+share their quadratic part, and a :class:`LogLossHistory` is one member.
+One driver runs the members in lockstep.  Each iteration forms the
+gradients and Hessians of the members still running in one
+``smooth_grad_hess`` call, makes one stacked ``np.linalg.solve`` and
+computes each member's decrement; every member whose step may be taken in
+full takes it, and any other member gets its own boundary cap and Armijo
+search.  Each member stops on its own test, so it takes exactly the steps,
+and ends at exactly the bits, that a solve of it alone would: the stacked
+calls are ones that give each slice the bits of the single call
+(``solve``, ``inv``, ``cholesky``, ``@``, ``vecdot``, elementwise ufuncs
+and gathers), and the log-det Hessian ``einsum`` runs member by member.  A
+solve returns one :class:`SolveReport` whose ``minimizer`` is the (k, ...)
+stack, ``certified_gap`` the (k,) array and ``iterations`` the Newton
+steps summed over the stack.  If members fail, the first failing one in
+stack order raises, with the message and report (its own iterate; on the
+spectraplex, its d x d density matrix) that a solve of it alone gives; a
+member after a failed one stops, since it could not be reported.  A
+stacked ``LinAlgError`` does not say which system is singular, so then
+each member's system is solved alone.
 
-An iteration pays per member only for the member's own arithmetic: its
-``smooth_grad_hess`` call (and on the spectraplex its log-det Hessian
-``einsum``).  Everything else is a fixed number of array calls over the
-whole stack, a stack of one included.  On the simplex that is a buffer
-holding each member's Hessian and gradient (two copies per member), five
-calls for the barrier terms, two gathers and five elementwise operations
-for the reduced system, one ``solve``, one ``vecdot`` for the decrements
-and three calls to lift the steps; when every member takes its full step,
-the steps are one addition.
+An iteration pays per member only for the log-det Hessian ``einsum`` on
+the spectraplex.  Everything else is a fixed number of array calls over
+the whole stack, a stack of one included.  On the simplex that is the
+objective's gradients and Hessians copied into one buffer, five calls for
+the barrier terms, two gathers and five elementwise operations for the
+reduced system, one ``solve``, one ``vecdot`` for the decrements and three
+calls to lift the steps; when every member takes its full step, the steps
+are one addition.
 
-Warm starts: a solve takes one warm start per objective (a stack of k for
-a list of k), and a count that does not match, or an empty list, raises a
-ValueError that names both counts.  A simplex warm start is not checked:
-it must be interior, and since Newton steps keep the coordinate sum, a
-start off the simplex gives the minimizer over the plane through it.  A
-spectraplex warm start is normalised to trace one and must then be finite,
-Hermitian (to 1e-12) and positive definite, or a ValueError names the
-member; one stacked Cholesky factorisation checks the stack.
+Warm starts: a solve takes one warm start per member (a single start
+serves an objective of one member), and a count that does not match, or an
+objective of no members, raises a ValueError that names both counts.  A
+simplex warm start is not checked: it must be interior, and since Newton
+steps keep the coordinate sum, a start off the simplex gives the minimizer
+over the plane through it.  A spectraplex warm start is normalised to
+trace one and must then be finite, Hermitian (to 1e-12) and positive
+definite, or a ValueError names the member; one stacked Cholesky
+factorisation checks the stack.
 """
 
 import functools
@@ -111,52 +112,55 @@ def default_tol(T):
 
 @dataclass
 class QuadraticObjective:
-    """Accumulated quadratic 0.5 x'Qx + l.x + c plus ``barrier_weight`` times the barrier.
+    """k accumulated quadratics 0.5 x'Qx + l_j.x + c_j that share Q, each plus ``barrier_weight`` times the barrier.
 
-    ``dim`` is d on the simplex and d^2 on the spectraplex (real
-    coordinates).  Surrogate rounds enter through :meth:`add_surrogate`,
-    linear bias terms through direct updates of ``lin``.
+    ``quad`` is the (dim, dim) Q, ``lin`` the (k, dim) stack of the l_j and
+    ``const`` the (k,) c_j; ``dim`` is d on the simplex and d^2 on the
+    spectraplex (real coordinates).  Surrogate rounds enter every member
+    through :meth:`add_surrogate`, linear bias terms through direct updates
+    of a row of ``lin``.
     """
 
-    dim: int
     quad: np.ndarray
     lin: np.ndarray
-    const: float
+    const: np.ndarray
     barrier_weight: float
 
     @classmethod
-    def zeros(cls, dim, barrier_weight):
+    def zeros(cls, dim, barrier_weight, k):
         if barrier_weight <= 0.0:
             raise ValueError("barrier weight must be positive")
-        return cls(dim, np.zeros((dim, dim)), np.zeros(dim), 0.0, float(barrier_weight))
+        return cls(np.zeros((dim, dim)), np.zeros((k, dim)), np.zeros(k), float(barrier_weight))
 
-    def add_surrogate(self, w, anchor_value, anchor_inner, beta, *sharing):
-        """Accumulate a + <x - x_t, g> + (beta/2) <x - x_t, g>^2 here and in each of ``sharing``.
+    @property
+    def dim(self):
+        return len(self.quad)
+
+    def __len__(self):
+        return len(self.lin)
+
+    def add_surrogate(self, w, anchor_value, anchor_inner, beta):
+        """Accumulate a + <x - x_t, g> + (beta/2) <x - x_t, g>^2 into every member, its quadratic part once.
 
         ``w`` is the coordinate vector of the anchor gradient g (the
         gradient itself on the simplex, its phi-dual on the spectraplex)
-        and ``anchor_inner`` is <x_t, g>.  The objectives in ``sharing``
-        hold this one's ``quad`` array, so the quadratic part is added once.
+        and ``anchor_inner`` is <x_t, g>.
         """
-        for obj in sharing:
-            if obj.quad is not self.quad:
-                raise ValueError("objectives that share a surrogate must share their quad array")
         self.quad += beta * (w[:, None] * w)  # np.outer(w, w), without its dispatch
-        lin = (1.0 - beta * anchor_inner) * w
-        const = anchor_value - anchor_inner + 0.5 * beta * anchor_inner * anchor_inner
-        for obj in (self, *sharing):
-            obj.lin += lin
-            obj.const += const
+        self.lin += (1.0 - beta * anchor_inner) * w
+        self.const += anchor_value - anchor_inner + 0.5 * beta * anchor_inner * anchor_inner
 
-    def smooth_value(self, x):
-        return 0.5 * float(x @ self.quad @ x) + float(self.lin @ x) + self.const
+    def smooth_value(self, i, x):
+        return 0.5 * float(x @ self.quad @ x) + float(self.lin[i] @ x) + self.const[i]
 
-    def smooth_grad_hess(self, x):
-        return self.quad @ x + self.lin, self.quad
+    def smooth_grad_hess(self, idx, X):
+        """The gradients of the members ``idx`` at their points X, as one stack, and their shared Hessian."""
+        lin = self.lin if len(idx) == len(self.lin) else self.lin[idx]  # every member, in order: no gather
+        return (self.quad @ X[..., None])[..., 0] + lin, self.quad
 
 
 class LogLossHistory:
-    """Sum of true log losses sum_t -log<x, r_t> plus ``barrier_weight`` times the barrier.
+    """Sum of true log losses sum_t -log<x, r_t> plus ``barrier_weight`` times the barrier; one member.
 
     ``rows`` holds the r_t: returns on the simplex, phi_dual(R_t) on the
     spectraplex, so that <x, r_t> = rows @ x in both coordinate systems.
@@ -184,18 +188,22 @@ class LogLossHistory:
         self.barrier_weight = float(barrier_weight)
         self._last = None  # (bytes of x, copy of x, gradient, Hessian) at the last point asked for
 
-    def smooth_value(self, x):
+    def __len__(self):
+        return 1
+
+    def smooth_value(self, i, x):
         ips = self.rows @ x.copy()
         return math.inf if ips.size and ips.min() <= 0.0 else -float(np.log(ips).sum())
 
-    def smooth_grad_hess(self, x):
-        key = x.tobytes()
+    def smooth_grad_hess(self, idx, X):
+        """The gradient at X[0], as a stack of one, and the Hessian."""
+        key = X[0].tobytes()
         if self._last is None or self._last[0] != key:
-            x = x.copy()
+            x = X[0].copy()
             R = self.rows
             inv = 1.0 / (R @ x)
             self._last = key, x, -(R.T @ inv), (R.T * inv**2) @ R
-        return self._last[2:]
+        return self._last[2][None], self._last[3]
 
     def append(self, r):
         """Add the row r, of shape (dim,); a kept gradient and Hessian move to the new sum at their point."""
@@ -218,8 +226,11 @@ class LogLossHistory:
 
 @dataclass
 class SolveReport:
+    """The (k, ...) minimizers, their (k,) certified gaps and the Newton steps summed over the members;
+    a :class:`SolverFailure` reports its failing member's iterate, decrement^2 and steps."""
+
     minimizer: np.ndarray
-    certified_gap: float
+    certified_gap: np.ndarray
     iterations: int
 
 
@@ -310,10 +321,9 @@ def _damped_newton(X, grad_hess, newton_step, fval, boundary_cap, tol, max_iter,
     point.  When every member of the stack takes its full step, the steps
     are one array addition.
 
-    Returns the minimizers X, their certified gaps and the Newton steps
-    summed over the stack; each member takes the steps it would take alone.
-    A failed member stops those after it in the stack, and the first
-    failure in stack order is raised.
+    Returns the :class:`SolveReport` of the minimizers X; each member takes
+    the steps it would take alone.  A failed member stops those after it in
+    the stack, and the first failure in stack order is raised.
     """
     k = len(X)
     done = [None] * k  # a member's (certified gap, steps) or its SolverFailure, once it stops
@@ -369,7 +379,8 @@ def _damped_newton(X, grad_hess, newton_step, fval, boundary_cap, tol, max_iter,
             stop = min(stop, active[0])
     if stop < k:
         raise done[stop]
-    return X, done
+    gaps, steps = zip(*done)
+    return SolveReport(X, np.array(gaps), sum(steps))
 
 
 def _kappa(barrier_weight):
@@ -377,30 +388,13 @@ def _kappa(barrier_weight):
     return max(1.0, 1.0 / math.sqrt(barrier_weight))
 
 
-def _as_stack(obj, starts):
-    """The objectives of a solve of ``obj``, one objective or a list or tuple of them, their
-    common barrier weight, and whether the solve is stacked; ``starts`` is the stack of warm
-    starts, or None."""
-    stacked = isinstance(obj, (list, tuple))
-    objs = obj if stacked else (obj,)
-    k = len(objs)
+def _members(obj, starts):
+    """The number k of members of ``obj``; ``starts`` is a stack of k warm starts, or None."""
+    k = len(obj)
     if not k or (starts is not None and len(starts) != k):
-        raise ValueError(f"a solve needs at least one objective and one warm start per objective "
-                         f"(objectives: {k}, warm starts: {k if starts is None else len(starts)})")
-    dim, w = objs[0].dim, objs[0].barrier_weight
-    for o in objs:
-        if o.dim != dim or o.barrier_weight != w:
-            raise ValueError("a stacked solve needs objectives of one dimension and one barrier weight")
-    return objs, w, stacked
-
-
-def _report(minimizers, done, stacked):
-    """The report of a stacked solve, or of its one member, from each member's (certified gap, steps)."""
-    if not stacked:
-        gap, steps = done[0]
-        return SolveReport(minimizers[0], gap, steps)
-    gaps, steps = zip(*done)
-    return SolveReport(minimizers, np.array(gaps), sum(steps))
+        raise ValueError(f"a solve needs at least one member and one warm start per member "
+                         f"(members: {k}, warm starts: {k if starts is None else len(starts)})")
+    return k
 
 
 # -- frontends: one per domain, for QuadraticObjective and LogLossHistory -------
@@ -446,30 +440,27 @@ def _reduced_newton_step(X, G, F):
 
 
 def minimize_simplex(obj, warm_start=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Minimize ``obj`` plus its weighted log barrier -sum(log x_i) over the simplex.
+    """Minimize each of the k members of ``obj`` plus its weighted log barrier -sum(log x_i) over the simplex.
 
-    ``obj`` may be a list or tuple of k objectives with a (k, d) stack of
-    warm starts; they are solved as one stack and the report is stacked.
-    A warm start is not checked: the iterates keep its coordinate sum, so
-    a start off the simplex gives a minimizer over the plane through it.
+    ``warm_start`` is a (k, d) stack.  A warm start is not checked: the
+    iterates keep its coordinate sum, so a start off the simplex gives a
+    minimizer over the plane through it.
     """
     X = None if warm_start is None else np.array(warm_start, dtype=float, ndmin=2)
-    objs, w, stacked = _as_stack(obj, X)
-    d = objs[0].dim
+    k, d, w = _members(obj, X), obj.dim, obj.barrier_weight
     if X is None:
-        X = np.full((len(objs), d), 1.0 / d)
+        X = np.full((k, d), 1.0 / d)
 
     def fval(i, x):
         if x.min() <= 0.0:
             return math.inf
-        return objs[i].smooth_value(x) - w * float(np.log(x).sum())
+        return obj.smooth_value(i, x) - w * float(np.log(x).sum())
 
     def grad_hess(idx, X):
         m = len(idx)
         F = np.empty((m, d * d + d))  # each member's Hessian, row-major, then its gradient
         H, G = F[:, : d * d].reshape(m, d, d), F[:, d * d :]
-        for j, i in enumerate(idx):
-            G[j], H[j] = objs[i].smooth_grad_hess(X[j])
+        G[:], H[:] = obj.smooth_grad_hess(idx, X)
         F[:, : d * d : d + 1] += w / (X * X)
         G -= w / X
         return G, F
@@ -480,8 +471,7 @@ def minimize_simplex(obj, warm_start=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX
             return 1.0
         return min(1.0, _BOUNDARY_FRACTION * float(np.min(-x[neg] / dx[neg])))
 
-    X, done = _damped_newton(X, grad_hess, _reduced_newton_step, fval, boundary_cap, tol, max_iter, _kappa(w))
-    return _report(X, done, stacked)
+    return _damped_newton(X, grad_hess, _reduced_newton_step, fval, boundary_cap, tol, max_iter, _kappa(w))
 
 
 def minimize_simplex_history(returns, barrier_weight, warm_start=None, tol=DEFAULT_TOL):
@@ -535,16 +525,13 @@ def _kkt_matrices(k, d):
 
 
 def minimize_spectraplex(obj, warm_start=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Minimize ``obj`` plus its weighted log-det barrier over trace-one PSD matrices.
+    """Minimize each of the k members of ``obj`` plus its weighted log-det barrier over trace-one PSD matrices.
 
-    ``obj`` lives in the phi coordinates (dim = d^2); the warm start is a
-    density matrix.  ``obj`` may be a list or tuple of k objectives with a
-    (k, d, d) stack of warm starts; they are solved as one stack and the
-    report is stacked.
+    ``obj`` lives in the phi coordinates (dim = d^2); ``warm_start`` is a
+    (k, d, d) stack of density matrices.
     """
     X0 = None if warm_start is None else np.array(warm_start, dtype=complex, copy=None, ndmin=3)
-    objs, w, stacked = _as_stack(obj, X0)
-    k, n = len(objs), objs[0].dim
+    k, n, w = _members(obj, X0), obj.dim, obj.barrier_weight
     d = int(round(math.sqrt(n)))
     if d * d != n:
         raise ValueError(f"objective dimension {n} is not a square")
@@ -563,11 +550,11 @@ def minimize_spectraplex(obj, warm_start=None, tol=DEFAULT_TOL, max_iter=DEFAULT
         if L is None:
             return math.inf
         ld = 2.0 * float(np.log(np.diagonal(L).real).sum())
-        return objs[i].smooth_value(v) - w * ld
+        return obj.smooth_value(i, v) - w * ld
 
     def grad_hess(idx, V):
         Xinv = hermitize(np.linalg.inv(unvectorize_phi(V, d)))
-        G, H = map(np.array, zip(*[objs[i].smooth_grad_hess(v) for i, v in zip(idx, V)]))
+        G, H = obj.smooth_grad_hess(idx, V)
         hess = np.array([_logdet_hessian(C) for C in (rows @ Xinv).reshape(len(idx), n, d, d)])
         return G - w * phi_dual(Xinv), H + w * hess
 
@@ -586,11 +573,12 @@ def minimize_spectraplex(obj, warm_start=None, tol=DEFAULT_TOL, max_iter=DEFAULT
         return 1.0 if wmin >= 0.0 else min(1.0, _BOUNDARY_FRACTION / (-wmin))
 
     try:
-        V, done = _damped_newton(V0, grad_hess, kkt_step, fval, boundary_cap, tol, max_iter, _kappa(w))
+        rep = _damped_newton(V0, grad_hess, kkt_step, fval, boundary_cap, tol, max_iter, _kappa(w))
     except SolverFailure as exc:  # a failure report carries a density matrix too
         exc.report.minimizer = unvectorize_phi(exc.report.minimizer, d)
         raise
-    return _report(unvectorize_phi(V, d), done, stacked)
+    rep.minimizer = unvectorize_phi(rep.minimizer, d)
+    return rep
 
 
 def minimize_spectraplex_history(loss_duals, barrier_weight, warm_start=None, tol=DEFAULT_TOL):

@@ -4,9 +4,10 @@ Each epoch runs two follow-the-regularized-leader solves per round on
 accumulated quadratic objectives with the log barrier: the played point
 minimizes the *biased* accumulation (surrogates minus the linear bias
 term B <x, p_tau - p_{tau-1}>) and a reference comparator minimizes the
-unbiased one.  The two objectives always hold the same quadratic part, so
-they share one array, to which each round adds its surrogate's once, and
-a round solves them as one stack of two (see :mod:`bisons.solver`).  The
+unbiased one.  The two objectives differ only in their linear terms, so
+they are the two members of one quadratic objective, which holds their
+quadratic part once; a round adds its surrogate to both and solves them as
+one stack of two (see :mod:`bisons.solver`).  The
 per-asset bias p records the worst inverse weight seen in the epoch,
 p_tau,i = max(p_{tau-1,i}, 1/x_tau,i), and the epoch resets once some
 coordinate of the comparator crosses the bias-scaled threshold
@@ -28,7 +29,7 @@ simplex runs them as their diagonal case.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,8 +111,8 @@ class Simplex:
     def bias_coords(self, dp):
         return dp
 
-    def solve(self, objs, warm_starts, tol):
-        return minimize_simplex(objs, warm_start=warm_starts, tol=tol)
+    def solve(self, obj, warm_starts, tol):
+        return minimize_simplex(obj, warm_start=warm_starts, tol=tol)
 
     def update_bias(self, p, x_next):
         return update_bias(p, x_next)
@@ -133,30 +134,23 @@ SIMPLEX = Simplex()
 class EpochState:
     """Mutable per-epoch accumulators; reset wholesale on epoch boundaries.
 
-    The two objectives always hold the same quadratic part, so they share
-    one ``quad`` array.
+    ``objective`` has two members: the biased objective (row 0 of its
+    ``lin``), whose minimizer is the play, and the unbiased one (row 1),
+    whose minimizer is the comparator.
     """
 
     p: np.ndarray
     p_prev: np.ndarray
-    biased: QuadraticObjective
-    unbiased: QuadraticObjective
+    objective: QuadraticObjective
     x_cur: np.ndarray
     u_cur: np.ndarray
 
 
 def initial_state(params, domain=SIMPLEX):
-    """Fresh epoch at the domain's centre; the objectives live in x.size real coordinates."""
+    """Fresh epoch at the domain's centre; the objective lives in x.size real coordinates."""
     x, p = domain.centre(params.d)
-    biased = QuadraticObjective.zeros(x.size, 1.0 / params.eta)
-    return EpochState(
-        p=p,
-        p_prev=p.copy(),
-        biased=biased,
-        unbiased=replace(biased, lin=np.zeros(x.size)),
-        x_cur=x,
-        u_cur=x.copy(),
-    )
+    return EpochState(p=p, p_prev=p.copy(), objective=QuadraticObjective.zeros(x.size, 1.0 / params.eta, 2),
+                      x_cur=x, u_cur=x.copy())
 
 
 #: What a round reports: its loss, whether it ended the epoch, and its solved (x_next, u_next, p_next).
@@ -185,12 +179,12 @@ def bisons_round(state, r_t, params, domain=SIMPLEX):
     x = state.x_cur
     loss, g, m = domain.loss(x, r_t)
 
-    state.biased.add_surrogate(g, loss, m, params.beta, state.unbiased)
+    state.objective.add_surrogate(g, loss, m, params.beta)
     dp = state.p - state.p_prev
     if dp.any():
-        state.biased.lin += -params.B * domain.bias_coords(dp)
+        state.objective.lin[0] += -params.B * domain.bias_coords(dp)
 
-    x_next, u_next = domain.solve((state.biased, state.unbiased), (x, state.u_cur), default_tol(params.T)).minimizer
+    x_next, u_next = domain.solve(state.objective, (x, state.u_cur), default_tol(params.T)).minimizer
     p_next = domain.update_bias(state.p, x_next)
     reset = domain.check_reset(u_next, p_next, params)
 

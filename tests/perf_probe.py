@@ -51,13 +51,13 @@ ROUNDS_BEFORE, ROUNDS_TIMED = 900, 100
 
 def _recorded_rounds(domain, params, rows):
     """The state after the first ROUNDS_BEFORE rounds on ``domain``, and a copy of the arguments
-    (objectives, warm starts, tolerance) of each stacked solve of the ROUNDS_TIMED rounds after them."""
+    (objective, warm starts, tolerance) of each stacked solve of the ROUNDS_TIMED rounds after them."""
     calls = []
 
     class Recording(type(domain)):
-        def solve(self, objs, warm_starts, tol):
-            calls.append(copy.deepcopy((objs, warm_starts, tol)))
-            return super().solve(objs, warm_starts, tol)
+        def solve(self, obj, warm_starts, tol):
+            calls.append(copy.deepcopy((obj, warm_starts, tol)))
+            return super().solve(obj, warm_starts, tol)
 
     state = initial_state(params, domain)
     for r in rows[:ROUNDS_BEFORE]:
@@ -70,8 +70,8 @@ def _recorded_rounds(domain, params, rows):
 
 def _pair(solve, calls):
     def run():
-        for objs, warm_starts, tol in calls:
-            solve(objs, warm_start=warm_starts, tol=tol)
+        for obj, warm_starts, tol in calls:
+            solve(obj, warm_start=warm_starts, tol=tol)
 
     return run, ROUNDS_TIMED
 

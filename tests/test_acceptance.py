@@ -11,6 +11,7 @@ re-recorded from a known-good commit, not for the code to change.
 
 import math
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -42,6 +43,10 @@ DETAILS = {
         "best-CRP loss gap -9.1e-06",
     12: "d=2 T=1000 crash run: reset times [729] vs [729] (equal, nonempty required), max diagonal gap 1.67e-15 "
         "(<= 1e-12), max off-diagonal modulus 0.00e+00 (0 required), monitor violations 0",
+    13: "9999 movement rows of criterion 9's generated run (d=3, T=10000): max ||Pi r_t|| sqrt(T) = 1 + 4.4e-15 "
+        "(<= 1 + 1e-12)",
+    14: "7 rounds per domain, the k-th breaking monitor check k alone by 2x its tolerance, fire their own check: "
+        "simplex 7/7 (0 other), spectraplex 7/7 (0 other)",
 }
 
 
@@ -52,14 +57,14 @@ def _results():
     return _RESULTS
 
 
-@pytest.mark.parametrize("criterion", list(range(1, 13)))
+@pytest.mark.parametrize("criterion", list(range(1, 15)))
 def test_acceptance_criterion(criterion):
     res = _results()[criterion]
     print(res.line())
     assert res.passed, res.line()
 
 
-@pytest.mark.parametrize("criterion", list(range(1, 13)))
+@pytest.mark.parametrize("criterion", list(range(1, 15)))
 def test_acceptance_detail_is_pinned(criterion):
     assert _results()[criterion].detail == DETAILS[criterion]
 
@@ -68,7 +73,7 @@ def test_suite_membership_covers_all_criteria():
     from bisons.checks import CHECKS
 
     numbers = [n for n, _, _, _ in CHECKS]
-    assert numbers == list(range(1, 13))
+    assert numbers == list(range(1, 15))
     tagged = set()
     for _, _, _, tags in CHECKS:
         assert tags <= {"lemmas", "bisons", "qbisons", "lbftrl"}
@@ -92,10 +97,9 @@ def test_criterion_1_sees_a_round_surrogate_with_the_wrong_linear_term(monkeypat
     # the linear term (1 - beta <x_t, g>) g of the surrogate a round accumulates becomes (1 + beta <x_t, g>) g
     add = QuadraticObjective.add_surrogate
 
-    def mutant(self, w, anchor_value, anchor_inner, beta, *sharing):
-        add(self, w, anchor_value, anchor_inner, beta, *sharing)
-        for obj in (self, *sharing):
-            obj.lin += 2.0 * beta * anchor_inner * w
+    def mutant(self, w, anchor_value, anchor_inner, beta):
+        add(self, w, anchor_value, anchor_inner, beta)
+        self.lin += 2.0 * beta * anchor_inner * w
 
     monkeypatch.setattr(QuadraticObjective, "add_surrogate", mutant)
     passed, detail = checks.check_lower_surrogate({})
@@ -116,3 +120,36 @@ def test_criterion_12_fails_when_its_runs_monitor_fires(monkeypatch):
     passed, detail = checks.check_diagonal_equivalence_resets({})
     assert passed is False
     assert detail.endswith(f", monitor violations {2 * math.ceil(1000 / MONITOR_CHUNK)}"), detail
+
+
+def test_criterion_13_names_the_run_it_needs():
+    assert checks.check_movement_norm_cap({}) == (False, "no generated run (run criterion 9 first)")
+
+
+def test_criterion_13_sees_a_doubled_norm_cap(monkeypatch):
+    # the generator's movement returns may reach 2 T^-1/2 (move_to_x asked for a quarter of the horizon)
+    from bisons import lbftrl
+
+    move = lbftrl.move_to_x
+    monkeypatch.setattr(lbftrl, "move_to_x", lambda pi_target, grad_pi, T, U: move(pi_target, grad_pi, T / 4, U))
+    gen = lbftrl.generate_and_run(lbftrl.AdversaryPlan.build(3, 2000, 0.5), 1.0)
+    passed, detail = checks.check_movement_norm_cap({"generated": (2000, gen.returns, gen.movement_flags)})
+    assert not passed
+    assert float(detail.split("= 1 + ")[1].split()[0]) > 0.9, detail
+
+
+def test_criterion_14_sees_a_loosened_play_ratio(monkeypatch):
+    # the monitor reads 1 + 60 eta for 1 + 6 eta: the two ratio checks go silent on both domains
+    failed = StabilityMonitor._failed
+
+    def mutant(self, *stacks):
+        params, self.params = self.params, SimpleNamespace(eta=10.0 * self.params.eta, T=self.params.T)
+        try:
+            return failed(self, *stacks)
+        finally:
+            self.params = params
+
+    monkeypatch.setattr(StabilityMonitor, "_failed", mutant)
+    passed, detail = checks.check_monitors_fire({})
+    assert not passed
+    assert detail.endswith("simplex 5/7 (0 other), spectraplex 5/7 (0 other)"), detail

@@ -69,7 +69,7 @@ class TestLbftrlPlay:
         prev = 0.5
         for k in (1, 3, 10, 50):
             R = np.tile(np.array([1.0, 0.0]), (k, 1))
-            x = minimize_simplex(LogLossHistory(R, 1.0 / eta), tol=1e-13).minimizer
+            x = minimize_simplex(LogLossHistory(R, 1.0 / eta), tol=1e-13).minimizer[0]
             lo, hi = 1e-12, 1.0 - 1e-12
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
@@ -471,7 +471,7 @@ def _assert_matches_one_shot(monkeypatch, play, eta):
     prev = None
     for t in range(1, len(R) + 1):
         x = res.plays[t - 1]
-        ref = minimize_simplex_history(R[: t - 1], 1.0 / eta, warm_start=prev).minimizer
+        ref = minimize_simplex_history(R[: t - 1], 1.0 / eta, warm_start=prev).minimizer[0]
         assert np.abs(x - ref).max() <= 1e-9
         H_ref = assemble_pi_hessian(x, R[:t], eta, U)
         H = hessians[t - 1]

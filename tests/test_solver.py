@@ -1,8 +1,11 @@
+import copy
 import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bisons import solver
 from bisons.hermitian import (
@@ -39,36 +42,34 @@ def simplex_grid_3(step=1e-3):
 class TestMinimizeSimplex:
     def test_pure_barrier_is_uniform(self):
         for d in (2, 3, 5):
-            rep = minimize_simplex(QuadraticObjective.zeros(d, 3.0))
+            rep = minimize_simplex(QuadraticObjective.zeros(d, 3.0, 1))
             assert np.abs(rep.minimizer - 1.0 / d).max() <= 1e-10
 
     def test_symmetric_quadratic_is_uniform(self):
         d = 4
-        obj = QuadraticObjective.zeros(d, 1.0)
+        obj = QuadraticObjective.zeros(d, 1.0, 1)
         obj.quad = np.full((d, d), 0.5) + 0.5 * np.eye(d)  # permutation symmetric
         rep = minimize_simplex(obj, warm_start=np.array([0.4, 0.3, 0.2, 0.1]))
         assert np.abs(rep.minimizer - 0.25).max() <= 1e-8
 
     def test_matches_grid_oracle(self):
-        obj = QuadraticObjective(3, 0.01 * np.eye(3), np.array([-1.0, 0.0, 0.0]), 0.0, 1.0)
-        rep = minimize_simplex(obj, tol=1e-12)
+        obj = QuadraticObjective(0.01 * np.eye(3), np.array([[-1.0, 0.0, 0.0]]), np.zeros(1), 1.0)
+        x = minimize_simplex(obj, tol=1e-12).minimizer[0]
         grid = simplex_grid_3(1e-3)
         vals = (0.5 * np.einsum("ij,jk,ik->i", grid, obj.quad, grid)
-                + grid @ obj.lin - obj.barrier_weight * np.log(grid).sum(axis=1))
+                + grid @ obj.lin[0] - obj.barrier_weight * np.log(grid).sum(axis=1))
         best = grid[np.argmin(vals)]
-        assert np.abs(rep.minimizer - best).max() <= 2e-3
-        def value(x):
-            return 0.5 * x @ obj.quad @ x + obj.lin @ x - np.log(x).sum()
-        assert value(rep.minimizer) <= vals.min() + 1e-6
+        assert np.abs(x - best).max() <= 2e-3
+        assert 0.5 * x @ obj.quad @ x + obj.lin[0] @ x - np.log(x).sum() <= vals.min() + 1e-6
 
     def test_monotone_descent(self):
         rng = np.random.default_rng(0)
         A = rng.normal(size=(3, 3))
-        obj = QuadraticObjective(3, A @ A.T, rng.normal(size=3), 0.0, 2.0)
+        obj = QuadraticObjective(A @ A.T, rng.normal(size=(1, 3)), np.zeros(1), 2.0)
         x0 = np.array([0.90, 0.05, 0.05])
 
         def value(x):
-            return 0.5 * x @ obj.quad @ x + obj.lin @ x - obj.barrier_weight * np.log(x).sum()
+            return 0.5 * x @ obj.quad @ x + obj.lin[0] @ x - obj.barrier_weight * np.log(x).sum()
 
         iters = minimize_simplex(obj, warm_start=x0).iterations
         values = []
@@ -84,18 +85,18 @@ class TestMinimizeSimplex:
         for _ in range(20):
             d = int(rng.integers(2, 6))
             A = rng.normal(size=(d, d))
-            obj = QuadraticObjective(d, A @ A.T, 3.0 * rng.normal(size=d), 0.0, float(rng.uniform(0.5, 20.0)))
+            obj = QuadraticObjective(A @ A.T, 3.0 * rng.normal(size=(1, d)), np.zeros(1), float(rng.uniform(0.5, 20.0)))
             tol = 1e-10
             rep = minimize_simplex(obj, tol=tol)
-            x = rep.minimizer
+            x = rep.minimizer[0]
             assert x.min() > 1e-14
-            assert rep.certified_gap <= tol
-            g = obj.quad @ x + obj.lin - obj.barrier_weight / x
+            assert rep.certified_gap[0] <= tol
+            g = obj.quad @ x + obj.lin[0] - obj.barrier_weight / x
             tangent = g - g.mean()  # gradient along the sum-one constraint
             assert np.linalg.norm(tangent) <= 10.0 * math.sqrt(tol) * max(1.0, np.linalg.norm(g))
 
     def test_nonconvergence_carries_best_iterate(self):
-        obj = QuadraticObjective(3, np.zeros((3, 3)), np.array([-50.0, 0.0, 0.0]), 0.0, 0.5)
+        obj = QuadraticObjective(np.zeros((3, 3)), np.array([[-50.0, 0.0, 0.0]]), np.zeros(1), 0.5)
         with pytest.raises(SolverFailure) as exc_info:
             minimize_simplex(obj, tol=1e-30, max_iter=2)
         assert exc_info.value.report.minimizer.min() > 0.0
@@ -104,7 +105,7 @@ class TestMinimizeSimplex:
     def test_nonconvergence_reports_decrement_at_its_iterate(self, max_iter):
         rng = np.random.default_rng(0)
         A = rng.normal(size=(3, 3))
-        obj = QuadraticObjective(3, A @ A.T, rng.normal(size=3), 0.0, 0.1)
+        obj = QuadraticObjective(A @ A.T, rng.normal(size=(1, 3)), np.zeros(1), 0.1)
         with pytest.raises(SolverFailure) as exc_info:
             minimize_simplex(obj, warm_start=np.array([0.90, 0.05, 0.05]), max_iter=max_iter)
         report = exc_info.value.report
@@ -117,12 +118,12 @@ class TestMinimizeSimplex:
         class SingularOnSecondCall(QuadraticObjective):
             calls = 0
 
-            def smooth_grad_hess(self, x):
+            def smooth_grad_hess(self, idx, X):
                 self.calls += 1
-                g, H = super().smooth_grad_hess(x)
-                return g, (-np.diag(self.barrier_weight / x**2) if self.calls == 2 else H)
+                G, H = super().smooth_grad_hess(idx, X)
+                return G, (-np.diag(self.barrier_weight / X[0] ** 2) if self.calls == 2 else H)
 
-        obj = SingularOnSecondCall(3, np.eye(3), np.array([-1.0, 0.0, 0.0]), 0.0, 1.0)
+        obj = SingularOnSecondCall(np.eye(3), np.array([[-1.0, 0.0, 0.0]]), np.zeros(1), 1.0)
         with pytest.raises(SolverFailure, match="singular Newton system") as exc_info:
             minimize_simplex(obj, tol=1e-30)
         assert exc_info.value.report.iterations == 1
@@ -141,7 +142,7 @@ class TestMinimizeSimplexHistory:
             R = np.tile(np.array([1.0, 0.0]), (k, 1))
             rep = minimize_simplex_history(R, w, tol=1e-14)
             expected = (k + w) / (k + 2.0 * w)
-            assert rep.minimizer[0] == pytest.approx(expected, abs=1e-9)
+            assert rep.minimizer[0, 0] == pytest.approx(expected, abs=1e-9)
 
     def test_symmetric_history_is_uniform(self):
         R = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -152,13 +153,13 @@ class TestMinimizeSimplexHistory:
 class TestMinimizeSpectraplex:
     def test_pure_barrier_is_maximally_mixed(self):
         for d in (1, 2, 3):
-            rep = minimize_spectraplex(QuadraticObjective.zeros(d * d, 2.0))
+            rep = minimize_spectraplex(QuadraticObjective.zeros(d * d, 2.0, 1))
             assert np.abs(rep.minimizer - np.eye(d) / d).max() <= 1e-9
 
     def test_unitary_invariant_objective_is_maximally_mixed(self):
         # linear term proportional to the identity is constant on the domain
         d = 3
-        obj = QuadraticObjective.zeros(d * d, 1.0)
+        obj = QuadraticObjective.zeros(d * d, 1.0, 1)
         obj.lin += phi_dual(np.eye(d))
         rng = np.random.default_rng(2)
         warm = random_density(rng, d)
@@ -169,14 +170,14 @@ class TestMinimizeSpectraplex:
     def test_matches_parametric_oracle_d2(self):
         # objective with diagonal data: sweep eigenvalue split and rotation angle
         d = 2
-        obj = QuadraticObjective.zeros(d * d, 1.0)
+        obj = QuadraticObjective.zeros(d * d, 1.0, 1)
         obj.lin += phi_dual(np.diag([-1.0, 0.0]).astype(complex))
-        rep = minimize_spectraplex(obj, tol=1e-12)
+        X_min = minimize_spectraplex(obj, tol=1e-12).minimizer[0]
 
         def value(X):
             v = vectorize_phi(X)
             sign, ld = np.linalg.slogdet(X)
-            return float(obj.lin @ v) - ld.real
+            return float(obj.lin[0] @ v) - ld.real
 
         best_val, best_X = math.inf, None
         for a in np.arange(1e-3, 1.0, 1e-3):
@@ -193,14 +194,14 @@ class TestMinimizeSpectraplex:
             val = value(X)
             if val < best_val:
                 best_val, best_X = val, X
-        assert np.abs(rep.minimizer - best_X).max() <= 1e-4
-        assert value(rep.minimizer) <= best_val + 1e-6
+        assert np.abs(X_min - best_X).max() <= 1e-4
+        assert value(X_min) <= best_val + 1e-6
 
     @pytest.mark.parametrize("max_iter", [0, 1])
     def test_failure_report_carries_a_density_matrix(self, max_iter):
         warm = np.diag([0.7, 0.3]).astype(complex)
         with pytest.raises(SolverFailure) as exc_info:
-            minimize_spectraplex(QuadraticObjective.zeros(4, 1.0), warm_start=warm, tol=1e-30, max_iter=max_iter)
+            minimize_spectraplex(QuadraticObjective.zeros(4, 1.0, 1), warm_start=warm, tol=1e-30, max_iter=max_iter)
         X = exc_info.value.report.minimizer
         assert X.shape == (2, 2)
         assert np.trace(X).real == pytest.approx(1.0, abs=1e-12)
@@ -211,11 +212,10 @@ class TestMinimizeSpectraplex:
         rng = np.random.default_rng(3)
         d = 3
         for _ in range(10):
-            obj = QuadraticObjective.zeros(d * d, float(rng.uniform(0.5, 5.0)))
+            obj = QuadraticObjective.zeros(d * d, float(rng.uniform(0.5, 5.0)), 1)
             G = -random_density(rng, d)
             obj.add_surrogate(phi_dual(G), float(rng.normal()), -1.0, 0.2)
-            rep = minimize_spectraplex(obj)
-            X = rep.minimizer
+            X = minimize_spectraplex(obj).minimizer[0]
             assert np.trace(X).real == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.eigvalsh(X).min() > 1e-14
 
@@ -228,13 +228,13 @@ class TestMinimizeSpectraplexHistory:
         duals = np.array([phi_dual(np.diag(r).astype(complex)) for r in R])
         rep_q = minimize_spectraplex_history(duals, 2.5, tol=1e-13)
         rep_v = minimize_simplex_history(R, 2.5, tol=1e-13)
-        assert np.abs(np.diagonal(rep_q.minimizer).real - rep_v.minimizer).max() <= 1e-7
+        assert np.abs(np.diagonal(rep_q.minimizer[0]).real - rep_v.minimizer[0]).max() <= 1e-7
 
     def test_rank_one_history_concentrates(self):
         E = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         duals = np.tile(phi_dual(E), (60, 1))
         rep = minimize_spectraplex_history(duals, 0.01)
-        assert trace_inner(rep.minimizer, E) > 0.9
+        assert trace_inner(rep.minimizer[0], E) > 0.9
 
 
 class TestWarmStartRegression:
@@ -246,10 +246,10 @@ class TestWarmStartRegression:
 
         solve, iterations = vector.minimize_simplex, []
 
-        def counted(objs, warm_start=None, tol=1e-10):
-            # a round solves its two objectives as one stack, whose report sums their steps
-            rep = solve(objs, warm_start=warm_start, tol=tol)
-            alone = [solve(obj, warm_start=x, tol=tol).iterations for obj, x in zip(objs, warm_start)]
+        def counted(obj, warm_start=None, tol=1e-10):
+            # a round solves its two objectives as the two members of one, whose report sums their steps
+            rep = solve(obj, warm_start=warm_start, tol=tol)
+            alone = [solve(_member(obj, j), warm_start=x, tol=tol).iterations for j, x in enumerate(warm_start)]
             assert rep.iterations == sum(alone)
             iterations.extend(alone)
             return rep
@@ -273,13 +273,13 @@ class TestLogLossHistory:
         x = rng.dirichlet(np.ones(4))
         hist = LogLossHistory(R[:1], 1.0, capacity=len(R))
         for n in range(2, len(R) + 1):
-            hist.smooth_value(x)
-            hist.smooth_grad_hess(x)  # the gradient and Hessian sit at x before every append
+            hist.smooth_value(0, x)
+            hist.smooth_grad_hess((0,), x[None])  # the gradient and Hessian sit at x before every append
             hist.append(R[n - 1])
             fresh = LogLossHistory(R[:n], 1.0)
-            want_g, want_H = fresh.smooth_grad_hess(x)
-            got_g, got_H = hist.smooth_grad_hess(x)
-            assert hist.smooth_value(x) == fresh.smooth_value(x)  # a value is summed afresh, not moved
+            want_g, want_H = fresh.smooth_grad_hess((0,), x[None])
+            got_g, got_H = hist.smooth_grad_hess((0,), x[None])
+            assert hist.smooth_value(0, x) == fresh.smooth_value(0, x)  # a value is summed afresh, not moved
             assert np.abs(got_g - want_g).max() <= 1e-12 * np.abs(want_g).max()
             assert np.abs(got_H - want_H).max() <= 1e-12 * np.abs(want_H).max()
 
@@ -310,13 +310,13 @@ def _counting(cls):
         value_calls = 0
         grad_hess_calls = 0
 
-        def smooth_value(self, x):
+        def smooth_value(self, i, x):
             self.value_calls += 1
-            return super().smooth_value(x)
+            return super().smooth_value(i, x)
 
-        def smooth_grad_hess(self, x):
+        def smooth_grad_hess(self, idx, X):
             self.grad_hess_calls += 1
-            return super().smooth_grad_hess(x)
+            return super().smooth_grad_hess(idx, X)
 
     return Counting
 
@@ -343,7 +343,7 @@ class TestOneValuePerIterate:
         return count
 
     def _quadratic(self, rng, dim):
-        obj = _counting(QuadraticObjective).zeros(dim, 0.3)
+        obj = _counting(QuadraticObjective).zeros(dim, 0.3, 1)
         for _ in range(5):
             w = rng.standard_normal(dim)
             obj.add_surrogate(w, 0.1, 0.2, 0.5)
@@ -372,7 +372,7 @@ class TestOneValuePerIterate:
     def test_cold_solve_backtracks(self, counts, spectraplex):
         # from the centre, a strong linear pull needs damped steps before any full one
         dim = 4 if spectraplex else 3
-        obj = _counting(QuadraticObjective).zeros(dim, 0.05)
+        obj = _counting(QuadraticObjective).zeros(dim, 0.05, 1)
         obj.lin += np.array([-40.0, 0.0, 0.0, 0.0][:dim])
         rep = (minimize_spectraplex if spectraplex else minimize_simplex)(obj, tol=1e-13)
         assert rep.iterations > counts["searches"] >= 2
@@ -388,16 +388,15 @@ class TestOneValuePerIterate:
             unpacked[0] += 1
             return unpack(v, d)
 
-        objs = [_stack_objective(True, history, seed=seed, counting=True) for history, seed in ((False, 1), (True, 2))]
-        starts = np.array([_perturbed(minimize_spectraplex(obj, tol=1e-13).minimizer, True, size)
-                           for obj, size in zip(objs, (1e-4, 2e-2))])
-        for obj in objs:
-            obj.value_calls = obj.grad_hess_calls = 0
+        obj = _stack_objective(True, seed=1, counting=True)
+        starts = np.array([_perturbed(minimize_spectraplex(_member(obj, j), tol=1e-13).minimizer[0], True, size)
+                           for j, size in enumerate((1e-4, 2e-2))])
+        obj.value_calls = obj.grad_hess_calls = 0
         monkeypatch.setattr(solver, "unvectorize_phi", counted)
-        rep = minimize_spectraplex(objs, warm_start=starts, tol=1e-13)
-        lockstep = max(obj.grad_hess_calls for obj in objs)  # every running member's, once per iteration
-        assert [obj.value_calls for obj in objs] == [0, 0]
-        assert lockstep > 1 and sum(obj.grad_hess_calls for obj in objs) > lockstep  # the members shared iterations
+        rep = minimize_spectraplex(obj, warm_start=starts, tol=1e-13)
+        lockstep = obj.grad_hess_calls  # one call per iteration, for every running member
+        assert obj.value_calls == 0
+        assert lockstep > 1 and rep.iterations > lockstep  # the members shared iterations
         assert unpacked[0] == 1 + lockstep + 1
 
 
@@ -409,20 +408,20 @@ def _tangent_decrement2(g, H, a):
 
 
 def simplex_decrement2(obj, x):
-    """Newton decrement^2 of ``obj`` plus its weighted log barrier at x, along sum(x) = 1."""
-    g, H = obj.smooth_grad_hess(x)
+    """Newton decrement^2 of the one member of ``obj`` plus its weighted log barrier at x, along sum(x) = 1."""
+    (g,), H = obj.smooth_grad_hess((0,), x[None])
     w = obj.barrier_weight
     return _tangent_decrement2(g - w / x, H + np.diag(w / x**2), np.ones(x.size))
 
 
 def spectraplex_decrement2(obj, X):
-    """Newton decrement^2 of ``obj`` plus its weighted log-det barrier at X, along Tr X = 1.
+    """Newton decrement^2 of the one member of ``obj`` plus its weighted log-det barrier at X, along Tr X = 1.
 
     The barrier's derivatives come entry by entry from dX/dv_k: the gradient
     is -Tr(X^-1 B_k) and the Hessian Tr(X^-1 B_k X^-1 B_l).
     """
     d = X.shape[0]
-    g, H = obj.smooth_grad_hess(vectorize_phi(X))
+    (g,), H = obj.smooth_grad_hess((0,), vectorize_phi(X)[None])
     Xinv = np.linalg.inv(X)
     B = [unvectorize_phi(e, d) for e in np.eye(d * d)]
     gb = np.array([-np.trace(Xinv @ Bk).real for Bk in B])
@@ -451,8 +450,8 @@ def _warm_started_solves(spectraplex, history, w, seed, rounds=30, before_solve=
     if history:
         obj = _counting(LogLossHistory)([row() for _ in range(20)], w, capacity=20 + rounds)
     else:
-        obj = _counting(QuadraticObjective).zeros(d * d if spectraplex else d, w)
-    play = solve(obj, tol=1e-13).minimizer
+        obj = _counting(QuadraticObjective).zeros(d * d if spectraplex else d, w, 1)
+    play = solve(obj, tol=1e-13).minimizer[0]
     solves = []
     for _ in range(rounds):
         c = row()
@@ -465,8 +464,8 @@ def _warm_started_solves(spectraplex, history, w, seed, rounds=30, before_solve=
             before_solve(obj)
         before = obj.grad_hess_calls
         rep = solve(obj, warm_start=play, tol=1e-10)
-        solves.append((rep, obj.grad_hess_calls - before, decrement2(obj, rep.minimizer)))
-        play = rep.minimizer
+        play = rep.minimizer[0]
+        solves.append((rep, obj.grad_hess_calls - before, decrement2(obj, play)))
     return solves
 
 
@@ -483,7 +482,7 @@ class TestFullStepCertificate:
         assert certified  # exits on the bound: no gradient or Hessian at the minimizer
         for rep, lam2 in certified:
             assert rep.iterations >= 1
-            assert lam2 <= rep.certified_gap <= 1e-10
+            assert lam2 <= rep.certified_gap[0] <= 1e-10
         for rep, calls, lam2 in solves:
             assert calls in (rep.iterations, rep.iterations + 1)
 
@@ -499,7 +498,7 @@ def _snapshot(obj):
     """A plain copy of a (counting) objective as it stands."""
     if isinstance(obj, LogLossHistory):
         return LogLossHistory(obj.rows.copy(), obj.barrier_weight)
-    return QuadraticObjective(obj.dim, obj.quad.copy(), obj.lin.copy(), obj.const, obj.barrier_weight)
+    return QuadraticObjective(obj.quad.copy(), obj.lin.copy(), obj.const.copy(), obj.barrier_weight)
 
 
 def _barrier_objective(obj, x, spectraplex):
@@ -507,7 +506,7 @@ def _barrier_objective(obj, x, spectraplex):
     if isinstance(obj, LogLossHistory):
         smooth = -float(np.log(obj.rows @ x).sum())
     else:
-        smooth = 0.5 * float(x @ obj.quad @ x) + float(obj.lin @ x) + obj.const
+        smooth = 0.5 * float(x @ obj.quad @ x) + float(obj.lin[0] @ x) + obj.const[0]
     if spectraplex:
         sign, logdet = np.linalg.slogdet(unvectorize_phi(x, math.isqrt(x.size)))
         return smooth - obj.barrier_weight * (logdet if sign.real > 0.0 else -math.inf)
@@ -568,17 +567,17 @@ class TestOneSystemPerWarmSolve:
         smooth_value = QuadraticObjective.smooth_value
         solve = getattr(module, name)
 
-        def counted_grad_hess(self, x):
+        def counted_grad_hess(self, idx, X):
             calls[0] += 1
-            return grad_hess(self, x)
+            return grad_hess(self, idx, X)
 
-        def counted_value(self, x):
+        def counted_value(self, i, x):
             value_calls[0] += 1
-            return smooth_value(self, x)
+            return smooth_value(self, i, x)
 
-        def counted_solve(objs, warm_start=None, tol=1e-10):
+        def counted_solve(obj, warm_start=None, tol=1e-10):
             before = calls[0]
-            rep = solve(objs, warm_start=warm_start, tol=tol)
+            rep = solve(obj, warm_start=warm_start, tol=tol)
             solves.append((rep.iterations, calls[0] - before))
             return rep
 
@@ -594,7 +593,7 @@ class TestOneSystemPerWarmSolve:
         solves, value_calls = self._count_round_solves(monkeypatch, vector, "minimize_simplex")
         R = adversary_returns("iid-dirichlet", 10, 11000, 2)[:100]
         vector.run_bisons(R, vector.default_params(10, 11000))
-        assert solves == [(2, 2)] * 100  # one stacked solve per round: one step for each of its two members
+        assert solves == [(2, 1)] * 100  # one stacked solve per round: one step for each of its two members, one call
         assert value_calls[0] == 0  # every step was a full one: no line search, so no value
 
     def test_qbisons_rounds_take_no_line_search(self, monkeypatch):
@@ -606,28 +605,31 @@ class TestOneSystemPerWarmSolve:
         quantum.run_qbisons(measurement_stream(4, 200, seed=3), quantum.q_default_params(4, 1760),
                             rng=np.random.default_rng(0))
         assert len(solves) == 200  # one stacked solve per round
-        # each member forms a gradient and Hessian per step, and one more if it stops on its decrement
-        assert all(steps <= formed <= steps + 2 for steps, formed in solves)
+        # one call per lockstep iteration: at least the longer member's steps, and one more if it stops on its decrement
+        assert all(steps / 2 <= formed <= steps + 1 for steps, formed in solves)
         assert value_calls[0] == 0  # every step was a full one: no line search, so no value
 
 
-def _stack_objective(spectraplex, history, kind="random", seed=0, counting=False):
-    """A quadratic or history objective in the simplex (d=4) or spectraplex (d=2) coordinates.
+class _Singular(QuadraticObjective):
+    """A quadratic whose members in ``singular`` have a smooth Hessian that cancels the barrier's at
+    every point, so that their Newton systems are singular; ``spectraplex`` names the barrier."""
+
+    def smooth_grad_hess(self, idx, X):
+        G, H = super().smooth_grad_hess(idx, X)
+        return G, np.array([-_barrier_hessian(x, self.barrier_weight, self.spectraplex) if i in self.singular else H
+                            for i, x in zip(idx, X)])
+
+
+def _stack_objective(spectraplex, kind="random", seed=0, counting=False, k=2, singular=None):
+    """A quadratic of k members in the simplex (d=4) or spectraplex (d=2) coordinates.
 
     ``kind`` "random" is a sum of 20 random rounds at barrier weight 0.3;
-    "singular" is a random one whose smooth Hessian cancels the barrier's
-    at every point, so that its Newton system is singular; "cold" pulls
-    hard towards one corner at barrier weight 0.05, so that a solve from
-    the centre line-searches.
+    "cold" pulls hard towards one corner at barrier weight 0.05, so that a
+    solve from the centre line-searches.  Each member adds its own random
+    linear term.  The members in ``singular``, if given, have singular
+    Newton systems (:class:`_Singular`).
     """
-    base = LogLossHistory if history else QuadraticObjective
-    if kind == "singular":
-        class Singular(base):
-            def smooth_grad_hess(self, x):
-                g, _ = super().smooth_grad_hess(x)
-                return g, -_barrier_hessian(x, self.barrier_weight, spectraplex)
-
-        base = Singular
+    base = QuadraticObjective if singular is None else _Singular
     base = _counting(base) if counting else base
     rng = np.random.default_rng(seed)
     d = 2 if spectraplex else 4
@@ -637,12 +639,23 @@ def _stack_objective(spectraplex, history, kind="random", seed=0, counting=False
     else:
         corner = phi_dual(np.diag([1.0, 0.01]).astype(complex)) if spectraplex else np.array([1.0, 0.01, 0.01, 0.01])
         rows, w = [corner] * 50, 0.05
-    if history:
-        return base(rows, w)
-    obj = base.zeros(rows[0].size, w)
+    obj = base.zeros(rows[0].size, w, k)
     for r in rows:
         obj.add_surrogate(-r, 0.1, -1.0, 0.1)
+    obj.lin += 0.1 * rng.standard_normal(obj.lin.shape)
+    if singular is not None:
+        obj.singular, obj.spectraplex = singular, spectraplex
     return obj
+
+
+def _member(obj, j):
+    """Member j of ``obj`` as an objective of its own, of the same class: the row j of its linear
+    and constant terms (and of its singular members) with a copy of its quadratic."""
+    alone = copy.copy(obj)
+    alone.quad, alone.lin, alone.const = obj.quad.copy(), obj.lin[j:j + 1].copy(), obj.const[j:j + 1].copy()
+    if isinstance(obj, _Singular):
+        alone.singular = (0,) if j in obj.singular else ()
+    return alone
 
 
 def _barrier_hessian(x, w, spectraplex):
@@ -659,45 +672,44 @@ def _perturbed(x, spectraplex, size=1e-4):
     return x + size * (np.array([[1.0, 1j], [-1j, -1.0]]) if spectraplex else np.array([1.0, -1.0, 0.0, 0.0]))
 
 
-@pytest.mark.parametrize("history", [False, True], ids=["quadratic", "history"])
+def _solve(spectraplex):
+    return minimize_spectraplex if spectraplex else minimize_simplex
+
+
+def _centre(spectraplex, k=2):
+    return np.array([np.eye(2) / 2 if spectraplex else np.full(4, 0.25)] * k)
+
+
 @pytest.mark.parametrize("spectraplex", [False, True], ids=["simplex", "spectraplex"])
 class TestStackedSolve:
-    """A stack of k systems solved in lockstep gives each member what a solve of it alone gives,
-    bit for bit, and raises the first failing member's error."""
+    """The k members of one quadratic, solved in lockstep, each get what a solve of it alone gives,
+    bit for bit, and the first failing member's error is raised."""
 
     @staticmethod
-    def solve(spectraplex):
-        return minimize_spectraplex if spectraplex else minimize_simplex
-
-    def assert_members_alone(self, spectraplex, make, starts, **kwargs):
-        """``make()`` builds the members afresh; returns each one's report alone."""
-        solve = self.solve(spectraplex)
-        stacked = solve(make(), warm_start=starts, **kwargs)
-        alone = [solve(obj, warm_start=x, **kwargs) for obj, x in zip(make(), starts)]
+    def assert_members_alone(spectraplex, obj, starts, **kwargs):
+        """Each member's report alone, after checking the stacked solve against them."""
+        solve = _solve(spectraplex)
+        stacked = solve(obj, warm_start=starts, **kwargs)
+        alone = [solve(_member(obj, j), warm_start=x, **kwargs) for j, x in enumerate(starts)]
         for j, rep in enumerate(alone):
-            assert stacked.minimizer[j].tobytes() == rep.minimizer.tobytes()
-            assert stacked.certified_gap[j].tobytes() == np.float64(rep.certified_gap).tobytes()
+            assert stacked.minimizer[j].tobytes() == rep.minimizer[0].tobytes()
+            assert stacked.certified_gap[j].tobytes() == rep.certified_gap[0].tobytes()
         assert stacked.iterations == sum(rep.iterations for rep in alone)
-        assert stacked.minimizer.shape == (len(alone),) + alone[0].minimizer.shape
+        assert stacked.minimizer.shape == (len(alone),) + alone[0].minimizer.shape[1:]
         return alone
 
-    def test_an_optimal_member_beside_a_certified_full_step(self, spectraplex, history):
-        x = self.solve(spectraplex)(_stack_objective(spectraplex, history), tol=1e-14).minimizer
-        starts = np.array([x, _perturbed(x, spectraplex)])
-        members = []
-
-        def make():
-            members[:] = [_stack_objective(spectraplex, history, counting=True) for _ in range(2)]
-            return members
-
-        reports = self.assert_members_alone(spectraplex, make, starts, tol=1e-10)
+    def test_an_optimal_member_beside_a_certified_full_step(self, spectraplex):
+        obj = _stack_objective(spectraplex, counting=True)
+        x = [_solve(spectraplex)(_member(obj, j), tol=1e-14).minimizer[0] for j in range(2)]
+        obj.grad_hess_calls = 0
+        reports = self.assert_members_alone(spectraplex, obj, np.array([x[0], _perturbed(x[1], spectraplex)]),
+                                            tol=1e-10)
         assert [rep.iterations for rep in reports] == [0, 1]
-        assert [obj.grad_hess_calls for obj in members] == [1, 1]  # the step is certified by its bound
+        assert obj.grad_hess_calls == 1  # the step is certified by its bound
 
-    def test_a_cold_line_search_beside_a_warm_member(self, spectraplex, history, monkeypatch):
-        cold = _stack_objective(spectraplex, history, "cold")
-        x = self.solve(spectraplex)(cold, tol=1e-14).minimizer
-        centre = np.eye(2) / 2 if spectraplex else np.full(4, 0.25)
+    def test_a_cold_line_search_beside_a_warm_member(self, spectraplex, monkeypatch):
+        obj = _stack_objective(spectraplex, "cold")
+        x = _solve(spectraplex)(_member(obj, 1), tol=1e-14).minimizer[0]
         searches = [0]
         armijo = solver._armijo
 
@@ -706,82 +718,95 @@ class TestStackedSolve:
             return armijo(*args)
 
         monkeypatch.setattr(solver, "_armijo", counted)
-        reports = self.assert_members_alone(
-            spectraplex, lambda: [_stack_objective(spectraplex, history, "cold") for _ in range(2)],
-            np.array([centre, _perturbed(x, spectraplex, 1e-7)]), tol=1e-10)
+        reports = self.assert_members_alone(spectraplex, obj, np.array([_centre(spectraplex)[0],
+                                                                        _perturbed(x, spectraplex, 1e-7)]), tol=1e-10)
         assert reports[0].iterations > 1 and reports[1].iterations == 1
         assert searches[0] >= 2  # the cold member line-searched in the stack and alone
 
-    @pytest.mark.parametrize("failing", [[0], [1], [0, 1]])
-    def test_the_first_failing_member_raises_its_own_error(self, spectraplex, history, failing):
-        def make():
-            return [_stack_objective(spectraplex, history, "singular" if j in failing else "random", seed=j)
-                    for j in range(2)]
-
-        solve = self.solve(spectraplex)
-        starts = np.array([np.eye(2) / 2 if spectraplex else np.full(4, 0.25)] * 2)
+    @pytest.mark.parametrize("failing", [(0,), (1,), (0, 1)])
+    def test_the_first_failing_member_raises_its_own_error(self, spectraplex, failing):
+        obj, starts = _stack_objective(spectraplex, singular=failing), _centre(spectraplex)
         with pytest.raises(SolverFailure) as stacked:
-            solve(make(), warm_start=starts, tol=1e-10)
+            _solve(spectraplex)(obj, warm_start=starts, tol=1e-10)
         with pytest.raises(SolverFailure) as alone:
-            solve(make()[failing[0]], warm_start=starts[failing[0]], tol=1e-10)
+            _solve(spectraplex)(_member(obj, failing[0]), warm_start=starts[failing[0]], tol=1e-10)
         assert str(stacked.value) == str(alone.value) == "singular Newton system: Singular matrix"
         assert stacked.value.report.minimizer.tobytes() == alone.value.report.minimizer.tobytes()
         assert (stacked.value.report.certified_gap, stacked.value.report.iterations) == (math.inf, 0)
         assert isinstance(stacked.value.__cause__, np.linalg.LinAlgError)
 
-    def test_an_earlier_member_failing_later_wins(self, spectraplex, history):
+    def test_an_earlier_member_failing_later_wins(self, spectraplex):
         # member 0 runs out of steps at its second iteration; member 1 is singular at its first
-        def make():
-            return [_stack_objective(spectraplex, history), _stack_objective(spectraplex, history, "singular")]
-
-        solve = self.solve(spectraplex)
-        starts = np.array([np.eye(2) / 2 if spectraplex else np.full(4, 0.25)] * 2)
+        obj, starts = _stack_objective(spectraplex, singular=(1,)), _centre(spectraplex)
         with pytest.raises(SolverFailure) as stacked:
-            solve(make(), warm_start=starts, tol=1e-10, max_iter=2)
+            _solve(spectraplex)(obj, warm_start=starts, tol=1e-10, max_iter=2)
         with pytest.raises(SolverFailure) as alone:
-            solve(make()[0], warm_start=starts[0], tol=1e-10, max_iter=2)
+            _solve(spectraplex)(_member(obj, 0), warm_start=starts[0], tol=1e-10, max_iter=2)
         assert str(stacked.value) == str(alone.value)
         assert str(stacked.value).startswith("no convergence in 2 iterations")
         assert stacked.value.report.minimizer.tobytes() == alone.value.report.minimizer.tobytes()
         assert stacked.value.report.certified_gap == alone.value.report.certified_gap
 
-    def test_no_iterations_allowed(self, spectraplex, history):
-        x = self.solve(spectraplex)(_stack_objective(spectraplex, history), tol=1e-14).minimizer
+    def test_no_iterations_allowed(self, spectraplex):
+        obj = _stack_objective(spectraplex)
+        x = _solve(spectraplex)(_member(obj, 0), tol=1e-14).minimizer[0]
         starts = np.array([x, _perturbed(x, spectraplex)])
-        solve = self.solve(spectraplex)
         with pytest.raises(SolverFailure) as stacked:
-            solve([_stack_objective(spectraplex, history) for _ in range(2)], warm_start=starts, max_iter=0)
+            _solve(spectraplex)(obj, warm_start=starts, max_iter=0)
         with pytest.raises(SolverFailure) as alone:
-            solve(_stack_objective(spectraplex, history), warm_start=starts[0], max_iter=0)
+            _solve(spectraplex)(_member(obj, 0), warm_start=starts[0], max_iter=0)
         assert str(stacked.value) == str(alone.value)
         assert str(stacked.value).startswith("no convergence in 0 iterations")
         assert stacked.value.report.minimizer.tobytes() == alone.value.report.minimizer.tobytes()
         assert stacked.value.report.iterations == 0
 
 
-def test_a_shared_surrogate_adds_its_quadratic_part_once():
-    # two objectives holding one quad array end where two separate accumulations end
+@pytest.mark.parametrize("spectraplex", [False, True], ids=["simplex", "spectraplex"])
+@settings(max_examples=60, deadline=None, database=None)
+@given(k=st.integers(1, 4), d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), w=st.floats(0.05, 20.0))
+def test_each_member_of_a_stack_solves_as_it_would_alone(spectraplex, k, d, seed, w):
+    # a random PSD quadratic shared by k random linear rows, from interior warm starts
+    rng = np.random.default_rng(seed)
+    n = d * d if spectraplex else d
+    A = rng.standard_normal((n, n))
+    obj = QuadraticObjective(A @ A.T, 3.0 * rng.standard_normal((k, n)), rng.standard_normal(k), w)
+    if spectraplex:
+        starts = np.array([0.5 * random_density(rng, d) + 0.5 * np.eye(d) / d for _ in range(k)])
+    else:
+        starts = 0.5 * rng.dirichlet(np.ones(d), size=k) + 0.5 / d
+    stacked = _solve(spectraplex)(obj, warm_start=starts)
+    for j in range(k):
+        alone = _solve(spectraplex)(_member(obj, j), warm_start=starts[j])
+        assert stacked.minimizer[j].tobytes() == alone.minimizer[0].tobytes()
+        assert stacked.certified_gap[j].tobytes() == alone.certified_gap[0].tobytes()
+
+
+def test_a_surrogate_enters_every_member_and_its_quadratic_part_once():
+    # two members accumulate surrogates, and a linear term in one of them, as two one-member objectives do
     rng = np.random.default_rng(14)
-    shared = QuadraticObjective.zeros(3, 1.0)
-    other = QuadraticObjective(3, shared.quad, np.zeros(3), 0.0, 1.0)
-    alone = [QuadraticObjective.zeros(3, 1.0) for _ in range(2)]
+    shared = QuadraticObjective.zeros(3, 1.0, 2)
+    alone = [QuadraticObjective.zeros(3, 1.0, 1) for _ in range(2)]
     for _ in range(5):
         w, value, inner = rng.normal(size=3), rng.normal(), rng.normal()
-        shared.add_surrogate(w, value, inner, 0.1, other)
-        for obj in alone:
+        for obj in (shared, *alone):
             obj.add_surrogate(w, value, inner, 0.1)
-    for obj, ref in zip((shared, other), alone):
-        assert obj.quad.tobytes() == ref.quad.tobytes() and obj.lin.tobytes() == ref.lin.tobytes()
-        assert obj.const == ref.const
-    with pytest.raises(ValueError, match="share their quad array"):
-        shared.add_surrogate(w, value, inner, 0.1, alone[0])
+        shared.lin[0] += w
+        alone[0].lin[0] += w
+    for j, ref in enumerate(alone):
+        assert shared.quad.tobytes() == ref.quad.tobytes()
+        assert shared.lin[j].tobytes() == ref.lin[0].tobytes() and shared.const[j] == ref.const[0]
 
 
-def test_stacked_objectives_must_share_dimension_and_barrier_weight():
-    with pytest.raises(ValueError, match="one dimension and one barrier weight"):
-        minimize_simplex([QuadraticObjective.zeros(3, 1.0), QuadraticObjective.zeros(3, 2.0)])
-    with pytest.raises(ValueError, match="one dimension and one barrier weight"):
-        minimize_spectraplex([QuadraticObjective.zeros(4, 1.0), QuadraticObjective.zeros(9, 1.0)])
+@pytest.mark.parametrize("history", [False, True], ids=["quadratic", "history"])
+@pytest.mark.parametrize("spectraplex", [False, True], ids=["simplex", "spectraplex"])
+def test_a_one_member_solve_reports_a_stack_of_one(spectraplex, history):
+    rng = np.random.default_rng(15)
+    d = 2 if spectraplex else 4
+    rows = [phi_dual(random_density(rng, d)) if spectraplex else rng.dirichlet(np.ones(d)) for _ in range(20)]
+    rep = _solve(spectraplex)(LogLossHistory(rows, 0.3) if history else _stack_objective(spectraplex, k=1))
+    assert rep.minimizer.shape == ((1, d, d) if spectraplex else (1, d))
+    assert rep.certified_gap.shape == (1,) and rep.certified_gap[0] <= 1e-10
+    assert isinstance(rep.iterations, int) and rep.iterations >= 1
 
 
 class TestStackedRoundStates:
@@ -823,19 +848,23 @@ class TestStackedRoundStates:
 
 
 class TestStackCounts:
-    """A solve takes at least one objective and exactly one warm start per objective."""
+    """A solve takes an objective of at least one member and exactly one warm start per member."""
 
     @pytest.mark.parametrize("spectraplex", [False, True], ids=["simplex", "spectraplex"])
-    @pytest.mark.parametrize("objectives, starts", [(2, 1), (2, 3), (1, 2), (0, 0)])
-    def test_count_mismatch_or_empty_stack_rejected(self, spectraplex, objectives, starts):
-        solve = minimize_spectraplex if spectraplex else minimize_simplex
-        obj = QuadraticObjective.zeros(4 if spectraplex else 3, 1.0)
+    @pytest.mark.parametrize("members, starts", [(2, 1), (2, 3), (1, 2), (0, 0)])
+    def test_count_mismatch_or_empty_stack_rejected(self, spectraplex, members, starts):
+        obj = QuadraticObjective.zeros(4 if spectraplex else 3, 1.0, members)
         start = np.eye(2) / 2 if spectraplex else np.full(3, 1.0 / 3.0)
-        objs = obj if objectives == 1 else [obj] * objectives
         with pytest.raises(ValueError) as exc_info:
-            solve(objs, warm_start=np.array([start] * starts) if starts else None)
-        assert str(exc_info.value) == ("a solve needs at least one objective and one warm start per objective "
-                                       f"(objectives: {objectives}, warm starts: {starts})")
+            _solve(spectraplex)(obj, warm_start=np.array([start] * starts) if starts else None)
+        assert str(exc_info.value) == ("a solve needs at least one member and one warm start per member "
+                                       f"(members: {members}, warm starts: {starts})")
+
+    @pytest.mark.parametrize("spectraplex", [False, True], ids=["simplex", "spectraplex"])
+    def test_a_list_of_objectives_is_not_an_objective(self, spectraplex):
+        obj = QuadraticObjective.zeros(4 if spectraplex else 3, 1.0, 1)
+        with pytest.raises(AttributeError):
+            _solve(spectraplex)([obj, obj])
 
     def test_history_rows_must_have_its_dimension(self):
         hist = LogLossHistory(np.full((1, 3), 1.0 / 3.0), 1.0, capacity=4)
@@ -858,24 +887,23 @@ class TestSpectraplexWarmStart:
     ], ids=["indefinite", "indefinite-off-diagonal", "singular", "not-hermitian", "not-finite"])
     def test_bad_start_rejected(self, start, reason):
         with pytest.raises(ValueError) as exc_info, np.errstate(invalid="ignore"):  # inf / 1 in complex is NaN
-            minimize_spectraplex(QuadraticObjective.zeros(4, 1.0), warm_start=start)
+            minimize_spectraplex(QuadraticObjective.zeros(4, 1.0, 1), warm_start=start)
         assert str(exc_info.value) == f"warm start 0 {reason} after trace normalisation"
 
     def test_the_bad_member_is_named(self):
         starts = np.array([np.eye(2) / 2, np.diag([1.2, -0.2])])
         with pytest.raises(ValueError) as exc_info:
-            minimize_spectraplex([QuadraticObjective.zeros(4, 1.0)] * 2, warm_start=starts)
+            minimize_spectraplex(QuadraticObjective.zeros(4, 1.0, 2), warm_start=starts)
         assert str(exc_info.value) == "warm start 1 is not positive definite after trace normalisation"
 
-    @pytest.mark.parametrize("history", [False, True], ids=["quadratic", "history"])
-    def test_a_singular_member_still_fails_in_its_solve(self, history):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_singular_member_still_fails_in_its_solve(self, k):
         # the entry checks pass a positive definite start, so the singular system is reported as before
-        objs = [_stack_objective(True, history), _stack_objective(True, history, "singular")]
         with pytest.raises(SolverFailure) as exc_info:
-            minimize_spectraplex(objs, warm_start=np.array([np.eye(2) / 2] * 2), tol=1e-10)
+            minimize_spectraplex(_stack_objective(True, k=k, singular=(k - 1,)), warm_start=_centre(True, k), tol=1e-10)
         assert str(exc_info.value) == "singular Newton system: Singular matrix"
 
     def test_a_start_within_the_hermitian_tolerance_is_accepted(self):
         start = np.array([[0.5, 0.1 + 1e-14], [0.1, 0.5]])
-        rep = minimize_spectraplex(QuadraticObjective.zeros(4, 1.0), warm_start=start)
+        rep = minimize_spectraplex(QuadraticObjective.zeros(4, 1.0, 1), warm_start=start)
         assert np.abs(rep.minimizer - np.eye(2) / 2).max() <= 1e-9

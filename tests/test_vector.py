@@ -205,9 +205,9 @@ class TestBisonsRound:
         module, solver = (quantum, "minimize_spectraplex") if spectraplex else (vector, "minimize_simplex")
         solve, tols = getattr(module, solver), []
 
-        def recording(objs, warm_start=None, tol=None):
+        def recording(obj, warm_start=None, tol=None):
             tols.append(tol)
-            return solve(objs, warm_start=warm_start, tol=tol)
+            return solve(obj, warm_start=warm_start, tol=tol)
 
         monkeypatch.setattr(module, solver, recording)
         if spectraplex:
@@ -275,6 +275,21 @@ class TestBisonsRound:
         t_reset = res.reset_times[0]
         assert res.resets[t_reset - 1]  # row t-1 is round t
         assert np.allclose(res.plays[t_reset], 0.5)  # round t_reset+1 starts the new epoch
+
+    @pytest.mark.parametrize("spectraplex", [False, True], ids=["bisons_round", "qbisons_round"])
+    def test_the_bias_enters_the_biased_member_alone(self, spectraplex):
+        # after 300 crash rounds (the epoch resets at t=729), the two members of the round's objective share
+        # their surrogates and differ by the telescoped bias -B (p_t - p_1), in the domain's coordinates
+        params, domain = crash_params(), SPECTRAPLEX if spectraplex else SIMPLEX
+        state = initial_state(params, domain=domain)
+        p_1 = state.p.copy()
+        for r in adversary_returns("single-asset-crash", 2, 1000, 0)[:300]:
+            state, _ = domain.round(state, np.diag(r).astype(complex) if spectraplex else r, params)
+        obj = state.objective
+        bias = -params.B * domain.bias_coords(state.p_prev - p_1)
+        assert len(obj) == 2 and np.abs(bias).max() > 1.0
+        assert np.abs(obj.lin[0] - obj.lin[1] - bias).max() <= 1e-12 * np.abs(obj.lin).max()
+        assert obj.const[0] == obj.const[1]
 
 
 class TestRunBisons:
