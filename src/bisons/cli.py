@@ -76,12 +76,9 @@ def _check(args):
     from .checks import run_checks
 
     results = run_checks(args.suite)
-    failed = 0
     for res in results:
         print(res.line())
-        if not res.passed:
-            failed += 1
-    return 1 if failed else 0
+    return 0 if all(res.passed for res in results) else 1
 
 
 def _best_crp(args):

@@ -32,7 +32,7 @@ _TINY_INNER = 1e-300
 class InvalidReturnsError(ValueError):
     """Raised for returns vectors, loss matrices or measurements outside their admissible set.
 
-    Raised for a stack of them, ``index`` is the position of the first bad one; otherwise it is None.
+    ``index`` is the first bad one's position in its stack, or None when no one item is at fault.
     """
 
     def __init__(self, message, index=None):
@@ -40,15 +40,15 @@ class InvalidReturnsError(ValueError):
         self.index = index
 
 
-def reject_first_failure(checks, stacked):
+def reject_first_failure(checks):
     """Raise :class:`InvalidReturnsError` for the first item that fails one of ``checks``.
 
     ``checks`` lists (message, mask) pairs in the order one item is checked,
     each mask flagging the items that fail that check; a mask may cover only
     the items before the first one an earlier check rejects.  A message is a
-    string, or a function of the item's index that gives one.  The message is
-    that of the item's first failed check, so a stack is rejected as the
-    first bad item would be alone.
+    string, or a function of the item's index that gives one.  The error's
+    ``index`` is the item's position and its message that of the item's first
+    failed check, the message a stack of that item alone would get.
     """
     first = None
     for message, mask in checks:
@@ -57,8 +57,7 @@ def reject_first_failure(checks, stacked):
             first = (int(bad[0]), message)
     if first is not None:
         index, message = first
-        raise InvalidReturnsError(message(index) if callable(message) else message,
-                                  index=index if stacked else None)
+        raise InvalidReturnsError(message(index) if callable(message) else message, index=index)
 
 
 class InfiniteLossError(ArithmeticError):
@@ -70,26 +69,26 @@ def uniform_portfolio(d):
 
 
 def normalize_returns(raw):
-    """Scale a nonnegative returns vector, or each row of an (n, d) stack, onto the simplex.
+    """Scale each row of an (n, d) stack of nonnegative returns vectors onto the simplex.
 
     The induced loss shift -log(sum(raw)) is constant in the action and is
     dropped; regret against any comparator is unchanged.  A row whose sum is
-    already 1 to within 1e-12 is returned as it is.
+    already 1 to within 1e-12 is returned as it is.  Any other shape raises
+    :class:`InvalidReturnsError` naming it.
     """
-    raw = np.ascontiguousarray(raw, dtype=float)
-    if raw.ndim not in (1, 2):
-        raise InvalidReturnsError("returns must be a vector or a stack of vectors")
-    rows = raw.reshape(-1, raw.shape[-1])
+    rows = np.asarray(raw, dtype=float, order="C")
+    if rows.ndim != 2:
+        raise InvalidReturnsError(f"need an (n, d) stack of returns vectors, got shape {rows.shape}")
     finite = np.isfinite(rows).all(axis=-1)
     # the later checks run on the rows before the first non-finite one
     head = rows[: int(finite.argmin()) if not finite.all() else len(rows)]
     s = head.sum(axis=-1)
     reject_first_failure([("returns entries must be finite", ~finite),
                           ("returns entries must be nonnegative", (head < 0.0).any(axis=-1)),
-                          ("returns vector must have a positive entry", ~(s > 0.0))], raw.ndim == 2)
+                          ("returns vector must have a positive entry", ~(s > 0.0))])
     out = rows / s[:, None]
     np.copyto(out, rows, where=np.abs(s - 1.0)[:, None] <= _SUM_TOL)
-    return out.reshape(raw.shape)
+    return out
 
 
 def neg_log_inner(ip):

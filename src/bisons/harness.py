@@ -18,7 +18,7 @@ import numpy as np
 from .geometry import InvalidReturnsError, log_loss, normalize_returns, uniform_portfolio
 from .hermitian import Measurements, phi_dual, random_effect, trace_inner
 from .quantum import q_default_params, run_qbisons
-from .solver import HINDSIGHT_TOL, minimize_simplex, minimize_simplex_history, minimize_spectraplex_history
+from .solver import HINDSIGHT_TOL, minimize_simplex, minimize_simplex_history, minimize_spectraplex_history, prefixed
 from .vector import default_params, run_bisons
 
 TRACE_HEADER = "t,epoch,internal_time,loss,cum_loss,comparator_cum_loss,regret,reset_flag"
@@ -201,7 +201,7 @@ def _read_rows(path, what, build):
         try:
             return build(cells)
         except InvalidReturnsError as exc:
-            raise type(exc)(f"{path}: row {exc.index + 1} (line {lines[exc.index]}): {exc}") from exc
+            raise prefixed(exc, f"{path}: row {exc.index + 1} (line {lines[exc.index]}): ") from exc
 
     try:
         cells = np.loadtxt([line for _, line in kept], delimiter=",", comments=None, ndmin=2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import reject_first_failure
+from .geometry import InvalidReturnsError, reject_first_failure
 
 HERMITIAN_TOL = 1e-12  # largest entry of M - M^H for a matrix taken as Hermitian
 PSD_TOL = 1e-10  # eigenvalue slack: below 0 for a trace-normalised loss matrix, outside [0, 1] for an effect
@@ -77,16 +77,9 @@ def sqrt_psd(M):
 
 
 def a_norm(W, A):
-    """The seminorm sqrt(Tr(WAWA)) = ||A^{1/2} W A^{1/2}||_F for PSD A.
-
-    On (..., d, d) stacks, the array of the slices' seminorms; each slice's
-    norm is taken alone, so it equals the single-matrix value bit for bit.
-    """
+    """The seminorms sqrt(Tr(WAWA)) = ||A^{1/2} W A^{1/2}||_F for PSD A, over (..., d, d) stacks W and A."""
     S = sqrt_psd(A)
-    H = S @ W @ S
-    if H.ndim == 2:
-        return float(np.linalg.norm(H))
-    return np.array([np.linalg.norm(h) for h in H.reshape((-1,) + H.shape[-2:])]).reshape(H.shape[:-2])
+    return np.linalg.norm(S @ W @ S, axis=(-2, -1))
 
 
 def min_eig(M):
@@ -179,11 +172,10 @@ class Measurements:
     """n two-outcome measurements as one stack: ``effects`` (n, d, d), Hermitian with
     eigenvalues in [0, 1], and their ``outcomes`` (n,) in [0, 1].
 
-    A (d, d) effect with a scalar outcome is a stack of one.  The whole
-    stack is checked at once, and the first bad measurement raises
-    :class:`bisons.geometry.InvalidReturnsError` with its ``index`` and the
-    message of its first failed check, as if it were checked alone.  The
-    effects kept are hermitized.
+    Other shapes raise :class:`bisons.geometry.InvalidReturnsError` naming
+    them.  The whole stack is checked at once, and the first bad measurement
+    raises it with its ``index`` and the message of its first failed check,
+    as if it were checked alone.  The effects kept are hermitized.
     """
 
     effects: np.ndarray
@@ -192,9 +184,8 @@ class Measurements:
     def __post_init__(self):
         E = np.asarray(self.effects, dtype=complex)
         b = np.asarray(self.outcomes, dtype=float)
-        if E.ndim != b.ndim + 2 or E.shape[:-2] != b.shape or E.shape[-1] != E.shape[-2]:
-            raise ValueError(f"need (n, d, d) effects and n outcomes, got shapes {E.shape} and {b.shape}")
-        E, b = E.reshape((-1,) + E.shape[-2:]), b.reshape(-1)
+        if E.ndim != 3 or b.shape != E.shape[:1] or E.shape[-1] != E.shape[-2]:
+            raise InvalidReturnsError(f"need (n, d, d) effects and n outcomes, got shapes {E.shape} and {b.shape}")
         hermitian = np.abs(E - E.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= HERMITIAN_TOL
         H = hermitize(E)
         # the eigenvalue check runs on the effects before the first non-Hermitian one
@@ -205,7 +196,7 @@ class Measurements:
             (lambda k: f"effect eigenvalues must lie in [0, 1], got [{lo[k]}, {hi[k]}]",
              (lo < -PSD_TOL) | (hi > 1.0 + PSD_TOL)),
             (lambda k: f"outcome must lie in [0, 1], got {b[k]}", ~((0.0 <= b) & (b <= 1.0))),
-        ], True)
+        ])
         object.__setattr__(self, "effects", H)
         object.__setattr__(self, "outcomes", b)
 

@@ -181,13 +181,10 @@ def assemble_pi_hessian(x, history, eta, U):
 
 
 def stability_term(grad_pi, hessian_pi):
-    """||g||^2 in the inverse-Hessian norm; the Hessian is PD thanks to the barrier.
-
-    Over stacks of gradients (..., k) and Hessians (..., k, k), the array of the terms.
-    """
+    """The array of ||g||^2 in the inverse-Hessian norm over stacks of gradients (..., k) and
+    Hessians (..., k, k); each Hessian is PD thanks to the barrier."""
     g = np.asarray(grad_pi)[..., None]
-    term = (np.swapaxes(g, -1, -2) @ np.linalg.solve(hessian_pi, g))[..., 0, 0]
-    return term if term.ndim else float(term)
+    return (np.swapaxes(g, -1, -2) @ np.linalg.solve(hessian_pi, g))[..., 0, 0]
 
 
 # -- adversarial sequence generation ------------------------------------------

@@ -102,33 +102,29 @@ class QStabilityMonitor(StabilityMonitor):
 
 
 def ingest_loss_matrix(item, rng=None):
-    """Trace-one loss matrices of :class:`bisons.hermitian.Measurements` or of raw PSD loss matrices.
+    """The (n, d, d) trace-one loss matrices of :class:`bisons.hermitian.Measurements` or of raw PSD loss matrices.
 
-    A (d, d) array gives its (d, d) loss matrix; measurements, an (n, d, d)
-    stack or a sequence of (d, d) arrays give the (n, d, d) stack.  Any
-    other shape raises :class:`InvalidReturnsError`, and a matrix must be
-    PSD to ``PSD_TOL`` after trace normalisation, whatever its scale.
-    Measurements are reduced in one call, so their fractional outcomes draw
-    their uniforms from ``rng`` in stream order.  A bad item of a stack
+    Raw matrices come as an (n, d, d) stack or a sequence of (d, d) arrays;
+    any other shape raises :class:`InvalidReturnsError` naming it.  A matrix
+    must be PSD to ``PSD_TOL`` after trace normalisation, whatever its
+    scale.  Measurements are reduced in one call, so their fractional
+    outcomes draw their uniforms from ``rng`` in stream order.  A bad item
     raises :class:`InvalidReturnsError` with its ``index``.
     """
     if isinstance(item, Measurements):
-        R, single = reduce_measurement(item, rng=rng), False
+        R = reduce_measurement(item, rng=rng)
     else:
         R = np.asarray(item, dtype=complex)
-        if R.ndim not in (2, 3) or R.shape[-1] != R.shape[-2]:
-            raise InvalidReturnsError(f"need a (d, d) loss matrix or an (n, d, d) stack, got shape {R.shape}")
-        single = R.ndim == 2
-        R = R.reshape((-1,) + R.shape[-2:])
+        if R.ndim != 3 or R.shape[-1] != R.shape[-2]:
+            raise InvalidReturnsError(f"need an (n, d, d) stack of loss matrices, got shape {R.shape}")
     finite = np.isfinite(R).all(axis=(-2, -1))
     # the later checks run on the items before the first non-finite one
     H = hermitize(R[: int(finite.argmin()) if not finite.all() else len(R)])
     tr = np.trace(H, axis1=-2, axis2=-1).real
     reject_first_failure([("loss matrix entries must be finite", ~finite),
                           ("loss matrix must be PSD", min_eig(H) < -PSD_TOL * tr),
-                          ("loss matrix must have positive trace", ~(tr > 0.0))], not single)
-    out = H / tr[:, None, None]
-    return out[0] if single else out
+                          ("loss matrix must have positive trace", ~(tr > 0.0))])
+    return H / tr[:, None, None]
 
 
 class Spectraplex:

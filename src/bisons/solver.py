@@ -96,7 +96,7 @@ from numpy.linalg import LinAlgError
 
 from .hermitian import HERMITIAN_TOL, hermitian_basis, hermitize, phi_dual, trace_slots, unvectorize_phi, vectorize_phi
 
-DEFAULT_MAX_ITER = 200
+DEFAULT_MAX_ITER = 200  # Newton steps a solve may take before it raises SolverFailure; read when a solve starts
 DEFAULT_TOL = 1e-10  # a frontend's default accuracy, and the loosest a round solves at (see default_tol)
 HINDSIGHT_TOL = 1e-12  # the accuracy of the hindsight comparators, the ONS projection and criterion 11
 _ARMIJO_SLOPE = 0.25
@@ -176,7 +176,8 @@ class LogLossHistory:
 
     def __init__(self, rows, barrier_weight, capacity=None):
         R = np.ascontiguousarray(rows, dtype=float)
-        R = R.reshape(1, -1) if R.ndim == 1 else R
+        if R.ndim != 2:
+            raise ValueError(f"need an (n, dim) stack of history rows, got shape {R.shape}")
         self.n = R.shape[0]
         if capacity is not None:
             buf = np.empty((max(capacity, self.n), R.shape[1]))
@@ -439,7 +440,7 @@ def _reduced_newton_step(X, G, F):
     return np.concatenate([dz, -dz.sum(axis=-1, keepdims=True)], axis=-1), lam2
 
 
-def minimize_simplex(obj, warm_start=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def minimize_simplex(obj, warm_start=None, tol=DEFAULT_TOL):
     """Minimize each of the k members of ``obj`` plus its weighted log barrier -sum(log x_i) over the simplex.
 
     ``warm_start`` is a (k, d) stack.  A warm start is not checked: the
@@ -471,7 +472,7 @@ def minimize_simplex(obj, warm_start=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX
             return 1.0
         return min(1.0, _BOUNDARY_FRACTION * float(np.min(-x[neg] / dx[neg])))
 
-    return _damped_newton(X, grad_hess, _reduced_newton_step, fval, boundary_cap, tol, max_iter, _kappa(w))
+    return _damped_newton(X, grad_hess, _reduced_newton_step, fval, boundary_cap, tol, DEFAULT_MAX_ITER, _kappa(w))
 
 
 def minimize_simplex_history(returns, barrier_weight, warm_start=None, tol=DEFAULT_TOL):
@@ -524,7 +525,7 @@ def _kkt_matrices(k, d):
     return K
 
 
-def minimize_spectraplex(obj, warm_start=None, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def minimize_spectraplex(obj, warm_start=None, tol=DEFAULT_TOL):
     """Minimize each of the k members of ``obj`` plus its weighted log-det barrier over trace-one PSD matrices.
 
     ``obj`` lives in the phi coordinates (dim = d^2); ``warm_start`` is a
@@ -573,7 +574,7 @@ def minimize_spectraplex(obj, warm_start=None, tol=DEFAULT_TOL, max_iter=DEFAULT
         return 1.0 if wmin >= 0.0 else min(1.0, _BOUNDARY_FRACTION / (-wmin))
 
     try:
-        rep = _damped_newton(V0, grad_hess, kkt_step, fval, boundary_cap, tol, max_iter, _kappa(w))
+        rep = _damped_newton(V0, grad_hess, kkt_step, fval, boundary_cap, tol, DEFAULT_MAX_ITER, _kappa(w))
     except SolverFailure as exc:  # a failure report carries a density matrix too
         exc.report.minimizer = unvectorize_phi(exc.report.minimizer, d)
         raise

@@ -332,7 +332,7 @@ def run_epochs(domain, stream, params, rng=None, keep_states=False):
     except InvalidReturnsError as exc:
         if exc.index is None:
             raise
-        raise InvalidReturnsError(f"t={exc.index + 1}: {exc}") from exc
+        raise prefixed(exc, f"t={exc.index + 1}: ") from exc
     if inputs.shape[1:] != x.shape:
         raise InvalidReturnsError(f"need one input of shape {x.shape} per round, got an array of shape {inputs.shape}")
     n = len(inputs)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,26 +26,35 @@ def random_simplex(rng, d, floor=0.0):
 
 class TestNormalizeReturns:
     def test_uniform_scaling(self):
-        assert np.allclose(normalize_returns([2.0, 2.0]), [0.5, 0.5])
+        assert np.allclose(normalize_returns([[2.0, 2.0]]), [[0.5, 0.5]])
 
     def test_already_normalized(self):
-        assert np.allclose(normalize_returns([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
+        assert np.allclose(normalize_returns([[1.0, 0.0, 0.0]]), [[1.0, 0.0, 0.0]])
 
     def test_hand_arithmetic(self):
-        assert np.allclose(normalize_returns([3.0, 1.0]), [0.75, 0.25], atol=1e-15)
+        assert np.allclose(normalize_returns([[3.0, 1.0]]), [[0.75, 0.25]], atol=1e-15)
 
     def test_all_zero_rejected(self):
-        with pytest.raises(InvalidReturnsError):
-            normalize_returns([0.0, 0.0])
+        with pytest.raises(InvalidReturnsError, match="^returns vector must have a positive entry$") as err:
+            normalize_returns([[0.0, 0.0]])
+        assert err.value.index == 0
 
     def test_negative_rejected(self):
-        with pytest.raises(InvalidReturnsError):
-            normalize_returns([1.0, -0.5])
+        with pytest.raises(InvalidReturnsError, match="^returns entries must be nonnegative$") as err:
+            normalize_returns([[1.0, -0.5]])
+        assert err.value.index == 0
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvalidReturnsError, match="finite"):
-            normalize_returns([bad, 1.0, 1.0])
+            normalize_returns([[bad, 1.0, 1.0]])
+
+    @pytest.mark.parametrize("raw", [[0.3, 0.7], 1.0, np.full((2, 2, 2), 0.5)], ids=["vector", "scalar", "3-d"])
+    def test_only_a_stack_is_accepted(self, raw):
+        message = f"need an (n, d) stack of returns vectors, got shape {np.shape(raw)}"
+        with pytest.raises(InvalidReturnsError, match=f"^{re.escape(message)}$") as err:
+            normalize_returns(raw)
+        assert err.value.index is None
 
     @pytest.mark.parametrize("d", range(2, 13))
     def test_stack_equals_each_row_alone(self, d):
@@ -61,7 +71,7 @@ class TestNormalizeReturns:
         kept = [abs(r.sum() - 1.0) <= 1e-12 for r in R]
         assert 0 < sum(kept) < len(R)
         assert normalize_returns(R).tobytes() == np.array([alone(r) for r in R]).tobytes()
-        assert np.array([normalize_returns(r) for r in R]).tobytes() == normalize_returns(R).tobytes()
+        assert np.array([normalize_returns(r[None])[0] for r in R]).tobytes() == normalize_returns(R).tobytes()
 
     @pytest.mark.parametrize("rows, index, message", [
         ([[1.0, 0.0], [math.inf, 1.0], [-1.0, 2.0]], 1, "returns entries must be finite"),
@@ -74,8 +84,8 @@ class TestNormalizeReturns:
             normalize_returns(rows)
         assert err.value.index == index
         with pytest.raises(InvalidReturnsError, match=f"^{message}$") as err:
-            normalize_returns(rows[index])
-        assert err.value.index is None
+            normalize_returns([rows[index]])
+        assert err.value.index == 0
 
 
 class TestLogLoss:

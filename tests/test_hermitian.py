@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bisons.geometry import InvalidReturnsError
 from bisons.hermitian import (
@@ -99,26 +101,44 @@ class TestPositivePart:
 class TestANorm:
     def test_identity_weight_is_frobenius(self):
         rng = np.random.default_rng(5)
-        W = random_hermitian(rng, 4)
-        assert a_norm(W, np.eye(4)) == pytest.approx(np.linalg.norm(W), rel=1e-10)
+        W = np.array([random_hermitian(rng, 4) for _ in range(5)])
+        assert np.allclose(a_norm(W, np.eye(4)), np.linalg.norm(W, axis=(-2, -1)), rtol=1e-10, atol=0.0)
 
     def test_zero(self):
-        assert a_norm(np.zeros((3, 3)), np.eye(3)) == 0.0
+        assert (a_norm(np.zeros((2, 3, 3)), np.eye(3)) == 0.0).all()
 
     def test_diagonal_closed_form(self):
         w = np.array([1.5, -2.0, 0.25])
         a = np.array([0.5, 2.0, 3.0])
         expected = math.sqrt(float(((w * a) ** 2).sum()))
-        assert a_norm(np.diag(w).astype(complex), np.diag(a).astype(complex)) == pytest.approx(expected, rel=1e-12)
+        norms = a_norm(np.diag(w)[None].astype(complex), np.diag(a)[None].astype(complex))
+        assert norms[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            d = rng.integers(2, 5)
-            A = random_pd(rng, d)
-            V = random_hermitian(rng, d)
-            W = random_hermitian(rng, d)
-            assert a_norm(V + W, A) <= a_norm(V, A) + a_norm(W, A) + 1e-10
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_triangle_inequality(self, d):
+        rng = np.random.default_rng(6 + d)
+        A = np.array([random_pd(rng, d) for _ in range(20)])
+        V = np.array([random_hermitian(rng, d) for _ in range(20)])
+        W = np.array([random_hermitian(rng, d) for _ in range(20)])
+        assert (a_norm(V + W, A) <= a_norm(V, A) + a_norm(W, A) + 1e-10).all()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=2), d=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_its_stacks_of_one(self, shape, d, seed):
+        rng = np.random.default_rng(seed)
+        size = tuple(shape) + (d, d)
+        H = hermitize(rng.normal(size=size) + 1j * rng.normal(size=size))
+        M = rng.normal(size=size) + 1j * rng.normal(size=size)
+        A = M @ M.conj().swapaxes(-1, -2)  # PSD
+        norms = a_norm(H, A)
+        assert norms.shape == tuple(shape)
+        for idx in np.ndindex(*shape):
+            assert norms[idx].tobytes() == a_norm(H[idx][None], A[idx][None])[0].tobytes()
+            # the per-matrix norm sums its 2 d^2 squares in another order: a summation bound apart
+            S = sqrt_psd(A[idx])
+            reference = np.linalg.norm(S @ H[idx] @ S)
+            assert norms[idx] == pytest.approx(reference, rel=2 * d * d * np.finfo(float).eps, abs=0.0)
 
 
 class TestStackedHelpers:
@@ -135,16 +155,15 @@ class TestStackedHelpers:
     def test_stack_equals_per_matrix_calls(self, d):
         M, A = self.stacks(d)
         H = hermitize(M)
-        eigs, roots, invs, norms = min_eig(H), sqrt_psd(A), np.linalg.inv(A), a_norm(H, A)
+        eigs, roots, invs = min_eig(H), sqrt_psd(A), np.linalg.inv(A)
         parts = positive_part(H)
-        assert eigs.shape == norms.shape == (3, 4)
+        assert eigs.shape == (3, 4)
         for idx in np.ndindex(3, 4):
             assert np.array_equal(H[idx], hermitize(M[idx]))
             assert eigs[idx] == min_eig(H[idx])
             assert np.array_equal(roots[idx], sqrt_psd(A[idx]))
             assert np.array_equal(parts[idx], positive_part(H[idx]))
             assert np.array_equal(invs[idx], np.linalg.inv(A[idx]))
-            assert norms[idx] == a_norm(H[idx], A[idx])
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_matrix_results_match_transpose_forms(self, d):
@@ -157,9 +176,8 @@ class TestStackedHelpers:
         S = 0.5 * (S + S.conj().T)
         assert np.array_equal(hermitize(M), H)
         assert min_eig(H) == float(np.linalg.eigvalsh(0.5 * (H + H.conj().T)).min())
-        assert type(min_eig(H)) is float and type(a_norm(H, A)) is float
+        assert type(min_eig(H)) is float
         assert np.array_equal(sqrt_psd(A), S)
-        assert a_norm(H, A) == float(np.linalg.norm(S @ H @ S))
 
 
 class TestPhi:
@@ -283,25 +301,25 @@ class TestReduceMeasurement:
     def test_outcome_one(self):
         rng = np.random.default_rng(12)
         E = random_effect(rng, 3)
-        ev = Measurements(E, 1.0)
+        ev = Measurements(E[None], np.ones(1))
         assert np.abs(reduce_measurement(ev)[0] - E).max() <= 1e-14
 
     def test_outcome_zero(self):
         rng = np.random.default_rng(13)
         E = random_effect(rng, 3)
-        ev = Measurements(E, 0.0)
+        ev = Measurements(E[None], np.zeros(1))
         assert np.abs(reduce_measurement(ev)[0] - (np.eye(3) - E)).max() <= 1e-14
 
     def test_fractional_needs_rng(self):
-        ev = Measurements(np.eye(2) * 0.5, 0.3)
+        ev = Measurements(np.eye(2)[None] * 0.5, np.full(1, 0.3))
         with pytest.raises(MissingRandomnessError):
             reduce_measurement(ev)
 
     def test_invalid_effect_rejected(self):
-        with pytest.raises(ValueError):
-            Measurements(np.diag([1.5, 0.0]).astype(complex), 0.5)
-        with pytest.raises(ValueError):
-            Measurements(np.eye(2) * 0.5, 1.2)
+        with pytest.raises(InvalidReturnsError, match="^effect eigenvalues must lie in"):
+            Measurements(np.diag([1.5, 0.0])[None].astype(complex), np.full(1, 0.5))
+        with pytest.raises(InvalidReturnsError, match="^outcome must lie in"):
+            Measurements(np.eye(2)[None] * 0.5, np.full(1, 1.2))
 
     def test_monte_carlo_matches_kl_form(self):
         # E = I/2 makes <X, R> independent of X; the average loss over the
@@ -337,12 +355,6 @@ class TestMeasurements:
         rng = np.random.default_rng(17)
         return np.array([random_effect(rng, d) for _ in range(n)]), rng.uniform(0.05, 0.95, size=n)
 
-    def test_a_single_event_is_a_stack_of_one(self):
-        E, b = self.stack()
-        one = Measurements(E[2], b[2])
-        assert len(one) == 1 and one.effects.shape == (1, 3, 3) and one.outcomes.shape == (1,)
-        assert one.effects.tobytes() == Measurements(E, b).effects[2:3].tobytes()
-
     def test_effects_kept_hermitized(self):
         E, b = self.stack()
         E[1, 0, 1] += 1e-13
@@ -353,10 +365,14 @@ class TestMeasurements:
         (np.zeros((2, 2, 3)), np.zeros(2)),
         (np.zeros((2, 2, 2)), np.zeros(3)),
         (np.zeros((2, 2)), np.zeros(1)),
-    ], ids=["not-square", "count-mismatch", "scalar-outcome-for-one"])
+        (np.eye(2) * 0.5, 0.5),
+        (np.zeros((1, 2, 2)), 0.5),
+    ], ids=["not-square", "count-mismatch", "scalar-outcome-for-one", "lone-event", "scalar-outcome"])
     def test_shapes_checked(self, effects, outcomes):
-        with pytest.raises(ValueError, match="^need \\(n, d, d\\) effects and n outcomes"):
+        message = f"need (n, d, d) effects and n outcomes, got shapes {np.shape(effects)} and {np.shape(outcomes)}"
+        with pytest.raises(InvalidReturnsError, match=f"^{re.escape(message)}$") as err:
             Measurements(effects, outcomes)
+        assert err.value.index is None
 
     @pytest.mark.parametrize("first, later", [
         ("hermitian", "eigenvalues-low"),
@@ -374,7 +390,7 @@ class TestMeasurements:
             Measurements(effects, outcomes)
         assert err.value.index == 2
         with pytest.raises(InvalidReturnsError, match=f"^{re.escape(message)}$") as err:
-            Measurements(effects[2], outcomes[2])
+            Measurements(effects[2:3], outcomes[2:3])
         assert err.value.index == 0
 
 

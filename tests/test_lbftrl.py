@@ -310,7 +310,8 @@ class TestStabilityTerm:
         hessians = np.array([assemble_pi_hessian(x, hist[: t + 1], 0.7, U) for t, x in enumerate(X)])
         alone = np.array([float(g @ np.linalg.solve(H, g)) for g, H in zip(grads, hessians)])
         assert stability_term(grads, hessians).tobytes() == alone.tobytes()
-        assert np.array([stability_term(g, H) for g, H in zip(grads, hessians)]).tobytes() == alone.tobytes()
+        assert np.array([stability_term(g[None], H[None])[0] for g, H in zip(grads, hessians)]).tobytes() == \
+            alone.tobytes()
 
 
 @pytest.fixture(scope="module")

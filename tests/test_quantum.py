@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -201,7 +202,7 @@ class TestRunQBisons:
         # trace-one effect: recorded loss is -log <I/d, E>
         params = q_default_params(2, 440)
         E = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        res = run_qbisons(Measurements(E, 1.0), params)
+        res = run_qbisons(Measurements(E[None], np.ones(1)), params)
         assert res.losses[0] == pytest.approx(-math.log(trace_inner(np.eye(2) / 2, E)))
 
     def test_scaling_invariance_of_iterates(self):
@@ -236,7 +237,7 @@ class TestRunQBisons:
     def test_non_finite_loss_matrix_rejected(self, bad):
         R = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(InvalidReturnsError, match="finite"):
-            ingest_loss_matrix(R)
+            ingest_loss_matrix([R])
         params = q_default_params(2, 440)
         with pytest.raises(InvalidReturnsError, match="finite"):
             run_qbisons([np.eye(2, dtype=complex), R], params)
@@ -268,7 +269,7 @@ class TestRunQBisons:
 
     def test_fractional_outcomes_need_rng(self):
         params = q_default_params(2, 440)
-        ev = Measurements(np.eye(2) * 0.5, 0.4)
+        ev = Measurements(np.eye(2)[None] * 0.5, np.full(1, 0.4))
         with pytest.raises(MissingRandomnessError):
             run_qbisons(ev, params)
 
@@ -295,7 +296,7 @@ class TestIngestLossMatrix:
                          for _ in range(20)])
         assert ingest_loss_matrix(mats).shape == (20, 4, 4)
         with pytest.raises(InvalidReturnsError, match="^loss matrix must be PSD$"):
-            ingest_loss_matrix(rebuild(random_unitary(rng, 2), np.array([1.0 + 1e-9, -1e-9])))
+            ingest_loss_matrix([rebuild(random_unitary(rng, 2), np.array([1.0 + 1e-9, -1e-9]))])
 
     @staticmethod
     def assert_equals_each_event_alone(meas):
@@ -317,7 +318,7 @@ class TestIngestLossMatrix:
         self.assert_equals_each_event_alone(Measurements(effects, outcomes))
         mats = [2.5 * random_density(rng, 3) for _ in range(15)]
         stack = ingest_loss_matrix(mats)
-        assert stack.tobytes() == np.array([ingest_loss_matrix(R) for R in mats]).tobytes()
+        assert stack.tobytes() == np.array([ingest_loss_matrix([R])[0] for R in mats]).tobytes()
         assert stack.tobytes() == np.array([ingest_alone(R, 1.0, None) for R in mats]).tobytes()
 
     def test_generated_stream_equals_each_event_alone(self):
@@ -337,9 +338,17 @@ class TestIngestLossMatrix:
     def test_stack_of_one_draws_once(self):
         gen_one, gen_alone = np.random.default_rng(9), np.random.default_rng(9)
         E = random_effect(np.random.default_rng(10), 2)
-        assert ingest_loss_matrix(Measurements(E, 0.3), rng=gen_one)[0].tobytes() == \
+        assert ingest_loss_matrix(Measurements(E[None], np.full(1, 0.3)), rng=gen_one)[0].tobytes() == \
             ingest_alone(hermitize(E), 0.3, gen_alone).tobytes()
         assert gen_one.bit_generator.state == gen_alone.bit_generator.state
+
+    @pytest.mark.parametrize("item", [np.eye(2) / 2, np.ones(4), np.ones((2, 2, 3)), np.ones((1, 3, 2, 2))],
+                             ids=["lone-matrix", "vector", "not-square", "4-d"])
+    def test_only_a_stack_is_accepted(self, item):
+        message = f"need an (n, d, d) stack of loss matrices, got shape {item.shape}"
+        with pytest.raises(InvalidReturnsError, match=f"^{re.escape(message)}$") as err:
+            ingest_loss_matrix(item)
+        assert err.value.index is None
 
     @pytest.mark.parametrize("bad, index, message", [
         (["inf", "indefinite"], 1, "loss matrix entries must be finite"),
@@ -354,8 +363,8 @@ class TestIngestLossMatrix:
             ingest_loss_matrix(items)
         assert err.value.index == index
         with pytest.raises(InvalidReturnsError, match=f"^{message}$") as err:
-            ingest_loss_matrix(items[index])
-        assert err.value.index is None
+            ingest_loss_matrix([items[index]])
+        assert err.value.index == 0
         with pytest.raises(InvalidReturnsError, match=f"^t={index + 1}: {message}$"):
             run_qbisons(items, q_default_params(2, 440))
 

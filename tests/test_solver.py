@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ class TestMinimizeSimplex:
         assert np.abs(x - best).max() <= 2e-3
         assert 0.5 * x @ obj.quad @ x + obj.lin[0] @ x - np.log(x).sum() <= vals.min() + 1e-6
 
-    def test_monotone_descent(self):
+    def test_monotone_descent(self, monkeypatch):
         rng = np.random.default_rng(0)
         A = rng.normal(size=(3, 3))
         obj = QuadraticObjective(A @ A.T, rng.normal(size=(1, 3)), np.zeros(1), 2.0)
@@ -74,8 +75,9 @@ class TestMinimizeSimplex:
         iters = minimize_simplex(obj, warm_start=x0).iterations
         values = []
         for k in range(iters + 1):  # the value of iterate k, from a run stopped after k steps
+            monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", k)
             with pytest.raises(SolverFailure) as exc_info:
-                minimize_simplex(obj, warm_start=x0, max_iter=k)
+                minimize_simplex(obj, warm_start=x0)
             values.append(value(exc_info.value.report.minimizer))
         assert iters >= 2
         assert (np.diff(values) <= 1e-12).all()
@@ -95,19 +97,21 @@ class TestMinimizeSimplex:
             tangent = g - g.mean()  # gradient along the sum-one constraint
             assert np.linalg.norm(tangent) <= 10.0 * math.sqrt(tol) * max(1.0, np.linalg.norm(g))
 
-    def test_nonconvergence_carries_best_iterate(self):
+    def test_nonconvergence_carries_best_iterate(self, monkeypatch):
         obj = QuadraticObjective(np.zeros((3, 3)), np.array([[-50.0, 0.0, 0.0]]), np.zeros(1), 0.5)
+        monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", 2)
         with pytest.raises(SolverFailure) as exc_info:
-            minimize_simplex(obj, tol=1e-30, max_iter=2)
+            minimize_simplex(obj, tol=1e-30)
         assert exc_info.value.report.minimizer.min() > 0.0
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
-    def test_nonconvergence_reports_decrement_at_its_iterate(self, max_iter):
+    def test_nonconvergence_reports_decrement_at_its_iterate(self, monkeypatch, max_iter):
         rng = np.random.default_rng(0)
         A = rng.normal(size=(3, 3))
         obj = QuadraticObjective(A @ A.T, rng.normal(size=(1, 3)), np.zeros(1), 0.1)
+        monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", max_iter)
         with pytest.raises(SolverFailure) as exc_info:
-            minimize_simplex(obj, warm_start=np.array([0.90, 0.05, 0.05]), max_iter=max_iter)
+            minimize_simplex(obj, warm_start=np.array([0.90, 0.05, 0.05]))
         report = exc_info.value.report
         lam2 = simplex_decrement2(obj, report.minimizer)
         assert report.certified_gap == pytest.approx(lam2, rel=1e-9)
@@ -198,10 +202,11 @@ class TestMinimizeSpectraplex:
         assert value(X_min) <= best_val + 1e-6
 
     @pytest.mark.parametrize("max_iter", [0, 1])
-    def test_failure_report_carries_a_density_matrix(self, max_iter):
+    def test_failure_report_carries_a_density_matrix(self, monkeypatch, max_iter):
         warm = np.diag([0.7, 0.3]).astype(complex)
+        monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", max_iter)
         with pytest.raises(SolverFailure) as exc_info:
-            minimize_spectraplex(QuadraticObjective.zeros(4, 1.0, 1), warm_start=warm, tol=1e-30, max_iter=max_iter)
+            minimize_spectraplex(QuadraticObjective.zeros(4, 1.0, 1), warm_start=warm, tol=1e-30)
         X = exc_info.value.report.minimizer
         assert X.shape == (2, 2)
         assert np.trace(X).real == pytest.approx(1.0, abs=1e-12)
@@ -297,6 +302,12 @@ class TestLogLossHistory:
         assert f_order.minimizer.tobytes() == c_order.minimizer.tobytes()
         assert LogLossHistory(rows, 1.0).rows.flags.c_contiguous
         assert LogLossHistory(np.asfortranarray(rows), 1.0).rows.flags.c_contiguous
+
+    @pytest.mark.parametrize("rows", [np.full(3, 1.0 / 3.0), np.ones((2, 2, 3))], ids=["lone-row", "3-d"])
+    def test_only_a_stack_of_rows_is_accepted(self, rows):
+        message = f"need an (n, dim) stack of history rows, got shape {rows.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LogLossHistory(rows, 1.0)
 
     def test_append_beyond_capacity_rejected(self):
         hist = LogLossHistory(np.empty((0, 2)), 1.0, capacity=1)
@@ -735,26 +746,28 @@ class TestStackedSolve:
         assert (stacked.value.report.certified_gap, stacked.value.report.iterations) == (math.inf, 0)
         assert isinstance(stacked.value.__cause__, np.linalg.LinAlgError)
 
-    def test_an_earlier_member_failing_later_wins(self, spectraplex):
+    def test_an_earlier_member_failing_later_wins(self, monkeypatch, spectraplex):
         # member 0 runs out of steps at its second iteration; member 1 is singular at its first
         obj, starts = _stack_objective(spectraplex, singular=(1,)), _centre(spectraplex)
+        monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", 2)
         with pytest.raises(SolverFailure) as stacked:
-            _solve(spectraplex)(obj, warm_start=starts, tol=1e-10, max_iter=2)
+            _solve(spectraplex)(obj, warm_start=starts, tol=1e-10)
         with pytest.raises(SolverFailure) as alone:
-            _solve(spectraplex)(_member(obj, 0), warm_start=starts[0], tol=1e-10, max_iter=2)
+            _solve(spectraplex)(_member(obj, 0), warm_start=starts[0], tol=1e-10)
         assert str(stacked.value) == str(alone.value)
         assert str(stacked.value).startswith("no convergence in 2 iterations")
         assert stacked.value.report.minimizer.tobytes() == alone.value.report.minimizer.tobytes()
         assert stacked.value.report.certified_gap == alone.value.report.certified_gap
 
-    def test_no_iterations_allowed(self, spectraplex):
+    def test_no_iterations_allowed(self, monkeypatch, spectraplex):
         obj = _stack_objective(spectraplex)
         x = _solve(spectraplex)(_member(obj, 0), tol=1e-14).minimizer[0]
         starts = np.array([x, _perturbed(x, spectraplex)])
+        monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", 0)
         with pytest.raises(SolverFailure) as stacked:
-            _solve(spectraplex)(obj, warm_start=starts, max_iter=0)
+            _solve(spectraplex)(obj, warm_start=starts)
         with pytest.raises(SolverFailure) as alone:
-            _solve(spectraplex)(_member(obj, 0), warm_start=starts[0], max_iter=0)
+            _solve(spectraplex)(_member(obj, 0), warm_start=starts[0])
         assert str(stacked.value) == str(alone.value)
         assert str(stacked.value).startswith("no convergence in 0 iterations")
         assert stacked.value.report.minimizer.tobytes() == alone.value.report.minimizer.tobytes()

@@ -25,8 +25,6 @@ ALLOWED = {
 ALLOWED_PARAMETERS = {
     "run_bisons.keep_states": "tests compare the kept (x, u, p) states of a run",
     "run_qbisons.keep_states": "tests compare the kept (X, U, P) states of a run",
-    "minimize_simplex.max_iter": "tests force a solver failure with max_iter=0",
-    "minimize_spectraplex.max_iter": "tests force a solver failure with max_iter=0",
     "main.argv": "tests drive the CLI in process",
 }
 

@@ -348,11 +348,10 @@ class TestRunBisons:
 
     @pytest.mark.parametrize("run, stream, message", [
         ("qbisons", np.tile(np.eye(2, dtype=complex) / 2, (1, 500, 1, 1)),
-         "need a (d, d) loss matrix or an (n, d, d) stack, got shape (1, 500, 2, 2)"),
-        ("qbisons", np.eye(2, dtype=complex) / 2,
-         "need one input of shape (2, 2) per round, got an array of shape (2, 2)"),
-        ("bisons", np.array([0.3, 0.7]), "need one input of shape (2,) per round, got an array of shape (2,)"),
-        ("bisons", np.full((2, 2, 2), 0.5), "returns must be a vector or a stack of vectors"),
+         "need an (n, d, d) stack of loss matrices, got shape (1, 500, 2, 2)"),
+        ("qbisons", np.eye(2, dtype=complex) / 2, "need an (n, d, d) stack of loss matrices, got shape (2, 2)"),
+        ("bisons", np.array([0.3, 0.7]), "need an (n, d) stack of returns vectors, got shape (2,)"),
+        ("bisons", np.full((2, 2, 2), 0.5), "need an (n, d) stack of returns vectors, got shape (2, 2, 2)"),
         ("bisons", np.full((5, 3), 1.0 / 3.0), "need one input of shape (2,) per round, got an array of shape (5, 3)"),
         ("bisons", np.float64(1.0), "need a stack of inputs, got a float64 with no length"),
         ("bisons", iter([[0.3, 0.7]] * 3), "need a stack of inputs, got a list_iterator with no length"),
