@@ -128,7 +128,7 @@ def epoch_grid_regret(R, losses, resets, T):
 
 def check_epoch_nonpositivity(ctx):
     d, T = 2, 1000
-    params = BisonsParams(d=d, T=T, **CRASH_OVERRIDE).validate()
+    params = BisonsParams(d=d, T=T, **CRASH_OVERRIDE)
     results, epoch_regrets = [], []
     for seed in range(5):
         R = adversary_returns("single-asset-crash", d, T, seed)
@@ -176,7 +176,7 @@ def _diagonal_runs(R, params):
     """BISONS on R and Q-BISONS on its diagonal embedding, with the same parameters, and over all
     rounds the largest gap between the diagonals of their plays and the largest off-diagonal modulus."""
     res_v = run_bisons(R, params)
-    res_q = run_qbisons([np.diag(r).astype(complex) for r in R], QBisonsParams(**asdict(params)).validate())
+    res_q = run_qbisons([np.diag(r).astype(complex) for r in R], QBisonsParams(**asdict(params)))
     diagonals = np.diagonal(res_q.plays, axis1=1, axis2=2)
     off_diagonal = res_q.plays - diagonals[:, :, None] * np.eye(params.d)
     return res_v, res_q, float(np.abs(diagonals.real - res_v.plays).max()), float(np.abs(off_diagonal).max())
@@ -196,7 +196,7 @@ def check_diagonal_equivalence(ctx):
 
 def check_diagonal_equivalence_resets(ctx):
     R = adversary_returns("single-asset-crash", 2, 1000, 0)
-    res_v, res_q, gap, off = _diagonal_runs(R, BisonsParams(d=2, T=1000, **CRASH_OVERRIDE).validate())
+    res_v, res_q, gap, off = _diagonal_runs(R, BisonsParams(d=2, T=1000, **CRASH_OVERRIDE))
     violations = len(res_v.violations) + len(res_q.violations)
     passed = (res_v.reset_times == res_q.reset_times and len(res_v.reset_times) > 0 and gap <= 1e-12 and off == 0.0
               and violations == 0)
@@ -425,7 +425,7 @@ def check_monitors_fire(ctx):
                ("spectraplex", SPECTRAPLEX, QBisonsParams, lambda e: (V * e) @ V.conj().T))
     passed, details = True, []
     for name, domain, params_type, lift in domains:
-        mon = domain.monitor(params_type(d=2, T=T, **CRASH_OVERRIDE).validate())
+        mon = domain.monitor(params_type(d=2, T=T, **CRASH_OVERRIDE))
         for t, eigs in enumerate(rounds, start=1):
             mon.observe(t, *(lift(eigs[key]) for key in centre))
         mon.flush()
@@ -455,7 +455,10 @@ CHECKS = [
 
 
 def run_checks(suite="all"):
-    """Run the selected acceptance criteria; returns CheckResult list in order."""
+    """Run the criteria of ``suite``, "all" or a tag of ``CHECKS``; returns CheckResult list in order."""
+    suites = {"all"}.union(*(tags for *_, tags in CHECKS))
+    if suite not in suites:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(sorted(suites))}")
     ctx = {}
     results = []
     for number, name, fn, tags in CHECKS:

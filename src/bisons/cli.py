@@ -9,50 +9,41 @@
 import argparse
 import sys
 
-from .harness import ALGORITHMS, ExperimentConfig, best_crp, load_returns, parse_config_file, run_experiment
+from .harness import ALGORITHMS, ExperimentConfig, best_crp, load_returns, run_experiment
 from .solver import ROUND_ERRORS
+
+
+def _override(item):
+    """A ``--set KEY=VALUE`` item as (KEY, VALUE as a float)."""
+    key, _, value = item.partition("=")
+    try:
+        return key.strip(), float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE with a numeric VALUE, got {item!r}") from None
 
 
 def _add_run_parser(sub):
     p = sub.add_parser("run", help="run one experiment")
     p.add_argument("--algo", required=True, choices=list(ALGORITHMS))
-    p.add_argument("--d", type=int)
-    p.add_argument("--T", type=int)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--T", type=int, required=True)
     p.add_argument("--data", help="returns or measurements file")
     p.add_argument("--adversary", help="iid-dirichlet | single-asset-crash | alternating-basis | lbftrl-bad")
     p.add_argument("--seed", type=int, help="root seed (default 0)")
     p.add_argument("--alpha", type=float, help="lbftrl-bad pull-in exponent (lbftrl on lbftrl-bad only; default 0.5)")
-    p.add_argument("--eta", type=float,
-                   help="learning rate: lbftrl's (default 1.0), or the bisons/qbisons parameter override")
-    p.add_argument("--pad-uniform", action="store_true",
-                   help="pad a short returns sequence with uniform rows up to T")
-    p.add_argument("--config", help="flat key = value config file; flags given override it")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="parameter override, e.g. --set B=20 --set eta=0.015")
+    p.add_argument("--eta", type=float, help="lbftrl's learning rate (default 1.0)")
+    p.add_argument("--set", action="append", default=[], type=_override, metavar="KEY=VALUE",
+                   help="bisons/qbisons parameter B, eta or beta, e.g. --set B=20 --set eta=0.015")
     p.add_argument("--out", help="output directory (default .)")
     return p
 
 
 def _run(args):
-    mapping = {}
-    if args.config:
-        mapping.update(parse_config_file(args.config))
-    for key in ("algo", "d", "T", "data", "adversary", "seed", "out", "alpha", "eta"):
-        value = getattr(args, key)
-        if value is not None:
-            mapping[key] = value
-    if args.pad_uniform:
-        mapping["pad_uniform"] = True
-    for item in args.set:
-        if "=" not in item:
-            raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        mapping[key.strip()] = value.strip()
-    if "d" not in mapping or "T" not in mapping:
-        raise ValueError("--d and --T are required (flag or config file)")
-    summary = run_experiment(ExperimentConfig.from_mapping(mapping))
-    print(f"wrote {summary['rounds']} rounds to {mapping.get('out', '.')}; "
-          f"final regret {summary['final_regret']:.6g}")
+    given = {key: getattr(args, key) for key in ("algo", "d", "T", "data", "adversary", "seed", "out", "alpha", "eta")
+             if getattr(args, key) is not None}
+    config = ExperimentConfig.from_flags(given, dict(args.set))
+    summary = run_experiment(config)
+    print(f"wrote {summary['rounds']} rounds to {config.out}; final regret {summary['final_regret']:.6g}")
     return 0
 
 
@@ -105,8 +96,7 @@ def main(argv=None):
     gen.add_argument("--out", required=True)
 
     chk = sub.add_parser("check", help="run acceptance checks")
-    chk.add_argument("--suite", default="all",
-                     choices=["all", "lemmas", "bisons", "qbisons", "lbftrl"])
+    chk.add_argument("--suite", default="all", help="all, or a tag of checks.CHECKS")
 
     bc = sub.add_parser("best-crp", help="hindsight comparator for a returns file")
     bc.add_argument("--data", required=True)

@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -261,40 +261,22 @@ class ExperimentConfig:
     overrides: dict = field(default_factory=dict)
     alpha: float = 0.5
     eta: float = 1.0
-    pad_uniform: bool = False
 
     @classmethod
-    def from_mapping(cls, m):
-        """Each field parsed by its declared type; any other key is a parameter override.
-        A key the algorithm does not read (see ``READS``), and an override that is not a parameter, are rejected."""
-        algo = m.get("algo")
-        if algo not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algo!r}")
+    def from_flags(cls, given, overrides):
+        """The run of the typed fields ``given`` and the parameter ``overrides`` (name -> float).
+        A field below its minimum, a field the algorithm does not read (see ``READS``), and an override
+        that is not a parameter are rejected."""
+        algo = given["algo"]
         reader = algo
-        if algo == "lbftrl" and m.get("adversary") == "lbftrl-bad":
+        if algo == "lbftrl" and given.get("adversary") == "lbftrl-bad":
             reader = "lbftrl on lbftrl-bad"
-        elif "data" in m and f"{algo} on data" in READS:
+        elif "data" in given and f"{algo} on data" in READS:
             reader = f"{algo} on data"
-        types = {f.name: f.type for f in fields(cls) if f.name != "overrides"}
-        if "overrides" in READS[reader]:
-            del types["eta"]  # eta is an algorithm-parameter override there
-        kwargs, overrides = {}, {}
-        for key, value in m.items():
-            try:
-                if key not in types:
-                    overrides[key] = float(value)
-                elif types[key] is bool:  # index raises ValueError for a word that is neither false nor true
-                    kwargs[key] = ("0", "false", "no", "1", "true", "yes").index(str(value).lower()) >= 3
-                else:
-                    kwargs[key] = types[key](value)
-            except ValueError:
-                expected = (types[key].__name__ if key in types
-                            else "float (unknown key or non-numeric parameter override)")
-                raise ValueError(f"config key {key!r}: cannot parse {value!r} as {expected}") from None
         for key, least in (("d", 1), ("T", 1), ("seed", 0)):
-            if kwargs.get(key, least) < least:
-                raise ValueError(f"config key {key!r} must be at least {least}, got {kwargs[key]}")
-        unread = [key for key in kwargs if key not in ("algo", "d", "T", "out") and key not in READS[reader]]
+            if given.get(key, least) < least:
+                raise ValueError(f"config key {key!r} must be at least {least}, got {given[key]}")
+        unread = [key for key in given if key not in ("algo", "d", "T", "out") and key not in READS[reader]]
         if unread:
             raise ValueError(f"algorithm {reader!r} does not read {', '.join(map(repr, unread))}")
         if overrides and "overrides" not in READS[reader]:
@@ -303,26 +285,7 @@ class ExperimentConfig:
         for key in overrides:
             if key not in ("B", "eta", "beta"):
                 raise ValueError(f"unknown parameter override {key!r}")
-        return cls(overrides=overrides, **kwargs)
-
-
-def parse_config_file(path):
-    """Flat ``key = value`` lines; '#' starts a comment."""
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: malformed config line {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
-
-
-def _apply_overrides(params, overrides):
-    return replace(params, **{key: float(value) for key, value in overrides.items()}).validate()
+        return cls(overrides=overrides, **given)
 
 
 def _read_data(config, load, dim):
@@ -340,15 +303,10 @@ def _read_data(config, load, dim):
 
 def _get_returns(config):
     if config.data:
-        R = _read_data(config, load_returns, lambda R: R.shape[1])
-    elif config.adversary:
-        R = adversary_returns(config.adversary, config.d, config.T, config.seed)
-    else:
-        raise ValueError("either a data path or an adversary name is required")
-    if config.pad_uniform and R.shape[0] < config.T:
-        pad = np.full((config.T - R.shape[0], R.shape[1]), 1.0 / R.shape[1])
-        R = np.vstack([R, pad])
-    return R
+        return _read_data(config, load_returns, lambda R: R.shape[1])
+    if config.adversary:
+        return adversary_returns(config.adversary, config.d, config.T, config.seed)
+    raise ValueError("either a data path or an adversary name is required")
 
 
 def write_trace(path, losses, resets, comparator_cum):
@@ -376,7 +334,7 @@ def _epoch_summary(result, params):
 
 def _run_bisons(config):
     R = _get_returns(config)
-    params = _apply_overrides(default_params(config.d, config.T), config.overrides)
+    params = replace(default_params(config.d, config.T), **config.overrides)
     result = run_bisons(R, params)
     return result.losses, result.resets, _crp_cum_loss(R), _epoch_summary(result, params), None
 
@@ -386,7 +344,7 @@ def _run_qbisons(config):
         stream = _read_data(config, load_measurements, lambda m: m.effects.shape[-1])
     else:
         stream = measurement_stream(config.d, config.T, config.seed)
-    params = _apply_overrides(q_default_params(config.d, config.T), config.overrides)
+    params = replace(q_default_params(config.d, config.T), **config.overrides)
     result = run_qbisons(stream, params, rng=derive_rng(config.seed, "qbisons:reduction"))
     u_star, _ = best_quantum_state(result.inputs)
     comp_cum = np.cumsum([-math.log(v) for v in trace_inner(u_star, result.inputs)])
@@ -421,14 +379,14 @@ ALGORITHMS = {"bisons": _run_bisons, "qbisons": _run_qbisons, "lbftrl": _run_lbf
 #: LB-FTRL generates lbftrl-bad against its own player from alpha alone, and plays any other input without it.
 #: A data file replaces the adversary and its seed; Q-BISONS still seeds its measurement reduction.
 READS = {
-    "bisons": {"seed", "adversary", "pad_uniform", "overrides"},
-    "bisons on data": {"data", "pad_uniform", "overrides"},
+    "bisons": {"seed", "adversary", "overrides"},
+    "bisons on data": {"data", "overrides"},
     "qbisons": {"seed", "data", "overrides"},
-    "lbftrl": {"seed", "adversary", "pad_uniform", "eta"},
-    "lbftrl on data": {"data", "pad_uniform", "eta"},
+    "lbftrl": {"seed", "adversary", "eta"},
+    "lbftrl on data": {"data", "eta"},
     "lbftrl on lbftrl-bad": {"adversary", "alpha", "eta"},
-    "ons": {"seed", "adversary", "pad_uniform"},
-    "ons on data": {"data", "pad_uniform"},
+    "ons": {"seed", "adversary"},
+    "ons on data": {"data"},
 }
 
 

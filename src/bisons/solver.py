@@ -304,7 +304,7 @@ def _failure(message, x, gap, steps, cause=None):
     return exc
 
 
-def _damped_newton(X, grad_hess, newton_step, fval, boundary_cap, tol, max_iter, kappa):
+def _damped_newton(X, grad_hess, newton_step, fval, boundary_cap, tol, kappa):
     """Damped Newton on a stack of k systems in lockstep, from the (k, n) starts ``X``, which it updates.
 
     Each iteration, ``grad_hess(idx, X)`` gives the stacked gradients and
@@ -323,10 +323,11 @@ def _damped_newton(X, grad_hess, newton_step, fval, boundary_cap, tol, max_iter,
     are one array addition.
 
     Returns the :class:`SolveReport` of the minimizers X; each member takes
-    the steps it would take alone.  A failed member stops those after it in
+    the steps it would take alone, at most ``DEFAULT_MAX_ITER`` (its value
+    when the solve starts).  A failed member stops those after it in
     the stack, and the first failure in stack order is raised.
     """
-    k = len(X)
+    k, max_iter = len(X), DEFAULT_MAX_ITER
     done = [None] * k  # a member's (certified gap, steps) or its SolverFailure, once it stops
     active, stop = range(k), k  # ``stop`` is the first failed member; those after it no longer matter
     for it in range(max_iter):
@@ -472,7 +473,7 @@ def minimize_simplex(obj, warm_start=None, tol=DEFAULT_TOL):
             return 1.0
         return min(1.0, _BOUNDARY_FRACTION * float(np.min(-x[neg] / dx[neg])))
 
-    return _damped_newton(X, grad_hess, _reduced_newton_step, fval, boundary_cap, tol, DEFAULT_MAX_ITER, _kappa(w))
+    return _damped_newton(X, grad_hess, _reduced_newton_step, fval, boundary_cap, tol, _kappa(w))
 
 
 def minimize_simplex_history(returns, barrier_weight, warm_start=None, tol=DEFAULT_TOL):
@@ -574,7 +575,7 @@ def minimize_spectraplex(obj, warm_start=None, tol=DEFAULT_TOL):
         return 1.0 if wmin >= 0.0 else min(1.0, _BOUNDARY_FRACTION / (-wmin))
 
     try:
-        rep = _damped_newton(V0, grad_hess, kkt_step, fval, boundary_cap, tol, DEFAULT_MAX_ITER, _kappa(w))
+        rep = _damped_newton(V0, grad_hess, kkt_step, fval, boundary_cap, tol, _kappa(w))
     except SolverFailure as exc:  # a failure report carries a density matrix too
         exc.report.minimizer = unvectorize_phi(exc.report.minimizer, d)
         raise

@@ -47,6 +47,8 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class BisonsParams:
+    """A parameter tuple of the admissible region; building any other raises :class:`ParameterError`."""
+
     d: int
     T: int
     B: float
@@ -55,7 +57,7 @@ class BisonsParams:
 
     min_d = 2
 
-    def validate(self):
+    def __post_init__(self):
         if self.d < self.min_d:
             raise ParameterError(f"dimension must be at least {self.min_d}, got {self.d}")
         if self.T < 110 * self.d * self.d:
@@ -69,7 +71,6 @@ class BisonsParams:
             raise ParameterError(f"eta must lie in (0, min(1/4B, beta/4, 1/63)] = (0, {cap}], got {self.eta}")
         if self.T < max(2 * self.d, 1.0 / self.beta):
             raise ParameterError(f"horizon too small: T >= max(2d, 1/beta) = {max(2 * self.d, 1.0 / self.beta)}")
-        return self
 
     @classmethod
     def tuned(cls, d, T, s):
@@ -78,7 +79,7 @@ class BisonsParams:
         if T < 110 * d * d:
             raise ParameterError(f"T >= 110*d^2 = {110 * d * d} required, got {T}")
         B = (264.0 / 5.0) * d * s * math.log(T)
-        return cls(d=d, T=T, B=B, eta=1.0 / (4.0 * B), beta=11.0 * s / (7.0 * B)).validate()
+        return cls(d=d, T=T, B=B, eta=1.0 / (4.0 * B), beta=11.0 * s / (7.0 * B))
 
     @property
     def reset_factor(self):
@@ -319,7 +320,6 @@ def run_epochs(domain, stream, params, rng=None, keep_states=False):
     domain's stability monitor checks every round; the result keeps its
     violations.
     """
-    params.validate()
     mon = domain.monitor(params)
     state = initial_state(params, domain=domain)
     x = state.x_cur

@@ -10,9 +10,9 @@ imports ``bisons``, so module bodies count too.  Then it runs, in process
   file (a returns file for ``bisons``, ``lbftrl`` and ``ons``, a
   measurements file for ``qbisons``), and ``lbftrl`` on ``lbftrl-bad``;
 - ``run`` of ``bisons`` on the crash sequence with the ``CRASH_OVERRIDE``
-  parameters given by ``--set``, which resets at t=729; of ``bisons`` from
-  a ``--config`` file that pads the generated returns to T with uniform
-  rows; and of ``ons`` on ``alternating-basis``;
+  parameters given by ``--set``, which resets at t=729; of ``bisons`` on
+  the generated returns file at a horizon T past its last row; and of
+  ``ons`` on ``alternating-basis``;
 - ``adversary gen-lbftrl``;
 - ``best-crp`` on the generated returns file;
 - ``check --suite all``.
@@ -106,9 +106,6 @@ def _run_commands(tmp):
     measurements = os.path.join(tmp, "measurements.csv")
     stream = measurement_stream(2, 440, 5)  # each effect's entries re/im interleaved, row-major, then the outcome
     save_returns(measurements, np.column_stack([stream.effects.view(float).reshape(440, -1), stream.outcomes]))
-    config = os.path.join(tmp, "padded.cfg")
-    with open(config, "w") as fh:
-        fh.write(f"d = 3\nT = 2100\ndata = {returns}\npad_uniform = true\n")
     crash_set = [arg for key, value in CRASH_OVERRIDE.items() for arg in ("--set", f"{key}={value!r}")]
     commands = [
         ["adversary", "gen-lbftrl", "--d", "3", "--T", "2000", "--alpha", "0.15", "--out", gen],
@@ -119,7 +116,7 @@ def _run_commands(tmp):
         commands += [["run", "--algo", algo, "--d", "2", "--T", "440", "--adversary", "iid-dirichlet"],
                      ["run", "--algo", algo, "--d", "3", "--T", "2000", "--data", returns]]
     commands += [["run", "--algo", "bisons", "--d", "2", "--T", "1000", "--adversary", "single-asset-crash", *crash_set],
-                 ["run", "--algo", "bisons", "--config", config],
+                 ["run", "--algo", "bisons", "--d", "3", "--T", "2100", "--data", returns],
                  ["run", "--algo", "ons", "--d", "2", "--T", "440", "--adversary", "alternating-basis"],
                  ["run", "--algo", "qbisons", "--d", "2", "--T", "440", "--seed", "3"],
                  ["run", "--algo", "qbisons", "--d", "2", "--T", "440", "--data", measurements],

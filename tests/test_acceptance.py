@@ -93,6 +93,22 @@ def test_criterion_over_its_budget_fails(monkeypatch):
     assert res.detail == "slow but correct; over its 0.01s budget"
 
 
+@pytest.mark.parametrize("suite", ["nosuch", "lemma", ""])
+def test_an_unknown_suite_is_rejected_by_name(suite):
+    with pytest.raises(ValueError, match=f"^unknown suite {suite!r}; expected one of all, bisons, lbftrl, lemmas, "
+                                         "qbisons$"):
+        run_checks(suite)
+
+
+def test_check_exits_with_the_unknown_suite(capsys):
+    from bisons.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "nosuch"])
+    assert exc.value.code == "unknown suite 'nosuch'; expected one of all, bisons, lbftrl, lemmas, qbisons"
+    assert capsys.readouterr().out == ""
+
+
 def test_criterion_1_sees_a_round_surrogate_with_the_wrong_linear_term(monkeypatch):
     # the linear term (1 - beta <x_t, g>) g of the surrogate a round accumulates becomes (1 + beta <x_t, g>) g
     add = QuadraticObjective.add_surrogate

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -20,7 +21,6 @@ from bisons.harness import (
     load_returns,
     measurement_stream,
     ons_baseline,
-    parse_config_file,
     run_experiment,
     save_returns,
 )
@@ -421,40 +421,16 @@ def test_runners_write_nothing(tmp_path, algo):
     assert not out.exists()
 
 
-class TestConfigFile:
-    def test_parse_and_overrides(self, tmp_path):
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text("algo = bisons\nd = 2\nT = 440  # horizon\nseed = 9\nadversary = iid-dirichlet\n")
-        mapping = parse_config_file(str(cfg_path))
-        mapping["seed"] = "10"  # simulate a --set override
-        cfg = ExperimentConfig.from_mapping(mapping)
-        assert cfg.seed == 10
-        assert cfg.algo == "bisons"
-        assert cfg.T == 440
-
-    def test_unknown_keys_become_param_overrides(self):
-        cfg = ExperimentConfig.from_mapping({"algo": "bisons", "d": "2", "T": "440", "B": "20"})
+class TestFromFlags:
+    def test_typed_fields_and_overrides_kept(self):
+        cfg = ExperimentConfig.from_flags({"algo": "bisons", "d": 2, "T": 440, "seed": 10,
+                                           "adversary": "iid-dirichlet"}, {"B": 20.0})
+        assert (cfg.algo, cfg.d, cfg.T, cfg.seed, cfg.adversary) == ("bisons", 2, 440, 10, "iid-dirichlet")
         assert cfg.overrides == {"B": 20.0}
 
-    @pytest.mark.parametrize("key, value, expected", [
-        ("B", "abc", "float (unknown key or non-numeric parameter override)"),
-        ("adversry", "iid-dirichlet", "float (unknown key or non-numeric parameter override)"),
-        ("T", "4.5e2", "int"),
-        ("pad_uniform", "ture", "bool"),
-        ("pad_uniform", "on", "bool"),
-        ("pad_uniform", "2", "bool"),
-    ])
-    def test_unparsable_value_names_key_value_and_type(self, key, value, expected):
-        mapping = {"algo": "bisons", "d": "2", "T": "440", "adversary": "iid-dirichlet", key: value}
-        with pytest.raises(ValueError) as exc_info:
-            ExperimentConfig.from_mapping(mapping)
-        assert str(exc_info.value) == f"config key {key!r}: cannot parse {value!r} as {expected}"
-
-    @pytest.mark.parametrize("value, expected", [("1", True), ("TRUE", True), ("Yes", True), (True, True),
-                                                 ("0", False), ("False", False), ("NO", False)])
-    def test_bool_words_in_any_case(self, value, expected):
-        mapping = {"algo": "bisons", "d": "2", "T": "440", "data": "r.csv", "pad_uniform": value}
-        assert ExperimentConfig.from_mapping(mapping).pad_uniform is expected
+    def test_fields_not_given_take_their_defaults(self):
+        cfg = ExperimentConfig.from_flags({"algo": "lbftrl", "d": 2, "T": 400, "adversary": "lbftrl-bad"}, {})
+        assert (cfg.seed, cfg.data, cfg.out, cfg.alpha, cfg.eta, cfg.overrides) == (0, None, ".", 0.5, 1.0, {})
 
 
 class TestCli:
@@ -490,17 +466,28 @@ class TestCli:
         assert data["params"]["beta"] == 0.1
 
 
-    def test_run_exits_with_the_config_error(self, tmp_path):
+    @pytest.mark.parametrize("argv, message", [
+        (["--d", "2", "--set", "B=abc"],
+         "bisons run: error: argument --set: expected KEY=VALUE with a numeric VALUE, got 'B=abc'"),
+        (["--d", "2", "--set", "B"],
+         "bisons run: error: argument --set: expected KEY=VALUE with a numeric VALUE, got 'B'"),
+        (["--d", "2", "--set", "eta="],
+         "bisons run: error: argument --set: expected KEY=VALUE with a numeric VALUE, got 'eta='"),
+        (["--d", "2", "--T", "4.5e2"], "bisons run: error: argument --T: invalid int value: '4.5e2'"),
+        (["--d", "2", "--config", "exp.cfg"], "bisons: error: unrecognized arguments: --config exp.cfg"),
+        (["--d", "2", "--pad-uniform"], "bisons: error: unrecognized arguments: --pad-uniform"),
+        ([], "bisons run: error: the following arguments are required: --d"),
+    ], ids=["set-not-a-number", "set-without-value", "set-empty-value", "T-not-an-int", "config-file",
+            "pad-uniform", "no-d"])
+    def test_run_usage_errors_exit_with_status_2(self, tmp_path, capsys, argv, message):
         from bisons.cli import main
 
-        args = ["run", "--algo", "bisons", "--d", "2", "--T", "440", "--out", str(tmp_path / "out")]
-        with pytest.raises(SystemExit, match=r"config key 'B': cannot parse 'abc' as float"):
-            main(args + ["--adversary", "iid-dirichlet", "--set", "B=abc"])
-        cfg = tmp_path / "typo.cfg"
-        cfg.write_text("adversry = iid-dirichlet\n")
-        with pytest.raises(SystemExit, match=r"config key 'adversry': cannot parse 'iid-dirichlet'"):
-            main(args + ["--config", str(cfg)])
-        assert not (tmp_path / "out").exists()
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--algo", "bisons", "--T", "440", "--adversary", "iid-dirichlet", *argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"\n{message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("algo, adversary", [("ons", "iid-dirichlet"), ("lbftrl", "lbftrl-bad")])
     def test_run_rejects_overrides_the_algorithm_has_no_use_for(self, tmp_path, algo, adversary):
@@ -513,11 +500,11 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("algo, argv, message", [
-        ("ons", ["--adversary", "iid-dirichlet", "--set", "eta=5", "--set", "alpha=0.9"], "'eta', 'alpha'"),
-        ("bisons", ["--adversary", "iid-dirichlet", "--set", "alpha=0.9"], "'alpha'"),
+        ("bisons", ["--adversary", "iid-dirichlet", "--eta", "0.0003"], "'eta'"),
+        ("qbisons", ["--eta", "0.0003"], "'eta'"),
         ("qbisons", ["--adversary", "iid-dirichlet"], "'adversary'"),
         ("ons", ["--adversary", "iid-dirichlet", "--alpha", "0.9", "--eta", "5"], "'alpha', 'eta'"),
-    ], ids=["ons-set", "bisons-set-alpha", "qbisons-adversary", "ons-flags"])
+    ], ids=["bisons-eta", "qbisons-eta", "qbisons-adversary", "ons-flags"])
     def test_run_rejects_keys_the_algorithm_does_not_read(self, tmp_path, algo, argv, message):
         from bisons.cli import main
 
@@ -571,15 +558,51 @@ class TestCli:
             main(["run", "--algo", algo, "--d", "2", "--T", "440", "--adversary", "iid-dirichlet", "--out", str(out)])
         assert not out.exists()
 
-    def test_eta_flag_means_the_eta_config_key(self, tmp_path):
+    def test_set_eta_writes_what_the_eta_override_wrote(self, tmp_path):
+        # sha256 of trace.csv and summary.json that this run wrote when --eta also set BISONS's eta
         from bisons.cli import main
 
-        args = ["run", "--algo", "bisons", "--d", "2", "--T", "440", "--adversary", "iid-dirichlet"]
-        assert main(args + ["--eta", "0.0003", "--out", str(tmp_path / "flag")]) == 0
-        assert main(args + ["--set", "eta=0.0003", "--out", str(tmp_path / "set")]) == 0
-        assert json.loads((tmp_path / "flag" / "summary.json").read_text())["params"]["eta"] == 0.0003
-        for name in ("trace.csv", "summary.json"):
-            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "set" / name).read_bytes()
+        assert main(["run", "--algo", "bisons", "--d", "2", "--T", "440", "--adversary", "iid-dirichlet",
+                     "--set", "eta=0.0003", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["params"]["eta"] == 0.0003
+        digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("trace.csv", "summary.json")]
+        assert digests == ["fa01fe19815c5f41fc6b1b9aaa88ad6560f4a9c361e0f68ff76bb894442a6d04",
+                           "97cdb3b04e2d3635c7bb0a97eda75c5bb44f098c426c03167850a3b1e036bf13"]
+
+    def test_the_last_set_of_a_parameter_wins(self, tmp_path):
+        from bisons.cli import main
+
+        assert main(["run", "--algo", "bisons", "--d", "2", "--T", "440", "--adversary", "iid-dirichlet",
+                     "--set", "B=10", "--set", "B=20", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["params"]["B"] == 20.0
+
+    def test_lbftrl_alpha_and_eta_flags_kept(self, tmp_path):
+        from bisons.cli import main
+
+        args = ["run", "--algo", "lbftrl", "--d", "2", "--T", "400", "--adversary", "lbftrl-bad"]
+        assert main(args + ["--out", str(tmp_path / "default")]) == 0
+        assert main(args + ["--alpha", "0.15", "--eta", "0.25", "--out", str(tmp_path / "flags")]) == 0
+        kept = {name: json.loads((tmp_path / name / "summary.json").read_text()) for name in ("default", "flags")}
+        assert {name: (data["alpha"], data["eta"]) for name, data in kept.items()} == {
+            "default": (0.5, 1.0), "flags": (0.15, 0.25)}
+
+    def test_seed_kept_and_out_defaults_to_the_working_directory(self, tmp_path, monkeypatch):
+        from bisons.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--algo", "ons", "--d", "2", "--T", "50", "--adversary", "iid-dirichlet",
+                     "--seed", "9"]) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["seed"] == 9
+
+    def test_a_data_file_shorter_than_T_runs_its_rows_only(self, tmp_path):
+        from bisons.cli import main
+
+        path = tmp_path / "r.csv"
+        save_returns(str(path), adversary_returns("iid-dirichlet", 2, 100, 1))
+        assert main(["run", "--algo", "bisons", "--d", "2", "--T", "440", "--data", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["rounds"] == 100
+        assert len((tmp_path / "out" / "trace.csv").read_text().splitlines()) == 101
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--algo", "lbftrl", "--adversary", "iid-dirichlet", "--eta", "0"],
@@ -598,30 +621,6 @@ class TestCli:
         with pytest.raises(SystemExit, match=f"^{message}$"):
             main([*argv, "--d", "2", "--T", "50", "--out", str(out)])
         assert not (out / "trace.csv").exists() and not (out / "returns.csv").exists()
-
-    def test_config_values_kept_unless_a_flag_is_given(self, tmp_path):
-        from bisons.cli import main
-
-        cfg = tmp_path / "lb.cfg"
-        cfg.write_text("d = 2\nT = 400\nadversary = lbftrl-bad\nalpha = 0.15\neta = 0.5\n")
-        assert main(["run", "--config", str(cfg), "--algo", "lbftrl", "--out", str(tmp_path / "file")]) == 0
-        data = json.loads((tmp_path / "file" / "summary.json").read_text())
-        assert (data["alpha"], data["eta"]) == (0.15, 0.5)
-        assert main(["run", "--config", str(cfg), "--algo", "lbftrl", "--eta", "0.25",
-                     "--out", str(tmp_path / "flag")]) == 0
-        data = json.loads((tmp_path / "flag" / "summary.json").read_text())
-        assert (data["alpha"], data["eta"]) == (0.15, 0.25)
-
-    def test_config_seed_and_out_kept(self, tmp_path, monkeypatch):
-        from bisons.cli import main
-
-        cfg = tmp_path / "ons.cfg"
-        out = tmp_path / "from-config"
-        cfg.write_text(f"d = 2\nT = 50\nadversary = iid-dirichlet\nseed = 9\nout = {out}\n")
-        (tmp_path / "cwd").mkdir()
-        monkeypatch.chdir(tmp_path / "cwd")
-        assert main(["run", "--config", str(cfg), "--algo", "ons"]) == 0
-        assert json.loads((out / "summary.json").read_text())["seed"] == 9
 
     @pytest.mark.parametrize("algo, argv, message", [
         ("bisons", ["--d", "3", "--T", "1000"], "row 1 has dimension 2, not d=3"),
@@ -672,29 +671,16 @@ class TestCli:
             traces.append((out / "trace.csv").read_bytes())
         assert traces[0] != traces[1]
 
-    def test_unknown_override_rejected_before_any_output(self, tmp_path):
+    @pytest.mark.parametrize("algo, key", [("bisons", "foo"), ("bisons", "seed"), ("bisons", "alpha"),
+                                           ("qbisons", "seed"), ("qbisons", "d")])
+    def test_unknown_override_rejected_before_any_output(self, tmp_path, algo, key):
+        # --set names a parameter only: a config field given this way is rejected, not taken as the flag
         from bisons.cli import main
 
         out = tmp_path / "out"
-        with pytest.raises(SystemExit, match=r"^unknown parameter override 'foo'$"):
-            main(["run", "--algo", "bisons", "--d", "2", "--T", "440", "--adversary", "iid-dirichlet",
-                  "--set", "foo=1", "--out", str(out)])
+        with pytest.raises(SystemExit, match=rf"^unknown parameter override '{key}'$"):
+            main(["run", "--algo", algo, "--d", "2", "--T", "440", "--set", f"{key}=3", "--out", str(out)])
         assert not out.exists()
-
-    def test_pad_uniform_by_flag_and_by_config_file(self, tmp_path):
-        from bisons.cli import main
-
-        path = tmp_path / "r.csv"
-        save_returns(str(path), adversary_returns("iid-dirichlet", 2, 100, 1))
-        cfg = tmp_path / "pad.cfg"
-        cfg.write_text("pad_uniform = true\n")
-        args = ["run", "--algo", "bisons", "--d", "2", "--T", "440", "--data", str(path)]
-        for name, extra in [("flag", ["--pad-uniform"]), ("config", ["--config", str(cfg)]), ("none", [])]:
-            assert main(args + extra + ["--out", str(tmp_path / name)]) == 0
-        rounds = {name: json.loads((tmp_path / name / "summary.json").read_text())["rounds"]
-                  for name in ("flag", "config", "none")}
-        assert rounds == {"flag": 440, "config": 440, "none": 100}
-        assert (tmp_path / "flag" / "trace.csv").read_bytes() == (tmp_path / "config" / "trace.csv").read_bytes()
 
     @pytest.mark.parametrize("argv, message", [
         (["--algo", "bisons", "--d", "2", "--T", "440", "--data", "{tmp}/ragged.csv"],
@@ -713,8 +699,6 @@ class TestCli:
          "config key 'T' must be at least 1, got 0"),
         (["--algo", "ons", "--d", "2", "--T", "-5", "--adversary", "iid-dirichlet"],
          "config key 'T' must be at least 1, got -5"),
-        (["--algo", "bisons", "--config", "{tmp}/bad.cfg", "--adversary", "iid-dirichlet"],
-         "{tmp}/bad.cfg: malformed config line 'T 440'"),
         (["--algo", "qbisons", "--d", "2", "--T", "440", "--data", "{tmp}/nan.csv"],
          "{tmp}/nan.csv: row 1 (line 1): cells must be finite"),
         (["--algo", "bisons", "--d", "2", "--T", "440", "--adversary", "iid-dirichlet", "--seed", "-1"],
@@ -726,13 +710,12 @@ class TestCli:
         (["--algo", "qbisons", "--d", "2", "--T", "440", "--data", "{tmp}/binary.csv"],
          "{tmp}/binary.csv: not UTF-8 text: 'utf-8' codec can't decode byte 0xc0 in position 24: invalid start byte"),
     ], ids=["ragged", "missing-data", "unknown-adversary", "bad-beta", "bisons-d-0", "ons-d-0", "qbisons-d-0",
-            "lbftrl-T-0", "negative-T", "malformed-config", "nan-effect", "bisons-negative-seed",
+            "lbftrl-T-0", "negative-T", "nan-effect", "bisons-negative-seed",
             "qbisons-negative-seed", "bisons-binary-data", "qbisons-binary-data"])
     def test_rejected_run_exits_with_its_message_and_writes_nothing(self, tmp_path, argv, message):
         from bisons.cli import main
 
         (tmp_path / "ragged.csv").write_text("1,0\n0,1,0\n")
-        (tmp_path / "bad.cfg").write_text("d = 2\nT 440\n")
         (tmp_path / "nan.csv").write_text("0.5,0,0,0,0,0,nan,0,0.5\n")
         (tmp_path / "binary.csv").write_bytes(BINARY)
         out = tmp_path / "out"

@@ -179,7 +179,7 @@ class TestQBisonsRound:
     def test_diagonal_stream_matches_vector_algorithm(self):
         d, T, n = 2, 440, 40
         params_v = default_params(d, T)
-        params_q = QBisonsParams(d=d, T=T, B=params_v.B, eta=params_v.eta, beta=params_v.beta).validate()
+        params_q = QBisonsParams(d=d, T=T, B=params_v.B, eta=params_v.eta, beta=params_v.beta)
         rng = np.random.default_rng(3)
         R = rng.dirichlet(np.ones(d), size=n)
         res_v = run_bisons(R, params_v, keep_states=True)
@@ -374,8 +374,8 @@ def crash_diagonal_runs():
     """BISONS and Q-BISONS on the diagonal embedding of a crash sequence that resets."""
     d, T = 2, 1000
     R = adversary_returns("single-asset-crash", d, T, 0)
-    res_v = run_bisons(R, BisonsParams(d=d, T=T, **CRASH_OVERRIDE).validate())
-    params_q = QBisonsParams(d=d, T=T, **CRASH_OVERRIDE).validate()
+    res_v = run_bisons(R, BisonsParams(d=d, T=T, **CRASH_OVERRIDE))
+    params_q = QBisonsParams(d=d, T=T, **CRASH_OVERRIDE)
     res_q = run_qbisons([np.diag(r).astype(complex) for r in R], params_q)
     return R, params_q, res_v, res_q
 

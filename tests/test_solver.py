@@ -260,7 +260,7 @@ class TestWarmStartRegression:
             return rep
 
         monkeypatch.setattr(vector, "minimize_simplex", counted)
-        params = BisonsParams(d=2, T=1000, B=15.75, eta=1.0 / 63.0, beta=0.1).validate()
+        params = BisonsParams(d=2, T=1000, B=15.75, eta=1.0 / 63.0, beta=0.1)
         R = adversary_returns("single-asset-crash", 2, 1000, 0)
         state = initial_state(params)
         saw_reset = False
@@ -536,7 +536,7 @@ class TestFullStepWithoutLineSearch:
         driver = solver._damped_newton
         objectives, steps, searched = [], [], set()
 
-        def recording(x0, grad_hess, newton_step, fval, boundary_cap, tol, max_iter, kappa):
+        def recording(x0, grad_hess, newton_step, fval, boundary_cap, tol, kappa):
             def step(X, G, H):  # the solves here are single: stacks of one
                 dX, lam2 = newton_step(X, G, H)
                 if lam2[0] > tol and objectives:  # a step of a warm-started solve
@@ -547,7 +547,7 @@ class TestFullStepWithoutLineSearch:
                 searched.add(x.tobytes())
                 return boundary_cap(i, x, dx)
 
-            return driver(x0, grad_hess, step, fval, cap, tol, max_iter, kappa)
+            return driver(x0, grad_hess, step, fval, cap, tol, kappa)
 
         monkeypatch.setattr(solver, "_damped_newton", recording)
         _warm_started_solves(spectraplex, history, w, seed=11,
@@ -841,7 +841,7 @@ class TestStackedRoundStates:
         from bisons.vector import BisonsParams, run_bisons
 
         R = adversary_returns("single-asset-crash", 2, 1000, 0)
-        res = run_bisons(R, BisonsParams(d=2, T=1000, **CRASH_OVERRIDE).validate(), keep_states=True)
+        res = run_bisons(R, BisonsParams(d=2, T=1000, **CRASH_OVERRIDE), keep_states=True)
         assert res.reset_times == [729]
         assert self.digest(res.states) == "4b42b8f469f335ac32d8cd42d7ce3b15ab42da0a678dece1ae72372cddfe632a"
 
@@ -855,7 +855,7 @@ class TestStackedRoundStates:
         R = adversary_returns("single-asset-crash", 2, 1000, 0)
         V = random_unitary(np.random.default_rng(0), 2)
         res = run_qbisons([V @ np.diag(r).astype(complex) @ V.conj().T for r in R],
-                          QBisonsParams(d=2, T=1000, **CRASH_OVERRIDE).validate(), keep_states=True)
+                          QBisonsParams(d=2, T=1000, **CRASH_OVERRIDE), keep_states=True)
         assert res.reset_times == [729]
         assert self.digest(res.states) == "c223fb18dc71bdd7372fbc86837dcfbfd51c8cbbc31288a5fecdcf98f3193285"
 

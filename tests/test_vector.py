@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ CRASH_PARAMS = dict(B=15.75, eta=1.0 / 63.0, beta=0.1)
 
 
 def crash_params(T=1000):
-    return BisonsParams(d=2, T=T, **CRASH_PARAMS).validate()
+    return BisonsParams(d=2, T=T, **CRASH_PARAMS)
 
 
 class ReferenceBisons2D:
@@ -105,7 +106,6 @@ class TestDefaultParams:
         for d, T in [(2, 440), (3, 1000), (5, 2750)]:
             p = default_params(d, T)
             assert p.eta * 4.0 * p.B == 1.0
-            p.validate()
 
     def test_horizon_too_small(self):
         with pytest.raises(ParameterError):
@@ -123,7 +123,7 @@ class TestDefaultParams:
             cls, B = QBisonsParams, (264.0 / 5.0) * d * d * math.log(T)
             beta = 11.0 * d / (7.0 * B)
         try:
-            return cls(d=d, T=T, B=B, eta=1.0 / (4.0 * B), beta=beta).validate()
+            return cls(d=d, T=T, B=B, eta=1.0 / (4.0 * B), beta=beta)
         except ParameterError as exc:
             return str(exc)
 
@@ -142,16 +142,24 @@ class TestDefaultParams:
 
     def test_override_validation(self):
         with pytest.raises(ParameterError):
-            BisonsParams(d=2, T=1000, B=10.0, eta=0.1, beta=0.1).validate()  # eta > beta/4
+            BisonsParams(d=2, T=1000, B=10.0, eta=0.1, beta=0.1)  # eta > beta/4
         with pytest.raises(ParameterError):
-            BisonsParams(d=2, T=1000, B=10.0, eta=0.001, beta=0.6).validate()  # beta too big
+            BisonsParams(d=2, T=1000, B=10.0, eta=0.001, beta=0.6)  # beta too big
         with pytest.raises(ParameterError):
-            BisonsParams(d=2, T=100, B=10.0, eta=0.001, beta=0.1).validate()  # T < 110 d^2
+            BisonsParams(d=2, T=100, B=10.0, eta=0.001, beta=0.1)  # T < 110 d^2
+
+    def test_every_way_of_building_checks_the_tuple(self):
+        with pytest.raises(ParameterError, match=r"^beta must lie in \(0, sqrt\(2\)-1\], got 0.9$"):
+            replace(default_params(2, 440), beta=0.9)
+        with pytest.raises(ParameterError, match="^dimension must be at least 2, got 1$"):
+            BisonsParams(**asdict(quantum.q_default_params(1, 440)))
+        with pytest.raises(ParameterError, match="^dimension must be at least 2, got 1$"):
+            default_params(1, 440)
 
     @pytest.mark.parametrize("cls", [BisonsParams, QBisonsParams])
     def test_zero_bias_scale_rejected(self, cls):
         with pytest.raises(ParameterError):
-            cls(d=2, T=1000, B=0.0, eta=0.01, beta=0.1).validate()
+            cls(d=2, T=1000, B=0.0, eta=0.01, beta=0.1)
 
 
 class TestUpdateBias:
@@ -441,7 +449,7 @@ class TestStabilityMonitor:
             domain, params, arrays = SIMPLEX, crash_params(), (np.array(eigs[k]) for k in OBSERVED)
         else:
             V = random_unitary(np.random.default_rng(0), 2)
-            domain, params = SPECTRAPLEX, QBisonsParams(d=2, T=1000, **CRASH_PARAMS).validate()
+            domain, params = SPECTRAPLEX, QBisonsParams(d=2, T=1000, **CRASH_PARAMS)
             arrays = ((V * eigs[k]) @ V.conj().T for k in OBSERVED)
         mon = domain.monitor(params)
         mon.observe(7, *arrays)
@@ -492,7 +500,7 @@ def crash_run(domain_name, T, **kwargs):
     if domain_name == "simplex":
         domain, params, run, stream = SIMPLEX, crash_params(), run_bisons, R
     else:
-        domain, params, run = SPECTRAPLEX, QBisonsParams(d=2, T=1000, **CRASH_PARAMS).validate(), run_qbisons
+        domain, params, run = SPECTRAPLEX, QBisonsParams(d=2, T=1000, **CRASH_PARAMS), run_qbisons
         stream = [np.diag(r).astype(complex) for r in R]
     return domain, domain.monitor(params), run(stream, params, **kwargs)
 
